@@ -1,6 +1,6 @@
 """Meta-path search and attention-based recommendation on heterogeneous graphs."""
 
-from .hin import HinGraph, HinSchema, InteractionSet, complement_relation, load_graph, neighbors
+from .hin import HinGraph, HinSchema, InteractionSet, complement_relation, load_graph
 from .metapath import (
     MetaPath,
     MetaPathSet,
@@ -31,7 +31,6 @@ __all__ = [
     "load_graph",
     "materialize_subgraph",
     "metapath_neighbors",
-    "neighbors",
     "sample_neighbors",
     "step",
     "__version__",

@@ -74,13 +74,6 @@ class Tape:
 
         return self._emit(np.sum(a.value * b.value, axis=1), back)
 
-    def dot(self, a: Var, b: Var) -> Var:
-        def back(g):
-            a.accumulate(g * b.value)
-            b.accumulate(g * a.value)
-
-        return self._emit(np.dot(a.value, b.value), back)
-
     # -- structure ---------------------------------------------------------
 
     def gather(self, x: Var, idx: np.ndarray) -> Var:
@@ -92,15 +85,6 @@ class Tape:
             x.accumulate(full)
 
         return self._emit(x.value[idx], back)
-
-    def concat_cols(self, a: Var, b: Var) -> Var:
-        na = a.value.shape[-1]
-
-        def back(g):
-            a.accumulate(g[..., :na])
-            b.accumulate(g[..., na:])
-
-        return self._emit(np.concatenate([a.value, b.value], axis=-1), back)
 
     def stack_scalars(self, items: list[Var]) -> Var:
         def back(g):
@@ -284,7 +268,7 @@ def activation(tape: Tape, name: str):
 
 
 def activation_fn(name: str):
-    """Plain-numpy activation used by the tape-free inference pass."""
+    """Plain-numpy activation for the reference ops in :mod:`hinrec.recommender`."""
     table = {
         "leaky_relu": lambda x: np.where(x >= 0.0, x, 0.2 * x),
         "relu": lambda x: np.maximum(x, 0.0),

@@ -80,3 +80,17 @@ def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[name] = np.frombuffer(data[off : off + nbytes], dtype=dtype).reshape(shape).copy()
         off += nbytes
     return header, arrays
+
+
+def check_arrays(path: str | Path, arrays: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Raise :class:`CheckpointError`, naming ``path``, unless ``arrays`` match ``expected`` in name and shape."""
+    stored = {k: a.shape for k, a in arrays.items()}
+    wanted = {k: a.shape for k, a in expected.items()}
+    if stored != wanted:
+        missing = sorted(wanted.keys() - stored.keys())
+        unexpected = sorted(stored.keys() - wanted.keys())
+        reshaped = sorted(k for k in wanted.keys() & stored.keys() if stored[k] != wanted[k])
+        raise CheckpointError(
+            f"{path}: arrays do not match the rebuilt parameters "
+            f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})"
+        )

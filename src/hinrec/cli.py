@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import dqn, evaluation, metapath as mp, recommender as rec, search_env, s
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .hin import GraphLoadError, HinGraph, HinSchema, load_graph
-from .util import append_jsonl, derive_rng, read_json, read_jsonl, write_json
+from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, write_json
 
 log = logging.getLogger("hinrec")
 
@@ -47,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--strategy", choices=("rms", "greedy", "random"))
     p.add_argument("--iter-limit", type=int, dest="iter_limit")
-    p.add_argument("--time-limit", type=float, dest="time_limit")
-    p.add_argument("--resume", help="agent checkpoint to restore (rms only)")
+    p.add_argument("--time-limit", type=float, dest="time_limit", help="greedy and random only")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")
     p.add_argument("--dataset", required=True)
@@ -130,16 +130,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _probe_budget(cfg: RunConfig) -> search_env.Budget:
+def _side_budget(cfg: RunConfig) -> search_env.Budget:
+    """Half the run's greedy/random budget: each side searches with one half."""
     iters = cfg.iter_limit if cfg.iter_limit > 0 else None
     seconds = cfg.time_limit if cfg.time_limit > 0 else None
     if iters is None and seconds is None:
         iters = 200
-    return search_env.Budget(iters=iters, seconds=seconds)
+    return search_env.Budget(iters=None if iters is None else iters // 2,
+                             seconds=None if seconds is None else seconds / 2)
 
 
 def cmd_search(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.strategy == "rms" and cfg.time_limit > 0:
+        raise ConfigError("time_limit applies to greedy and random search; rms runs a fixed number of episodes")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     graph = _load_dataset(cfg.dataset)
@@ -147,39 +151,32 @@ def cmd_search(args) -> int:
     schema = graph.schema
     t0 = time.perf_counter()
 
-    if cfg.strategy == "rms":
-        run_cfg = cfg
-        if cfg.iter_limit > 0:
-            episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps))
-            run_cfg = cfg.with_overrides({"dqn_episodes": episodes})
-        user_set, item_set, probe = rec.dual_agent_search(
-            graph, split, run_cfg, cfg.seed, trace_dir=str(out)
+    probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
+    episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
+    dqn_cfg = dqn.DqnConfig(
+        episodes=episodes, gamma=cfg.gamma, lr=cfg.dqn_lr, eps_start=cfg.eps_start, eps_end=cfg.eps_end,
+        eps_fraction=cfg.eps_fraction, target_sync=cfg.target_sync, batch_size=cfg.dqn_batch,
+        min_buffer=cfg.dqn_min_buffer, buffer_capacity=cfg.dqn_buffer,
+    )
+    found = {}
+    for tag, form, other in (
+        ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
+        ("item", mp.ITEM_SYMMETRIC, mp.USER_SYMMETRIC),
+    ):
+        env = search_env.SearchEnv(
+            schema, form, probe.pair,
+            frozen_other=search_env.initial_set(other, schema),
+            max_steps=cfg.max_steps, max_len=cfg.max_path_len,
+            trace_path=str(out / "trace.jsonl"), trace_tag=tag,
         )
-        probe_calls = probe.calls
-    else:
-        probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
-        budget = _probe_budget(cfg)
-        half = search_env.Budget(iters=None if budget.iters is None else budget.iters // 2,
-                                 seconds=None if budget.seconds is None else budget.seconds / 2)
-        found = {}
-        for tag, form, other in (
-            ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
-            ("item", mp.ITEM_SYMMETRIC, mp.USER_SYMMETRIC),
-        ):
-            env = search_env.SearchEnv(
-                schema, form, probe.pair,
-                frozen_other=search_env.initial_set(other, schema),
-                max_steps=cfg.max_steps, max_len=cfg.max_path_len,
-                trace_path=str(out / "trace.jsonl"), trace_tag=tag,
-            )
-            rng = derive_rng(cfg.seed, cfg.strategy, tag)
-            side_budget = search_env.Budget(iters=half.iters, seconds=half.seconds)
-            if cfg.strategy == "random":
-                found[tag] = search_env.random_search(env, side_budget, rng)
-            else:
-                found[tag] = search_env.greedy_search(env, side_budget, cfg.greedy_candidates, rng)
-        user_set, item_set = found["user"], found["item"]
-        probe_calls = probe.calls
+        rng = derive_rng(cfg.seed, cfg.strategy, tag)
+        if cfg.strategy == "rms":
+            found[tag] = dqn.search(env, replace(dqn_cfg, seed=derive_seed(cfg.seed, "agent", tag)))
+        elif cfg.strategy == "random":
+            found[tag] = search_env.random_search(env, _side_budget(cfg), rng)
+        else:
+            found[tag] = search_env.greedy_search(env, _side_budget(cfg), cfg.greedy_candidates, rng)
+    user_set, item_set = found["user"], found["item"]
 
     write_json(
         out / "sets.json",
@@ -189,7 +186,7 @@ def cmd_search(args) -> int:
             "config_hash": cfg.config_hash(),
             "user_set": _set_payload(user_set),
             "item_set": _set_payload(item_set),
-            "probe_calls": probe_calls,
+            "probe_calls": probe.calls,
             "elapsed_s": time.perf_counter() - t0,
         },
     )
@@ -221,14 +218,9 @@ def cmd_train(args) -> int:
         cfg.mf_lr,
         derive_rng(cfg.seed, "mf-init"),
     )
-    hrec_cfg = rec.HRecConfig(
-        d=cfg.embed_dim, att_hidden=cfg.att_hidden, heads=cfg.heads, dropout=cfg.dropout,
-        fanout=cfg.fanout, lr=cfg.rec_lr, batch_size=cfg.rec_batch, epochs=cfg.rec_epochs,
-        patience=cfg.patience, density_threshold=cfg.density_threshold, self_loops=cfg.self_loops,
-        score_act=cfg.score_act, agg_act=cfg.agg_act, fuse_act=cfg.fuse_act,
-    )
     model = rec.HRecModel(
-        train_graph, user_side, item_side, hrec_cfg, derive_rng(cfg.seed, "hrec-init"), mf_init=mf
+        train_graph, user_side, item_side, rec.HRecConfig.from_run(cfg),
+        derive_rng(cfg.seed, "hrec-init"), mf_init=mf,
     )
 
     def evaluator(m, epoch):

@@ -5,16 +5,18 @@ encoding. Training interleaves epsilon-greedy episodes with Huber-loss TD
 updates against a periodically synced target network; inference runs one
 greedy episode and returns its final meta-path set. Per-episode and
 per-update RNG streams are derived from (seed, counter), which makes
-checkpoint resume bit-exact.
+resuming from a checkpoint bit-exact. Resuming is a library call with no CLI
+flag: restore the agent with :meth:`DqnAgent.load` and pass it to
+:func:`search`.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import check_arrays, load_arrays, save_arrays
 from .util import derive_rng
 
 log = logging.getLogger(__name__)
@@ -36,15 +38,14 @@ class QNetworkParams:
         n_out: int,
         hidden: tuple[int, ...] = DEFAULT_HIDDEN,
         rng: np.random.Generator | None = None,
-        dtype=np.float64,
     ) -> "QNetworkParams":
         rng = rng or np.random.default_rng()
         dims = (n_in, *hidden, n_out)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
-            biases.append(np.zeros(fan_out, dtype=dtype))
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
     def copy(self) -> "QNetworkParams":
@@ -57,11 +58,6 @@ class QNetworkParams:
     @property
     def n_out(self) -> int:
         return self.weights[-1].shape[1]
-
-    def check_finite(self) -> None:
-        for arr in (*self.weights, *self.biases):
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError("non-finite Q-network parameters")
 
 
 def _forward_batch(params: QNetworkParams, s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -79,7 +75,7 @@ def _forward_batch(params: QNetworkParams, s: np.ndarray) -> tuple[np.ndarray, l
 
 def q_forward(params: QNetworkParams, s: np.ndarray) -> np.ndarray:
     """Q-values for one state vector."""
-    s = np.asarray(s, dtype=params.weights[0].dtype)
+    s = np.asarray(s, dtype=np.float64)
     if s.shape != (params.n_in,):
         raise ValueError(f"state shape {s.shape} does not match input dim {params.n_in}")
     out, _ = _forward_batch(params, s[None, :])
@@ -197,11 +193,10 @@ def td_update(
         raise ValueError("td_update needs a non-empty batch")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    dtype = params.weights[0].dtype
-    s = np.stack([t.s for t in batch]).astype(dtype)
-    s2 = np.stack([t.s_next for t in batch]).astype(dtype)
+    s = np.stack([t.s for t in batch]).astype(np.float64)
+    s2 = np.stack([t.s_next for t in batch]).astype(np.float64)
     a = np.asarray([t.a for t in batch], dtype=np.int64)
-    r = np.asarray([t.r for t in batch], dtype=dtype)
+    r = np.asarray([t.r for t in batch], dtype=np.float64)
     done = np.asarray([t.done for t in batch], dtype=bool)
 
     q_next, _ = _forward_batch(target_params, s2)
@@ -246,7 +241,6 @@ class DqnConfig:
     batch_size: int = 32
     min_buffer: int = 200
     buffer_capacity: int = 10000
-    precision: str = "double"  # or "single"
     seed: int = 0
 
 
@@ -257,9 +251,8 @@ class DqnAgent:
         if config.min_buffer < config.batch_size:
             config = replace(config, min_buffer=config.batch_size)
         self.config = config
-        dtype = np.float64 if config.precision == "double" else np.float32
         rng = derive_rng(config.seed, "qnet-init")
-        self.params = QNetworkParams.init(n_state, n_actions, config.hidden, rng, dtype)
+        self.params = QNetworkParams.init(n_state, n_actions, config.hidden, rng)
         self.target = self.params.copy()
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.env_steps = 0
@@ -299,34 +292,40 @@ class DqnAgent:
             "episodes_done": self.episodes_done,
             "total_steps_estimate": self.total_steps_estimate,
             "hidden": list(self.config.hidden),
-            "precision": self.config.precision,
         }
-        arrays: dict[str, np.ndarray] = {}
-        for k, (w, b) in enumerate(zip(self.params.weights, self.params.biases)):
-            arrays[f"q.w{k}"] = w
-            arrays[f"q.b{k}"] = b
-        for k, (w, b) in enumerate(zip(self.target.weights, self.target.biases)):
-            arrays[f"t.w{k}"] = w
-            arrays[f"t.b{k}"] = b
+        arrays = self._network_arrays()
         for name, arr in self.buffer.state_arrays().items():
             arrays[f"buf.{name}"] = arr
         save_arrays(path, header, arrays)
 
+    def _network_arrays(self) -> dict[str, np.ndarray]:
+        """Online (``q.*``) and target (``t.*``) weights and biases by checkpoint name."""
+        arrays: dict[str, np.ndarray] = {}
+        for prefix, net in (("q", self.params), ("t", self.target)):
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{prefix}.w{k}"] = w
+                arrays[f"{prefix}.b{k}"] = b
+        return arrays
+
     @classmethod
     def load(cls, path: str, config: DqnConfig, n_state: int, n_actions: int) -> "DqnAgent":
+        """Restore an agent saved by :meth:`save` into one built from ``config``.
+
+        Raises :class:`CheckpointError`, naming ``path``, when the stored
+        network arrays do not match the rebuilt agent's in name and shape.
+        """
         header, arrays = load_arrays(path)
         if header.get("kind") != "dqn-agent":
             raise ValueError(f"{path}: not a DQN agent checkpoint")
         agent = cls(n_state, n_actions, config)
+        stored = {name: arr for name, arr in arrays.items() if not name.startswith("buf.")}
+        check_arrays(path, stored, agent._network_arrays())
         n_layers = len(agent.params.weights)
-        dtype = agent.params.weights[0].dtype
         agent.params = QNetworkParams(
-            [arrays[f"q.w{k}"].astype(dtype) for k in range(n_layers)],
-            [arrays[f"q.b{k}"].astype(dtype) for k in range(n_layers)],
+            [arrays[f"q.w{k}"] for k in range(n_layers)], [arrays[f"q.b{k}"] for k in range(n_layers)]
         )
         agent.target = QNetworkParams(
-            [arrays[f"t.w{k}"].astype(dtype) for k in range(n_layers)],
-            [arrays[f"t.b{k}"].astype(dtype) for k in range(n_layers)],
+            [arrays[f"t.w{k}"] for k in range(n_layers)], [arrays[f"t.b{k}"] for k in range(n_layers)]
         )
         agent.buffer = ReplayBuffer.from_arrays(
             {name[len("buf.") :]: arr for name, arr in arrays.items() if name.startswith("buf.")}
@@ -358,11 +357,12 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
             return final_state, total_reward
 
 
-def search(env, config: DqnConfig, agent: DqnAgent | None = None, checkpoint_path: str | None = None):
+def search(env, config: DqnConfig, agent: DqnAgent | None = None):
     """Train an agent on the environment, then run one greedy inference episode.
 
     Returns the inference episode's final meta-path set. Pass a restored
-    ``agent`` to resume; remaining episodes are counted from its progress.
+    ``agent`` to continue its training; remaining episodes are counted from
+    its progress.
     """
     if agent is None:
         agent = DqnAgent(env.state_dim, env.n_actions, config)
@@ -372,9 +372,5 @@ def search(env, config: DqnConfig, agent: DqnAgent | None = None, checkpoint_pat
         _, total = run_episode(env, agent, rng)
         agent.episodes_done = ep + 1
         log.debug("episode %d: return %.4f eps %.3f", ep, total, agent.epsilon())
-        if checkpoint_path and (ep + 1) % 10 == 0:
-            agent.save(checkpoint_path)
-    if checkpoint_path:
-        agent.save(checkpoint_path)
     final_state, _ = run_episode(env, agent, derive_rng(config.seed, "inference"), greedy=True)
     return final_state.pset

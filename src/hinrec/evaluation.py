@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,25 +263,6 @@ class PerformanceProbe:
             )
         return self._mf
 
-    def hrec_config(self, batch_size: int | None = None) -> rec.HRecConfig:
-        c = self.config
-        return rec.HRecConfig(
-            d=c.embed_dim,
-            att_hidden=c.att_hidden,
-            heads=c.heads,
-            dropout=c.dropout,
-            fanout=c.fanout,
-            lr=c.rec_lr,
-            batch_size=batch_size or c.rec_batch,
-            epochs=c.rec_epochs,
-            patience=c.patience,
-            density_threshold=c.density_threshold,
-            self_loops=c.self_loops,
-            score_act=c.score_act,
-            agg_act=c.agg_act,
-            fuse_act=c.fuse_act,
-        )
-
     def pair(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet) -> float:
         self.calls += 1
         key = (user_set.key(), item_set.key())
@@ -302,7 +283,7 @@ class PerformanceProbe:
             self.graph,
             user_side,
             item_side,
-            self.hrec_config(batch_size=self.config.probe_batch),
+            rec.HRecConfig.from_run(self.config, batch_size=self.config.probe_batch),
             derive_rng(probe_seed, "init"),
             mf_init=self.mf_init(),
         )
@@ -318,6 +299,3 @@ class PerformanceProbe:
         value = metrics.ndcg[10]
         self._results[key] = value
         return value
-
-    def __call__(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet) -> float:
-        return self.pair(user_set, item_set)

@@ -283,20 +283,9 @@ class HinGraph:
     def node_type(self, v: int) -> str:
         return self.schema.node_types[self.node_type_index(v)]
 
-    def nodes_of_type(self, type_name: str) -> range:
-        t = self.schema.type_index(type_name)
-        return range(int(self.type_offsets[t]), int(self.type_offsets[t + 1]))
-
     def type_count(self, type_name: str) -> int:
         t = self.schema.type_index(type_name)
         return int(self.type_offsets[t + 1] - self.type_offsets[t])
-
-    def local_index(self, v: int) -> int:
-        """Index of v within its type's contiguous range."""
-        return int(v - self.type_offsets[self._type_of[v]])
-
-    def global_id(self, type_name: str, local: int) -> int:
-        return int(self.type_offsets[self.schema.type_index(type_name)] + local)
 
     def neighbors(self, rid: int, v: int) -> np.ndarray:
         """Sorted dst nodes of edges (v, .) under rid; empty on type mismatch."""
@@ -409,10 +398,6 @@ def _remove_pairs(
     kill_keys = pairs[:, 0] * num_nodes + pairs[:, 1]
     keep = ~np.isin(edge_keys, kill_keys)
     return _build_csr(src[keep], indices[keep], num_nodes)
-
-
-def neighbors(graph: HinGraph, rid: int, v: int) -> np.ndarray:
-    return graph.neighbors(rid, v)
 
 
 def _parse_tsv(path: str | Path, n_fields: int) -> list[tuple[int, list[str]]]:

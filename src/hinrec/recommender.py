@@ -10,16 +10,16 @@ underneath.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
 from .autodiff import Tape, Var, activation, activation_fn
-from .checkpoint import CheckpointError, load_arrays, save_arrays
+from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .hin import HinGraph
-from .util import derive_rng, derive_seed
+from .util import derive_rng
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +50,17 @@ class HRecConfig:
     score_act: str = "leaky_relu"
     agg_act: str = "elu"
     fuse_act: str = "tanh"
+
+    @classmethod
+    def from_run(cls, run, **overrides) -> "HRecConfig":
+        """The HRec settings of a :class:`~hinrec.config.RunConfig`; ``overrides`` win."""
+        renamed = {"d": run.embed_dim, "lr": run.rec_lr, "batch_size": run.rec_batch, "epochs": run.rec_epochs}
+        same = {f.name: getattr(run, f.name) for f in fields(cls) if f.name not in renamed}
+        return cls(**{**same, **renamed, **overrides})
+
+
+# Training-loop settings; a checkpoint's header stores every other HRecConfig field.
+_TRAINING_ONLY = ("lr", "batch_size", "epochs", "patience")
 
 
 @dataclass
@@ -344,18 +355,7 @@ class HRecModel:
             "format": 1,
             "user_set": [list(p.relation_ids) for p in self.user_side.pset],
             "item_set": [list(p.relation_ids) for p in self.item_side.pset],
-            "config": {
-                "d": self.cfg.d,
-                "att_hidden": self.cfg.att_hidden,
-                "heads": self.cfg.heads,
-                "dropout": self.cfg.dropout,
-                "fanout": self.cfg.fanout,
-                "density_threshold": self.cfg.density_threshold,
-                "self_loops": self.cfg.self_loops,
-                "score_act": self.cfg.score_act,
-                "agg_act": self.cfg.agg_act,
-                "fuse_act": self.cfg.fuse_act,
-            },
+            "config": {k: v for k, v in asdict(self.cfg).items() if k not in _TRAINING_ONLY},
         }
         if extra_header:
             header.update(extra_header)
@@ -369,26 +369,17 @@ class HRecModel:
         were built from, so they are trusted as stored: the density filter is
         not applied again, and each positional ``natt``/``q`` parameter stays
         on its own path. The header's config fields override ``cfg``. Raises
-        :class:`CheckpointError`, naming ``path``, when the stored arrays do
-        not match the rebuilt model's parameters in name and shape.
+        :class:`CheckpointError`, naming ``path``, when the header names a
+        field HRecConfig lacks, or when the stored arrays do not match the
+        rebuilt model's parameters in name and shape.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hrec-model":
             raise ValueError(f"{path}: not an HRec checkpoint")
-        hc = header["config"]
-        cfg = replace(
-            cfg or HRecConfig(),
-            d=hc["d"],
-            att_hidden=hc["att_hidden"],
-            heads=hc["heads"],
-            dropout=hc["dropout"],
-            fanout=hc["fanout"],
-            density_threshold=hc["density_threshold"],
-            self_loops=hc["self_loops"],
-            score_act=hc["score_act"],
-            agg_act=hc["agg_act"],
-            fuse_act=hc["fuse_act"],
-        )
+        try:
+            cfg = replace(cfg or HRecConfig(), **header["config"])
+        except TypeError as exc:
+            raise CheckpointError(f"{path}: config header does not fit HRecConfig: {exc}") from None
         schema = graph.schema
         user_set = mp.MetaPathSet(
             tuple(mp.MetaPath.from_relations(schema, r) for r in header["user_set"]),
@@ -403,16 +394,7 @@ class HRecModel:
         user_side = build_side(graph, user_set, None, cfg.self_loops)
         item_side = build_side(graph, item_set, None, cfg.self_loops)
         model = cls(graph, user_side, item_side, cfg, np.random.default_rng(0))
-        expected = {k: v.value.shape for k, v in model.params.items()}
-        stored = {k: arr.shape for k, arr in arrays.items()}
-        if stored != expected:
-            missing = sorted(expected.keys() - stored.keys())
-            unexpected = sorted(stored.keys() - expected.keys())
-            reshaped = sorted(k for k in expected.keys() & stored.keys() if stored[k] != expected[k])
-            raise CheckpointError(
-                f"{path}: arrays do not match the rebuilt model "
-                f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})"
-            )
+        check_arrays(path, arrays, {k: v.value for k, v in model.params.items()})
         for k, arr in arrays.items():
             model.params[k].value[...] = arr
         return model
@@ -526,43 +508,19 @@ def bpr_loss_var(tape: Tape, ypos: Var, yneg: Var) -> Var:
     return tape.mean(tape.softplus(tape.neg(tape.sub(ypos, yneg))))
 
 
-def _side_infer(
-    model: HRecModel, tag: str, side: SideBundle, views: list[mp.SampledView]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free fused embeddings for evaluation (no dropout)."""
-    cfg = model.cfg
-    f_score = activation_fn(cfg.score_act)
-    f_agg = activation_fn(cfg.agg_act)
-    f_fuse = activation_fn(cfg.fuse_act)
-    Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
-    tables, ws = [], []
-    for k, view in enumerate(views):
-        heads = []
-        for h in range(cfg.heads):
-            a = model.params[f"natt.{tag}.{k}.{h}"].value
-            e = f_score((Z @ a[: cfg.d])[view.src] + (Z @ a[cfg.d :])[view.dst])
-            starts = view.indptr[:-1]
-            ex = np.exp(e - np.maximum.reduceat(e, starts)[view.src])
-            alpha = ex / np.add.reduceat(ex, starts)[view.src]
-            agg = np.add.reduceat(Z[view.dst] * alpha[:, None], starts, axis=0)
-            heads.append(f_agg(agg))
-        Hx = np.mean(heads, axis=0)
-        tables.append(Hx)
-        T = f_fuse(Hx @ model.params[f"fuse.{tag}.W"].value + model.params[f"fuse.{tag}.b"].value)
-        ws.append(float(np.mean(T @ model.params[f"q.{tag}.{k}"].value)))
-    beta = _softmax(np.asarray(ws))
-    return np.tensordot(beta, np.stack(tables), axes=1), beta
-
-
 def infer_embeddings(
     model: HRecModel, seed: int, tag: str = "eval"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused user/item embedding tables with deterministic view sampling."""
+    """Fused user/item embedding tables with deterministic view sampling.
+
+    Runs the training forward pass without dropout on a tape that is then
+    dropped.
+    """
     uv = sample_views(model.user_side, model.cfg.fanout, derive_rng(seed, tag, "user-views"))
     iv = sample_views(model.item_side, model.cfg.fanout, derive_rng(seed, tag, "item-views"))
-    H_user, _ = _side_infer(model, "user", model.user_side, uv)
-    H_item, _ = _side_infer(model, "item", model.item_side, iv)
-    return H_user, H_item
+    H_user, _ = _side_forward(Tape(), model, "user", model.user_side, uv, False, None)
+    H_item, _ = _side_forward(Tape(), model, "item", model.item_side, iv, False, None)
+    return H_user.value, H_item.value
 
 
 # ---------------------------------------------------------------------------
@@ -646,47 +604,3 @@ def train(
     if best_snap is not None:
         model.restore(best_snap)
     return result
-
-
-def dual_agent_search(graph, split, run_config, seed: int, trace_dir: str | None = None):
-    """Search the user path set, then the item set, each with the other frozen.
-
-    Returns ``(user_set, item_set, probe)`` so callers can reuse the
-    probe's caches for follow-up evaluation.
-    """
-    from . import dqn
-    from .evaluation import PerformanceProbe
-    from .search_env import SearchEnv, initial_set
-
-    schema = graph.schema
-    probe = PerformanceProbe(graph, split, run_config, seed)
-    dqn_cfg = dqn.DqnConfig(
-        episodes=run_config.dqn_episodes,
-        gamma=run_config.gamma,
-        lr=run_config.dqn_lr,
-        eps_start=run_config.eps_start,
-        eps_end=run_config.eps_end,
-        eps_fraction=run_config.eps_fraction,
-        target_sync=run_config.target_sync,
-        batch_size=run_config.dqn_batch,
-        min_buffer=run_config.dqn_min_buffer,
-        buffer_capacity=run_config.dqn_buffer,
-    )
-    found = {}
-    for tag, form, other in (
-        ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
-        ("item", mp.ITEM_SYMMETRIC, mp.USER_SYMMETRIC),
-    ):
-        env = SearchEnv(
-            schema,
-            form,
-            probe.pair,
-            frozen_other=initial_set(other, schema),
-            max_steps=run_config.max_steps,
-            max_len=run_config.max_path_len,
-            trace_path=f"{trace_dir}/trace.jsonl" if trace_dir else None,
-            trace_tag=tag,
-        )
-        cfg = replace(dqn_cfg, seed=derive_seed(seed, "agent", tag))
-        found[tag] = dqn.search(env, cfg)
-    return found["user"], found["item"], probe

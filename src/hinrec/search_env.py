@@ -158,7 +158,6 @@ class SearchEnv:
         self.trace_path = trace_path
         self.trace_tag = trace_tag
         self.episode = -1
-        self.probe_calls = 0
         self._state: SearchState | None = None
         self._last_metric = 0.0
         self._base_metric: float | None = None
@@ -175,7 +174,6 @@ class SearchEnv:
         return np.ones(self.n_actions, dtype=bool)
 
     def probe(self, pset: mp.MetaPathSet) -> float:
-        self.probe_calls += 1
         if self.form == mp.ITEM_SYMMETRIC:
             return self._probe_pair(self.frozen_other, pset)
         return self._probe_pair(pset, self.frozen_other)

@@ -57,22 +57,16 @@ class TestOps:
     def test_rowwise_dot(self):
         check_op(lambda t, v: t.mean(t.rowwise_dot(v[0], v[1])), [(4, 3), (4, 3)])
 
-    def test_dot(self):
-        check_op(lambda t, v: t.dot(v[0], v[1]), [(6,), (6,)])
-
     def test_gather_with_repeats(self):
         idx = np.asarray([0, 2, 2, 1])
         check_op(lambda t, v: t.mean(t.gather(v[0], idx)), [(4, 3)])
-
-    def test_concat_cols(self):
-        check_op(lambda t, v: t.mean(t.concat_cols(v[0], v[1])), [(3, 2), (3, 4)])
 
     def test_slice1d(self):
         check_op(lambda t, v: t.mean(t.slice1d(v[0], 1, 4)), [(6,)])
 
     def test_pick_and_stack(self):
         def build(t, v):
-            s = t.stack_scalars([t.mean(v[0]), t.mean(v[1]), t.dot(v[2], v[2])])
+            s = t.stack_scalars([t.mean(v[0]), t.mean(v[1]), t.mean(t.mul(v[2], v[2]))])
             return t.pick(t.softmax(s), 1)
 
         check_op(build, [(3,), (4,), (2,)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.dqn import (
     DqnAgent,
     DqnConfig,
@@ -322,3 +323,25 @@ class TestSearch:
         search(ToyBanditEnv(), cfg, agent=restored)
         for w1, w2 in zip(agent_full.params.weights, restored.params.weights):
             np.testing.assert_array_equal(w1, w2)
+
+
+class TestPersistence:
+    CFG = DqnConfig(episodes=2, min_buffer=4, batch_size=4, seed=5)
+
+    def saved_agent(self, tmp_path):
+        path = tmp_path / "agent.ckpt"
+        DqnAgent(8, 9, self.CFG).save(str(path))
+        return path
+
+    def test_load_rejects_missing_array(self, tmp_path):
+        path = self.saved_agent(tmp_path)
+        header, arrays = load_arrays(path)
+        del arrays["q.w0"]
+        save_arrays(path, header, arrays)
+        with pytest.raises(CheckpointError, match=r"agent\.ckpt.*missing \['q\.w0'\]"):
+            DqnAgent.load(str(path), self.CFG, 8, 9)
+
+    def test_load_rejects_wrong_n_state(self, tmp_path):
+        path = self.saved_agent(tmp_path)
+        with pytest.raises(CheckpointError, match=r"agent\.ckpt.*wrong shape \['q\.w0', 't\.w0'\]"):
+            DqnAgent.load(str(path), self.CFG, 9, 9)

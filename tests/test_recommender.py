@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hinrec import metapath as mp
+from hinrec.autodiff import Tape
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.recommender import (
     AllPathsRejected,
     HRecConfig,
     HRecModel,
+    _side_forward,
     bpr_loss,
     bpr_loss_var,
     build_side,
@@ -335,33 +337,42 @@ class TestForward:
         assert fp.beta_item.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_infer_matches_tape_forward(self, tiny_model):
+        """Inference tables, scored row by row, equal the tape forward on the same views."""
         model = tiny_model
-        views_u = sample_views(model.user_side, 16, derive_rng(1, "v"))
-        views_i = sample_views(model.item_side, 16, derive_rng(2, "v"))
+        H_u, H_i = infer_embeddings(model, seed=7)
+        views_u = sample_views(model.user_side, model.cfg.fanout, derive_rng(7, "eval", "user-views"))
+        views_i = sample_views(model.item_side, model.cfg.fanout, derive_rng(7, "eval", "item-views"))
         fp = forward(
-            model, np.arange(4), np.arange(4), np.arange(4),
+            model, np.arange(4), np.arange(4), np.asarray([3, 2, 1, 0]),
             training=False, user_views=views_u, item_views=views_i,
         )
-        from hinrec.recommender import _side_infer
-
-        H_u, _ = _side_infer(model, "user", model.user_side, views_u)
-        H_i, _ = _side_infer(model, "item", model.item_side, views_i)
-        np.testing.assert_allclose(np.sum(H_u * H_i, axis=1), fp.ypos.value, atol=1e-12)
+        np.testing.assert_allclose(np.sum(H_u * H_i, axis=1), fp.ypos.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sum(H_u * H_i[::-1], axis=1), fp.yneg.value, rtol=0, atol=1e-12)
 
     def test_node_attention_reference_matches_batched(self, tiny_model):
-        """Per-node reference op agrees with the vectorized tape computation."""
+        """Per-node reference attention, fused by reference path attention, equals the tape pass."""
         model = tiny_model
-        side = model.item_side
-        view = sample_views(side, 16, derive_rng(3, "v"))[1]  # MAM path, full neighborhoods
-        from hinrec.recommender import _side_infer
+        assert model.cfg.heads == 1
+        for tag, side in (("user", model.user_side), ("item", model.item_side)):
+            views = sample_views(side, 16, derive_rng(3, "v", tag))
+            fused, beta = _side_forward(Tape(), model, tag, side, views, False, None)
 
-        H, _ = _side_infer(model, "item", side, [view, view])
-        Z = model.params["item_emb"].value @ model.params["proj.Movie"].value
-        a = model.params["natt.item.1.0"].value
-        for v in range(side.m):
-            neigh = view.dst[view.indptr[v] : view.indptr[v + 1]]
-            alpha, h = node_attention(a, Z[v], [(int(j), Z[j]) for j in neigh])
-            assert abs(alpha.sum() - 1.0) < 1e-9
+            Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
+            tables = []
+            for k, view in enumerate(views):
+                a = model.params[f"natt.{tag}.{k}.0"].value
+                rows = []
+                for v in range(side.m):
+                    neigh = view.dst[view.indptr[v] : view.indptr[v + 1]]
+                    _, h = node_attention(a, Z[v], [(int(j), Z[j]) for j in neigh])
+                    rows.append(h)
+                tables.append(np.stack(rows))
+            queries = [model.params[f"q.{tag}.{k}"].value for k in range(len(views))]
+            ref_beta, ref_fused = path_attention(
+                model.params[f"fuse.{tag}.W"].value, model.params[f"fuse.{tag}.b"].value, queries, tables
+            )
+            np.testing.assert_allclose(beta.value, ref_beta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.value, ref_fused, rtol=0, atol=1e-12)
 
 
 class TestTraining:
@@ -445,6 +456,15 @@ class TestPersistence:
         del arrays["q.user.1"]
         save_arrays(path, header, arrays)
         with pytest.raises(CheckpointError, match=r"model\.ckpt.*missing \['q\.user\.1'\]"):
+            HRecModel.load(str(path), tiny_model.graph)
+
+    def test_load_rejects_unknown_config_field(self, tiny_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(str(path))
+        header, arrays = load_arrays(path)
+        header["config"]["hidden_width"] = 8
+        save_arrays(path, header, arrays)
+        with pytest.raises(CheckpointError, match=r"model\.ckpt.*hidden_width"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):
