@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 
@@ -77,12 +78,22 @@ class Tape:
     # -- structure ---------------------------------------------------------
 
     def gather(self, x: Var, idx: np.ndarray) -> Var:
+        """Rows ``x[idx]``; repeated indices sum their gradients.
+
+        The backward scatter is ``np.bincount`` for 1-D values and an
+        ``(n, E)`` CSR selection matrix times the gradient for 2-D ones.
+        Both add each row's terms from zero in index order, as ``np.add.at``
+        does, so gradients are bit-identical to that scatter.
+        """
         idx = np.asarray(idx, dtype=np.int64)
 
         def back(g):
-            full = np.zeros_like(x.value)
-            np.add.at(full, idx, g)
-            x.accumulate(full)
+            n = len(x.value)
+            if g.ndim == 1:
+                x.accumulate(np.bincount(idx, weights=g, minlength=n))
+            else:
+                select = csr_matrix((np.ones(len(idx)), (idx, np.arange(len(idx)))), shape=(n, len(idx)))
+                x.accumulate(select @ g)
 
         return self._emit(x.value[idx], back)
 

@@ -3,6 +3,10 @@
 Each user with at least three interactions contributes one validation and
 one test pair; everything else trains. A held-out positive is ranked
 against 499 never-interacted negatives with pessimistic tie breaking.
+The candidate rows (positive plus negatives) depend only on the split, the
+seed and the negative count, so :meth:`SplitSet.candidates` draws them once
+and caches them on the split; every later evaluation of that split reuses
+them.
 The :class:`PerformanceProbe` scores a candidate meta-path pair by lightly
 training a fresh recommender and reporting validation NDCG@10; results and
 subgraphs are cached so repeated probes of one set are bit-identical.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +39,7 @@ class SplitSet:
     user_items: dict[int, np.ndarray]  # full profile, sorted item ids per user
     eligible_users: np.ndarray
     item_ids: np.ndarray  # the item universe (global ids)
+    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pairs(self, which: str) -> np.ndarray:
         try:
@@ -44,6 +49,24 @@ class SplitSet:
 
     def held_out(self, which: str) -> dict[int, int]:
         return {int(u): int(i) for u, i in self.pairs(which)}
+
+    def candidates(self, which: str, seed: int, n_negatives: int) -> dict[int, np.ndarray]:
+        """Per held-out user, in user order: the positive, then its sampled negatives.
+
+        Negatives derive from (seed, split, user). The rows are drawn on the
+        first call for a ``(which, seed, n_negatives)`` key, kept on the
+        split and returned read-only on every later call.
+        """
+        key = (which, seed, n_negatives)
+        if key not in self._candidates:
+            rows = {}
+            for u, positive in sorted(self.held_out(which).items()):
+                negs = sample_negatives(self, u, n_negatives, derive_rng(seed, "negatives", which, u))
+                row = np.concatenate([[positive], negs])
+                row.flags.writeable = False
+                rows[u] = row
+            self._candidates[key] = rows
+        return self._candidates[key]
 
     def _local(self, graph: HinGraph, pairs: np.ndarray) -> np.ndarray:
         u_off = graph.type_offsets[graph.schema.type_index(graph.schema.user_type)]
@@ -161,21 +184,19 @@ def evaluate(
 ) -> RankingMetrics:
     """Rank each eligible user's held-out positive among sampled negatives.
 
-    ``scorer(user, items) -> scores`` sees global ids. Negatives derive
+    ``scorer(user, items) -> scores`` sees global ids and gets the user's
+    row of :meth:`SplitSet.candidates`, positive first. Negatives derive
     from (seed, split, user), so results do not depend on worker count.
     """
-    held = split.held_out(which)
-    if not held:
+    rows = split.candidates(which, seed, n_negatives)
+    if not rows:
         raise ValueError(f"no eligible users in split {which!r}")
     ks = tuple(sorted(ks))
 
     def rank_one(u: int) -> int:
-        positive = held[u]
-        negs = sample_negatives(split, u, n_negatives, derive_rng(seed, "negatives", which, u))
-        candidates = np.concatenate([[positive], negs])
-        return rank_position(scorer(u, candidates), 0)
+        return rank_position(scorer(u, rows[u]), 0)
 
-    users = sorted(held)
+    users = list(rows)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             ranks = list(pool.map(rank_one, users))

@@ -201,20 +201,30 @@ def _in_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == vals
 
 
+def positive_keys(pairs: np.ndarray, n_items: int) -> np.ndarray:
+    """Sorted unique ``user * n_items + item`` keys of (user, item) pairs, for :func:`draw_negatives`."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.unique(pairs[:, 0] * n_items + pairs[:, 1])
+
+
 def draw_negatives(
     users: np.ndarray,
-    user_pos: list[np.ndarray],
+    pos_keys: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
     max_tries: int = 100,
 ) -> np.ndarray:
-    """Uniform un-interacted item per user, by rejection."""
-    j = rng.integers(0, n_items, size=len(users))
+    """Uniform un-interacted item per user, by rejection.
+
+    ``pos_keys`` holds the interacted pairs as sorted ``user * n_items + item``
+    keys (:func:`positive_keys`), so each rejection round is one
+    ``searchsorted`` over the whole batch. Every round redraws exactly the
+    rejected entries, in batch order.
+    """
+    offsets = np.asarray(users, dtype=np.int64) * n_items
+    j = rng.integers(0, n_items, size=len(offsets))
     for _ in range(max_tries):
-        bad = np.zeros(len(users), dtype=bool)
-        for u in np.unique(users):
-            sel = users == u
-            bad[sel] = _in_sorted(user_pos[u], j[sel])
+        bad = _in_sorted(pos_keys, offsets + j)
         if not bad.any():
             return j
         j[bad] = rng.integers(0, n_items, size=int(bad.sum()))
@@ -251,13 +261,13 @@ def mf_pretrain(
             int((~touched_u).sum()),
             int((~touched_i).sum()),
         )
-    user_pos = _per_user_items(pairs, n_users)
+    pos_keys = positive_keys(pairs, n_items)
     for _ in range(epochs):
         perm = rng.permutation(len(pairs))
         for lo in range(0, len(pairs), batch_size):
             sel = perm[lo : lo + batch_size]
             u, i = pairs[sel, 0], pairs[sel, 1]
-            j = draw_negatives(u, user_pos, n_items, rng)
+            j = draw_negatives(u, pos_keys, n_items, rng)
             x = np.sum(P[u] * (Q[i] - Q[j]), axis=1)
             s = expit(-x)[:, None]
             gP = s * (Q[i] - Q[j])
@@ -266,18 +276,6 @@ def mf_pretrain(
             np.add.at(Q, i, lr * gQ)
             np.add.at(Q, j, -lr * gQ)
     return P, Q
-
-
-def _per_user_items(pairs: np.ndarray, n_users: int) -> list[np.ndarray]:
-    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_users
-    if len(pairs):
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        sorted_pairs = pairs[order]
-        users, starts = np.unique(sorted_pairs[:, 0], return_index=True)
-        bounds = np.append(starts, len(sorted_pairs))
-        for k, u in enumerate(users):
-            out[int(u)] = sorted_pairs[bounds[k] : bounds[k + 1], 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +552,8 @@ def train(
     cfg = model.cfg
     epochs = cfg.epochs if epochs is None else epochs
     pairs = split.train_local(model.graph)
-    user_pos = _per_user_items(split.all_local(model.graph), model.user_side.m)
     n_items = model.item_side.m
+    pos_keys = positive_keys(split.all_local(model.graph), n_items)
     result = TrainResult()
     best_snap = None
     bad_epochs = 0
@@ -563,7 +561,7 @@ def train(
         rng = derive_rng(seed, "rec-epoch", epoch)
         user_views = sample_views(model.user_side, cfg.fanout, rng)
         item_views = sample_views(model.item_side, cfg.fanout, rng)
-        negatives = draw_negatives(pairs[:, 0], user_pos, n_items, rng)
+        negatives = draw_negatives(pairs[:, 0], pos_keys, n_items, rng)
         perm = rng.permutation(len(pairs))
         losses = []
         for lo in range(0, len(pairs), cfg.batch_size):

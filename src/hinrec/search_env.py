@@ -133,6 +133,9 @@ def step(
 class SearchEnv:
     """Episode driver binding a form, a probe, and optional trace output.
 
+    :meth:`step` writes one trace line per MDP step; the baseline searches
+    write one per probe instead.
+
     ``probe_pair(user_set, item_set)`` is the evaluation oracle; the env
     holds the opposite form's set frozen and probes only its own side's
     candidates.
@@ -246,6 +249,32 @@ def _random_episode_set(
     return pset
 
 
+def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float | None:
+    """Probe ``pset`` for a baseline search; ``None`` when the probe fails.
+
+    Appends one line per probe to the env's trace. A baseline takes no MDP
+    step, so the line's reward is the probe metric itself, or 0.0 with a
+    null ``probe_metric`` when the probe fails.
+    """
+    t0 = time.perf_counter()
+    try:
+        metric = env.probe(pset)
+    except ProbeFailure:
+        metric = None
+    if env.trace_path:
+        append_jsonl(
+            env.trace_path,
+            {
+                "set": pset.labels(),
+                "reward": 0.0 if metric is None else float(metric),
+                "probe_metric": metric,
+                "wall_ms": (time.perf_counter() - t0) * 1e3,
+                "agent": env.trace_tag,
+            },
+        )
+    return metric
+
+
 def random_search(env: SearchEnv, budget: Budget, rng: np.random.Generator) -> mp.MetaPathSet:
     """Best-of-random-draws: sample action sequences, probe the final sets."""
     start = initial_set(env.form, env.schema)
@@ -254,11 +283,8 @@ def random_search(env: SearchEnv, budget: Budget, rng: np.random.Generator) -> m
         length = int(rng.integers(1, env.max_steps + 1))
         candidate = _random_episode_set(env, length, rng)
         budget.consume()
-        try:
-            metric = env.probe(candidate)
-        except ProbeFailure:
-            continue
-        if metric > best_metric:
+        metric = _baseline_probe(env, candidate)
+        if metric is not None and metric > best_metric:
             best_set, best_metric = candidate, metric
     if not np.isfinite(best_metric):
         log.warning("random search completed zero probes; returning the initial set")
@@ -271,9 +297,8 @@ def greedy_search(
 ) -> mp.MetaPathSet:
     """Round-based hill climbing over random single-action extensions."""
     current = initial_set(env.form, env.schema)
-    try:
-        current_metric = env.probe(current)
-    except ProbeFailure:
+    current_metric = _baseline_probe(env, current)
+    if current_metric is None:
         current_metric = -np.inf
     while not budget.exhausted():
         best_cand, best_metric = None, current_metric
@@ -285,11 +310,8 @@ def greedy_search(
             budget.consume()  # a drawn candidate is an iteration even when it is a no-op
             if candidate.key() == current.key():
                 continue
-            try:
-                metric = env.probe(candidate)
-            except ProbeFailure:
-                continue
-            if metric > best_metric:
+            metric = _baseline_probe(env, candidate)
+            if metric is not None and metric > best_metric:
                 best_cand, best_metric = candidate, metric
         if best_cand is not None:
             current, current_metric = best_cand, best_metric

@@ -26,7 +26,7 @@ def search(dataset, out, strategy, *extra):
 
 
 def stripped_outputs(out):
-    """sets.json and the step trace (rms only) without their wall-clock fields."""
+    """sets.json and the search trace without their wall-clock fields."""
     trace = out / "trace.jsonl"
     steps = [strip_volatile(r) for r in read_jsonl(trace)] if trace.exists() else []
     return strip_volatile(read_json(out / "sets.json")), steps
@@ -46,6 +46,29 @@ def test_search_writes_valid_sets_deterministically(dataset, tmp_path, strategy)
         paths = tuple(mp.MetaPath.from_relations(schema, p["relations"]) for p in payload["paths"])
         assert len(mp.MetaPathSet(paths, form, schema)) >= 1  # raises on a form violation
     assert stripped_outputs(tmp_path / "a") == stripped_outputs(tmp_path / "b")
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "random"])
+def test_baseline_search_traces_every_probe(dataset, tmp_path, strategy):
+    assert search(dataset, tmp_path, strategy) == 0
+    doc = read_json(tmp_path / "sets.json")
+    lines = list(read_jsonl(tmp_path / "trace.jsonl"))
+    assert len(lines) == doc["probe_calls"]
+    for line in lines:
+        assert set(line) == {"set", "probe_metric", "reward", "wall_ms", "agent"}
+        assert line["agent"] in ("user", "item")
+        assert math.isfinite(line["reward"]) and line["wall_ms"] >= 0.0
+        if line["probe_metric"] is None:
+            assert line["reward"] == 0.0
+        else:
+            assert 0.0 <= line["probe_metric"] <= 1.0
+            assert line["reward"] == line["probe_metric"]
+    for agent in ("user", "item"):
+        probed = [l for l in lines if l["agent"] == agent and l["probe_metric"] is not None]
+        assert probed, agent
+        found = [p["label"] for p in doc[f"{agent}_set"]["paths"]]
+        best = max(l["probe_metric"] for l in probed)
+        assert any(l["set"] == found and l["probe_metric"] == best for l in probed)
 
 
 def test_rms_rejects_time_limit(dataset, tmp_path, capsys):

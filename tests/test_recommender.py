@@ -18,6 +18,7 @@ from hinrec.recommender import (
     mf_pretrain,
     node_attention,
     path_attention,
+    positive_keys,
     project,
     sample_views,
     score,
@@ -220,8 +221,7 @@ class TestMF:
         n_i = graph.type_count("Movie")
 
         def loss(P, Q, rng):
-            user_pos = [np.sort(pairs[pairs[:, 0] == u, 1]) for u in range(n_u)]
-            j = draw_negatives(pairs[:, 0], user_pos, n_i, rng)
+            j = draw_negatives(pairs[:, 0], positive_keys(pairs, n_i), n_i, rng)
             return bpr_loss(list(zip(np.sum(P[pairs[:, 0]] * Q[pairs[:, 1]], 1),
                                      np.sum(P[pairs[:, 0]] * Q[j], 1))))
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,27 @@ class TestBaselines:
         a = greedy_search(self._env(movie_schema), Budget(iters=9), 3, np.random.default_rng(7))
         b = greedy_search(self._env(movie_schema), Budget(iters=9), 3, np.random.default_rng(7))
         assert a.key() == b.key()
+
+    def test_baselines_trace_each_probe_and_failures(self, movie_schema, tmp_path):
+        start = initial_set(USER_SYMMETRIC, movie_schema)
+        probe = FakeProbe(fail_on={start.key()})
+        trace = tmp_path / "trace.jsonl"
+        env = SearchEnv(
+            movie_schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, movie_schema),
+            max_steps=4, trace_path=str(trace), trace_tag="user",
+        )
+        greedy_search(env, Budget(iters=6), 2, np.random.default_rng(3))
+        random_search(env, Budget(iters=5), np.random.default_rng(3))
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        failed = [line for line in lines if line["probe_metric"] is None]
+        assert lines[0] in failed
+        assert len(lines) == len(failed) + len(probe.calls)
+        for line in failed:
+            assert line["set"] == start.labels() and line["reward"] == 0.0
+        for line in lines:
+            if line["probe_metric"] is not None:
+                assert line["reward"] == line["probe_metric"] == pytest.approx(0.1 * len(line["set"]))
+        assert {line["agent"] for line in lines} == {"user"}
 
     def test_greedy_single_candidate_walks(self, movie_schema):
         out = greedy_search(self._env(movie_schema), Budget(iters=6), 1, np.random.default_rng(11))
