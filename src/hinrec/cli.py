@@ -3,8 +3,8 @@
 Every command logs its fully resolved config (plus hash) into the output
 directory. Artifacts carry the config hash and seed so the report command
 can refuse to aggregate runs produced under different settings. With a
-fixed seed and iteration budgets all outputs are bit-identical across
-repeated runs; wall-clock data lives in separate fields.
+fixed seed all outputs are bit-identical across repeated runs; wall-clock
+data lives in separate fields.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--seed", type=int, help="run seed")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--jobs", type=int, help="parallel workers for evaluation")
+    common.add_argument("--jobs", type=int, choices=(1,),
+                        help="evaluation workers: only 1 is accepted, kept while bench/run.py passes --jobs 1")
 
     parser = argparse.ArgumentParser(prog="hinrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--strategy", choices=("rms", "greedy", "random"))
     p.add_argument("--iter-limit", type=int, dest="iter_limit")
-    p.add_argument("--time-limit", type=float, dest="time_limit", help="greedy and random only")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")
     p.add_argument("--dataset", required=True)
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     overrides = {}
-    for key in ("seed", "out", "jobs", "strategy", "iter_limit", "time_limit", "dataset"):
+    for key in ("seed", "out", "strategy", "iter_limit", "dataset"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -130,20 +129,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _side_budget(cfg: RunConfig) -> search_env.Budget:
-    """Half the run's greedy/random budget: each side searches with one half."""
-    iters = cfg.iter_limit if cfg.iter_limit > 0 else None
-    seconds = cfg.time_limit if cfg.time_limit > 0 else None
-    if iters is None and seconds is None:
-        iters = 200
-    return search_env.Budget(iters=None if iters is None else iters // 2,
-                             seconds=None if seconds is None else seconds / 2)
+def _side_budget(cfg: RunConfig) -> int:
+    """Half the run's greedy/random probe budget (200 when unset): each side searches with one half."""
+    return (cfg.iter_limit if cfg.iter_limit > 0 else 200) // 2
 
 
 def cmd_search(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.strategy == "rms" and cfg.time_limit > 0:
-        raise ConfigError("time_limit applies to greedy and random search; rms runs a fixed number of episodes")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     graph = _load_dataset(cfg.dataset)
@@ -153,11 +145,6 @@ def cmd_search(args) -> int:
 
     probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
     episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
-    dqn_cfg = dqn.DqnConfig(
-        episodes=episodes, gamma=cfg.gamma, lr=cfg.dqn_lr, eps_start=cfg.eps_start, eps_end=cfg.eps_end,
-        eps_fraction=cfg.eps_fraction, target_sync=cfg.target_sync, batch_size=cfg.dqn_batch,
-        min_buffer=cfg.dqn_min_buffer, buffer_capacity=cfg.dqn_buffer,
-    )
     found = {}
     for tag, form, other in (
         ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
@@ -171,7 +158,7 @@ def cmd_search(args) -> int:
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
         if cfg.strategy == "rms":
-            found[tag] = dqn.search(env, replace(dqn_cfg, seed=derive_seed(cfg.seed, "agent", tag)))
+            found[tag] = dqn.search(env, cfg, derive_seed(cfg.seed, "agent", tag), episodes)
         elif cfg.strategy == "random":
             found[tag] = search_env.random_search(env, _side_budget(cfg), rng)
         else:
@@ -219,14 +206,14 @@ def cmd_train(args) -> int:
         derive_rng(cfg.seed, "mf-init"),
     )
     model = rec.HRecModel(
-        train_graph, user_side, item_side, rec.HRecConfig.from_run(cfg),
+        train_graph, user_side, item_side, cfg,
         derive_rng(cfg.seed, "hrec-init"), mf_init=mf,
     )
 
     def evaluator(m, epoch):
         metrics = evaluation.evaluate_model(
             m, split, "validation", ks=(10,), seed=cfg.seed,
-            n_negatives=cfg.n_negatives, jobs=cfg.jobs, view_tag=f"val-{epoch}",
+            n_negatives=cfg.n_negatives, view_tag=f"val-{epoch}",
         )
         return metrics.ndcg[10]
 
@@ -266,7 +253,7 @@ def cmd_eval(args) -> int:
         strategy = read_json(manifest_path).get("strategy", "unknown")
     metrics = evaluation.evaluate_model(
         model, split, args.split, ks=tuple(cfg.eval_ks), seed=cfg.seed,
-        n_negatives=cfg.n_negatives, jobs=cfg.jobs,
+        n_negatives=cfg.n_negatives,
     )
     metrics_path = out / "metrics.jsonl"
     if metrics_path.exists():

@@ -1,9 +1,13 @@
 """Flat run configuration shared by every command.
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
-config file, then CLI flags. Unknown keys are rejected. The config hash
-covers the science-relevant tunables (not seed/paths/jobs), so a report
-can refuse to aggregate runs produced under different settings.
+config file, then CLI flags. Unknown keys and unparsable values are
+rejected with :class:`ConfigError`, prefixed with ``path:line`` when they
+come from a file. :class:`RunConfig` is the only settings table: HRec, the
+probe and the DQN read it directly. The config hash covers every field
+except ``seed``, ``out`` and ``dataset``, which name a run without changing
+its science, so a report can refuse to aggregate runs produced under
+different settings.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ class ConfigError(ValueError):
 
 
 # Keys that identify a run but do not change its science.
-_HASH_EXCLUDED = {"seed", "out", "jobs", "dataset"}
+_HASH_EXCLUDED = {"seed", "out", "dataset"}
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,6 @@ class RunConfig:
     # run identity / plumbing
     seed: int = 0
     out: str = "runs"
-    jobs: int = 1
     dataset: str = ""
 
     # meta-path machinery
@@ -39,7 +42,6 @@ class RunConfig:
     strategy: str = "rms"
     max_steps: int = 4
     iter_limit: int = 0
-    time_limit: float = 0.0
     greedy_candidates: int = 4
 
     # DQN agent
@@ -101,8 +103,11 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
             key, value = (p.strip() for p in line.split("=", 1))
-            file_values[key] = value
-        cfg = cfg.with_overrides(file_values)
+            try:
+                file_values[key] = _coerce(cfg, key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
+        cfg = replace(cfg, **file_values)
         if overrides:
             cfg = cfg.with_overrides(overrides)
         return cfg
@@ -126,10 +131,13 @@ def _coerce(cfg: RunConfig, key: str, value):
         if text.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {key!r}: cannot parse boolean from {value!r}")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, tuple):
-        return tuple(int(p) for p in text.replace(",", " ").split())
+    try:
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+        if isinstance(current, tuple):
+            return tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: cannot parse {type(current).__name__} from {value!r}") from None
     return text

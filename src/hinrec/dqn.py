@@ -3,25 +3,30 @@
 The Q-network scores every action (STOP plus each relation) from a set
 encoding. Training interleaves epsilon-greedy episodes with Huber-loss TD
 updates against a periodically synced target network; inference runs one
-greedy episode and returns its final meta-path set. Per-episode and
-per-update RNG streams are derived from (seed, counter), which makes
-resuming from a checkpoint bit-exact. Resuming is a library call with no CLI
-flag: restore the agent with :meth:`DqnAgent.load` and pass it to
-:func:`search`.
+greedy episode and returns its final meta-path set. The agent reads its
+``gamma``, ``dqn_*``, ``target_sync`` and ``eps_*`` settings from a
+:class:`~hinrec.config.RunConfig`; the seed and the episode count are passed
+in. Per-episode and per-update RNG streams are derived from (seed, counter),
+which makes resuming from a checkpoint bit-exact. Resuming is a library call
+with no CLI flag: ``DqnAgent.load(path, cfg, seed, n_state, n_actions)``,
+then ``search(env, cfg, seed, episodes, agent=...)``.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import check_arrays, load_arrays, save_arrays
+from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
+from .config import RunConfig
 from .util import derive_rng
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (32, 64, 32)
+# The header format :meth:`DqnAgent.save` writes.
+CHECKPOINT_FORMAT = 1
 
 
 @dataclass
@@ -228,40 +233,28 @@ def td_update(
     return loss
 
 
-@dataclass(frozen=True)
-class DqnConfig:
-    episodes: int = 60
-    gamma: float = 0.9
-    lr: float = 0.001
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    eps_start: float = 1.0
-    eps_end: float = 0.1
-    eps_fraction: float = 0.5  # fraction of training steps spent decaying
-    target_sync: int = 100
-    batch_size: int = 32
-    min_buffer: int = 200
-    buffer_capacity: int = 10000
-    seed: int = 0
-
-
 class DqnAgent:
-    """Owns the online/target networks, the buffer, and the schedule position."""
+    """Owns the online/target networks, the buffer, and the schedule position.
 
-    def __init__(self, n_state: int, n_actions: int, config: DqnConfig):
-        if config.min_buffer < config.batch_size:
-            config = replace(config, min_buffer=config.batch_size)
-        self.config = config
-        rng = derive_rng(config.seed, "qnet-init")
-        self.params = QNetworkParams.init(n_state, n_actions, config.hidden, rng)
+    TD updates start once the buffer holds ``max(dqn_min_buffer, dqn_batch)``
+    transitions (:attr:`min_buffer`).
+    """
+
+    def __init__(self, n_state: int, n_actions: int, cfg: RunConfig, seed: int):
+        self.cfg = cfg
+        self.seed = seed
+        self.min_buffer = max(cfg.dqn_min_buffer, cfg.dqn_batch)
+        rng = derive_rng(seed, "qnet-init")
+        self.params = QNetworkParams.init(n_state, n_actions, DEFAULT_HIDDEN, rng)
         self.target = self.params.copy()
-        self.buffer = ReplayBuffer(config.buffer_capacity)
+        self.buffer = ReplayBuffer(cfg.dqn_buffer)
         self.env_steps = 0
         self.updates = 0
         self.episodes_done = 0
         self.total_steps_estimate = 1
 
     def epsilon(self) -> float:
-        cfg = self.config
+        cfg = self.cfg
         horizon = max(1, int(cfg.eps_fraction * self.total_steps_estimate))
         frac = min(1.0, self.env_steps / horizon)
         return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
@@ -272,13 +265,11 @@ class DqnAgent:
     def observe(self, t: Transition) -> None:
         self.buffer.push(t)
         self.env_steps += 1
-        if len(self.buffer) >= self.config.min_buffer:
-            batch = self.buffer.sample(
-                self.config.batch_size, derive_rng(self.config.seed, "update", self.updates)
-            )
-            td_update(self.params, self.target, batch, self.config.gamma, self.config.lr)
+        if len(self.buffer) >= self.min_buffer:
+            batch = self.buffer.sample(self.cfg.dqn_batch, derive_rng(self.seed, "update", self.updates))
+            td_update(self.params, self.target, batch, self.cfg.gamma, self.cfg.dqn_lr)
             self.updates += 1
-            if self.updates % self.config.target_sync == 0:
+            if self.updates % self.cfg.target_sync == 0:
                 self.target = self.params.copy()
 
     # -- persistence ---------------------------------------------------------
@@ -286,12 +277,12 @@ class DqnAgent:
     def save(self, path: str) -> None:
         header = {
             "kind": "dqn-agent",
-            "format": 1,
+            "format": CHECKPOINT_FORMAT,
             "env_steps": self.env_steps,
             "updates": self.updates,
             "episodes_done": self.episodes_done,
             "total_steps_estimate": self.total_steps_estimate,
-            "hidden": list(self.config.hidden),
+            "hidden": list(DEFAULT_HIDDEN),
         }
         arrays = self._network_arrays()
         for name, arr in self.buffer.state_arrays().items():
@@ -308,16 +299,21 @@ class DqnAgent:
         return arrays
 
     @classmethod
-    def load(cls, path: str, config: DqnConfig, n_state: int, n_actions: int) -> "DqnAgent":
-        """Restore an agent saved by :meth:`save` into one built from ``config``.
+    def load(cls, path: str, cfg: RunConfig, seed: int, n_state: int, n_actions: int) -> "DqnAgent":
+        """Restore an agent saved by :meth:`save` into one built from ``cfg`` and ``seed``.
 
-        Raises :class:`CheckpointError`, naming ``path``, when the stored
-        network arrays do not match the rebuilt agent's in name and shape.
+        Raises :class:`CheckpointError`, naming ``path``, when the header's
+        format is not :data:`CHECKPOINT_FORMAT`, or when the stored network
+        arrays do not match the rebuilt agent's in name and shape.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "dqn-agent":
             raise ValueError(f"{path}: not a DQN agent checkpoint")
-        agent = cls(n_state, n_actions, config)
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"{path}: checkpoint format {header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
+            )
+        agent = cls(n_state, n_actions, cfg, seed)
         stored = {name: arr for name, arr in arrays.items() if not name.startswith("buf.")}
         check_arrays(path, stored, agent._network_arrays())
         n_layers = len(agent.params.weights)
@@ -357,20 +353,27 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
             return final_state, total_reward
 
 
-def search(env, config: DqnConfig, agent: DqnAgent | None = None):
-    """Train an agent on the environment, then run one greedy inference episode.
+def search(env, cfg: RunConfig, seed: int, episodes: int, agent: DqnAgent | None = None):
+    """Train an agent for ``episodes`` episodes, then run one greedy inference episode.
 
     Returns the inference episode's final meta-path set. Pass a restored
     ``agent`` to continue its training; remaining episodes are counted from
-    its progress.
+    its progress. Logs a warning when training ends without a TD update,
+    since the greedy episode then follows an untrained network.
     """
     if agent is None:
-        agent = DqnAgent(env.state_dim, env.n_actions, config)
-    agent.total_steps_estimate = max(1, config.episodes * env.max_steps)
-    for ep in range(agent.episodes_done, config.episodes):
-        rng = derive_rng(config.seed, "episode", ep)
+        agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed)
+    agent.total_steps_estimate = max(1, episodes * env.max_steps)
+    for ep in range(agent.episodes_done, episodes):
+        rng = derive_rng(seed, "episode", ep)
         _, total = run_episode(env, agent, rng)
         agent.episodes_done = ep + 1
         log.debug("episode %d: return %.4f eps %.3f", ep, total, agent.epsilon())
-    final_state, _ = run_episode(env, agent, derive_rng(config.seed, "inference"), greedy=True)
+    if agent.updates == 0:
+        log.warning(
+            "DQN training made no TD update: %d episodes gave %d transitions, "
+            "below the warm-up threshold of %d (max(dqn_min_buffer, dqn_batch))",
+            agent.episodes_done, agent.env_steps, agent.min_buffer,
+        )
+    final_state, _ = run_episode(env, agent, derive_rng(seed, "inference"), greedy=True)
     return final_state.pset

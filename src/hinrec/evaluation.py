@@ -14,8 +14,7 @@ subgraphs are cached so repeated probes of one set are bit-identical.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -180,32 +179,22 @@ def evaluate(
     ks: tuple[int, ...],
     seed: int,
     n_negatives: int = 499,
-    jobs: int = 1,
 ) -> RankingMetrics:
     """Rank each eligible user's held-out positive among sampled negatives.
 
     ``scorer(user, items) -> scores`` sees global ids and gets the user's
     row of :meth:`SplitSet.candidates`, positive first. Negatives derive
-    from (seed, split, user), so results do not depend on worker count.
+    from (seed, split, user) alone, so a split's rows are the same for every
+    caller.
     """
     rows = split.candidates(which, seed, n_negatives)
     if not rows:
         raise ValueError(f"no eligible users in split {which!r}")
     ks = tuple(sorted(ks))
-
-    def rank_one(u: int) -> int:
-        return rank_position(scorer(u, rows[u]), 0)
-
-    users = list(rows)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ranks = list(pool.map(rank_one, users))
-    else:
-        ranks = [rank_one(u) for u in users]
-    ranks_arr = np.asarray(ranks)
+    ranks_arr = np.asarray([rank_position(scorer(u, row), 0) for u, row in rows.items()])
     hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks_arr])) for k in ks}
     ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks_arr])) for k in ks}
-    return RankingMetrics(which, ks, hr, ndcg, len(users))
+    return RankingMetrics(which, ks, hr, ndcg, len(rows))
 
 
 def embedding_scorer(graph: HinGraph, H_user: np.ndarray, H_item: np.ndarray):
@@ -225,12 +214,11 @@ def evaluate_model(
     ks: tuple[int, ...],
     seed: int,
     n_negatives: int = 499,
-    jobs: int = 1,
     view_tag: str = "eval",
 ) -> RankingMetrics:
     H_user, H_item = rec.infer_embeddings(model, seed, tag=view_tag)
     scorer = embedding_scorer(model.graph, H_user, H_item)
-    return evaluate(scorer, split, which, ks, seed, n_negatives, jobs)
+    return evaluate(scorer, split, which, ks, seed, n_negatives)
 
 
 def training_graph(graph: HinGraph, split: SplitSet, leak_guard: bool = True) -> HinGraph:
@@ -304,7 +292,7 @@ class PerformanceProbe:
             self.graph,
             user_side,
             item_side,
-            rec.HRecConfig.from_run(self.config, batch_size=self.config.probe_batch),
+            replace(self.config, rec_batch=self.config.probe_batch),
             derive_rng(probe_seed, "init"),
             mf_init=self.mf_init(),
         )

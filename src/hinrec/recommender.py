@@ -10,7 +10,7 @@ underneath.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -18,6 +18,7 @@ from scipy.special import expit
 from . import metapath as mp
 from .autodiff import Tape, Var, activation, activation_fn
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
+from .config import RunConfig
 from .hin import HinGraph
 from .util import derive_rng
 
@@ -28,39 +29,14 @@ class AllPathsRejected(RuntimeError):
     """Every path of a set produced an over-dense (rejected) subgraph."""
 
 
-@dataclass(frozen=True)
-class HRecConfig:
-    """HRec hyperparameters.
-
-    ``density_threshold`` applies when sides are built from candidate sets
-    (training, the probe); a reloaded checkpoint keeps its stored paths.
-    """
-
-    d: int = 64
-    att_hidden: int = 32
-    heads: int = 1
-    dropout: float = 0.1
-    fanout: int = 20
-    lr: float = 0.01
-    batch_size: int = 1024
-    epochs: int = 30
-    patience: int = 3
-    density_threshold: float = 0.5
-    self_loops: bool = True
-    score_act: str = "leaky_relu"
-    agg_act: str = "elu"
-    fuse_act: str = "tanh"
-
-    @classmethod
-    def from_run(cls, run, **overrides) -> "HRecConfig":
-        """The HRec settings of a :class:`~hinrec.config.RunConfig`; ``overrides`` win."""
-        renamed = {"d": run.embed_dim, "lr": run.rec_lr, "batch_size": run.rec_batch, "epochs": run.rec_epochs}
-        same = {f.name: getattr(run, f.name) for f in fields(cls) if f.name not in renamed}
-        return cls(**{**same, **renamed, **overrides})
-
-
-# Training-loop settings; a checkpoint's header stores every other HRecConfig field.
-_TRAINING_ONLY = ("lr", "batch_size", "epochs", "patience")
+# The RunConfig fields that fix a model's parameters and forward pass; a
+# checkpoint's header stores them, and :meth:`HRecModel.load` applies them.
+ARCH_FIELDS = (
+    "embed_dim", "att_hidden", "heads", "dropout", "fanout",
+    "density_threshold", "self_loops", "score_act", "agg_act", "fuse_act",
+)
+# The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -291,14 +267,18 @@ def _glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 class HRecModel:
-    """All learnable state plus the side bundles it was built for."""
+    """All learnable state plus the side bundles it was built for.
+
+    ``cfg`` supplies the architecture (:data:`ARCH_FIELDS`) and the training
+    loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``.
+    """
 
     def __init__(
         self,
         graph: HinGraph,
         user_side: SideBundle,
         item_side: SideBundle,
-        cfg: HRecConfig,
+        cfg: RunConfig,
         rng: np.random.Generator,
         mf_init: tuple[np.ndarray, np.ndarray] | None = None,
     ):
@@ -306,7 +286,7 @@ class HRecModel:
         self.graph = graph
         self.user_side = user_side
         self.item_side = item_side
-        d, hid = cfg.d, cfg.att_hidden
+        d, hid = cfg.embed_dim, cfg.att_hidden
         params: dict[str, Var] = {}
         if mf_init is not None:
             user_emb, item_emb = mf_init
@@ -350,34 +330,39 @@ class HRecModel:
     def save(self, path: str, extra_header: dict | None = None) -> None:
         header = {
             "kind": "hrec-model",
-            "format": 1,
+            "format": CHECKPOINT_FORMAT,
             "user_set": [list(p.relation_ids) for p in self.user_side.pset],
             "item_set": [list(p.relation_ids) for p in self.item_side.pset],
-            "config": {k: v for k, v in asdict(self.cfg).items() if k not in _TRAINING_ONLY},
+            "config": {name: getattr(self.cfg, name) for name in ARCH_FIELDS},
         }
         if extra_header:
             header.update(extra_header)
         save_arrays(path, header, {k: v.value for k, v in self.params.items()})
 
     @classmethod
-    def load(cls, path: str, graph: HinGraph, cfg: HRecConfig | None = None) -> "HRecModel":
+    def load(cls, path: str, graph: HinGraph, cfg: RunConfig | None = None) -> "HRecModel":
         """Rebuild a model saved by :meth:`save` on ``graph``.
 
         The checkpoint's path sets are the density-accepted ones its sides
         were built from, so they are trusted as stored: the density filter is
         not applied again, and each positional ``natt``/``q`` parameter stays
-        on its own path. The header's config fields override ``cfg``. Raises
-        :class:`CheckpointError`, naming ``path``, when the header names a
-        field HRecConfig lacks, or when the stored arrays do not match the
+        on its own path. The header's architecture fields override ``cfg``.
+        Raises :class:`CheckpointError`, naming ``path``, when the header's
+        format is not :data:`CHECKPOINT_FORMAT`, when it names a field outside
+        :data:`ARCH_FIELDS`, or when the stored arrays do not match the
         rebuilt model's parameters in name and shape.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hrec-model":
             raise ValueError(f"{path}: not an HRec checkpoint")
-        try:
-            cfg = replace(cfg or HRecConfig(), **header["config"])
-        except TypeError as exc:
-            raise CheckpointError(f"{path}: config header does not fit HRecConfig: {exc}") from None
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"{path}: checkpoint format {header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
+            )
+        unknown = sorted(set(header["config"]) - set(ARCH_FIELDS))
+        if unknown:
+            raise CheckpointError(f"{path}: config header names non-architecture fields {unknown}")
+        cfg = replace(cfg or RunConfig(), **header["config"])
         schema = graph.schema
         user_set = mp.MetaPathSet(
             tuple(mp.MetaPath.from_relations(schema, r) for r in header["user_set"]),
@@ -444,8 +429,8 @@ def _side_forward(
         head_tables: list[Var] = []
         for h in range(cfg.heads):
             a = model.params[f"natt.{tag}.{k}.{h}"]
-            a_src = tape.slice1d(a, 0, cfg.d)
-            a_dst = tape.slice1d(a, cfg.d, 2 * cfg.d)
+            a_src = tape.slice1d(a, 0, cfg.embed_dim)
+            a_dst = tape.slice1d(a, cfg.embed_dim, 2 * cfg.embed_dim)
             e = act_score(
                 tape.add(
                     tape.gather(tape.matvec(Z, a_src), view.src),
@@ -550,7 +535,7 @@ def train(
     at its best-validation snapshot.
     """
     cfg = model.cfg
-    epochs = cfg.epochs if epochs is None else epochs
+    epochs = cfg.rec_epochs if epochs is None else epochs
     pairs = split.train_local(model.graph)
     n_items = model.item_side.m
     pos_keys = positive_keys(split.all_local(model.graph), n_items)
@@ -564,8 +549,8 @@ def train(
         negatives = draw_negatives(pairs[:, 0], pos_keys, n_items, rng)
         perm = rng.permutation(len(pairs))
         losses = []
-        for lo in range(0, len(pairs), cfg.batch_size):
-            sel = perm[lo : lo + cfg.batch_size]
+        for lo in range(0, len(pairs), cfg.rec_batch):
+            sel = perm[lo : lo + cfg.rec_batch]
             fp = forward(
                 model,
                 pairs[sel, 0],
@@ -578,9 +563,9 @@ def train(
             )
             loss = bpr_loss_var(fp.tape, fp.ypos, fp.yneg)
             if not np.isfinite(loss.value):
-                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // cfg.batch_size}")
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // cfg.rec_batch}")
             fp.tape.backward(loss)
-            model.sgd_step(cfg.lr)
+            model.sgd_step(cfg.rec_lr)
             model.zero_grad()
             losses.append((float(loss.value), len(sel)))
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))

@@ -217,28 +217,6 @@ class SearchEnv:
         return out
 
 
-class Budget:
-    """Search budget: a fixed iteration count, or a wall-clock limit for CLI parity."""
-
-    def __init__(self, iters: int | None = None, seconds: float | None = None):
-        if iters is None and seconds is None:
-            raise ValueError("budget needs an iteration count or a time limit")
-        self.iters = iters
-        self.seconds = seconds
-        self.used = 0
-        self._t0 = time.perf_counter()
-
-    def exhausted(self) -> bool:
-        if self.iters is not None and self.used >= self.iters:
-            return True
-        if self.seconds is not None and time.perf_counter() - self._t0 >= self.seconds:
-            return True
-        return False
-
-    def consume(self) -> None:
-        self.used += 1
-
-
 def _random_episode_set(
     env: SearchEnv, length: int, rng: np.random.Generator
 ) -> mp.MetaPathSet:
@@ -275,14 +253,13 @@ def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float | None:
     return metric
 
 
-def random_search(env: SearchEnv, budget: Budget, rng: np.random.Generator) -> mp.MetaPathSet:
-    """Best-of-random-draws: sample action sequences, probe the final sets."""
+def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:
+    """Best-of-random-draws: sample ``budget`` action sequences, probe the final sets."""
     start = initial_set(env.form, env.schema)
     best_set, best_metric = start, -np.inf
-    while not budget.exhausted():
+    for _ in range(budget):
         length = int(rng.integers(1, env.max_steps + 1))
         candidate = _random_episode_set(env, length, rng)
-        budget.consume()
         metric = _baseline_probe(env, candidate)
         if metric is not None and metric > best_metric:
             best_set, best_metric = candidate, metric
@@ -293,21 +270,24 @@ def random_search(env: SearchEnv, budget: Budget, rng: np.random.Generator) -> m
 
 
 def greedy_search(
-    env: SearchEnv, budget: Budget, candidates_per_round: int, rng: np.random.Generator
+    env: SearchEnv, budget: int, candidates_per_round: int, rng: np.random.Generator
 ) -> mp.MetaPathSet:
-    """Round-based hill climbing over random single-action extensions."""
+    """Round-based hill climbing over random single-action extensions.
+
+    ``budget`` counts drawn candidates, no-ops included; the start set's
+    probe is not counted.
+    """
     current = initial_set(env.form, env.schema)
     current_metric = _baseline_probe(env, current)
     if current_metric is None:
         current_metric = -np.inf
-    while not budget.exhausted():
+    remaining = budget
+    while remaining > 0:
         best_cand, best_metric = None, current_metric
-        for _ in range(candidates_per_round):
-            if budget.exhausted():
-                break
+        for _ in range(min(candidates_per_round, remaining)):
+            remaining -= 1
             action = int(rng.integers(1, env.schema.n_relations + 1))
             candidate = apply_action(current, action, env.schema, env.max_len)
-            budget.consume()  # a drawn candidate is an iteration even when it is a no-op
             if candidate.key() == current.key():
                 continue
             metric = _baseline_probe(env, candidate)

@@ -71,10 +71,18 @@ def test_baseline_search_traces_every_probe(dataset, tmp_path, strategy):
         assert any(l["set"] == found and l["probe_metric"] == best for l in probed)
 
 
-def test_rms_rejects_time_limit(dataset, tmp_path, capsys):
-    assert search(dataset, tmp_path, "rms", "--time-limit", 5) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize("flag", [("--time-limit", 5), ("--jobs", 2)], ids=["time-limit", "jobs-2"])
+def test_search_parser_rejects_removed_settings(dataset, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        search(dataset, tmp_path, "random", *flag)
+    assert exc.value.code != 0
+    assert flag[0] in capsys.readouterr().err
     assert not (tmp_path / "sets.json").exists()
+
+
+def test_search_accepts_jobs_1(dataset, tmp_path):
+    assert search(dataset, tmp_path, "random", "--jobs", 1) == 0
+    assert (tmp_path / "sets.json").exists()
 
 
 def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):

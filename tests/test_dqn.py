@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
+from hinrec.config import RunConfig
 from hinrec.dqn import (
     DqnAgent,
-    DqnConfig,
     QNetworkParams,
     ReplayBuffer,
     Transition,
@@ -280,57 +282,70 @@ class ToyBanditEnv:
 
 
 class TestSearch:
-    CFG = DqnConfig(episodes=60, lr=0.01, min_buffer=32, batch_size=32, eps_fraction=0.5, seed=0)
+    CFG = RunConfig(dqn_lr=0.01, dqn_min_buffer=32, dqn_batch=32, eps_fraction=0.5)
 
     def test_learns_toy_bandit(self):
         env = ToyBanditEnv()
-        agent = DqnAgent(env.state_dim, env.n_actions, self.CFG)
-        search(env, self.CFG, agent=agent)
+        agent = DqnAgent(env.state_dim, env.n_actions, self.CFG, 0)
+        search(env, self.CFG, 0, 60, agent=agent)
         a = select_action(agent.params, env.reset().encoding, env.action_mask(), 0.0, np.random.default_rng(0))
         assert a == env.good
 
     def test_zero_episodes_still_returns_state(self):
         env = ToyBanditEnv()
-        cfg = DqnConfig(episodes=0, seed=1)
-        out = search(env, cfg)
+        out = search(env, RunConfig(), 1, 0)
         assert out is not None
 
     def test_deterministic_per_seed(self):
-        out1 = search(ToyBanditEnv(), self.CFG)
-        out2 = search(ToyBanditEnv(), self.CFG)
+        out1 = search(ToyBanditEnv(), self.CFG, 0, 60)
+        out2 = search(ToyBanditEnv(), self.CFG, 0, 60)
         assert out1 == out2
 
     def test_resume_matches_straight_run(self, tmp_path):
-        cfg = DqnConfig(episodes=20, lr=0.01, min_buffer=16, batch_size=16, seed=3)
+        cfg = RunConfig(dqn_lr=0.01, dqn_min_buffer=16, dqn_batch=16)
+        seed, episodes = 3, 20
         env1 = ToyBanditEnv()
-        agent_full = DqnAgent(env1.state_dim, env1.n_actions, cfg)
-        search(env1, cfg, agent=agent_full)
+        agent_full = DqnAgent(env1.state_dim, env1.n_actions, cfg, seed)
+        search(env1, cfg, seed, episodes, agent=agent_full)
 
-        half_cfg = DqnConfig(episodes=10, lr=0.01, min_buffer=16, batch_size=16, seed=3)
         env2 = ToyBanditEnv()
-        agent_half = DqnAgent(env2.state_dim, env2.n_actions, half_cfg)
-        agent_half.total_steps_estimate = max(1, cfg.episodes * env2.max_steps)
-        for ep in range(half_cfg.episodes):
+        agent_half = DqnAgent(env2.state_dim, env2.n_actions, cfg, seed)
+        agent_half.total_steps_estimate = max(1, episodes * env2.max_steps)
+        for ep in range(episodes // 2):
             from hinrec.dqn import run_episode
             from hinrec.util import derive_rng
 
-            run_episode(env2, agent_half, derive_rng(cfg.seed, "episode", ep))
+            run_episode(env2, agent_half, derive_rng(seed, "episode", ep))
             agent_half.episodes_done = ep + 1
         ckpt = tmp_path / "agent.ckpt"
         agent_half.save(str(ckpt))
 
-        restored = DqnAgent.load(str(ckpt), cfg, env2.state_dim, env2.n_actions)
-        search(ToyBanditEnv(), cfg, agent=restored)
+        restored = DqnAgent.load(str(ckpt), cfg, seed, env2.state_dim, env2.n_actions)
+        search(ToyBanditEnv(), cfg, seed, episodes, agent=restored)
         for w1, w2 in zip(agent_full.params.weights, restored.params.weights):
             np.testing.assert_array_equal(w1, w2)
 
+    def test_warns_when_training_makes_no_update(self, caplog):
+        # 2 episodes of at most 4 steps give at most 8 transitions, below the warm-up of 32.
+        with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
+            search(ToyBanditEnv(), self.CFG, 0, 2)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "no TD update" in warnings[0] and "2 episodes" in warnings[0]
+        assert "threshold of 32" in warnings[0]
+
+    def test_no_warning_once_updates_run(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
+            search(ToyBanditEnv(), self.CFG, 0, 60)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
 
 class TestPersistence:
-    CFG = DqnConfig(episodes=2, min_buffer=4, batch_size=4, seed=5)
+    CFG = RunConfig(dqn_min_buffer=4, dqn_batch=4)
 
     def saved_agent(self, tmp_path):
         path = tmp_path / "agent.ckpt"
-        DqnAgent(8, 9, self.CFG).save(str(path))
+        DqnAgent(8, 9, self.CFG, 5).save(str(path))
         return path
 
     def test_load_rejects_missing_array(self, tmp_path):
@@ -339,9 +354,17 @@ class TestPersistence:
         del arrays["q.w0"]
         save_arrays(path, header, arrays)
         with pytest.raises(CheckpointError, match=r"agent\.ckpt.*missing \['q\.w0'\]"):
-            DqnAgent.load(str(path), self.CFG, 8, 9)
+            DqnAgent.load(str(path), self.CFG, 5, 8, 9)
 
     def test_load_rejects_wrong_n_state(self, tmp_path):
         path = self.saved_agent(tmp_path)
         with pytest.raises(CheckpointError, match=r"agent\.ckpt.*wrong shape \['q\.w0', 't\.w0'\]"):
-            DqnAgent.load(str(path), self.CFG, 9, 9)
+            DqnAgent.load(str(path), self.CFG, 5, 9, 9)
+
+    def test_load_rejects_unknown_format(self, tmp_path):
+        path = self.saved_agent(tmp_path)
+        header, arrays = load_arrays(path)
+        header["format"] = 99
+        save_arrays(path, header, arrays)
+        with pytest.raises(CheckpointError, match=r"agent\.ckpt.*format 99, expected 1"):
+            DqnAgent.load(str(path), self.CFG, 5, 8, 9)

@@ -11,7 +11,6 @@ trajectory stays the same.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -64,7 +63,7 @@ def reference_gather(self, x, idx):
     return self._emit(x.value[idx], back)
 
 
-def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499, jobs=1):
+def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
     held = split.held_out(which)
     if not held:
         raise ValueError(f"no eligible users in split {which!r}")
@@ -77,12 +76,7 @@ def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499, jobs=1):
         return rank_position(scorer(u, candidates), 0)
 
     users = sorted(held)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ranks = list(pool.map(rank_one, users))
-    else:
-        ranks = [rank_one(u) for u in users]
-    ranks_arr = np.asarray(ranks)
+    ranks_arr = np.asarray([rank_one(u) for u in users])
     hr = {k: float(np.mean([evaluation.hr_at_k(r, k) for r in ranks_arr])) for k in ks}
     ndcg = {k: float(np.mean([evaluation.ndcg_at_k(r, k) for r in ranks_arr])) for k in ks}
     return evaluation.RankingMetrics(which, ks, hr, ndcg, len(users))
@@ -216,7 +210,6 @@ def test_cached_candidates_match_uncached_reference(fresh_split, which, n_negati
         ref = reference_evaluate(scorer, split, which, ks, seed, n_negatives)
         assert evaluation.evaluate(scorer, split, which, ks, seed, n_negatives) == ref
         assert evaluation.evaluate(scorer, split, which, ks, seed, n_negatives) == ref  # from the cache
-        assert evaluation.evaluate(scorer, split, which, ks, seed, n_negatives, jobs=2) == ref
 
 
 # ---------------------------------------------------------------------------

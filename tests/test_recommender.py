@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hinrec import metapath as mp
 from hinrec.autodiff import Tape
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
+from hinrec.config import RunConfig
 from hinrec.recommender import (
+    ARCH_FIELDS,
     AllPathsRejected,
-    HRecConfig,
     HRecModel,
     _side_forward,
     bpr_loss,
@@ -63,7 +66,7 @@ def tiny_model(movie_schema):
         mp.ITEM_SYMMETRIC,
         movie_schema,
     )
-    cfg = HRecConfig(d=5, att_hidden=4, dropout=0.0, fanout=16, lr=0.05, batch_size=8)
+    cfg = RunConfig(embed_dim=5, att_hidden=4, dropout=0.0, fanout=16, rec_lr=0.05, rec_batch=8)
     user_side = build_side(graph, user_set, threshold=None)
     item_side = build_side(graph, item_set, threshold=None)
     model = HRecModel(graph, user_side, item_side, cfg, derive_rng(0, "tiny-model"))
@@ -406,7 +409,7 @@ class TestTraining:
             calls.append((epoch, m.snapshot()))
             return value
 
-        model.cfg = HRecConfig(**{**model.cfg.__dict__, "patience": 2})
+        model.cfg = replace(model.cfg, patience=2)
         result = train(model, split, seed=0, epochs=8, evaluator=evaluator)
         assert result.stopped_early
         assert result.best_epoch == 1
@@ -433,7 +436,7 @@ def _small_model(graph, seed=0, lr=0.05):
         mp.ITEM_SYMMETRIC,
         schema,
     )
-    cfg = HRecConfig(d=8, att_hidden=6, dropout=0.1, fanout=10, lr=lr, batch_size=128)
+    cfg = RunConfig(embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128)
     user_side = build_side(graph, user_set, threshold=0.9)
     item_side = build_side(graph, item_set, threshold=0.9)
     return HRecModel(graph, user_side, item_side, cfg, derive_rng(seed, "model"))
@@ -465,6 +468,26 @@ class TestPersistence:
         header["config"]["hidden_width"] = 8
         save_arrays(path, header, arrays)
         with pytest.raises(CheckpointError, match=r"model\.ckpt.*hidden_width"):
+            HRecModel.load(str(path), tiny_model.graph)
+
+    def test_header_stores_architecture_fields(self, tiny_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(str(path))
+        header, _ = load_arrays(path)
+        assert header["format"] == 2
+        assert header["config"] == {name: getattr(tiny_model.cfg, name) for name in ARCH_FIELDS}
+        again = HRecModel.load(str(path), tiny_model.graph)
+        assert all(getattr(again.cfg, name) == getattr(tiny_model.cfg, name) for name in ARCH_FIELDS)
+
+    def test_load_rejects_format_1(self, tiny_model, tmp_path):
+        # Format 1 named the embedding width ``d``.
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(str(path))
+        header, arrays = load_arrays(path)
+        header["format"] = 1
+        header["config"]["d"] = header["config"].pop("embed_dim")
+        save_arrays(path, header, arrays)
+        with pytest.raises(CheckpointError, match=r"model\.ckpt.*format 1, expected 2"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):

@@ -13,7 +13,6 @@ from hinrec.metapath import (
     encode_set,
 )
 from hinrec.search_env import (
-    Budget,
     ProbeFailure,
     SearchEnv,
     SearchState,
@@ -229,17 +228,17 @@ class TestBaselines:
 
     def test_random_zero_budget_returns_initial(self, movie_schema):
         env = self._env(movie_schema)
-        out = random_search(env, Budget(iters=0), np.random.default_rng(0))
+        out = random_search(env, 0, np.random.default_rng(0))
         assert out.key() == initial_set(USER_SYMMETRIC, movie_schema).key()
 
     def test_random_deterministic(self, movie_schema):
-        a = random_search(self._env(movie_schema), Budget(iters=12), np.random.default_rng(5))
-        b = random_search(self._env(movie_schema), Budget(iters=12), np.random.default_rng(5))
+        a = random_search(self._env(movie_schema), 12, np.random.default_rng(5))
+        b = random_search(self._env(movie_schema), 12, np.random.default_rng(5))
         assert a.key() == b.key()
 
     def test_random_returns_best_probed(self, movie_schema):
         env = self._env(movie_schema)
-        out = random_search(env, Budget(iters=10), np.random.default_rng(1))
+        out = random_search(env, 10, np.random.default_rng(1))
         # FakeProbe scores by size, so the winner is at least as large as the start.
         assert len(out) >= 1
 
@@ -252,12 +251,12 @@ class TestBaselines:
             movie_schema, USER_SYMMETRIC, lambda u, i: FlatProbe()(u),
             initial_set(ITEM_SYMMETRIC, movie_schema), max_steps=4,
         )
-        out = greedy_search(env, Budget(iters=8), 2, np.random.default_rng(2))
+        out = greedy_search(env, 8, 2, np.random.default_rng(2))
         assert out.key() == initial_set(USER_SYMMETRIC, movie_schema).key()
 
     def test_greedy_deterministic(self, movie_schema):
-        a = greedy_search(self._env(movie_schema), Budget(iters=9), 3, np.random.default_rng(7))
-        b = greedy_search(self._env(movie_schema), Budget(iters=9), 3, np.random.default_rng(7))
+        a = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
+        b = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
         assert a.key() == b.key()
 
     def test_baselines_trace_each_probe_and_failures(self, movie_schema, tmp_path):
@@ -268,8 +267,8 @@ class TestBaselines:
             movie_schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, movie_schema),
             max_steps=4, trace_path=str(trace), trace_tag="user",
         )
-        greedy_search(env, Budget(iters=6), 2, np.random.default_rng(3))
-        random_search(env, Budget(iters=5), np.random.default_rng(3))
+        greedy_search(env, 6, 2, np.random.default_rng(3))
+        random_search(env, 5, np.random.default_rng(3))
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         failed = [line for line in lines if line["probe_metric"] is None]
         assert lines[0] in failed
@@ -282,5 +281,5 @@ class TestBaselines:
         assert {line["agent"] for line in lines} == {"user"}
 
     def test_greedy_single_candidate_walks(self, movie_schema):
-        out = greedy_search(self._env(movie_schema), Budget(iters=6), 1, np.random.default_rng(11))
+        out = greedy_search(self._env(movie_schema), 6, 1, np.random.default_rng(11))
         assert len(out) >= 1
