@@ -9,7 +9,6 @@ from .metapath import (
     encode_set,
     materialize_subgraph,
     metapath_neighbors,
-    sample_neighbors,
 )
 from .search_env import SearchEnv, apply_action, initial_set, step
 
@@ -31,7 +30,6 @@ __all__ = [
     "load_graph",
     "materialize_subgraph",
     "metapath_neighbors",
-    "sample_neighbors",
     "step",
     "__version__",
 ]

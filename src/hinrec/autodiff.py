@@ -5,6 +5,11 @@ levels, inner-product scoring, pairwise ranking loss), so instead of a
 general autodiff system each op records one backward closure on a tape.
 Everything runs in float64; segment ops assume contiguous, non-empty
 groups (guaranteed by the sampled neighborhood views).
+
+Node-level aggregation is one fused op, :meth:`Tape.segment_weighted_sum`:
+each group's sum of neighbour rows under per-edge weights, with a sparse
+product for the rows' gradient. It records one step and keeps no
+per-edge row array on the tape.
 """
 from __future__ import annotations
 
@@ -26,8 +31,10 @@ class Var:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # One pass with the bits of ``zeros + g``: -0.0 becomes +0.0 here too.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+        else:
+            self.grad += g
 
     @property
     def shape(self):
@@ -156,15 +163,6 @@ class Tape:
 
         return self._emit(x.value + b.value, back)
 
-    def mul_rows(self, x: Var, w: Var) -> Var:
-        """(E,d) rows scaled by a length-E weight vector."""
-
-        def back(g):
-            x.accumulate(g * w.value[:, None])
-            w.accumulate(np.sum(g * x.value, axis=1))
-
-        return self._emit(x.value * w.value[:, None], back)
-
     def scale(self, x: Var, s: Var) -> Var:
         """Whole-array scaling by a scalar Var."""
 
@@ -255,14 +253,32 @@ class Tape:
 
         return self._emit(y, back)
 
-    def segment_sum(self, x: Var, indptr: np.ndarray, src: np.ndarray) -> Var:
-        """Sum (E,d) rows into (m,d) by contiguous non-empty groups."""
-        starts = indptr[:-1]
+    def segment_weighted_sum(
+        self, x: Var, w: Var, indptr: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> Var:
+        """Per group, the sum of rows ``x[dst]`` weighted by the length-E ``w``.
+
+        Groups are contiguous and non-empty as in :meth:`segment_softmax`;
+        entry e belongs to group ``src[e]`` and reads row ``dst[e]``. Values
+        and gradients are bit-identical to a gather, a row scaling and a
+        group sum recorded as three ops. The forward works on the transposed
+        (d, E) products, where ``reduceat`` adds the same terms of each group
+        and column in the same order as on (E, d) rows, but over contiguous
+        memory. ``x``'s gradient ``A.T @ g``, with A the (m, n) CSR matrix of
+        weights, adds each row's terms from zero in entry order, as
+        :meth:`gather`'s selection matrix does.
+        """
+        weighted = np.take(np.ascontiguousarray(x.value.T), dst, axis=1)
+        weighted *= w.value
 
         def back(g):
-            x.accumulate(g[src])
+            products = g[src]
+            products *= x.value[dst]
+            w.accumulate(np.sum(products, axis=1))
+            weights = csr_matrix((w.value, dst, indptr), shape=(len(indptr) - 1, len(x.value)))
+            x.accumulate(weights.T @ g)
 
-        return self._emit(np.add.reduceat(x.value, starts, axis=0), back)
+        return self._emit(np.ascontiguousarray(np.add.reduceat(weighted, indptr[:-1], axis=1).T), back)
 
 
 def activation(tape: Tape, name: str):

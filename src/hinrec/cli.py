@@ -143,6 +143,9 @@ def cmd_search(args) -> int:
     schema = graph.schema
     t0 = time.perf_counter()
 
+    trace_path = out / "trace.jsonl"
+    if trace_path.exists():
+        trace_path.unlink()
     probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
     episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
     found = {}
@@ -154,7 +157,7 @@ def cmd_search(args) -> int:
             schema, form, probe.pair,
             frozen_other=search_env.initial_set(other, schema),
             max_steps=cfg.max_steps, max_len=cfg.max_path_len,
-            trace_path=str(out / "trace.jsonl"), trace_tag=tag,
+            trace_path=str(trace_path), trace_tag=tag,
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
         if cfg.strategy == "rms":

@@ -231,23 +231,6 @@ def materialize_subgraph(
     return MetaPathSubgraph(path, path.node_types[0], m, indptr, dst, density)
 
 
-def sample_neighbors(
-    subgraph: MetaPathSubgraph, v: int, fanout: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Up to ``fanout`` neighbors of v, uniform without replacement, self always kept."""
-    if fanout <= 0:
-        raise MetaPathError("fanout must be a positive integer")
-    row = subgraph.neighbors(v)
-    if len(row) <= fanout:
-        return row.copy()
-    if np.any(row == v):
-        picked = rng.choice(row[row != v], size=fanout - 1, replace=False)
-        picked = np.concatenate([[v], picked])
-    else:
-        picked = rng.choice(row, size=fanout, replace=False)
-    return np.sort(picked.astype(np.int64))
-
-
 @dataclass(frozen=True)
 class SampledView:
     """One epoch's sampled neighborhood: grouped edge arrays over m nodes.
@@ -263,21 +246,47 @@ class SampledView:
 
 
 def sample_view(subgraph: MetaPathSubgraph, fanout: int, rng: np.random.Generator) -> SampledView:
+    """Up to ``fanout`` neighbours per node, uniform without replacement.
+
+    A node with at most ``fanout`` neighbours keeps its whole row as stored,
+    and an isolated node gets itself; both are copied without a loop. Larger
+    rows are drawn node by node in increasing order: a row holding the node
+    keeps it and draws the other ``fanout - 1`` from the rest, and the drawn
+    row is sorted. Only these draws use ``rng``.
+    """
     if fanout <= 0:
         raise MetaPathError("fanout must be a positive integer")
     m = subgraph.m
     degrees = np.diff(subgraph.indptr)
-    rows: list[np.ndarray] = []
-    for v in range(m):
-        if degrees[v] == 0:
-            rows.append(np.asarray([v], dtype=np.int64))
-        elif degrees[v] <= fanout:
-            rows.append(subgraph.neighbors(v))
-        else:
-            rows.append(sample_neighbors(subgraph, v, fanout, rng))
-    counts = np.asarray([len(r) for r in rows], dtype=np.int64)
+    counts = np.where(degrees == 0, 1, np.minimum(degrees, fanout))
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    dst = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     src = np.repeat(np.arange(m), counts)
+    dst = np.empty(int(indptr[-1]), dtype=np.int64)
+
+    isolated = np.flatnonzero(degrees == 0)
+    dst[indptr[isolated]] = isolated
+    whole = (degrees > 0) & (degrees <= fanout)
+    kept = np.repeat(whole, degrees)
+    shift = np.repeat((indptr - subgraph.indptr)[:-1][whole], degrees[whole])
+    dst[np.flatnonzero(kept) + shift] = subgraph.dst[kept]
+
+    # Edge position of each row's self-loop, or -1 (rows hold distinct nodes).
+    owner = np.repeat(np.arange(m), degrees)
+    self_edges = np.flatnonzero(subgraph.dst == owner)
+    self_at = np.full(m, -1, dtype=np.int64)
+    self_at[owner[self_edges]] = self_edges
+    big = np.flatnonzero(degrees > fanout)
+    sub = subgraph.dst
+    for v, lo, hi, at, out_lo in zip(
+        big.tolist(), subgraph.indptr[big].tolist(), subgraph.indptr[big + 1].tolist(),
+        self_at[big].tolist(), indptr[big].tolist(),
+    ):
+        out = dst[out_lo : out_lo + fanout]
+        if at >= 0:
+            out[0] = v
+            out[1:] = rng.choice(np.concatenate((sub[lo:at], sub[at + 1 : hi])), size=fanout - 1, replace=False)
+        else:
+            out[:] = rng.choice(sub[lo:hi], size=fanout, replace=False)
+        out.sort()
     return SampledView(m, indptr, src, dst)

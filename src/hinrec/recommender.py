@@ -207,6 +207,31 @@ def draw_negatives(
     raise RuntimeError("could not draw negatives; catalog nearly saturated")
 
 
+def scatter_add(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """``np.add.at(table, idx, vals)`` with the same bits, in rounds of distinct rows.
+
+    Round k adds the k-th occurrence of every repeated index with one
+    fancy-indexed ``+=``, so each row still receives its terms one at a
+    time in ``idx`` order; only the number of rounds is a Python loop.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    if len(idx) == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = sorted_idx[1:] != sorted_idx[:-1]
+    positions = np.arange(len(idx))
+    occurrence = positions - np.maximum.accumulate(np.where(first, positions, 0))
+    by_round = order[np.argsort(occurrence, kind="stable")]
+    bounds = np.cumsum(np.bincount(occurrence))
+    lo = 0
+    for hi in bounds:
+        sel = by_round[lo:hi]
+        table[idx[sel]] += vals[sel]
+        lo = hi
+
+
 def mf_pretrain(
     pairs: np.ndarray,
     n_users: int,
@@ -248,9 +273,9 @@ def mf_pretrain(
             s = expit(-x)[:, None]
             gP = s * (Q[i] - Q[j])
             gQ = s * P[u]
-            np.add.at(P, u, lr * gP)
-            np.add.at(Q, i, lr * gQ)
-            np.add.at(Q, j, -lr * gQ)
+            scatter_add(P, u, lr * gP)
+            scatter_add(Q, i, lr * gQ)
+            scatter_add(Q, j, -lr * gQ)
     return P, Q
 
 
@@ -438,8 +463,8 @@ def _side_forward(
                 )
             )
             alpha = tape.segment_softmax(e, view.indptr, view.src)
-            msg = tape.mul_rows(tape.gather(Z, view.dst), alpha)
-            head_tables.append(act_agg(tape.segment_sum(msg, view.indptr, view.src)))
+            agg = tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst)
+            head_tables.append(act_agg(agg))
         Hx = head_tables[0]
         for extra in head_tables[1:]:
             Hx = tape.add(Hx, extra)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import metapath as mp
+from .config import ConfigError
 from .hin import STOP_ACTION, HinSchema, SchemaError
 from .util import append_jsonl
 
@@ -275,8 +276,11 @@ def greedy_search(
     """Round-based hill climbing over random single-action extensions.
 
     ``budget`` counts drawn candidates, no-ops included; the start set's
-    probe is not counted.
+    probe is not counted. Raises :class:`ConfigError` when
+    ``candidates_per_round`` is below 1, since no round would spend budget.
     """
+    if candidates_per_round < 1:
+        raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
     current = initial_set(env.form, env.schema)
     current_metric = _baseline_probe(env, current)
     if current_metric is None:

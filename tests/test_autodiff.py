@@ -78,7 +78,12 @@ class TestOps:
         check_op(lambda t, v: t.mean(t.add_bias(v[0], v[1])), [(4, 3), (3,)])
 
     def test_mul_rows(self):
-        check_op(lambda t, v: t.mean(t.mul_rows(v[0], v[1])), [(5, 2), (5,)])
+        # One entry per group, reading its own row: the fused op scales rows by w.
+        rows = np.arange(5)
+        check_op(
+            lambda t, v: t.mean(t.segment_weighted_sum(v[0], v[1], np.arange(6), rows, rows)),
+            [(5, 2), (5,)],
+        )
 
     def test_scale(self):
         check_op(lambda t, v: t.mean(t.scale(v[0], t.mean(v[1]))), [(3, 2), (2,)])
@@ -136,15 +141,28 @@ class TestOps:
         )
 
     def test_segment_sum(self):
-        check_op(lambda t, v: t.mean(t.segment_sum(v[0], INDPTR, SRC)), [(6, 3)])
+        # Unit weights and each entry reading its own row: a plain group sum.
+        ones = Var(np.ones(6))
+        check_op(
+            lambda t, v: t.mean(t.segment_weighted_sum(v[0], ones, INDPTR, SRC, np.arange(6))),
+            [(6, 3)],
+        )
 
-    def test_segment_sum_values(self):
+    def test_segment_weighted_sum(self):
+        # DST repeats rows 1 and 2 across groups, so their gradients sum.
+        check_op(
+            lambda t, v: t.mean(t.mul(t.segment_weighted_sum(v[0], v[1], INDPTR, SRC, DST), v[2])),
+            [(4, 3), (6,), (3, 3)],
+        )
+
+    def test_segment_weighted_sum_values(self):
         tape = Tape()
-        x = Var(np.arange(12.0).reshape(6, 2))
-        out = tape.segment_sum(x, INDPTR, SRC)
-        np.testing.assert_allclose(out.value[0], x.value[0] + x.value[1])
-        np.testing.assert_allclose(out.value[1], x.value[2] + x.value[3] + x.value[4])
-        np.testing.assert_allclose(out.value[2], x.value[5])
+        x = Var(np.arange(8.0).reshape(4, 2))
+        w = Var(np.asarray([0.5, 2.0, 1.0, -1.0, 3.0, 0.25]))
+        out = tape.segment_weighted_sum(x, w, INDPTR, SRC, DST)
+        np.testing.assert_allclose(out.value[0], 0.5 * x.value[1] + 2.0 * x.value[2])
+        np.testing.assert_allclose(out.value[1], x.value[0] - x.value[1] + 3.0 * x.value[3])
+        np.testing.assert_allclose(out.value[2], 0.25 * x.value[2])
 
 
 class TestComposition:
@@ -158,7 +176,7 @@ class TestComposition:
                       t.gather(t.matvec(Z, t.slice1d(a, 3, 6)), DST))
             )
             alpha = t.segment_softmax(e, INDPTR, SRC)
-            h = t.elu(t.segment_sum(t.mul_rows(t.gather(Z, DST), alpha), INDPTR, SRC))
+            h = t.elu(t.segment_weighted_sum(Z, alpha, INDPTR, SRC, DST))
             return t.mean(t.matvec(t.tanh(h), q))
 
         check_op(build, [(4, 3), (6,), (3,)], seed=3)

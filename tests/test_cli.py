@@ -71,6 +71,13 @@ def test_baseline_search_traces_every_probe(dataset, tmp_path, strategy):
         assert any(l["set"] == found and l["probe_metric"] == best for l in probed)
 
 
+def test_search_replaces_an_earlier_trace(dataset, tmp_path):
+    assert search(dataset, tmp_path, "greedy") == 0
+    assert search(dataset, tmp_path, "greedy") == 0
+    lines = list(read_jsonl(tmp_path / "trace.jsonl"))
+    assert len(lines) == read_json(tmp_path / "sets.json")["probe_calls"]
+
+
 @pytest.mark.parametrize("flag", [("--time-limit", 5), ("--jobs", 2)], ids=["time-limit", "jobs-2"])
 def test_search_parser_rejects_removed_settings(dataset, tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,14 @@
 
 The reference implementations below are the earlier per-element versions
 of ``recommender.draw_negatives`` (one ``searchsorted`` per user per
-rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros) and
-``evaluation.evaluate`` (candidate rows redrawn on every call). The fast
-paths must reproduce them bit for bit, down to the state of the random
-generator they share, so that every trained model, metric and search
-trajectory stays the same.
+rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros),
+``evaluation.evaluate`` (candidate rows redrawn on every call), the node
+aggregation (gather, row scaling and group sum as three tape ops),
+``Var.accumulate`` (zeros, then ``+=``), MF's scatter (``np.add.at``) and
+``metapath.sample_view`` (one ``sample_neighbors`` call per node). The
+fast paths must reproduce them bit for bit, down to the state of the
+random generator they share, so that every trained model, metric and
+search trajectory stays the same.
 """
 from __future__ import annotations
 
@@ -15,11 +18,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hinrec import cli, evaluation, recommender
+from hinrec import cli, evaluation, metapath, recommender
 from hinrec.autodiff import Tape, Var
 from hinrec.evaluation import embedding_scorer, rank_position, split_leave_one_out
-from hinrec.recommender import _in_sorted, draw_negatives, positive_keys
+from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
+from hinrec.recommender import _in_sorted, draw_negatives, positive_keys, scatter_add
 from hinrec.util import derive_rng
+
+from conftest import random_hin, random_path
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +67,66 @@ def reference_gather(self, x, idx):
         x.accumulate(full)
 
     return self._emit(x.value[idx], back)
+
+
+def reference_accumulate(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.value)
+    self.grad += g
+
+
+def reference_segment_weighted_sum(self, x, w, indptr, src, dst):
+    msg_in = self.gather(x, dst)
+
+    def back_mul(g):
+        msg_in.accumulate(g * w.value[:, None])
+        w.accumulate(np.sum(g * msg_in.value, axis=1))
+
+    msg = self._emit(msg_in.value * w.value[:, None], back_mul)
+
+    def back_sum(g):
+        msg.accumulate(g[src])
+
+    return self._emit(np.add.reduceat(msg.value, indptr[:-1], axis=0), back_sum)
+
+
+def reference_scatter_add(table, idx, vals):
+    np.add.at(table, idx, vals)
+
+
+def reference_sample_neighbors(subgraph, v, fanout, rng):
+    if fanout <= 0:
+        raise MetaPathError("fanout must be a positive integer")
+    row = subgraph.neighbors(v)
+    if len(row) <= fanout:
+        return row.copy()
+    if np.any(row == v):
+        picked = rng.choice(row[row != v], size=fanout - 1, replace=False)
+        picked = np.concatenate([[v], picked])
+    else:
+        picked = rng.choice(row, size=fanout, replace=False)
+    return np.sort(picked.astype(np.int64))
+
+
+def reference_sample_view(subgraph, fanout, rng):
+    if fanout <= 0:
+        raise MetaPathError("fanout must be a positive integer")
+    m = subgraph.m
+    degrees = np.diff(subgraph.indptr)
+    rows = []
+    for v in range(m):
+        if degrees[v] == 0:
+            rows.append(np.asarray([v], dtype=np.int64))
+        elif degrees[v] <= fanout:
+            rows.append(subgraph.neighbors(v))
+        else:
+            rows.append(reference_sample_neighbors(subgraph, v, fanout, rng))
+    counts = np.asarray([len(r) for r in rows], dtype=np.int64)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    dst = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    src = np.repeat(np.arange(m), counts)
+    return SampledView(m, indptr, src, dst)
 
 
 def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
@@ -162,6 +228,179 @@ def test_gather_backward_bit_identical_to_add_at(monkeypatch, shape, idx):
 
 
 # ---------------------------------------------------------------------------
+# Var.accumulate and the fused node aggregation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, contributions",
+    [
+        (np.zeros(4), [np.asarray([-0.0, 0.0, -0.0, 2.0])]),
+        (np.zeros(4), [np.asarray([-0.0, 1.0, -0.0, 2.0]), np.asarray([-0.0, -1.0, 0.0, 1e-300])]),
+        (np.zeros((3, 2)), [np.asarray([[-0.0, 1.5], [np.inf, -np.inf], [1e308, -1e-320]])]),
+        (np.zeros((3, 2)), [np.asarray([-0.0, 3.0])]),  # broadcast over rows
+        (np.asarray(1.0), [np.float64(-0.0), np.float64(2.5)]),
+    ],
+)
+def test_accumulate_matches_zeros_then_add(monkeypatch, value, contributions):
+    fast = Var(value)
+    for g in contributions:
+        fast.accumulate(g)
+    monkeypatch.setattr(Var, "accumulate", reference_accumulate)
+    ref = Var(value)
+    for g in contributions:
+        ref.accumulate(g)
+    assert fast.grad.shape == ref.grad.shape and fast.grad.dtype == ref.grad.dtype
+    assert fast.grad.tobytes() == ref.grad.tobytes()
+
+
+def random_groups(rng, m, n, max_size):
+    """Contiguous groups of 1..max_size entries reading random rows, repeats allowed."""
+    counts = rng.integers(1, max_size + 1, size=m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    src = np.repeat(np.arange(m), counts)
+    dst = rng.integers(0, n, size=int(indptr[-1]))
+    return indptr, src, dst
+
+
+def aggregation_run(x0, w0, c, indptr, src, dst):
+    """Values and gradients of ``sum(c * aggregate)``, with ``x`` also read by a second op."""
+    t = Tape()
+    x, w = Var(x0.copy()), Var(w0.copy())
+    agg = t.segment_weighted_sum(x, w, indptr, src, dst)
+    scores = t.matvec(x, Var(np.linspace(-1.0, 1.0, x0.shape[1])))
+    t.backward(t.add(t.mean(t.mul_const(agg, c)), t.mean(scores)))
+    return agg.value, x.grad, w.grad
+
+
+@pytest.mark.parametrize(
+    "m, n, max_size, zero_share",
+    [
+        (5, 6, 1, 0.0),  # single-entry groups
+        (7, 4, 6, 0.0),  # repeated rows within and across groups
+        (30, 12, 5, 0.5),  # half the upstream gradients are -0.0 or +0.0
+        (200, 50, 20, 0.1),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_aggregation_bit_identical_to_three_ops(monkeypatch, m, n, max_size, zero_share, seed):
+    rng = derive_rng(seed, "aggregate", m)
+    indptr, src, dst = random_groups(rng, m, n, max_size)
+    x0 = rng.normal(size=(n, 8))
+    w0 = rng.random(len(dst))
+    c = rng.normal(size=(m, 8))
+    c[rng.random(c.shape) < zero_share] = -0.0
+    c[rng.random(c.shape) < zero_share / 2] = 0.0
+    fast = aggregation_run(x0, w0, c, indptr, src, dst)
+    monkeypatch.setattr(Tape, "segment_weighted_sum", reference_segment_weighted_sum)
+    monkeypatch.setattr(Var, "accumulate", reference_accumulate)
+    ref = aggregation_run(x0, w0, c, indptr, src, dst)
+    for got, want in zip(fast, ref):
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# MF scatter
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shape, idx",
+    [
+        ((6, 3), [0, 3, 3, 5, 0, 0, 2]),  # repeated
+        ((6, 3), [4] * 9),  # all equal
+        ((6, 3), []),  # empty
+        ((6,), [1, 1, 0, 5, 1]),  # 1-D
+        ((500, 64), np.random.default_rng(3).integers(0, 500, size=512)),
+        ((40, 4), np.random.default_rng(4).zipf(1.5, size=300) % 40),  # a few rows repeat often
+    ],
+)
+def test_scatter_add_bit_identical_to_add_at(shape, idx):
+    rng = np.random.default_rng(len(idx))
+    idx = np.asarray(idx, dtype=np.int64)
+    table = rng.normal(size=shape)
+    vals = rng.normal(size=(len(idx),) + shape[1:]) * 10.0 ** rng.integers(-8, 8, size=(len(idx),) + shape[1:])
+    fast, ref = table.copy(), table.copy()
+    scatter_add(fast, idx, vals)
+    reference_scatter_add(ref, idx, vals)
+    assert fast.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# sample_view
+# ---------------------------------------------------------------------------
+
+
+def hand_subgraph(rows):
+    """A subgraph whose rows are given as lists, unsorted ones included."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    dst = np.asarray([v for r in rows for v in r], dtype=np.int64)
+    path = MetaPath((1, 2), ("User", "Movie", "User"))
+    return MetaPathSubgraph(path, "User", len(rows), indptr, dst)
+
+
+HAND_ROWS = [
+    [],  # isolated
+    [1, 2, 3],  # degree == fanout, with self
+    [5, 0, 4],  # degree == fanout, no self, unsorted
+    [7, 3, 0, 6, 5, 2],  # above fanout, with self, unsorted
+    [0, 1, 2, 3, 5],  # above fanout, no self
+    [],
+    [6],  # self only
+    [4, 2, 9, 1, 7, 8, 0, 3],
+    [],
+    [9, 8],
+]
+
+
+def assert_same_view(subgraph, fanout, seed):
+    rng_fast, rng_ref = derive_rng(seed, "view"), derive_rng(seed, "view")
+    fast = sample_view(subgraph, fanout, rng_fast)
+    ref = reference_sample_view(subgraph, fanout, rng_ref)
+    assert fast.m == ref.m
+    for name in ("indptr", "src", "dst"):
+        got, want = getattr(fast, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.int64, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("fanout", [1, 2, 3, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_view_matches_per_node_loop_on_hand_rows(fanout, seed):
+    assert_same_view(hand_subgraph(HAND_ROWS), fanout, seed)
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_sample_view_matches_per_node_loop_on_random_graphs(self_loops):
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 20:
+        graph = random_hin(rng, max_nodes=40)
+        path = random_path(graph.schema, rng)
+        if not path.is_symmetric:
+            continue
+        subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+        degrees = np.diff(subgraph.indptr)
+        for fanout in sorted({1, 2, max(1, int(degrees.max(initial=0))), max(1, int(np.median(degrees)))}):
+            assert_same_view(subgraph, fanout, checked)
+        checked += 1
+
+
+def test_sample_view_matches_per_node_loop_on_planted_graph(small_planted):
+    graph, _, _ = small_planted
+    for relations in ([1, 2], [1, 4, 3, 2], [2, 1], [4, 3]):
+        path = MetaPath.from_relations(graph.schema, relations)
+        for self_loops in (True, False):
+            subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+            for fanout in (1, 5, 20):
+                assert_same_view(subgraph, fanout, fanout)
+
+
+# ---------------------------------------------------------------------------
 # Evaluation candidates
 # ---------------------------------------------------------------------------
 
@@ -253,8 +492,12 @@ def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
     monkeypatch.setattr(recommender, "draw_negatives", counted("draw", reference_draw_negatives))
     monkeypatch.setattr(Tape, "gather", counted("gather", reference_gather))
     monkeypatch.setattr(evaluation, "evaluate", counted("evaluate", reference_evaluate))
+    monkeypatch.setattr(Tape, "segment_weighted_sum", counted("aggregate", reference_segment_weighted_sum))
+    monkeypatch.setattr(Var, "accumulate", counted("accumulate", reference_accumulate))
+    monkeypatch.setattr(recommender, "scatter_add", counted("scatter", reference_scatter_add))
+    monkeypatch.setattr(metapath, "sample_view", counted("view", reference_sample_view))
     ref = train_then_eval(dataset, config, tmp_path / "ref")
 
-    assert set(used) == {"keys", "draw", "gather", "evaluate"}
+    assert set(used) == {"keys", "draw", "gather", "evaluate", "aggregate", "accumulate", "scatter", "view"}
     for name in fast:
         assert fast[name] == ref[name], name

@@ -13,7 +13,6 @@ from hinrec.metapath import (
     encode_set,
     materialize_subgraph,
     metapath_neighbors,
-    sample_neighbors,
     sample_view,
 )
 
@@ -219,37 +218,43 @@ class TestSampling:
         mum = MetaPath.from_relations(small_movie_graph.schema, [2, 1])
         return materialize_subgraph(small_movie_graph, mum, threshold=None)
 
+    def _co_watch(self, movie_schema):
+        """UMU over 40 users who all watch one movie: every row holds all 40, self included."""
+        users = [(f"U{k}", "User") for k in range(40)] + [("M1", "Movie")]
+        edges = [(f"U{k}", "watch", "M1") for k in range(40)]
+        umu = MetaPath.from_relations(movie_schema, [1, 2])
+        return materialize_subgraph(graph_from(movie_schema, users, edges), umu, threshold=None)
+
+    @staticmethod
+    def _rows(view):
+        return [view.dst[view.indptr[v] : view.indptr[v + 1]] for v in range(view.m)]
+
     def test_small_degree_returns_all(self, small_movie_graph):
         sg = self._subgraph(small_movie_graph)
-        rng = np.random.default_rng(0)
-        out = sample_neighbors(sg, 0, fanout=10, rng=rng)
-        assert out.tolist() == sg.neighbors(0).tolist()
+        view = sample_view(sg, fanout=10, rng=np.random.default_rng(0))
+        assert [r.tolist() for r in self._rows(view)] == [sg.neighbors(v).tolist() for v in range(sg.m)]
 
     def test_large_degree_caps_and_keeps_self(self, movie_schema):
-        users = [(f"U{k}", "User") for k in range(40)] + [("M1", "Movie")]
-        edges = [(f"U{k}", "watch", "M1") for k in range(40)]
-        g = graph_from(movie_schema, users, edges)
-        umu = MetaPath.from_relations(movie_schema, [1, 2])
-        sg = materialize_subgraph(g, umu, threshold=None)
-        out = sample_neighbors(sg, 3, fanout=20, rng=np.random.default_rng(1))
-        assert len(out) == 20
-        assert len(set(out.tolist())) == 20
-        assert 3 in out.tolist()
+        sg = self._co_watch(movie_schema)
+        view = sample_view(sg, fanout=20, rng=np.random.default_rng(1))
+        for v, row in enumerate(self._rows(view)):
+            assert len(row) == 20
+            assert (np.diff(row) > 0).all()  # sorted, no repeats
+            assert v in row.tolist()
+            assert set(row.tolist()) <= set(sg.neighbors(v).tolist())
 
     def test_deterministic_given_seed(self, movie_schema):
-        users = [(f"U{k}", "User") for k in range(40)] + [("M1", "Movie")]
-        edges = [(f"U{k}", "watch", "M1") for k in range(40)]
-        g = graph_from(movie_schema, users, edges)
-        umu = MetaPath.from_relations(movie_schema, [1, 2])
-        sg = materialize_subgraph(g, umu, threshold=None)
-        a = sample_neighbors(sg, 5, 7, np.random.default_rng(99))
-        b = sample_neighbors(sg, 5, 7, np.random.default_rng(99))
-        assert a.tolist() == b.tolist()
+        sg = self._co_watch(movie_schema)
+        a = sample_view(sg, 7, np.random.default_rng(99))
+        b = sample_view(sg, 7, np.random.default_rng(99))
+        c = sample_view(sg, 7, np.random.default_rng(100))
+        assert a.dst.tolist() == b.dst.tolist()
+        assert a.dst.tolist() != c.dst.tolist()
 
     def test_fanout_zero_rejected(self, small_movie_graph):
         sg = self._subgraph(small_movie_graph)
         with pytest.raises(MetaPathError):
-            sample_neighbors(sg, 0, 0, np.random.default_rng(0))
+            sample_view(sg, 0, np.random.default_rng(0))
 
     def test_view_covers_every_node(self, small_movie_graph):
         sg = self._subgraph(small_movie_graph)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hinrec.config import ConfigError
 from hinrec.hin import HinSchema
 from hinrec.metapath import (
     ITEM_SYMMETRIC,
@@ -258,6 +259,12 @@ class TestBaselines:
         a = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
         b = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
         assert a.key() == b.key()
+
+    @pytest.mark.parametrize("candidates", [0, -1])
+    def test_greedy_rejects_rounds_without_candidates(self, movie_schema, candidates):
+        # A round with no candidates spends no budget, so the search would never end.
+        with pytest.raises(ConfigError, match="greedy_candidates"):
+            greedy_search(self._env(movie_schema), 8, candidates, np.random.default_rng(0))
 
     def test_baselines_trace_each_probe_and_failures(self, movie_schema, tmp_path):
         start = initial_set(USER_SYMMETRIC, movie_schema)
