@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .checkpoint import load_arrays, save_arrays
 
@@ -306,12 +305,6 @@ class HinGraph:
 
     def edge_count(self, rid: int) -> int:
         return int(len(self._adj[rid][1]))
-
-    def relation_matrix(self, rid: int) -> sp.csr_matrix:
-        """Boolean reachability matrix of one relation over all global ids."""
-        indptr, indices = self._adj[rid]
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
     def interactions(self) -> InteractionSet:
         rid = self.schema.interaction

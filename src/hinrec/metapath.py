@@ -2,9 +2,10 @@
 
 A meta-path is a chain of relation ids. Its fixed-length encoding counts
 relation multiplicities; a set of paths is encoded as the L2-normalized
-sum of member encodings. Reachability composes per-relation adjacency as
-boolean sparse matrices, so only connectivity matters, never instance
-counts.
+sum of member encodings. A subgraph is built a block of start nodes at a
+time: a dense 0/1 frontier per block is stepped through each relation's
+transposed adjacency and clipped back to 0/1, so only connectivity
+matters, never instance counts.
 """
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ USER_TO_ITEM = "user-to-item"
 PATH_FORMS = (USER_SYMMETRIC, ITEM_SYMMETRIC, USER_TO_ITEM)
 
 DEFAULT_MAX_PATH_LEN = 8
+# Start nodes per frontier block in materialize_subgraph; a block holds at
+# most (type size x FRONTIER_BLOCK) float32 entries.
+FRONTIER_BLOCK = 256
 
 
 class MetaPathError(ValueError):
@@ -154,24 +158,16 @@ def metapath_neighbors(graph: HinGraph, path: MetaPath, v: int) -> np.ndarray:
     return frontier
 
 
-def path_reachability(graph: HinGraph, path: MetaPath) -> sp.csr_matrix:
-    """Boolean reachability over all node pairs, composed relation by relation."""
-    mat = graph.relation_matrix(path.relation_ids[0])
-    for rid in path.relation_ids[1:]:
-        mat = mat @ graph.relation_matrix(rid)
-        mat.data.fill(1.0)  # keep boolean semantics; instance counts are irrelevant
-    mat.eliminate_zeros()
-    return mat
-
-
 @dataclass(frozen=True)
 class MetaPathSubgraph:
     """Homogeneous graph over the path's end type: edges are meta-path neighbor pairs.
 
-    Node ids are type-local. Rows of non-isolated nodes always include the
-    self-loop so a node can attend to itself during aggregation; isolated
-    nodes have empty rows. Density counts directed non-self edges over
-    m*(m-1).
+    Node ids are type-local, and ``materialize_subgraph`` builds every row
+    strictly increasing. With ``self_loops=True`` rows of non-isolated nodes
+    also hold the self-loop, so a node can attend to itself during
+    aggregation; with ``self_loops=False`` a row holds the node only when
+    the path leads back to it. Isolated nodes have empty rows. Density
+    counts directed non-self edges over m*(m-1).
     """
 
     path: MetaPath
@@ -188,6 +184,23 @@ class MetaPathSubgraph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
 
+def _transposed_block(graph: HinGraph, rid: int) -> sp.csr_matrix:
+    """Relation ``rid``'s head x tail adjacency over type-local ids, transposed."""
+    rel = graph.schema.relation(rid)
+    offsets = graph.type_offsets
+    h = graph.schema.type_index(rel.head)
+    t = graph.schema.type_index(rel.tail)
+    h_lo, h_hi, t_lo = int(offsets[h]), int(offsets[h + 1]), int(offsets[t])
+    indptr, indices = graph.adjacency(rid)
+    ptr = indptr[h_lo : h_hi + 1] - indptr[h_lo]
+    idx = indices[indptr[h_lo] : indptr[h_hi]] - t_lo
+    block = sp.csr_matrix(
+        (np.ones(len(idx), dtype=np.float32), idx, ptr),
+        shape=(h_hi - h_lo, int(offsets[t + 1]) - t_lo),
+    )
+    return block.T.tocsr()
+
+
 def materialize_subgraph(
     graph: HinGraph,
     path: MetaPath,
@@ -198,36 +211,44 @@ def materialize_subgraph(
 
     Requires a symmetric path (same start and end node type). With
     ``threshold=None`` the density filter is disabled.
+
+    Start nodes are taken ``FRONTIER_BLOCK`` at a time. A block's frontier
+    is a dense 0/1 float32 array (nodes of the current type x block); each
+    relation steps it as ``R.T @ frontier != 0``, with R the relation's own
+    head x tail adjacency. The count of off-diagonal pairs only grows from
+    block to block, so the path is rejected as soon as the count so far
+    puts its density above the threshold: the same decision as counting
+    every block first.
     """
     if not path.is_symmetric:
         raise MetaPathError(f"subgraph requires symmetric meta-path, got {path.label()}")
     t_idx = graph.schema.type_index(path.node_types[0])
-    lo, hi = int(graph.type_offsets[t_idx]), int(graph.type_offsets[t_idx + 1])
-    m = hi - lo
+    m = int(graph.type_offsets[t_idx + 1] - graph.type_offsets[t_idx])
+    steps = [_transposed_block(graph, rid) for rid in path.relation_ids]
 
-    reach = path_reachability(graph, path)[lo:hi, lo:hi].tocsr()
-    src = np.repeat(np.arange(m), np.diff(reach.indptr))
-    dst = reach.indices.astype(np.int64)
-    n_plain = int(np.sum(src != dst))
+    n_plain = 0
+    found = [np.empty(0, dtype=np.int64)]  # row-major positions in the m x m reachability
+    for b0 in range(0, m, FRONTIER_BLOCK):
+        width = min(FRONTIER_BLOCK, m - b0)
+        own = np.arange(width)
+        reach = np.zeros((m, width), dtype=bool)
+        reach[b0 + own, own] = True
+        for step in steps:
+            reach = step @ reach.astype(np.float32) != 0  # counts <= type size: exact in float32
+        rows = np.ascontiguousarray(reach.T)  # row k: start node b0 + k
+        n_plain += int(np.count_nonzero(rows) - np.count_nonzero(rows[own, b0 + own]))
+        if threshold is not None and m > 1 and n_plain / (m * (m - 1)) > threshold:
+            return None
+        if self_loops:
+            rows[own, b0 + own] |= rows.any(axis=1)
+        found.append(np.flatnonzero(rows) + b0 * m)
+
     density = n_plain / (m * (m - 1)) if m > 1 else 0.0
     if threshold is not None and density > threshold:
         return None
-
-    if self_loops and m:
-        has_out = np.zeros(m, dtype=bool)
-        has_out[src] = True
-        loops = np.flatnonzero(has_out)
-        src = np.concatenate([src, loops])
-        dst = np.concatenate([dst, loops])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.ones(len(src), dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
-
+    src, dst = np.divmod(np.concatenate(found), m)
     indptr = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
     return MetaPathSubgraph(path, path.node_types[0], m, indptr, dst, density)
 
 

@@ -88,8 +88,24 @@ def brute_force_metapath_neighbors(graph, path, v):
     return sorted({seq[-1] for seq in sequences})
 
 
-def random_hin(rng, max_nodes=50, max_base_relations=3):
-    """A random schema plus random edges, for oracle-equivalence sweeps."""
+def brute_force_subgraph_rows(graph, path, self_loops=True):
+    """Oracle rows of the path's subgraph in type-local ids; non-empty rows gain the node itself if asked."""
+    lo = int(graph.type_offsets[graph.schema.type_index(path.start_type)])
+    rows = []
+    for v in range(graph.type_count(path.start_type)):
+        reached = [w - lo for w in brute_force_metapath_neighbors(graph, path, lo + v)]
+        if self_loops and reached:
+            reached = sorted(set(reached) | {v})
+        rows.append(reached)
+    return rows
+
+
+def random_hin(rng, max_nodes=50, max_base_relations=3, min_per_type=2, p_empty=0.0):
+    """A random schema plus random edges, for oracle-equivalence sweeps.
+
+    Each type gets at least ``min_per_type`` nodes; each base relation is
+    left without edges with probability ``p_empty``.
+    """
     n_types = int(rng.integers(2, 4))
     type_names = [f"T{k}" for k in range(n_types)]
     n_base = int(rng.integers(1, max_base_relations + 1))
@@ -103,7 +119,7 @@ def random_hin(rng, max_nodes=50, max_base_relations=3):
             lines.append(f"r{b}: {head} -> {tail} ~ r{b}x")
     schema = HinSchema.parse("\n".join(lines))
 
-    per_type = rng.integers(2, max(3, max_nodes // n_types + 1), size=n_types)
+    per_type = rng.integers(min_per_type, max(3, max_nodes // n_types + 1), size=n_types)
     nodes = [(f"{t}_{i}", t) for k, t in enumerate(type_names) for i in range(int(per_type[k]))]
     order = {sid: idx for idx, (sid, _) in enumerate(nodes)}
     by_type = {t: [sid for sid, tt in nodes if tt == t] for t in type_names}
@@ -114,6 +130,8 @@ def random_hin(rng, max_nodes=50, max_base_relations=3):
         if rel.rid in seen_rids:
             continue
         seen_rids.update((rel.rid, rel.comp))
+        if p_empty and rng.random() < p_empty:
+            continue
         heads, tails = by_type[rel.head], by_type[rel.tail]
         p = rng.uniform(0.05, 0.35)
         for h in heads:

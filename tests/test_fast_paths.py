@@ -5,11 +5,13 @@ of ``recommender.draw_negatives`` (one ``searchsorted`` per user per
 rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros),
 ``evaluation.evaluate`` (candidate rows redrawn on every call), the node
 aggregation (gather, row scaling and group sum as three tape ops),
-``Var.accumulate`` (zeros, then ``+=``), MF's scatter (``np.add.at``) and
-``metapath.sample_view`` (one ``sample_neighbors`` call per node). The
-fast paths must reproduce them bit for bit, down to the state of the
-random generator they share, so that every trained model, metric and
-search trajectory stays the same.
+``Var.accumulate`` (zeros, then ``+=``), MF's scatter (``np.add.at``),
+``metapath.sample_view`` (one ``sample_neighbors`` call per node) and
+``metapath.materialize_subgraph`` (a boolean sparse product over all
+``num_nodes x num_nodes`` relation matrices, sliced to the start type and
+sorted with ``lexsort``). The fast paths must reproduce them bit for bit,
+down to the state of the random generator they share, so that every
+trained model, metric and search trajectory stays the same.
 """
 from __future__ import annotations
 
@@ -17,15 +19,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hinrec import cli, evaluation, metapath, recommender
 from hinrec.autodiff import Tape, Var
 from hinrec.evaluation import embedding_scorer, rank_position, split_leave_one_out
 from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
 from hinrec.recommender import _in_sorted, draw_negatives, positive_keys, scatter_add
-from hinrec.util import derive_rng
+from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
 
-from conftest import random_hin, random_path
+from conftest import brute_force_subgraph_rows, graph_from, random_hin, random_path
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,49 @@ def reference_sample_view(subgraph, fanout, rng):
     dst = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     src = np.repeat(np.arange(m), counts)
     return SampledView(m, indptr, src, dst)
+
+
+def reference_materialize_subgraph(graph, path, threshold=0.5, self_loops=True):
+    def relation_matrix(rid):
+        indptr, indices = graph.adjacency(rid)
+        data = np.ones(len(indices), dtype=np.float64)
+        return sp.csr_matrix((data, indices, indptr), shape=(graph.num_nodes, graph.num_nodes))
+
+    if not path.is_symmetric:
+        raise MetaPathError(f"subgraph requires symmetric meta-path, got {path.label()}")
+    t_idx = graph.schema.type_index(path.node_types[0])
+    lo, hi = int(graph.type_offsets[t_idx]), int(graph.type_offsets[t_idx + 1])
+    m = hi - lo
+
+    mat = relation_matrix(path.relation_ids[0])
+    for rid in path.relation_ids[1:]:
+        mat = mat @ relation_matrix(rid)
+        mat.data.fill(1.0)
+    mat.eliminate_zeros()
+    reach = mat[lo:hi, lo:hi].tocsr()
+    src = np.repeat(np.arange(m), np.diff(reach.indptr))
+    dst = reach.indices.astype(np.int64)
+    n_plain = int(np.sum(src != dst))
+    density = n_plain / (m * (m - 1)) if m > 1 else 0.0
+    if threshold is not None and density > threshold:
+        return None
+
+    if self_loops and m:
+        has_out = np.zeros(m, dtype=bool)
+        has_out[src] = True
+        loops = np.flatnonzero(has_out)
+        src = np.concatenate([src, loops])
+        dst = np.concatenate([dst, loops])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = np.ones(len(src), dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[keep], dst[keep]
+
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return MetaPathSubgraph(path, path.node_types[0], m, indptr, dst, density)
 
 
 def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
@@ -401,6 +447,111 @@ def test_sample_view_matches_per_node_loop_on_planted_graph(small_planted):
 
 
 # ---------------------------------------------------------------------------
+# materialize_subgraph
+# ---------------------------------------------------------------------------
+
+
+BLOCKS = [1, 3, metapath.FRONTIER_BLOCK]
+
+
+def assert_same_subgraph(graph, path, threshold, self_loops=True):
+    """Byte-equal to the reference, or None on both sides; rows sorted without self-loops."""
+    fast = metapath.materialize_subgraph(graph, path, threshold, self_loops)
+    ref = reference_materialize_subgraph(graph, path, threshold, self_loops)
+    assert (fast is None) == (ref is None), (path.label(), threshold)
+    if ref is None:
+        return None
+    assert (fast.path, fast.node_type, fast.m) == (ref.path, ref.node_type, ref.m)
+    assert fast.indptr.dtype == fast.dst.dtype == ref.dst.dtype == np.int64
+    assert fast.indptr.tobytes() == ref.indptr.tobytes()
+    assert type(fast.density) is float and fast.density == ref.density
+    if self_loops:
+        assert fast.dst.tobytes() == ref.dst.tobytes()
+    else:  # the reference keeps the sparse product's row order
+        for v in range(ref.m):
+            np.testing.assert_array_equal(fast.neighbors(v), np.sort(ref.neighbors(v)))
+    return fast
+
+
+def assert_rows_match_brute_force(graph, path, subgraph):
+    rows = [subgraph.neighbors(v).tolist() for v in range(subgraph.m)]
+    assert rows == brute_force_subgraph_rows(graph, path), path.label()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_materialize_matches_reference_on_random_graphs(monkeypatch, block):
+    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
+    rng = np.random.default_rng(23)
+    seen = Counter()
+    checked = 0
+    while checked < 40:
+        graph = random_hin(rng, max_nodes=24, min_per_type=1, p_empty=0.25)
+        path = random_path(graph.schema, rng, max_len=6)
+        if not path.is_symmetric:
+            continue
+        subgraphs = [assert_same_subgraph(graph, path, threshold) for threshold in (None, 0.0, 0.25, 0.5)]
+        seen["rejected"] += sum(sg is None for sg in subgraphs)
+        assert_same_subgraph(graph, path, None, self_loops=False)
+        full = subgraphs[0]
+        assert_rows_match_brute_force(graph, path, full)
+        rels = [graph.schema.relation(rid) for rid in path.relation_ids]
+        seen["self-complementary"] += any(rel.comp == rel.rid for rel in rels)
+        seen["zero-edge relation"] += any(graph.edge_count(rel.rid) == 0 for rel in rels)
+        seen["isolated node"] += bool((np.diff(full.indptr) == 0).any())
+        seen["type of size 1"] += full.m == 1
+        seen["several blocks"] += full.m > block
+        checked += 1
+    cases = {"rejected", "self-complementary", "zero-edge relation", "isolated node", "type of size 1"}
+    if block != BLOCKS[-1]:  # the default block spans every type here
+        cases.add("several blocks")
+    assert all(seen[case] > 0 for case in cases), seen
+
+
+def planted_paths(schema, max_len=8):
+    """Every User- or Movie-symmetric relation chain of at most ``max_len`` relations."""
+    found, frontier = [], [[rel.rid] for rel in schema.relations]
+    while frontier:
+        rids = frontier.pop()
+        path = MetaPath.from_relations(schema, rids)
+        if path.is_symmetric and path.start_type in ("User", "Movie"):
+            found.append(path)
+        if len(rids) < max_len:
+            frontier.extend(rids + [rel.rid] for rel in schema.relations if rel.head == path.end_type)
+    return sorted(found, key=lambda p: (len(p), p.relation_ids))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_materialize_matches_reference_on_planted_graph(monkeypatch, small_planted, block):
+    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
+    graph, _, _ = small_planted
+    paths = planted_paths(graph.schema)
+    assert len(paths) == 160 and {len(p) for p in paths} == {2, 4, 6, 8}
+    rejected = 0
+    for k, path in enumerate(paths):
+        if block != BLOCKS[-1] and k % 3:  # narrow blocks: every third path
+            continue
+        rejected += assert_same_subgraph(graph, path, 0.5) is None
+        full = assert_same_subgraph(graph, path, None)
+        if len(path) == 2:
+            assert_same_subgraph(graph, path, 0.0)
+            assert_rows_match_brute_force(graph, path, full)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_materialize_accepts_density_equal_to_threshold(monkeypatch, movie_schema, block):
+    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
+    users = [(f"U{k}", "User") for k in range(4)]
+    edges = [("U0", "watch", "M0"), ("U1", "watch", "M0"), ("U2", "watch", "M0"), ("U3", "watch", "M1")]
+    graph = graph_from(movie_schema, users + [("M0", "Movie"), ("M1", "Movie")], edges)
+    umu = MetaPath.from_relations(movie_schema, [1, 2])
+    # U0, U1 and U2 reach each other: 6 directed non-self pairs over 4 * 3.
+    sg = assert_same_subgraph(graph, umu, 0.5)
+    assert sg.density == 0.5
+    assert assert_same_subgraph(graph, umu, np.nextafter(0.5, 0.0)) is None
+
+
+# ---------------------------------------------------------------------------
 # Evaluation candidates
 # ---------------------------------------------------------------------------
 
@@ -463,6 +614,13 @@ def train_then_eval(dataset, config, out):
     return {name: (out / name).read_bytes() for name in ("model.ckpt", "history.jsonl", "metrics.jsonl")}
 
 
+def random_search(dataset, config, out):
+    """``search --strategy random --iter-limit 8``: sets.json and trace.jsonl without wall-clock fields."""
+    args = ["--dataset", str(dataset), "--config", str(config), "--seed", "0", "--out", str(out)]
+    assert cli.main(["search", "--strategy", "random", "--iter-limit", "8", *args]) == 0
+    return strip_volatile([read_json(out / "sets.json"), list(read_jsonl(out / "trace.jsonl"))])
+
+
 def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
     dataset = tmp_path / "data"
     assert cli.main(["synth", "--profile", "planted-mam-small", "--seed", "1", "--out", str(dataset)]) == 0
@@ -473,6 +631,7 @@ def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("rec_epochs = 2\n")
     fast = train_then_eval(dataset, config, tmp_path / "fast")
+    fast_search = random_search(dataset, config, tmp_path / "fast-search")
 
     used = Counter()
 
@@ -496,8 +655,15 @@ def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
     monkeypatch.setattr(Var, "accumulate", counted("accumulate", reference_accumulate))
     monkeypatch.setattr(recommender, "scatter_add", counted("scatter", reference_scatter_add))
     monkeypatch.setattr(metapath, "sample_view", counted("view", reference_sample_view))
+    monkeypatch.setattr(metapath, "materialize_subgraph", counted("materialize", reference_materialize_subgraph))
     ref = train_then_eval(dataset, config, tmp_path / "ref")
+    used_by_train = used.copy()
+    ref_search = random_search(dataset, config, tmp_path / "ref-search")
 
-    assert set(used) == {"keys", "draw", "gather", "evaluate", "aggregate", "accumulate", "scatter", "view"}
+    assert set(used_by_train) == {
+        "keys", "draw", "gather", "evaluate", "aggregate", "accumulate", "scatter", "view", "materialize",
+    }
+    assert used["materialize"] > used_by_train["materialize"]
     for name in fast:
         assert fast[name] == ref[name], name
+    assert fast_search == ref_search

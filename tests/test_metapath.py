@@ -18,6 +18,7 @@ from hinrec.metapath import (
 
 from conftest import (
     brute_force_metapath_neighbors,
+    brute_force_subgraph_rows,
     graph_from,
     random_hin,
     random_path,
@@ -199,6 +200,24 @@ class TestSubgraph:
         um = MetaPath.from_relations(movie_schema, [1])
         with pytest.raises(MetaPathError, match="symmetric"):
             materialize_subgraph(graph_from(movie_schema, [("U1", "User"), ("M1", "Movie")], []), um)
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_rows_strictly_increasing(self, small_planted, self_loops):
+        planted = small_planted[0]
+        cases = [
+            (planted, MetaPath.from_relations(planted.schema, r)) for r in ([1, 2], [2, 1], [1, 4, 3, 2], [2, 1, 2, 1])
+        ]
+        rng = np.random.default_rng(5)
+        while len(cases) < 12:
+            graph = random_hin(rng, max_nodes=30)
+            path = random_path(graph.schema, rng, max_len=5)
+            if path.is_symmetric:
+                cases.append((graph, path))
+        for graph, path in cases:
+            sg = materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+            rows = [sg.neighbors(v) for v in range(sg.m)]
+            assert all((np.diff(row) > 0).all() for row in rows), path.label()
+            assert [row.tolist() for row in rows] == brute_force_subgraph_rows(graph, path, self_loops)
 
     def test_density_in_unit_interval(self):
         rng = np.random.default_rng(42)
