@@ -7,9 +7,9 @@ Everything runs in float64; segment ops assume contiguous, non-empty
 groups (guaranteed by the sampled neighborhood views).
 
 Node-level aggregation is one fused op, :meth:`Tape.segment_weighted_sum`:
-each group's sum of neighbour rows under per-edge weights, with a sparse
-product for the rows' gradient. It records one step and keeps no
-per-edge row array on the tape.
+each group's sum of neighbour rows under per-edge weights, as one sparse
+product forward and backward. It records one step and keeps no per-edge
+row array on the tape.
 """
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.special import expit
+
+# Entries per block of :meth:`Tape.segment_weighted_sum`'s weight gradient.
+WEIGHT_GRAD_BLOCK = 4096
 
 
 class Var:
@@ -259,26 +262,27 @@ class Tape:
         """Per group, the sum of rows ``x[dst]`` weighted by the length-E ``w``.
 
         Groups are contiguous and non-empty as in :meth:`segment_softmax`;
-        entry e belongs to group ``src[e]`` and reads row ``dst[e]``. Values
-        and gradients are bit-identical to a gather, a row scaling and a
-        group sum recorded as three ops. The forward works on the transposed
-        (d, E) products, where ``reduceat`` adds the same terms of each group
-        and column in the same order as on (E, d) rows, but over contiguous
-        memory. ``x``'s gradient ``A.T @ g``, with A the (m, n) CSR matrix of
-        weights, adds each row's terms from zero in entry order, as
-        :meth:`gather`'s selection matrix does.
+        entry e belongs to group ``src[e]`` and reads row ``dst[e]``. With A
+        the (m, n) CSR matrix of the weights, the value is ``A @ x`` and
+        ``x``'s gradient is ``A.T @ g``, which adds each row's terms from
+        zero in entry order, as :meth:`gather`'s selection matrix does. The
+        weights' gradient ``sum(g[src] * x[dst], axis=1)`` is taken
+        :data:`WEIGHT_GRAD_BLOCK` entries at a time, so no (E, d) array is
+        held whole; each entry's sum is the same as in one pass.
         """
-        weighted = np.take(np.ascontiguousarray(x.value.T), dst, axis=1)
-        weighted *= w.value
+        weights = csr_matrix((w.value, dst, indptr), shape=(len(indptr) - 1, len(x.value)))
 
         def back(g):
-            products = g[src]
-            products *= x.value[dst]
-            w.accumulate(np.sum(products, axis=1))
-            weights = csr_matrix((w.value, dst, indptr), shape=(len(indptr) - 1, len(x.value)))
+            grad = np.empty(len(dst))
+            for lo in range(0, len(dst), WEIGHT_GRAD_BLOCK):
+                block = slice(lo, lo + WEIGHT_GRAD_BLOCK)
+                products = g[src[block]]
+                products *= x.value[dst[block]]
+                np.sum(products, axis=1, out=grad[block])
+            w.accumulate(grad)
             x.accumulate(weights.T @ g)
 
-        return self._emit(np.ascontiguousarray(np.add.reduceat(weighted, indptr[:-1], axis=1).T), back)
+        return self._emit(weights @ x.value, back)
 
 
 def activation(tape: Tape, name: str):

@@ -5,8 +5,8 @@ one test pair; everything else trains. A held-out positive is ranked
 against 499 never-interacted negatives with pessimistic tie breaking.
 The candidate rows (positive plus negatives) depend only on the split, the
 seed and the negative count, so :meth:`SplitSet.candidates` draws them once
-and caches them on the split; every later evaluation of that split reuses
-them.
+and caches them on the split as flat arrays; every later evaluation of that
+split reuses them and ranks all of its rows at once.
 The :class:`PerformanceProbe` scores a candidate meta-path pair by lightly
 training a fresh recommender and reporting validation NDCG@10; results and
 subgraphs are cached so repeated probes of one set are bit-identical.
@@ -25,6 +25,24 @@ from .search_env import ProbeFailure
 from .util import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """One split's candidate rows, flat: row k is ``items[starts[k]:starts[k + 1]]``,
+    and the last row runs to the end.
+
+    Rows follow user order and hold the held-out positive first, then its
+    sampled negatives; ``users`` repeats each row's user per entry. All ids
+    are global, and the arrays are read-only.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass
@@ -49,22 +67,38 @@ class SplitSet:
     def held_out(self, which: str) -> dict[int, int]:
         return {int(u): int(i) for u, i in self.pairs(which)}
 
-    def candidates(self, which: str, seed: int, n_negatives: int) -> dict[int, np.ndarray]:
-        """Per held-out user, in user order: the positive, then its sampled negatives.
+    def candidates(self, which: str, seed: int, n_negatives: int) -> Candidates:
+        """Every held-out user's row of the positive and its sampled negatives.
 
         Negatives derive from (seed, split, user). The rows are drawn on the
         first call for a ``(which, seed, n_negatives)`` key, kept on the
-        split and returned read-only on every later call.
+        split and returned on every later call. A draw where some users have
+        fewer than ``n_negatives`` never-interacted items logs one warning.
         """
         key = (which, seed, n_negatives)
         if key not in self._candidates:
-            rows = {}
+            users, rows = [], []
             for u, positive in sorted(self.held_out(which).items()):
                 negs = sample_negatives(self, u, n_negatives, derive_rng(seed, "negatives", which, u))
-                row = np.concatenate([[positive], negs])
-                row.flags.writeable = False
-                rows[u] = row
-            self._candidates[key] = rows
+                users.append(u)
+                rows.append(np.concatenate([[positive], negs]))
+            counts = np.asarray([len(row) for row in rows], dtype=np.int64)
+            short = counts[counts <= n_negatives] - 1
+            if len(short):
+                log.warning(
+                    "%s: negative pool reduced for %d of %d users, to %d-%d items",
+                    which, len(short), len(rows), short.min(), short.max(),
+                )
+            starts = np.zeros(len(rows), dtype=np.int64)
+            np.cumsum(counts[:-1], out=starts[1:])
+            flat = Candidates(
+                np.repeat(np.asarray(users, dtype=np.int64), counts),
+                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
+                starts,
+            )
+            for arr in (flat.users, flat.items, flat.starts):
+                arr.flags.writeable = False
+            self._candidates[key] = flat
         return self._candidates[key]
 
     def _local(self, graph: HinGraph, pairs: np.ndarray) -> np.ndarray:
@@ -119,32 +153,14 @@ def sample_negatives(
 ) -> np.ndarray:
     """Distinct items the user never interacted with, uniform without replacement.
 
-    Falls back to the whole eligible pool (with a log record) when it is
-    smaller than ``count``.
+    Falls back to the whole eligible pool when it is smaller than ``count``;
+    :meth:`SplitSet.candidates` reports such users.
     """
     interacted = split.user_items.get(int(user), np.empty(0, dtype=np.int64))
     pool = np.setdiff1d(split.item_ids, interacted, assume_unique=True)
     if len(pool) < count:
-        log.warning("user %d: negative pool reduced to %d items", user, len(pool))
         return pool
     return rng.choice(pool, size=count, replace=False)
-
-
-def rank_position(scores: np.ndarray, positive_index: int) -> int:
-    """1 + the number of other candidates scoring >= the positive (ties hurt)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    pos = scores[positive_index]
-    better_or_tied = int(np.sum(scores >= pos)) - 1
-    return 1 + better_or_tied
-
-
-def hr_at_k(rank: int, k: int) -> int:
-    return 1 if rank <= k else 0
-
-
-def ndcg_at_k(rank: int, k: int) -> float:
-    """Single relevant item: ideal DCG is 1, so NDCG is the positional discount."""
-    return 1.0 / np.log2(rank + 1) if rank <= k else 0.0
 
 
 @dataclass
@@ -182,27 +198,35 @@ def evaluate(
 ) -> RankingMetrics:
     """Rank each eligible user's held-out positive among sampled negatives.
 
-    ``scorer(user, items) -> scores`` sees global ids and gets the user's
-    row of :meth:`SplitSet.candidates`, positive first. Negatives derive
-    from (seed, split, user) alone, so a split's rows are the same for every
+    ``scorer(users, items) -> scores`` scores global-id pairs elementwise;
+    it gets every entry of :meth:`SplitSet.candidates` in one call. A
+    positive's rank is the number of its row's entries scoring at least as
+    high, itself included, so ties count against it. Negatives derive from
+    (seed, split, user) alone, so a split's rows are the same for every
     caller.
     """
-    rows = split.candidates(which, seed, n_negatives)
-    if not rows:
+    cand = split.candidates(which, seed, n_negatives)
+    if not len(cand):
         raise ValueError(f"no eligible users in split {which!r}")
     ks = tuple(sorted(ks))
-    ranks_arr = np.asarray([rank_position(scorer(u, row), 0) for u, row in rows.items()])
-    hr = {k: float(np.mean([hr_at_k(r, k) for r in ranks_arr])) for k in ks}
-    ndcg = {k: float(np.mean([ndcg_at_k(r, k) for r in ranks_arr])) for k in ks}
-    return RankingMetrics(which, ks, hr, ndcg, len(rows))
+    scores = np.asarray(scorer(cand.users, cand.items), dtype=np.float64)
+    counts = np.diff(np.append(cand.starts, len(scores)))
+    at_least = scores >= np.repeat(scores[cand.starts], counts)
+    ranks = np.add.reduceat(at_least.astype(np.int64), cand.starts)
+    gains = 1.0 / np.log2(ranks + 1)
+    hr = {k: float(np.mean(ranks <= k)) for k in ks}
+    ndcg = {k: float(np.mean(np.where(ranks <= k, gains, 0.0))) for k in ks}
+    return RankingMetrics(which, ks, hr, ndcg, len(cand))
 
 
 def embedding_scorer(graph: HinGraph, H_user: np.ndarray, H_item: np.ndarray):
+    """Pairwise scorer over global ids, from one product of the two tables."""
     u_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.user_type)])
     i_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.item_type)])
+    S = H_user @ H_item.T
 
-    def scorer(user: int, items: np.ndarray) -> np.ndarray:
-        return H_item[np.asarray(items) - i_off] @ H_user[user - u_off]
+    def scorer(users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        return S[np.asarray(users) - u_off, np.asarray(items) - i_off]
 
     return scorer
 

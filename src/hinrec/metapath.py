@@ -270,10 +270,14 @@ def sample_view(subgraph: MetaPathSubgraph, fanout: int, rng: np.random.Generato
     """Up to ``fanout`` neighbours per node, uniform without replacement.
 
     A node with at most ``fanout`` neighbours keeps its whole row as stored,
-    and an isolated node gets itself; both are copied without a loop. Larger
-    rows are drawn node by node in increasing order: a row holding the node
-    keeps it and draws the other ``fanout - 1`` from the rest, and the drawn
-    row is sorted. Only these draws use ``rng``.
+    and an isolated node gets itself; both are copied without drawing.
+    Larger rows are drawn all at once by Floyd's algorithm (Bentley & Floyd,
+    CACM 1987): a row holding the node keeps it and picks ``fanout - 1`` of
+    the other entries, any other row picks ``fanout``. Round r draws one
+    integer in ``[0, j]`` per row, with ``j`` the row's pool size minus the
+    picks still to come, and takes ``j`` itself when the draw repeats an
+    earlier pick; this gives every subset of the pool the same chance. Each
+    drawn row is sorted. Only these draws use ``rng``.
     """
     if fanout <= 0:
         raise MetaPathError("fanout must be a positive integer")
@@ -292,22 +296,27 @@ def sample_view(subgraph: MetaPathSubgraph, fanout: int, rng: np.random.Generato
     shift = np.repeat((indptr - subgraph.indptr)[:-1][whole], degrees[whole])
     dst[np.flatnonzero(kept) + shift] = subgraph.dst[kept]
 
-    # Edge position of each row's self-loop, or -1 (rows hold distinct nodes).
+    # Position of each row's self-loop within the row, or -1 (rows hold distinct nodes).
     owner = np.repeat(np.arange(m), degrees)
     self_edges = np.flatnonzero(subgraph.dst == owner)
     self_at = np.full(m, -1, dtype=np.int64)
-    self_at[owner[self_edges]] = self_edges
+    self_at[owner[self_edges]] = self_edges - subgraph.indptr[owner[self_edges]]
     big = np.flatnonzero(degrees > fanout)
-    sub = subgraph.dst
-    for v, lo, hi, at, out_lo in zip(
-        big.tolist(), subgraph.indptr[big].tolist(), subgraph.indptr[big + 1].tolist(),
-        self_at[big].tolist(), indptr[big].tolist(),
-    ):
-        out = dst[out_lo : out_lo + fanout]
-        if at >= 0:
-            out[0] = v
-            out[1:] = rng.choice(np.concatenate((sub[lo:at], sub[at + 1 : hi])), size=fanout - 1, replace=False)
-        else:
-            out[:] = rng.choice(sub[lo:hi], size=fanout, replace=False)
-        out.sort()
+    at = self_at[big]
+    has_self = at >= 0
+    # Pool positions 0 .. pool - 1; a self row's pool skips its self-loop.
+    pool = degrees[big] - has_self
+    picks = np.full((len(big), fanout), -1, dtype=np.int64)
+    for r in range(fanout):
+        active = np.flatnonzero(~has_self) if r == 0 else slice(None)
+        j = pool[active] - fanout + r
+        draw = rng.integers(0, j + 1)
+        taken = (picks[active, :r] == draw[:, None]).any(axis=1)
+        picks[active, r] = np.where(taken, j, draw)
+    rows = picks + subgraph.indptr[big, None]
+    rows += (picks >= at[:, None]) & has_self[:, None]  # step over the self-loop
+    chosen = subgraph.dst[rows]
+    chosen[has_self, 0] = big[has_self]
+    chosen.sort(axis=1)
+    dst[indptr[big, None] + np.arange(fanout)] = chosen
     return SampledView(m, indptr, src, dst)

@@ -37,6 +37,10 @@ ARCH_FIELDS = (
 )
 # The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
 CHECKPOINT_FORMAT = 2
+# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -295,7 +299,11 @@ class HRecModel:
     """All learnable state plus the side bundles it was built for.
 
     ``cfg`` supplies the architecture (:data:`ARCH_FIELDS`) and the training
-    loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``.
+    loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``. The
+    type projections start at the identity, so the untrained model scores
+    in the space of its embedding init. Adam's two moment arrays per
+    parameter live on the model and start at zero with it; checkpoints
+    hold the parameters only.
     """
 
     def __init__(
@@ -323,7 +331,7 @@ class HRecModel:
             params["user_emb"] = Var(_glorot(rng, user_side.m, d))
             params["item_emb"] = Var(_glorot(rng, item_side.m, d))
         for side in (user_side, item_side):
-            params[f"proj.{side.node_type}"] = Var(_glorot(rng, d, d))
+            params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
             for k in range(len(side.pset)):
                 for h in range(cfg.heads):
@@ -333,15 +341,29 @@ class HRecModel:
             for k in range(len(side.pset)):
                 params[f"q.{tag}.{k}"] = Var(_glorot(rng, hid))
         self.params = params
+        self.adam_steps = 0
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_grad(self) -> None:
         for var in self.params.values():
             var.grad = None
 
-    def sgd_step(self, lr: float) -> None:
-        for var in self.params.values():
-            if var.grad is not None:
-                var.value -= lr * var.grad
+    def adam_step(self, lr: float) -> None:
+        """One bias-corrected Adam update of every parameter that has a gradient."""
+        self.adam_steps += 1
+        fix1 = 1.0 - ADAM_BETA1**self.adam_steps
+        fix2 = 1.0 - ADAM_BETA2**self.adam_steps
+        for name, var in self.params.items():
+            if var.grad is None:
+                continue
+            if name not in self._moments:
+                self._moments[name] = (np.zeros_like(var.value), np.zeros_like(var.value))
+            m, v = self._moments[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * var.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(var.grad)
+            var.value -= lr * (m / fix1) / (np.sqrt(v / fix2) + ADAM_EPS)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.value.copy() for k, v in self.params.items()}
@@ -552,7 +574,7 @@ def train(
     eval_each_epoch: bool = True,
     evaluator=None,
 ) -> TrainResult:
-    """Epoch loop of tape forward/backward steps with validation early stopping.
+    """Epoch loop of tape forward/backward and Adam steps with validation early stopping.
 
     ``split`` provides local-index training pairs and the per-user
     interaction profile; ``evaluator(model, epoch) -> float`` supplies the
@@ -590,7 +612,7 @@ def train(
             if not np.isfinite(loss.value):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // cfg.rec_batch}")
             fp.tape.backward(loss)
-            model.sgd_step(cfg.rec_lr)
+            model.adam_step(cfg.rec_lr)
             model.zero_grad()
             losses.append((float(loss.value), len(sel)))
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))

@@ -3,15 +3,22 @@
 The reference implementations below are the earlier per-element versions
 of ``recommender.draw_negatives`` (one ``searchsorted`` per user per
 rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros),
-``evaluation.evaluate`` (candidate rows redrawn on every call), the node
-aggregation (gather, row scaling and group sum as three tape ops),
-``Var.accumulate`` (zeros, then ``+=``), MF's scatter (``np.add.at``),
-``metapath.sample_view`` (one ``sample_neighbors`` call per node) and
-``metapath.materialize_subgraph`` (a boolean sparse product over all
-``num_nodes x num_nodes`` relation matrices, sliced to the start type and
-sorted with ``lexsort``). The fast paths must reproduce them bit for bit,
-down to the state of the random generator they share, so that every
-trained model, metric and search trajectory stays the same.
+``evaluation.evaluate`` (candidate rows redrawn on every call and ranked
+one user at a time), the node aggregation (gather, row scaling and group
+sum as three tape ops), ``Var.accumulate`` (zeros, then ``+=``), MF's
+scatter (``np.add.at``), ``metapath.sample_view`` (one ``rng.choice`` per
+node) and ``metapath.materialize_subgraph`` (a boolean sparse product over
+all ``num_nodes x num_nodes`` relation matrices, sliced to the start type
+and sorted with ``lexsort``).
+
+Most fast paths must reproduce their reference bit for bit, down to the
+state of the random generator they share. Three are held to a looser
+contract instead. The sampler draws other (equally uniform) subsets than
+``rng.choice``, so its views are checked for shape, membership, the
+self-loop, determinism and uniformity. The aggregation's forward sums each
+group in another order, so it is checked to 1e-13, with its gradients
+still byte-equal. The ranking scores every pair from one product of the
+embedding tables, and its metrics must equal the per-user reference.
 """
 from __future__ import annotations
 
@@ -21,9 +28,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hinrec import cli, evaluation, metapath, recommender
+import logging
+from itertools import combinations
+
+from hinrec import autodiff, cli, evaluation, metapath, recommender
 from hinrec.autodiff import Tape, Var
-from hinrec.evaluation import embedding_scorer, rank_position, split_leave_one_out
+from hinrec.evaluation import embedding_scorer, split_leave_one_out
 from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
 from hinrec.recommender import _in_sorted, draw_negatives, positive_keys, scatter_add
 from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
@@ -175,7 +185,40 @@ def reference_materialize_subgraph(graph, path, threshold=0.5, self_loops=True):
     return MetaPathSubgraph(path, path.node_types[0], m, indptr, dst, density)
 
 
+def reference_rank_position(scores, positive_index):
+    """1 + the number of other candidates scoring >= the positive (ties hurt)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = scores[positive_index]
+    better_or_tied = int(np.sum(scores >= pos)) - 1
+    return 1 + better_or_tied
+
+
+def reference_hr_at_k(rank, k):
+    return 1 if rank <= k else 0
+
+
+def reference_ndcg_at_k(rank, k):
+    return 1.0 / np.log2(rank + 1) if rank <= k else 0.0
+
+
+def reference_embedding_scorer(graph, H_user, H_item):
+    """Per-user scores ``H_item[items] @ H_user[user]`` over global ids."""
+    u_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.user_type)])
+    i_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.item_type)])
+
+    def scorer(user, items):
+        return H_item[np.asarray(items) - i_off] @ H_user[user - u_off]
+
+    return scorer
+
+
+def per_user(scorer):
+    """A per-user scorer over a pairwise one, for :func:`reference_evaluate`."""
+    return lambda user, items: scorer(np.full(len(items), user), items)
+
+
 def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
+    """``scorer(user, items)`` scores one user's candidate row."""
     held = split.held_out(which)
     if not held:
         raise ValueError(f"no eligible users in split {which!r}")
@@ -185,12 +228,12 @@ def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
         positive = held[u]
         negs = evaluation.sample_negatives(split, u, n_negatives, derive_rng(seed, "negatives", which, u))
         candidates = np.concatenate([[positive], negs])
-        return rank_position(scorer(u, candidates), 0)
+        return reference_rank_position(scorer(u, candidates), 0)
 
     users = sorted(held)
     ranks_arr = np.asarray([rank_one(u) for u in users])
-    hr = {k: float(np.mean([evaluation.hr_at_k(r, k) for r in ranks_arr])) for k in ks}
-    ndcg = {k: float(np.mean([evaluation.ndcg_at_k(r, k) for r in ranks_arr])) for k in ks}
+    hr = {k: float(np.mean([reference_hr_at_k(r, k) for r in ranks_arr])) for k in ks}
+    ndcg = {k: float(np.mean([reference_ndcg_at_k(r, k) for r in ranks_arr])) for k in ks}
     return evaluation.RankingMetrics(which, ks, hr, ndcg, len(users))
 
 
@@ -320,17 +363,9 @@ def aggregation_run(x0, w0, c, indptr, src, dst):
     return agg.value, x.grad, w.grad
 
 
-@pytest.mark.parametrize(
-    "m, n, max_size, zero_share",
-    [
-        (5, 6, 1, 0.0),  # single-entry groups
-        (7, 4, 6, 0.0),  # repeated rows within and across groups
-        (30, 12, 5, 0.5),  # half the upstream gradients are -0.0 or +0.0
-        (200, 50, 20, 0.1),
-    ],
-)
-@pytest.mark.parametrize("seed", range(3))
-def test_fused_aggregation_bit_identical_to_three_ops(monkeypatch, m, n, max_size, zero_share, seed):
+def assert_aggregation_matches(monkeypatch, m, n, max_size, zero_share, seed):
+    """Both gradients byte-equal to the three ops for the same upstream gradient;
+    the forward, which sums each group in another order, within 1e-13."""
     rng = derive_rng(seed, "aggregate", m)
     indptr, src, dst = random_groups(rng, m, n, max_size)
     x0 = rng.normal(size=(n, 8))
@@ -339,12 +374,38 @@ def test_fused_aggregation_bit_identical_to_three_ops(monkeypatch, m, n, max_siz
     c[rng.random(c.shape) < zero_share] = -0.0
     c[rng.random(c.shape) < zero_share / 2] = 0.0
     fast = aggregation_run(x0, w0, c, indptr, src, dst)
-    monkeypatch.setattr(Tape, "segment_weighted_sum", reference_segment_weighted_sum)
-    monkeypatch.setattr(Var, "accumulate", reference_accumulate)
-    ref = aggregation_run(x0, w0, c, indptr, src, dst)
+    with monkeypatch.context() as patch:
+        patch.setattr(Tape, "segment_weighted_sum", reference_segment_weighted_sum)
+        patch.setattr(Var, "accumulate", reference_accumulate)
+        ref = aggregation_run(x0, w0, c, indptr, src, dst)
     for got, want in zip(fast, ref):
         assert got.shape == want.shape and got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(fast[0], ref[0], rtol=0, atol=1e-13)
+    assert fast[1].tobytes() == ref[1].tobytes()
+    assert fast[2].tobytes() == ref[2].tobytes()
+
+
+AGGREGATION_CASES = [
+    (5, 6, 1, 0.0),  # single-entry groups
+    (7, 4, 6, 0.0),  # repeated rows within and across groups
+    (30, 12, 5, 0.5),  # half the upstream gradients are -0.0 or +0.0
+    (200, 50, 20, 0.1),
+]
+
+
+@pytest.mark.parametrize("m, n, max_size, zero_share", AGGREGATION_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_aggregation_bit_identical_to_three_ops(monkeypatch, m, n, max_size, zero_share, seed):
+    """Gradients bit-identical to the three ops; the forward to 1e-13 (see the module docstring)."""
+    assert_aggregation_matches(monkeypatch, m, n, max_size, zero_share, seed)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_weight_gradient_blocks_end_inside_groups(monkeypatch, block):
+    """Blocks of 1 and 3 entries put the weight gradient's block boundaries inside groups."""
+    monkeypatch.setattr(autodiff, "WEIGHT_GRAD_BLOCK", block)
+    for m, n, max_size, zero_share in AGGREGATION_CASES:
+        assert_aggregation_matches(monkeypatch, m, n, max_size, zero_share, seed=block)
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +463,38 @@ HAND_ROWS = [
 ]
 
 
-def assert_same_view(subgraph, fanout, seed):
-    rng_fast, rng_ref = derive_rng(seed, "view"), derive_rng(seed, "view")
-    fast = sample_view(subgraph, fanout, rng_fast)
-    ref = reference_sample_view(subgraph, fanout, rng_ref)
-    assert fast.m == ref.m
+def view_rows(view):
+    return [view.dst[view.indptr[v] : view.indptr[v + 1]] for v in range(view.m)]
+
+
+def assert_view_contract(subgraph, fanout, seed):
+    """The per-node loop's contract: every row holds min(degree, fanout) entries,
+    sorted and distinct, drawn from its subgraph row with the self-loop kept, and
+    isolated nodes get themselves. Rows at or below the fanout equal the loop's;
+    drawn rows may hold another subset than its ``rng.choice``."""
+    view = sample_view(subgraph, fanout, derive_rng(seed, "view"))
+    ref = reference_sample_view(subgraph, fanout, derive_rng(seed, "view"))
+    assert view.m == subgraph.m
     for name in ("indptr", "src", "dst"):
-        got, want = getattr(fast, name), getattr(ref, name)
-        assert got.dtype == want.dtype == np.int64, name
-        np.testing.assert_array_equal(got, want, err_msg=name)
-    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        assert getattr(view, name).dtype == np.int64, name
+    degrees = np.diff(subgraph.indptr)
+    np.testing.assert_array_equal(np.diff(view.indptr), np.where(degrees == 0, 1, np.minimum(degrees, fanout)))
+    np.testing.assert_array_equal(view.src, np.repeat(np.arange(view.m), np.diff(view.indptr)))
+    for v, (row, ref_row) in enumerate(zip(view_rows(view), view_rows(ref))):
+        full = subgraph.neighbors(v)
+        if degrees[v] <= fanout:
+            np.testing.assert_array_equal(row, ref_row)
+            continue
+        assert np.all(np.diff(row) > 0), (v, row)
+        assert set(row.tolist()) <= set(full.tolist()), (v, row)
+        assert (v in row) == (v in full), (v, row)
+    return view
 
 
 @pytest.mark.parametrize("fanout", [1, 2, 3, 8])
 @pytest.mark.parametrize("seed", range(3))
 def test_sample_view_matches_per_node_loop_on_hand_rows(fanout, seed):
-    assert_same_view(hand_subgraph(HAND_ROWS), fanout, seed)
+    assert_view_contract(hand_subgraph(HAND_ROWS), fanout, seed)
 
 
 @pytest.mark.parametrize("self_loops", [True, False])
@@ -432,7 +509,7 @@ def test_sample_view_matches_per_node_loop_on_random_graphs(self_loops):
         subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
         degrees = np.diff(subgraph.indptr)
         for fanout in sorted({1, 2, max(1, int(degrees.max(initial=0))), max(1, int(np.median(degrees)))}):
-            assert_same_view(subgraph, fanout, checked)
+            assert_view_contract(subgraph, fanout, checked)
         checked += 1
 
 
@@ -443,7 +520,58 @@ def test_sample_view_matches_per_node_loop_on_planted_graph(small_planted):
         for self_loops in (True, False):
             subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
             for fanout in (1, 5, 20):
-                assert_same_view(subgraph, fanout, fanout)
+                assert_view_contract(subgraph, fanout, fanout)
+
+
+def test_sample_view_same_seed_same_view(small_planted):
+    graph, _, _ = small_planted
+    subgraph = metapath.materialize_subgraph(graph, MetaPath.from_relations(graph.schema, [2, 1]), threshold=None)
+    assert np.diff(subgraph.indptr).max() > 5
+    a, b, c = (sample_view(subgraph, 5, derive_rng(seed, "view")) for seed in (0, 0, 1))
+    for name in ("indptr", "src", "dst"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.indptr.tobytes() == c.indptr.tobytes()
+    assert a.dst.tobytes() != c.dst.tobytes()
+
+
+@pytest.mark.parametrize("fanout", [1, 2, 5])
+def test_sample_view_rows_one_above_fanout(fanout):
+    """Degree fanout + 1 with and without the self-loop: every possible row turns up."""
+    others = list(range(10, 10 + fanout + 1))
+    with_self = [0] + others[:fanout]
+    subgraph = hand_subgraph([with_self, others] + [[]] * (8 + len(others)))
+    seen = [set(), set()]
+    for seed in range(60):
+        view = assert_view_contract(subgraph, fanout, seed)
+        for k in (0, 1):
+            seen[k].add(tuple(view_rows(view)[k].tolist()))
+    assert seen[0] == {(0, *rest) for rest in combinations(others[:fanout], fanout - 1)}
+    assert seen[1] == set(combinations(others, fanout))
+
+
+@pytest.mark.parametrize("has_self", [False, True])
+def test_sample_view_draws_uniform_subsets(has_self):
+    """20,000 rows of degree 8 at fanout 3, one draw each.
+
+    Without the self-loop each row picks 3 of its 8 neighbours; with it, a
+    row keeps itself and picks 2 of the other 7. Each neighbour's inclusion
+    frequency lies within 4 sigma of picks / pool, and every subset appears.
+    """
+    n, fanout = 20_000, 3
+    pool = list(range(n, n + 8 - has_self))
+    rows = [sorted([v] + pool) if has_self else pool for v in range(n)]
+    subgraph = hand_subgraph(rows + [[]] * len(pool))
+    view = sample_view(subgraph, fanout, derive_rng(0, "uniform"))
+    drawn = view.dst[: n * fanout].reshape(n, fanout)
+    if has_self:
+        assert np.all(drawn[:, 0] == np.arange(n))  # the node sorts ahead of its pool
+        drawn = drawn[:, 1:]
+    picks = drawn.shape[1]
+    p = picks / len(pool)
+    sigma = np.sqrt(p * (1 - p) / n)
+    freq = np.bincount(drawn.ravel() - n, minlength=len(pool)) / n
+    assert np.all(np.abs(freq - p) < 4 * sigma), freq
+    assert set(map(tuple, drawn.tolist())) == set(combinations(pool, picks))
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +686,19 @@ def test_materialize_accepts_density_equal_to_threshold(monkeypatch, movie_schem
 
 @pytest.fixture
 def fresh_split(small_planted):
-    """The conftest split, drawn again so its candidate cache starts empty."""
+    """The conftest split, drawn again so its candidate cache starts empty, and
+    random embedding tables: ``(graph, split, H_user, H_item)``."""
     graph, _, _ = small_planted
     split = split_leave_one_out(graph.interactions(), derive_rng(11, "split"))
     rng = np.random.default_rng(4)
     H_user = rng.normal(size=(graph.type_count("User"), 8))
     H_item = rng.normal(size=(graph.type_count("Movie"), 8))
-    return split, embedding_scorer(graph, H_user, H_item)
+    return graph, split, H_user, H_item
 
 
 def test_candidates_built_once_per_key(monkeypatch, fresh_split):
-    split, scorer = fresh_split
+    graph, split, H_user, H_item = fresh_split
+    scorer = embedding_scorer(graph, H_user, H_item)
     calls = Counter()
     original = evaluation.sample_negatives
 
@@ -585,21 +715,60 @@ def test_candidates_built_once_per_key(monkeypatch, fresh_split):
     evaluation.evaluate(scorer, split, "validation", (10,), seed=1, n_negatives=20)
     evaluation.evaluate(scorer, split, "test", (10,), seed=0, n_negatives=20)
     assert calls == {20: n_val + n_val + len(split.test), 30: n_val}
-    rows = split.candidates("validation", 0, 20)
-    assert rows is split.candidates("validation", 0, 20)
-    assert list(rows) == sorted(split.held_out("validation"))
-    assert all(not row.flags.writeable for row in rows.values())
+    cand = split.candidates("validation", 0, 20)
+    assert cand is split.candidates("validation", 0, 20)
+    assert len(cand) == n_val
+    np.testing.assert_array_equal(cand.users[cand.starts], sorted(split.held_out("validation")))
+    np.testing.assert_array_equal(cand.items[cand.starts], [split.held_out("validation")[u] for u in cand.users[cand.starts]])
+    np.testing.assert_array_equal(np.diff(np.append(cand.starts, len(cand.items))), 21)
+    assert all(not arr.flags.writeable for arr in (cand.users, cand.items, cand.starts))
 
 
 @pytest.mark.parametrize("which", ["validation", "test"])
-@pytest.mark.parametrize("n_negatives", [5, 99, 10_000])  # 10,000 exceeds the catalog: pool fallback
+@pytest.mark.parametrize("n_negatives", [5, 99, 10_000])  # 10,000 exceeds the catalog: ragged rows
 def test_cached_candidates_match_uncached_reference(fresh_split, which, n_negatives):
-    split, scorer = fresh_split
+    """Metrics equal the per-user ranking of freshly drawn rows, scored one user at a time."""
+    graph, split, H_user, H_item = fresh_split
+    scorer = embedding_scorer(graph, H_user, H_item)
     ks = (1, 10, 50)
     for seed in (0, 3):
-        ref = reference_evaluate(scorer, split, which, ks, seed, n_negatives)
+        ref = reference_evaluate(reference_embedding_scorer(graph, H_user, H_item), split, which, ks, seed, n_negatives)
         assert evaluation.evaluate(scorer, split, which, ks, seed, n_negatives) == ref
         assert evaluation.evaluate(scorer, split, which, ks, seed, n_negatives) == ref  # from the cache
+
+
+@pytest.mark.parametrize("n_negatives", [5, 20])
+def test_equal_item_rows_tie_against_the_positive(fresh_split, n_negatives):
+    graph, split, _, _ = fresh_split
+    # Small integers score exactly, so every candidate's score is the same.
+    H_user = np.random.default_rng(5).integers(-3, 4, size=(graph.type_count("User"), 8)).astype(np.float64)
+    H_item = np.ones((graph.type_count("Movie"), 8))
+    whole = n_negatives + 1
+    ks = (1, n_negatives, whole)
+    got = evaluation.evaluate(embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, n_negatives)
+    assert got.hr == {1: 0.0, n_negatives: 0.0, whole: 1.0}
+    assert got.ndcg[whole] == pytest.approx(1.0 / np.log2(whole + 1), rel=1e-15)
+    assert got == reference_evaluate(reference_embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, n_negatives)
+
+
+def test_reduced_negative_pool_warns_once_per_draw(caplog, fresh_split):
+    _, split, _, _ = fresh_split
+    with caplog.at_level(logging.WARNING, logger="hinrec.evaluation"):
+        cand = split.candidates("validation", 0, 10_000)
+        split.candidates("validation", 0, 10_000)  # from the cache: no second record
+    pools = np.diff(np.append(cand.starts, len(cand.items))) - 1
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert caplog.records[0].getMessage() == (
+        f"validation: negative pool reduced for {len(cand)} of {len(cand)} users, "
+        f"to {pools.min()}-{pools.max()} items"
+    )
+
+
+def test_full_negative_pool_does_not_warn(caplog, fresh_split):
+    _, split, _, _ = fresh_split
+    with caplog.at_level(logging.WARNING, logger="hinrec.evaluation"):
+        split.candidates("test", 0, 20)
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +819,18 @@ def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
     monkeypatch.setattr(recommender, "positive_keys", counted("keys", reference_keys))
     monkeypatch.setattr(recommender, "draw_negatives", counted("draw", reference_draw_negatives))
     monkeypatch.setattr(Tape, "gather", counted("gather", reference_gather))
-    monkeypatch.setattr(evaluation, "evaluate", counted("evaluate", reference_evaluate))
-    monkeypatch.setattr(Tape, "segment_weighted_sum", counted("aggregate", reference_segment_weighted_sum))
+    monkeypatch.setattr(
+        evaluation, "evaluate", counted("evaluate", lambda scorer, *a: reference_evaluate(per_user(scorer), *a))
+    )
     monkeypatch.setattr(Var, "accumulate", counted("accumulate", reference_accumulate))
     monkeypatch.setattr(recommender, "scatter_add", counted("scatter", reference_scatter_add))
-    monkeypatch.setattr(metapath, "sample_view", counted("view", reference_sample_view))
     monkeypatch.setattr(metapath, "materialize_subgraph", counted("materialize", reference_materialize_subgraph))
     ref = train_then_eval(dataset, config, tmp_path / "ref")
     used_by_train = used.copy()
     ref_search = random_search(dataset, config, tmp_path / "ref-search")
 
     assert set(used_by_train) == {
-        "keys", "draw", "gather", "evaluate", "aggregate", "accumulate", "scatter", "view", "materialize",
+        "keys", "draw", "gather", "evaluate", "accumulate", "scatter", "materialize",
     }
     assert used["materialize"] > used_by_train["materialize"]
     for name in fast:

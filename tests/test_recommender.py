@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hinrec import metapath as mp
-from hinrec.autodiff import Tape
+from hinrec.autodiff import Tape, Var
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.config import RunConfig
 from hinrec.recommender import (
@@ -379,6 +379,44 @@ class TestForward:
 
 
 class TestTraining:
+    def test_projections_start_at_identity(self, tiny_model):
+        d = tiny_model.cfg.embed_dim
+        for node_type in ("User", "Movie"):
+            np.testing.assert_array_equal(tiny_model.params[f"proj.{node_type}"].value, np.eye(d))
+
+    def test_adam_first_two_steps_on_a_quadratic(self, tiny_model):
+        """f(x) = (x0^2 + 4 x1^2) / 2 from x = (3, -0.5) at lr 0.1, gradient (x0, 4 x1).
+
+        Step 1: the bias-corrected moments are g and g^2, so each coordinate
+        moves by lr * g / (|g| + 1e-8): x = (2.9000000003333, -0.4000000005).
+        Step 2: m = 0.09 g1 + 0.1 g2 and v = 0.000999 g1^2 + 0.001 g2^2,
+        corrected by 1 - 0.9^2 = 0.19 and 1 - 0.999^2 = 0.001999, give
+        x = (2.8001027077506, -0.3011874206234) (40-digit decimal arithmetic).
+        """
+        model = tiny_model
+        x = Var(np.asarray([3.0, -0.5]))
+        model.params = {"x": x}
+        expected = [
+            [2.900000000333333332222, -0.400000000499999997500],
+            [2.800102707750551155627, -0.301187420623429340148],
+        ]
+        for want in expected:
+            x.grad = np.asarray([1.0, 4.0]) * x.value
+            model.adam_step(0.1)
+            np.testing.assert_allclose(x.value, want, rtol=1e-14, atol=0)
+        assert model.adam_steps == 2
+
+    def test_fresh_model_starts_fresh_moments(self, small_planted):
+        graph, split, _ = small_planted
+        trained = _small_model(graph)
+        train(trained, split, seed=0, epochs=1, eval_each_epoch=False)
+        assert trained.adam_steps > 0
+        again = _small_model(graph)
+        assert again.adam_steps == 0
+        train(again, split, seed=0, epochs=1, eval_each_epoch=False)
+        for k in trained.params:
+            np.testing.assert_array_equal(trained.params[k].value, again.params[k].value)
+
     def test_lr_zero_keeps_parameters(self, small_planted):
         graph, split, _ = small_planted
         model = _small_model(graph, lr=0.0)
@@ -396,7 +434,7 @@ class TestTraining:
             result = train(model, split, seed=seed, epochs=5, eval_each_epoch=False)
             if result.history[-1]["train_loss"] < result.history[0]["train_loss"]:
                 ok += 1
-        assert ok >= 2
+        assert ok == 3
 
     def test_early_stopping_restores_best(self, small_planted):
         graph, split, _ = small_planted
