@@ -49,7 +49,6 @@ class RunConfig:
     gamma: float = 0.9
     dqn_lr: float = 0.001
     dqn_batch: int = 32
-    dqn_min_buffer: int = 200
     dqn_buffer: int = 10000
     target_sync: int = 100
     eps_start: float = 1.0
@@ -71,9 +70,7 @@ class RunConfig:
     mf_epochs: int = 30
     mf_lr: float = 0.05
 
-    # probe / evaluation
-    probe_epochs: int = 1
-    probe_batch: int = 4096
+    # evaluation
     eval_ks: tuple[int, ...] = (1, 3, 10, 20)
     n_negatives: int = 499
     leak_guard: bool = True

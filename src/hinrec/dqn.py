@@ -3,13 +3,15 @@
 The Q-network scores every action (STOP plus each relation) from a set
 encoding. Training interleaves epsilon-greedy episodes with Huber-loss TD
 updates against a periodically synced target network; inference runs one
-greedy episode and returns its final meta-path set. The agent reads its
-``gamma``, ``dqn_*``, ``target_sync`` and ``eps_*`` settings from a
-:class:`~hinrec.config.RunConfig`; the seed and the episode count are passed
-in. Per-episode and per-update RNG streams are derived from (seed, counter),
-which makes resuming from a checkpoint bit-exact. Resuming is a library call
-with no CLI flag: ``DqnAgent.load(path, cfg, seed, n_state, n_actions)``,
-then ``search(env, cfg, seed, episodes, agent=...)``.
+greedy episode and returns its final meta-path set. The agent reads
+``gamma``, ``dqn_lr``, ``dqn_batch`` (also its replay warm-up),
+``dqn_buffer``, ``target_sync``, ``eps_start``, ``eps_end`` and
+``eps_fraction`` from a :class:`~hinrec.config.RunConfig`; the seed and the
+episode count are passed in. Per-episode and per-update RNG streams are
+derived from (seed, counter), which makes resuming from a checkpoint
+bit-exact. Resuming is a library call with no CLI flag:
+``DqnAgent.load(path, cfg, seed, n_state, n_actions)``, then
+``search(env, cfg, seed, episodes, agent=...)``.
 """
 from __future__ import annotations
 
@@ -236,14 +238,14 @@ def td_update(
 class DqnAgent:
     """Owns the online/target networks, the buffer, and the schedule position.
 
-    TD updates start once the buffer holds ``max(dqn_min_buffer, dqn_batch)``
+    TD updates start once the buffer holds one batch, ``dqn_batch``
     transitions (:attr:`min_buffer`).
     """
 
     def __init__(self, n_state: int, n_actions: int, cfg: RunConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.min_buffer = max(cfg.dqn_min_buffer, cfg.dqn_batch)
+        self.min_buffer = cfg.dqn_batch
         rng = derive_rng(seed, "qnet-init")
         self.params = QNetworkParams.init(n_state, n_actions, DEFAULT_HIDDEN, rng)
         self.target = self.params.copy()
@@ -372,7 +374,7 @@ def search(env, cfg: RunConfig, seed: int, episodes: int, agent: DqnAgent | None
     if agent.updates == 0:
         log.warning(
             "DQN training made no TD update: %d episodes gave %d transitions, "
-            "below the warm-up threshold of %d (max(dqn_min_buffer, dqn_batch))",
+            "below the warm-up threshold of %d (dqn_batch)",
             agent.episodes_done, agent.env_steps, agent.min_buffer,
         )
     final_state, _ = run_episode(env, agent, derive_rng(seed, "inference"), greedy=True)

@@ -7,14 +7,15 @@ The candidate rows (positive plus negatives) depend only on the split, the
 seed and the negative count, so :meth:`SplitSet.candidates` draws them once
 and caches them on the split as flat arrays; every later evaluation of that
 split reuses them and ranks all of its rows at once.
-The :class:`PerformanceProbe` scores a candidate meta-path pair by lightly
-training a fresh recommender and reporting validation NDCG@10; results and
-subgraphs are cached so repeated probes of one set are bit-identical.
+The :class:`PerformanceProbe` scores a candidate meta-path pair by the
+validation NDCG@10 of a fresh, untrained recommender built over it at the
+MF init; results and subgraphs are cached so repeated probes of one set
+are bit-identical.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,11 +255,14 @@ def training_graph(graph: HinGraph, split: SplitSet, leak_guard: bool = True) ->
 
 
 class PerformanceProbe:
-    """Validation NDCG@10 of a lightly trained recommender, as the search oracle.
+    """Validation NDCG@10 of an untrained recommender, as the search oracle.
 
-    Subgraph materializations are cached per meta-path, the MF embedding
-    init is computed once, and probe results are cached by the candidate
-    pair, so one set always probes to the same value.
+    A probe builds HRec over the candidate pair at the MF embedding init and
+    evaluates it as built, with no training step: the identity projections
+    already score in the MF space, so the pair's meta-paths alone move the
+    metric. Subgraph materializations are cached per meta-path, the MF init
+    is computed once, and probe results are cached by the candidate pair,
+    so one set always probes to the same value.
     """
 
     def __init__(self, graph: HinGraph, split: SplitSet, config, seed: int):
@@ -316,11 +320,10 @@ class PerformanceProbe:
             self.graph,
             user_side,
             item_side,
-            replace(self.config, rec_batch=self.config.probe_batch),
+            self.config,
             derive_rng(probe_seed, "init"),
             mf_init=self.mf_init(),
         )
-        rec.train(model, self.split, probe_seed, epochs=self.config.probe_epochs, eval_each_epoch=False)
         metrics = evaluate_model(
             model,
             self.split,

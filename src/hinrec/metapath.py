@@ -18,8 +18,6 @@ from .hin import HinGraph, HinSchema
 
 USER_SYMMETRIC = "user-symmetric"
 ITEM_SYMMETRIC = "item-symmetric"
-USER_TO_ITEM = "user-to-item"
-PATH_FORMS = (USER_SYMMETRIC, ITEM_SYMMETRIC, USER_TO_ITEM)
 
 DEFAULT_MAX_PATH_LEN = 8
 # Start nodes per frontier block in materialize_subgraph; a block holds at
@@ -82,8 +80,6 @@ def _form_ok(path: MetaPath, form: str | None, schema: HinSchema) -> bool:
         return path.start_type == path.end_type == schema.user_type
     if form == ITEM_SYMMETRIC:
         return path.start_type == path.end_type == schema.item_type
-    if form == USER_TO_ITEM:
-        return path.start_type == schema.user_type and path.end_type == schema.item_type
     raise MetaPathError(f"unknown path form {form!r}")
 
 
@@ -179,9 +175,6 @@ class MetaPathSubgraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.dst[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
 
 def _transposed_block(graph: HinGraph, rid: int) -> sp.csr_matrix:

@@ -570,26 +570,25 @@ def train(
     model: HRecModel,
     split,
     seed: int,
-    epochs: int | None = None,
-    eval_each_epoch: bool = True,
     evaluator=None,
 ) -> TrainResult:
-    """Epoch loop of tape forward/backward and Adam steps with validation early stopping.
+    """``cfg.rec_epochs`` epochs of tape forward/backward and Adam steps.
 
     ``split`` provides local-index training pairs and the per-user
-    interaction profile; ``evaluator(model, epoch) -> float`` supplies the
-    validation NDCG@10 when per-epoch evaluation is on. The model is left
-    at its best-validation snapshot.
+    interaction profile. Passing ``evaluator(model, epoch) -> float``, the
+    validation NDCG@10, turns on per-epoch validation and early stopping
+    after ``cfg.patience`` epochs without improvement; the model is then
+    left at its best-validation snapshot. Without an evaluator every epoch
+    runs and the model keeps its last parameters.
     """
     cfg = model.cfg
-    epochs = cfg.rec_epochs if epochs is None else epochs
     pairs = split.train_local(model.graph)
     n_items = model.item_side.m
     pos_keys = positive_keys(split.all_local(model.graph), n_items)
     result = TrainResult()
     best_snap = None
     bad_epochs = 0
-    for epoch in range(epochs):
+    for epoch in range(cfg.rec_epochs):
         rng = derive_rng(seed, "rec-epoch", epoch)
         user_views = sample_views(model.user_side, cfg.fanout, rng)
         item_views = sample_views(model.item_side, cfg.fanout, rng)
@@ -617,7 +616,7 @@ def train(
             losses.append((float(loss.value), len(sel)))
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))
         record = {"epoch": epoch, "train_loss": epoch_loss}
-        if eval_each_epoch and evaluator is not None:
+        if evaluator is not None:
             val_ndcg = evaluator(model, epoch)
             record["val_ndcg10"] = val_ndcg
             if val_ndcg > result.best_val_ndcg:
@@ -628,7 +627,7 @@ def train(
             else:
                 bad_epochs += 1
         result.history.append(record)
-        if eval_each_epoch and evaluator is not None and bad_epochs > cfg.patience:
+        if evaluator is not None and bad_epochs > cfg.patience:
             result.stopped_early = True
             break
     if best_snap is not None:

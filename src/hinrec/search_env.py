@@ -60,8 +60,6 @@ def initial_set(form: str, schema: HinSchema) -> mp.MetaPathSet:
         rids = [r, rc]
     elif form == mp.ITEM_SYMMETRIC:
         rids = [rc, r]
-    elif form == mp.USER_TO_ITEM:
-        rids = [r]
     else:
         raise mp.MetaPathError(f"unknown path form {form!r}")
     return mp.MetaPathSet((mp.MetaPath.from_relations(schema, rids),), form, schema)

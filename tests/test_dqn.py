@@ -282,7 +282,7 @@ class ToyBanditEnv:
 
 
 class TestSearch:
-    CFG = RunConfig(dqn_lr=0.01, dqn_min_buffer=32, dqn_batch=32, eps_fraction=0.5)
+    CFG = RunConfig(dqn_lr=0.01, dqn_batch=32, eps_fraction=0.5)
 
     def test_learns_toy_bandit(self):
         env = ToyBanditEnv()
@@ -302,7 +302,7 @@ class TestSearch:
         assert out1 == out2
 
     def test_resume_matches_straight_run(self, tmp_path):
-        cfg = RunConfig(dqn_lr=0.01, dqn_min_buffer=16, dqn_batch=16)
+        cfg = RunConfig(dqn_lr=0.01, dqn_batch=16)
         seed, episodes = 3, 20
         env1 = ToyBanditEnv()
         agent_full = DqnAgent(env1.state_dim, env1.n_actions, cfg, seed)
@@ -341,7 +341,7 @@ class TestSearch:
 
 
 class TestPersistence:
-    CFG = RunConfig(dqn_min_buffer=4, dqn_batch=4)
+    CFG = RunConfig(dqn_batch=4)
 
     def saved_agent(self, tmp_path):
         path = tmp_path / "agent.ckpt"

@@ -409,11 +409,11 @@ class TestTraining:
     def test_fresh_model_starts_fresh_moments(self, small_planted):
         graph, split, _ = small_planted
         trained = _small_model(graph)
-        train(trained, split, seed=0, epochs=1, eval_each_epoch=False)
+        train(trained, split, seed=0)
         assert trained.adam_steps > 0
         again = _small_model(graph)
         assert again.adam_steps == 0
-        train(again, split, seed=0, epochs=1, eval_each_epoch=False)
+        train(again, split, seed=0)
         for k in trained.params:
             np.testing.assert_array_equal(trained.params[k].value, again.params[k].value)
 
@@ -421,7 +421,7 @@ class TestTraining:
         graph, split, _ = small_planted
         model = _small_model(graph, lr=0.0)
         before = model.snapshot()
-        train(model, split, seed=0, epochs=1, eval_each_epoch=False)
+        train(model, split, seed=0)
         after = model.snapshot()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
@@ -430,15 +430,15 @@ class TestTraining:
         graph, split, _ = small_planted
         ok = 0
         for seed in range(3):
-            model = _small_model(graph, seed=seed)
-            result = train(model, split, seed=seed, epochs=5, eval_each_epoch=False)
+            model = _small_model(graph, seed=seed, epochs=5)
+            result = train(model, split, seed=seed)
             if result.history[-1]["train_loss"] < result.history[0]["train_loss"]:
                 ok += 1
         assert ok == 3
 
     def test_early_stopping_restores_best(self, small_planted):
         graph, split, _ = small_planted
-        model = _small_model(graph)
+        model = _small_model(graph, epochs=8)
         calls = []
 
         def evaluator(m, epoch):
@@ -448,7 +448,7 @@ class TestTraining:
             return value
 
         model.cfg = replace(model.cfg, patience=2)
-        result = train(model, split, seed=0, epochs=8, evaluator=evaluator)
+        result = train(model, split, seed=0, evaluator=evaluator)
         assert result.stopped_early
         assert result.best_epoch == 1
         best_snapshot = calls[1][1]
@@ -456,7 +456,7 @@ class TestTraining:
             np.testing.assert_array_equal(arr, model.params[k].value)
 
 
-def _small_model(graph, seed=0, lr=0.05):
+def _small_model(graph, seed=0, lr=0.05, epochs=1):
     schema = graph.schema
     user_set = mp.MetaPathSet(
         (
@@ -474,7 +474,9 @@ def _small_model(graph, seed=0, lr=0.05):
         mp.ITEM_SYMMETRIC,
         schema,
     )
-    cfg = RunConfig(embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128)
+    cfg = RunConfig(
+        embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128, rec_epochs=epochs
+    )
     user_side = build_side(graph, user_set, threshold=0.9)
     item_side = build_side(graph, item_set, threshold=0.9)
     return HRecModel(graph, user_side, item_side, cfg, derive_rng(seed, "model"))

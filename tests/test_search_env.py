@@ -8,7 +8,6 @@ from hinrec.hin import HinSchema
 from hinrec.metapath import (
     ITEM_SYMMETRIC,
     USER_SYMMETRIC,
-    USER_TO_ITEM,
     MetaPath,
     MetaPathSet,
     encode_set,
@@ -40,10 +39,6 @@ class TestInitialSet:
         s = initial_set(USER_SYMMETRIC, movie_schema)
         assert s.labels() == ["UMU"]
         assert s.key() == ((WATCH, WATCHED),)
-
-    def test_user_to_item(self, movie_schema):
-        s = initial_set(USER_TO_ITEM, movie_schema)
-        assert s.labels() == ["UM"]
 
     def test_item_symmetric(self, movie_schema):
         s = initial_set(ITEM_SYMMETRIC, movie_schema)
@@ -103,18 +98,14 @@ class TestApplyAction:
             candidates = [r for r in schema.relations]
             inter = candidates[int(rng.integers(len(candidates)))]
             schema = HinSchema(schema.node_types, schema.relations, inter.rid)
-            form = (USER_SYMMETRIC, ITEM_SYMMETRIC, USER_TO_ITEM)[int(rng.integers(3))]
+            form = (USER_SYMMETRIC, ITEM_SYMMETRIC)[int(rng.integers(2))]
             current = initial_set(form, schema)
             for _ in range(4):
                 action = int(rng.integers(1, schema.n_relations + 1))
                 new = apply_action(current, action, schema, max_len=8)
                 assert len(new) >= len(current)
                 for path in new:
-                    if form == USER_TO_ITEM:
-                        assert path.start_type == schema.user_type
-                        assert path.end_type == schema.item_type
-                    else:
-                        assert path.start_type == path.end_type
+                    assert path.start_type == path.end_type
                 current = new
 
     def test_idempotent_no_change(self, movie_schema):
