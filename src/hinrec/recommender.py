@@ -437,6 +437,14 @@ class HRecModel:
 
 @dataclass
 class ForwardPass:
+    """One batch's scores and the tape that recorded them.
+
+    ``tape.backward`` consumes the tape: afterwards ``ypos`` and ``yneg``
+    keep their values but no ``.grad``, and only the model's parameters
+    hold gradients. Holding a ForwardPass holds its tape's memory until
+    backward has run, so keep no more than one alive.
+    """
+
     tape: Tape
     ypos: Var
     yneg: Var
@@ -580,6 +588,9 @@ def train(
     after ``cfg.patience`` epochs without improvement; the model is then
     left at its best-validation snapshot. Without an evaluator every epoch
     runs and the model keeps its last parameters.
+
+    Each batch's backward consumes its tape, and the loop drops the tape
+    before the next batch's forward: at most one tape is alive at a time.
     """
     cfg = model.cfg
     pairs = split.train_local(model.graph)
@@ -614,6 +625,7 @@ def train(
             model.adam_step(cfg.rec_lr)
             model.zero_grad()
             losses.append((float(loss.value), len(sel)))
+            del fp, loss  # the next batch's forward must not run beside this tape
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))
         record = {"epoch": epoch, "train_loss": epoch_loss}
         if evaluator is not None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from hinrec.autodiff import Tape, Var, activation_fn
 
@@ -194,6 +195,20 @@ class TestComposition:
         out = tape.mean(tape.add(x, x))
         tape.backward(out)
         np.testing.assert_allclose(x.grad, [1.0, 1.0])
+
+    def test_backward_consumes_the_tape(self):
+        """No steps remain, no produced Var keeps a gradient, and leaves keep theirs."""
+        tape = Tape()
+        x, w = Var(np.asarray([[1.0, -2.0], [0.5, 3.0]])), Var(np.asarray([0.3, -0.7]))
+        h = tape.tanh(tape.matvec(x, w))
+        y = tape.softplus(tape.mul(h, h))
+        out = tape.mean(tape.add(y, h))
+        tape.backward(out)
+        assert tape._steps == []
+        assert all(v.grad is None for v in (h, y, out))
+        dh = (2.0 * h.value * expit(h.value * h.value) + 1.0) / 2.0 * (1.0 - h.value**2)
+        np.testing.assert_allclose(x.grad, np.outer(dh, w.value), rtol=1e-12)
+        np.testing.assert_allclose(w.grad, x.value.T @ dh, rtol=1e-12)
 
     def test_activation_fn_matches_tape(self):
         rng = np.random.default_rng(4)

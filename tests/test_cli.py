@@ -92,6 +92,19 @@ def test_search_accepts_jobs_1(dataset, tmp_path):
     assert (tmp_path / "sets.json").exists()
 
 
+def test_ingested_bundle_searches_like_the_tsvs(dataset, tmp_path):
+    """TSVs ingested into a bundle give the same random search as the TSV dataset."""
+    bundle = tmp_path / "bundle"
+    assert run("ingest", "--schema", dataset / "schema.txt", "--nodes", dataset / "nodes.tsv",
+               "--edges", dataset / "edges.tsv", "--out", bundle) == 0
+    assert (bundle / "bundle.bin").exists() and not (bundle / "nodes.tsv").exists()
+    for source, out in ((bundle, tmp_path / "from-bundle"), (dataset, tmp_path / "from-tsv")):
+        assert run("search", "--dataset", source, "--strategy", "random", "--iter-limit", 6,
+                   "--seed", 0, "--out", out) == 0
+    sets, steps = stripped_outputs(tmp_path / "from-bundle")
+    assert steps and (sets, steps) == stripped_outputs(tmp_path / "from-tsv")
+
+
 def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps({

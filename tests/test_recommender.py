@@ -1,9 +1,11 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hinrec import metapath as mp
+from hinrec import recommender
 from hinrec.autodiff import Tape, Var
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.config import RunConfig
@@ -311,6 +313,28 @@ class TestForward:
             assert err.max() < 1e-4, f"{name}: max rel err {err.max():.2e}"
         assert worst < 1e-4
 
+    def test_consuming_backward_keeps_parameter_gradients(self, tiny_model, monkeypatch):
+        """Parameter gradients are byte-equal to a backward that frees nothing."""
+
+        def keeping_backward(tape, out):
+            out.grad = np.ones_like(out.value)
+            for var, back in reversed(tape._steps):
+                if var.grad is not None:
+                    back(var.grad)
+
+        def param_grads():
+            tiny_model.zero_grad()
+            fp = forward(
+                tiny_model, np.asarray([0, 1, 2, 3]), np.asarray([1, 2, 3, 0]), np.asarray([2, 3, 0, 1]),
+                rng=derive_rng(8, "fwd"), training=True,
+            )
+            fp.tape.backward(bpr_loss_var(fp.tape, fp.ypos, fp.yneg))
+            return {k: v.grad.tobytes() for k, v in tiny_model.params.items()}
+
+        consumed = param_grads()
+        monkeypatch.setattr(Tape, "backward", keeping_backward)
+        assert consumed == param_grads()
+
     def test_deterministic_outputs(self, tiny_model):
         model = tiny_model
         out = []
@@ -435,6 +459,23 @@ class TestTraining:
             if result.history[-1]["train_loss"] < result.history[0]["train_loss"]:
                 ok += 1
         assert ok == 3
+
+    def test_holds_one_tape_at_a_time(self, small_planted, monkeypatch):
+        """Every earlier batch's tape is freed before the next forward records one."""
+        graph, split, _ = small_planted
+        model = _small_model(graph, epochs=2)
+        tapes = []
+
+        def tracked_forward(*args, **kwargs):
+            assert all(ref() is None for ref in tapes), f"call {len(tapes)}: an earlier tape is alive"
+            fp = forward(*args, **kwargs)
+            tapes.append(weakref.ref(fp.tape))
+            return fp
+
+        monkeypatch.setattr(recommender, "forward", tracked_forward)
+        train(model, split, seed=0)
+        batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
+        assert len(tapes) == 2 * batches and batches > 1
 
     def test_early_stopping_restores_best(self, small_planted):
         graph, split, _ = small_planted
