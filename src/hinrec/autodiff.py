@@ -164,13 +164,6 @@ class Tape:
 
         return self._emit(a.value - b.value, back)
 
-    def mul(self, a: Var, b: Var) -> Var:
-        def back(g):
-            a.accumulate(g * b.value)
-            b.accumulate(g * a.value)
-
-        return self._emit(a.value * b.value, back)
-
     def neg(self, a: Var) -> Var:
         def back(g):
             a.accumulate(-g)
@@ -310,19 +303,6 @@ def activation(tape: Tape, name: str):
         "relu": tape.relu,
         "elu": tape.elu,
         "tanh": tape.tanh,
-    }
-    if name not in table:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")
-    return table[name]
-
-
-def activation_fn(name: str):
-    """Plain-numpy activation for the reference ops in :mod:`hinrec.recommender`."""
-    table = {
-        "leaky_relu": lambda x: np.where(x >= 0.0, x, 0.2 * x),
-        "relu": lambda x: np.maximum(x, 0.0),
-        "elu": lambda x: np.where(x >= 0.0, x, np.expm1(x)),
-        "tanh": np.tanh,
     }
     if name not in table:
         raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")

@@ -1,9 +1,9 @@
 """Versioned binary container for named arrays.
 
-One format serves model checkpoints, agent state, and ingested dataset
-bundles: a magic tag, a JSON header, then shape-tagged little-endian
-arrays. The writer sorts array names so identical content produces
-byte-identical files.
+One format serves model checkpoints and ingested dataset bundles: a
+magic tag, a JSON header, then shape-tagged little-endian arrays. The
+writer sorts array names so identical content produces byte-identical
+files.
 """
 from __future__ import annotations
 

@@ -58,7 +58,6 @@ class RunConfig:
     # recommender
     embed_dim: int = 64
     att_hidden: int = 32
-    heads: int = 1
     dropout: float = 0.1
     rec_lr: float = 0.01
     rec_batch: int = 1024

@@ -8,10 +8,7 @@ greedy episode and returns its final meta-path set. The agent reads
 ``dqn_buffer``, ``target_sync``, ``eps_start``, ``eps_end`` and
 ``eps_fraction`` from a :class:`~hinrec.config.RunConfig`; the seed and the
 episode count are passed in. Per-episode and per-update RNG streams are
-derived from (seed, counter), which makes resuming from a checkpoint
-bit-exact. Resuming is a library call with no CLI flag:
-``DqnAgent.load(path, cfg, seed, n_state, n_actions)``, then
-``search(env, cfg, seed, episodes, agent=...)``.
+derived from (seed, counter), so a search is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -20,15 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .config import RunConfig
 from .util import derive_rng
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (32, 64, 32)
-# The header format :meth:`DqnAgent.save` writes.
-CHECKPOINT_FORMAT = 1
 
 
 @dataclass
@@ -147,42 +141,6 @@ class ReplayBuffer:
         idx = rng.choice(len(self._items), size=k, replace=False)
         return [self._items[i] for i in idx]
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        n = len(self._items)
-        dim = len(self._items[0].s) if n else 0
-        out = {
-            "s": np.zeros((n, dim)),
-            "a": np.zeros(n, dtype=np.int64),
-            "r": np.zeros(n),
-            "s2": np.zeros((n, dim)),
-            "d": np.zeros(n, dtype=np.int64),
-            "pos": np.asarray([self._pos], dtype=np.int64),
-            "capacity": np.asarray([self.capacity], dtype=np.int64),
-        }
-        for i, t in enumerate(self._items):
-            out["s"][i] = t.s
-            out["a"][i] = t.a
-            out["r"][i] = t.r
-            out["s2"][i] = t.s_next
-            out["d"][i] = int(t.done)
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ReplayBuffer":
-        buf = cls(int(arrays["capacity"][0]))
-        for i in range(len(arrays["a"])):
-            buf._items.append(
-                Transition(
-                    arrays["s"][i].copy(),
-                    int(arrays["a"][i]),
-                    float(arrays["r"][i]),
-                    arrays["s2"][i].copy(),
-                    bool(arrays["d"][i]),
-                )
-            )
-        buf._pos = int(arrays["pos"][0])
-        return buf
-
 
 def td_update(
     params: QNetworkParams,
@@ -252,7 +210,6 @@ class DqnAgent:
         self.buffer = ReplayBuffer(cfg.dqn_buffer)
         self.env_steps = 0
         self.updates = 0
-        self.episodes_done = 0
         self.total_steps_estimate = 1
 
     def epsilon(self) -> float:
@@ -273,66 +230,6 @@ class DqnAgent:
             self.updates += 1
             if self.updates % self.cfg.target_sync == 0:
                 self.target = self.params.copy()
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        header = {
-            "kind": "dqn-agent",
-            "format": CHECKPOINT_FORMAT,
-            "env_steps": self.env_steps,
-            "updates": self.updates,
-            "episodes_done": self.episodes_done,
-            "total_steps_estimate": self.total_steps_estimate,
-            "hidden": list(DEFAULT_HIDDEN),
-        }
-        arrays = self._network_arrays()
-        for name, arr in self.buffer.state_arrays().items():
-            arrays[f"buf.{name}"] = arr
-        save_arrays(path, header, arrays)
-
-    def _network_arrays(self) -> dict[str, np.ndarray]:
-        """Online (``q.*``) and target (``t.*``) weights and biases by checkpoint name."""
-        arrays: dict[str, np.ndarray] = {}
-        for prefix, net in (("q", self.params), ("t", self.target)):
-            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}.w{k}"] = w
-                arrays[f"{prefix}.b{k}"] = b
-        return arrays
-
-    @classmethod
-    def load(cls, path: str, cfg: RunConfig, seed: int, n_state: int, n_actions: int) -> "DqnAgent":
-        """Restore an agent saved by :meth:`save` into one built from ``cfg`` and ``seed``.
-
-        Raises :class:`CheckpointError`, naming ``path``, when the header's
-        format is not :data:`CHECKPOINT_FORMAT`, or when the stored network
-        arrays do not match the rebuilt agent's in name and shape.
-        """
-        header, arrays = load_arrays(path)
-        if header.get("kind") != "dqn-agent":
-            raise ValueError(f"{path}: not a DQN agent checkpoint")
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{path}: checkpoint format {header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
-            )
-        agent = cls(n_state, n_actions, cfg, seed)
-        stored = {name: arr for name, arr in arrays.items() if not name.startswith("buf.")}
-        check_arrays(path, stored, agent._network_arrays())
-        n_layers = len(agent.params.weights)
-        agent.params = QNetworkParams(
-            [arrays[f"q.w{k}"] for k in range(n_layers)], [arrays[f"q.b{k}"] for k in range(n_layers)]
-        )
-        agent.target = QNetworkParams(
-            [arrays[f"t.w{k}"] for k in range(n_layers)], [arrays[f"t.b{k}"] for k in range(n_layers)]
-        )
-        agent.buffer = ReplayBuffer.from_arrays(
-            {name[len("buf.") :]: arr for name, arr in arrays.items() if name.startswith("buf.")}
-        )
-        agent.env_steps = int(header["env_steps"])
-        agent.updates = int(header["updates"])
-        agent.episodes_done = int(header["episodes_done"])
-        agent.total_steps_estimate = int(header["total_steps_estimate"])
-        return agent
 
 
 def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = False):
@@ -355,27 +252,24 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
             return final_state, total_reward
 
 
-def search(env, cfg: RunConfig, seed: int, episodes: int, agent: DqnAgent | None = None):
-    """Train an agent for ``episodes`` episodes, then run one greedy inference episode.
+def search(env, cfg: RunConfig, seed: int, episodes: int):
+    """Train a fresh agent for ``episodes`` episodes, then run one greedy inference episode.
 
-    Returns the inference episode's final meta-path set. Pass a restored
-    ``agent`` to continue its training; remaining episodes are counted from
-    its progress. Logs a warning when training ends without a TD update,
-    since the greedy episode then follows an untrained network.
+    Returns the inference episode's final meta-path set. Logs a warning
+    when training ends without a TD update, since the greedy episode then
+    follows an untrained network.
     """
-    if agent is None:
-        agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed)
+    agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed)
     agent.total_steps_estimate = max(1, episodes * env.max_steps)
-    for ep in range(agent.episodes_done, episodes):
+    for ep in range(episodes):
         rng = derive_rng(seed, "episode", ep)
         _, total = run_episode(env, agent, rng)
-        agent.episodes_done = ep + 1
         log.debug("episode %d: return %.4f eps %.3f", ep, total, agent.epsilon())
     if agent.updates == 0:
         log.warning(
             "DQN training made no TD update: %d episodes gave %d transitions, "
             "below the warm-up threshold of %d (dqn_batch)",
-            agent.episodes_done, agent.env_steps, agent.min_buffer,
+            episodes, agent.env_steps, agent.min_buffer,
         )
     final_state, _ = run_episode(env, agent, derive_rng(seed, "inference"), greedy=True)
     return final_state.pset

@@ -3,8 +3,8 @@
 A graph is immutable after load. Nodes get dense integer IDs grouped into
 contiguous per-type ranges; the original string IDs are kept in a side
 table. Every relation has a complement (the same edges read backwards) and
-mirror edges are materialized automatically, so ``neighbors(comp(r), w)``
-is always consistent with ``neighbors(r, v)``.
+mirror edges are materialized automatically, so ``adjacency(comp(r))`` is
+always the transpose of ``adjacency(r)``.
 """
 from __future__ import annotations
 
@@ -285,14 +285,6 @@ class HinGraph:
     def type_count(self, type_name: str) -> int:
         t = self.schema.type_index(type_name)
         return int(self.type_offsets[t + 1] - self.type_offsets[t])
-
-    def neighbors(self, rid: int, v: int) -> np.ndarray:
-        """Sorted dst nodes of edges (v, .) under rid; empty on type mismatch."""
-        rel = self.schema.relation(rid)
-        if self.node_type(v) != rel.head:
-            return np.empty(0, dtype=np.int64)
-        indptr, indices = self._adj[rid]
-        return indices[indptr[v] : indptr[v + 1]]
 
     def adjacency(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
         self.schema.relation(rid)

@@ -173,9 +173,6 @@ class MetaPathSubgraph:
     dst: np.ndarray = field(repr=False)
     density: float = 0.0
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.dst[self.indptr[v] : self.indptr[v + 1]]
-
 
 def _transposed_block(graph: HinGraph, rid: int) -> sp.csr_matrix:
     """Relation ``rid``'s head x tail adjacency over type-local ids, transposed."""

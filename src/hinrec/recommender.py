@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
-from .autodiff import Tape, Var, activation, activation_fn
+from .autodiff import Tape, Var, activation
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .config import RunConfig
 from .hin import HinGraph
@@ -32,11 +32,11 @@ class AllPathsRejected(RuntimeError):
 # The RunConfig fields that fix a model's parameters and forward pass; a
 # checkpoint's header stores them, and :meth:`HRecModel.load` applies them.
 ARCH_FIELDS = (
-    "embed_dim", "att_hidden", "heads", "dropout", "fanout",
+    "embed_dim", "att_hidden", "dropout", "fanout",
     "density_threshold", "self_loops", "score_act", "agg_act", "fuse_act",
 )
 # The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -92,80 +92,6 @@ def build_side(
         pset.replace(tuple(accepted)),
         subgraphs,
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference operations (plain numpy, mirror the formulas one-to-one)
-# ---------------------------------------------------------------------------
-
-
-def project(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Type-specific projection z = W x."""
-    return W @ x
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def node_attention(
-    a: np.ndarray,
-    z_i: np.ndarray,
-    neighbors: list[tuple[int, np.ndarray]],
-    score_act: str = "leaky_relu",
-    agg_act: str = "elu",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attention over one node's neighbor list.
-
-    Scores come from the concatenation [z_i | z_j]; they are normalized
-    with softmax and the neighbors' projected embeddings are aggregated
-    under the configured activation. Scores are directional: e_ij need
-    not equal e_ji.
-    """
-    if not neighbors:
-        raise ValueError("node_attention requires a non-empty neighbor list")
-    zs = np.stack([z for _, z in neighbors])
-    cat = np.concatenate([np.broadcast_to(z_i, zs.shape), zs], axis=1)
-    e = activation_fn(score_act)(cat @ a)
-    alpha = _softmax(e)
-    h = activation_fn(agg_act)(alpha @ zs)
-    return alpha, h
-
-
-def path_attention(
-    W: np.ndarray,
-    b: np.ndarray,
-    queries: list[np.ndarray],
-    H_list: list[np.ndarray],
-    fuse_act: str = "tanh",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse per-path embedding tables with softmax path weights."""
-    if not H_list:
-        raise ValueError("path_attention requires at least one table")
-    m = H_list[0].shape[0]
-    for H in H_list:
-        if H.shape[0] != m:
-            raise ValueError("per-path tables must cover the same node set")
-    act = activation_fn(fuse_act)
-    w = np.asarray([float(np.mean(act(H @ W + b) @ q)) for q, H in zip(queries, H_list)])
-    beta = _softmax(w)
-    fused = np.tensordot(beta, np.stack(H_list), axes=1)
-    return beta, fused
-
-
-def score(h_u: np.ndarray, h_i: np.ndarray) -> float:
-    if h_u.shape != h_i.shape:
-        raise ValueError("score requires same-dimension embeddings")
-    return float(np.dot(h_u, h_i))
-
-
-def bpr_loss(triples) -> float:
-    """Mean of -ln sigmoid(pos - neg), computed in the stable branch form."""
-    arr = np.asarray(list(triples), dtype=np.float64).reshape(-1, 2)
-    if len(arr) == 0:
-        raise ValueError("bpr_loss requires at least one (pos, neg) pair")
-    return float(np.mean(np.logaddexp(0.0, -(arr[:, 0] - arr[:, 1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +260,7 @@ class HRecModel:
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
             for k in range(len(side.pset)):
-                for h in range(cfg.heads):
-                    params[f"natt.{tag}.{k}.{h}"] = Var(_glorot(rng, 2 * d))
+                params[f"natt.{tag}.{k}"] = Var(_glorot(rng, 2 * d))
             params[f"fuse.{tag}.W"] = Var(_glorot(rng, d, hid))
             params[f"fuse.{tag}.b"] = Var(np.zeros(hid))
             for k in range(len(side.pset)):
@@ -481,25 +406,17 @@ def _side_forward(
     tables: list[Var] = []
     w_scalars: list[Var] = []
     for k, view in enumerate(views):
-        head_tables: list[Var] = []
-        for h in range(cfg.heads):
-            a = model.params[f"natt.{tag}.{k}.{h}"]
-            a_src = tape.slice1d(a, 0, cfg.embed_dim)
-            a_dst = tape.slice1d(a, cfg.embed_dim, 2 * cfg.embed_dim)
-            e = act_score(
-                tape.add(
-                    tape.gather(tape.matvec(Z, a_src), view.src),
-                    tape.gather(tape.matvec(Z, a_dst), view.dst),
-                )
+        a = model.params[f"natt.{tag}.{k}"]
+        a_src = tape.slice1d(a, 0, cfg.embed_dim)
+        a_dst = tape.slice1d(a, cfg.embed_dim, 2 * cfg.embed_dim)
+        e = act_score(
+            tape.add(
+                tape.gather(tape.matvec(Z, a_src), view.src),
+                tape.gather(tape.matvec(Z, a_dst), view.dst),
             )
-            alpha = tape.segment_softmax(e, view.indptr, view.src)
-            agg = tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst)
-            head_tables.append(act_agg(agg))
-        Hx = head_tables[0]
-        for extra in head_tables[1:]:
-            Hx = tape.add(Hx, extra)
-        if cfg.heads > 1:
-            Hx = tape.mul_const(Hx, np.float64(1.0 / cfg.heads))
+        )
+        alpha = tape.segment_softmax(e, view.indptr, view.src)
+        Hx = act_agg(tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst))
         tables.append(Hx)
         T = act_fuse(tape.add_bias(tape.matmul(Hx, model.params[f"fuse.{tag}.W"]), model.params[f"fuse.{tag}.b"]))
         w_scalars.append(tape.mean(tape.matvec(T, model.params[f"q.{tag}.{k}"])))

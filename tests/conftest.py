@@ -67,6 +67,17 @@ def small_planted(tmp_path_factory):
     return graph, split, read_json(out / "manifest.json")
 
 
+def adjacency_row(graph, rid, v):
+    """Sorted tails of node ``v``'s edges under relation ``rid``, read from the graph's CSR adjacency."""
+    indptr, indices = graph.adjacency(rid)
+    return indices[indptr[v] : indptr[v + 1]]
+
+
+def subgraph_row(subgraph, v):
+    """Row ``v`` of a meta-path subgraph: the type-local nodes it holds edges to."""
+    return subgraph.dst[subgraph.indptr[v] : subgraph.indptr[v + 1]]
+
+
 def brute_force_metapath_neighbors(graph, path, v):
     """Oracle: enumerate every node sequence following the path, via raw edge lists."""
     adj = {}

