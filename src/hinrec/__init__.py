@@ -1,6 +1,6 @@
 """Meta-path search and attention-based recommendation on heterogeneous graphs."""
 
-from .hin import HinGraph, HinSchema, InteractionSet, complement_relation, load_graph
+from .hin import HinGraph, HinSchema, InteractionSet, load_graph
 from .metapath import (
     MetaPath,
     MetaPathSet,
@@ -8,7 +8,6 @@ from .metapath import (
     encode_metapath,
     encode_set,
     materialize_subgraph,
-    metapath_neighbors,
 )
 from .search_env import SearchEnv, apply_action, initial_set, step
 
@@ -23,13 +22,11 @@ __all__ = [
     "MetaPathSubgraph",
     "SearchEnv",
     "apply_action",
-    "complement_relation",
     "encode_metapath",
     "encode_set",
     "initial_set",
     "load_graph",
     "materialize_subgraph",
-    "metapath_neighbors",
     "step",
     "__version__",
 ]

@@ -9,6 +9,7 @@ data lives in separate fields.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import sys
 import time
@@ -177,6 +178,7 @@ def cmd_search(args) -> int:
             "user_set": _set_payload(user_set),
             "item_set": _set_payload(item_set),
             "probe_calls": probe.calls,
+            "probe_evaluations": probe.evaluations,
             "elapsed_s": time.perf_counter() - t0,
         },
     )
@@ -318,7 +320,39 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters, and the thresholds main sets through them.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES = 256 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's maximum on 64-bit hosts
+
+
+def keep_freed_memory() -> bool:
+    """Raise glibc's mmap and trim thresholds; False where that is not possible.
+
+    Both are set, or neither: setting either one turns off glibc's dynamic
+    mmap threshold, so with the trim threshold alone every array over
+    128 KiB is mmapped, and faulted in, again. The trim threshold is
+    therefore set only once the mmap threshold is. Without ``mallopt``
+    (musl, macOS) this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
 def main(argv=None) -> int:
+    """Run one command; its exit status.
+
+    The allocator policy is set here, for the whole process, and not by
+    the library. Training frees each batch's tape before the next forward
+    (:meth:`hinrec.autodiff.Tape.backward`), so with glibc's defaults the
+    freed heap goes back to the OS and the next batch faults it in again.
+    :func:`keep_freed_memory` keeps it in the process instead.
+    """
+    keep_freed_memory()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)

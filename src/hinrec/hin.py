@@ -183,13 +183,6 @@ class HinSchema:
         return "\n".join(lines) + "\n"
 
 
-def complement_relation(schema: HinSchema, rid: int) -> int:
-    """Complement relation id; rejects the reserved STOP id 0."""
-    if rid == STOP_ACTION:
-        raise SchemaError("relation id 0 is the reserved STOP action, not a relation")
-    return schema.relation(rid).comp
-
-
 @dataclass(frozen=True)
 class InteractionSet:
     """Deduplicated (user, item) pairs under the designated relation."""

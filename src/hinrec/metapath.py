@@ -140,20 +140,6 @@ def encode_set(schema: HinSchema, paths) -> np.ndarray:
     return total / norm
 
 
-def metapath_neighbors(graph: HinGraph, path: MetaPath, v: int) -> np.ndarray:
-    """Sorted nodes reachable from v along some instance of the path."""
-    if graph.node_type(v) != path.start_type:
-        return np.empty(0, dtype=np.int64)
-    frontier = np.asarray([v], dtype=np.int64)
-    for rid in path.relation_ids:
-        indptr, indices = graph.adjacency(rid)
-        if len(frontier) == 0:
-            return frontier
-        chunks = [indices[indptr[u] : indptr[u + 1]] for u in frontier]
-        frontier = np.unique(np.concatenate(chunks)) if chunks else frontier[:0]
-    return frontier
-
-
 @dataclass(frozen=True)
 class MetaPathSubgraph:
     """Homogeneous graph over the path's end type: edges are meta-path neighbor pairs.

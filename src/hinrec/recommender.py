@@ -143,6 +143,8 @@ def scatter_add(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     Round k adds the k-th occurrence of every repeated index with one
     fancy-indexed ``+=``, so each row still receives its terms one at a
     time in ``idx`` order; only the number of rounds is a Python loop.
+    Rows and values are put in round order once, so each round adds a
+    contiguous slice.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if len(idx) == 0:
@@ -154,11 +156,10 @@ def scatter_add(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     positions = np.arange(len(idx))
     occurrence = positions - np.maximum.accumulate(np.where(first, positions, 0))
     by_round = order[np.argsort(occurrence, kind="stable")]
-    bounds = np.cumsum(np.bincount(occurrence))
+    rows, vals = idx[by_round], vals[by_round]
     lo = 0
-    for hi in bounds:
-        sel = by_round[lo:hi]
-        table[idx[sel]] += vals[sel]
+    for hi in np.cumsum(np.bincount(occurrence)):
+        table[rows[lo:hi]] += vals[lo:hi]
         lo = hi
 
 
@@ -176,6 +177,12 @@ def mf_pretrain(
 
     ``pairs`` are (user_local, item_local) positives. Users or items with
     no interactions keep their random initialization (logged).
+
+    Each epoch draws a permutation, then every batch's negatives up front,
+    one :func:`draw_negatives` call per batch in batch order, which is the
+    order of the generator's draws when each batch drew its own. Each batch
+    gathers its rows of ``P`` and ``Q`` once and scatters its updates with
+    :func:`scatter_add`.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
@@ -193,16 +200,17 @@ def mf_pretrain(
             int((~touched_i).sum()),
         )
     pos_keys = positive_keys(pairs, n_items)
+    batches = [slice(lo, lo + batch_size) for lo in range(0, len(pairs), batch_size)]
     for _ in range(epochs):
         perm = rng.permutation(len(pairs))
-        for lo in range(0, len(pairs), batch_size):
-            sel = perm[lo : lo + batch_size]
-            u, i = pairs[sel, 0], pairs[sel, 1]
-            j = draw_negatives(u, pos_keys, n_items, rng)
-            x = np.sum(P[u] * (Q[i] - Q[j]), axis=1)
-            s = expit(-x)[:, None]
-            gP = s * (Q[i] - Q[j])
-            gQ = s * P[u]
+        users, items = pairs[perm, 0], pairs[perm, 1]
+        negatives = [draw_negatives(users[b], pos_keys, n_items, rng) for b in batches]
+        for b, j in zip(batches, negatives):
+            u, i = users[b], items[b]
+            Pu, diff = P[u], Q[i] - Q[j]
+            s = expit(-np.sum(Pu * diff, axis=1))[:, None]
+            gP = s * diff
+            gQ = s * Pu
             scatter_add(P, u, lr * gP)
             scatter_add(Q, i, lr * gQ)
             scatter_add(Q, j, -lr * gQ)

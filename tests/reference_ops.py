@@ -3,10 +3,15 @@
 Each function mirrors a formula of the model one-to-one, with no batching
 and no tape, so the tests can compare the tape's batched forward pass
 (:func:`hinrec.recommender._side_forward`) and its activations against it.
+:func:`mf_pretrain` is the BPR loop that
+:func:`hinrec.recommender.mf_pretrain` restructures, one batch at a time.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
+
+from hinrec.recommender import draw_negatives, positive_keys
 
 
 def activation_fn(name: str):
@@ -89,3 +94,25 @@ def bpr_loss(triples) -> float:
     if len(arr) == 0:
         raise ValueError("bpr_loss requires at least one (pos, neg) pair")
     return float(np.mean(np.logaddexp(0.0, -(arr[:, 0] - arr[:, 1]))))
+
+
+def mf_pretrain(pairs, n_users, n_items, d, epochs, lr, rng, batch_size=512):
+    """BPR matrix factorization, each batch drawing its negatives and scattering with ``np.add.at``."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    P = rng.normal(0.0, 0.1, size=(n_users, d))
+    Q = rng.normal(0.0, 0.1, size=(n_items, d))
+    pos_keys = positive_keys(pairs, n_items)
+    for _ in range(epochs):
+        perm = rng.permutation(len(pairs))
+        for lo in range(0, len(pairs), batch_size):
+            sel = perm[lo : lo + batch_size]
+            u, i = pairs[sel, 0], pairs[sel, 1]
+            j = draw_negatives(u, pos_keys, n_items, rng)
+            x = np.sum(P[u] * (Q[i] - Q[j]), axis=1)
+            s = expit(-x)[:, None]
+            gP = s * (Q[i] - Q[j])
+            gQ = s * P[u]
+            np.add.at(P, u, lr * gP)
+            np.add.at(Q, i, lr * gQ)
+            np.add.at(Q, j, -lr * gQ)
+    return P, Q

@@ -6,7 +6,8 @@ rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros),
 ``evaluation.evaluate`` (candidate rows redrawn on every call and ranked
 one user at a time), the node aggregation (gather, row scaling and group
 sum as three tape ops), ``Var.accumulate`` (zeros, then ``+=``), MF's
-scatter (``np.add.at``), ``metapath.sample_view`` (one ``rng.choice`` per
+scatter (``np.add.at``) and its per-batch loop
+(``reference_ops.mf_pretrain``), ``metapath.sample_view`` (one ``rng.choice`` per
 node) and ``metapath.materialize_subgraph`` (a boolean sparse product over
 all ``num_nodes x num_nodes`` relation matrices, sliced to the start type
 and sorted with ``lexsort``).
@@ -38,6 +39,7 @@ from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledVi
 from hinrec.recommender import _in_sorted, draw_negatives, positive_keys, scatter_add
 from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
 
+import reference_ops
 from conftest import brute_force_subgraph_rows, graph_from, random_hin, random_path, subgraph_row
 
 
@@ -433,6 +435,25 @@ def test_scatter_add_bit_identical_to_add_at(shape, idx):
     scatter_add(fast, idx, vals)
     reference_scatter_add(ref, idx, vals)
     assert fast.tobytes() == ref.tobytes()
+
+
+def test_mf_pretrain_bit_identical_to_per_batch_loop(monkeypatch, small_planted):
+    """Batches of 16: some scatters repeat a row and take several rounds, some take one."""
+    graph, split, _ = small_planted
+    pairs = split.train_local(graph)
+    args = (pairs, graph.type_count("User"), graph.type_count("Movie"), 8, 3, 0.05)
+    repeats = []
+
+    def scatter(table, idx, vals):
+        repeats.append(len(np.unique(idx)) < len(idx))
+        scatter_add(table, idx, vals)
+
+    monkeypatch.setattr(recommender, "scatter_add", scatter)
+    P, Q = recommender.mf_pretrain(*args, derive_rng(5, "mf"), batch_size=16)
+    assert any(repeats) and not all(repeats)
+    P_ref, Q_ref = reference_ops.mf_pretrain(*args, derive_rng(5, "mf"), batch_size=16)
+    assert P.tobytes() == P_ref.tobytes()
+    assert Q.tobytes() == Q_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ from hinrec.hin import (
     HinGraph,
     HinSchema,
     SchemaError,
-    complement_relation,
     load_graph,
 )
 
-from conftest import MOVIE_SCHEMA_TEXT, adjacency_row, graph_from
+from conftest import MOVIE_SCHEMA_TEXT, adjacency_row, complement_relation, graph_from
 
 
 def write_dataset(tmp_path, nodes_text, edges_text, schema_text=MOVIE_SCHEMA_TEXT):

@@ -12,7 +12,6 @@ from hinrec.metapath import (
     encode_metapath,
     encode_set,
     materialize_subgraph,
-    metapath_neighbors,
     sample_view,
 )
 
@@ -21,6 +20,7 @@ from conftest import (
     brute_force_metapath_neighbors,
     brute_force_subgraph_rows,
     graph_from,
+    metapath_neighbors,
     random_hin,
     random_path,
     subgraph_row,

@@ -6,7 +6,8 @@ top-level function, class, method and UPPER_CASE constant that
 somewhere in ``src/hinrec`` or ``bench/`` outside its own definition: as a
 name, an attribute, an import, or a string constant (``bench/tracing.py``
 wraps functions by their string names). Tests do not count, so code that
-only tests reach fails here.
+only tests reach fails here, and neither do the package's re-exports in
+``__init__.py``: exporting a name does not make the pipeline call it.
 
 It matches names only, not call graphs. A dead cluster whose members name
 each other (a save method calling a helper that a load method also calls)
@@ -60,7 +61,7 @@ def _uses(tree: ast.AST) -> Counter:
 
 def unreached() -> list[str]:
     """Qualified names of package definitions that nothing outside their own body names."""
-    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
     uses = {stem: _uses(tree) for stem, tree in modules.items()}
     bench = sum((_uses(_parse(path)) for path in sorted(BENCH.glob("*.py"))), Counter())
     out = []
