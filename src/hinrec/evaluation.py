@@ -56,7 +56,7 @@ class SplitSet:
     test: np.ndarray
     user_items: dict[int, np.ndarray]  # full profile, sorted item ids per user
     eligible_users: np.ndarray
-    item_ids: np.ndarray  # the item universe (global ids)
+    item_ids: np.ndarray  # the item universe (global ids), sorted and unique
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pairs(self, which: str) -> np.ndarray:
@@ -156,9 +156,18 @@ def sample_negatives(
 
     Falls back to the whole eligible pool when it is smaller than ``count``;
     :meth:`SplitSet.candidates` reports such users.
+
+    The pool is ``item_ids`` without the user's profile items: the profile
+    items found by ``searchsorted`` in the sorted ``item_ids`` are deleted,
+    which gives ``np.setdiff1d(item_ids, interacted, assume_unique=True)``
+    several times faster.
     """
     interacted = split.user_items.get(int(user), np.empty(0, dtype=np.int64))
-    pool = np.setdiff1d(split.item_ids, interacted, assume_unique=True)
+    ids = split.item_ids
+    at = np.searchsorted(ids, interacted)
+    found = at < len(ids)
+    found[found] = ids[at[found]] == interacted[found]
+    pool = np.delete(ids, at[found])
     if len(pool) < count:
         return pool
     return rng.choice(pool, size=count, replace=False)

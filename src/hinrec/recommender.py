@@ -99,67 +99,97 @@ def build_side(
 # ---------------------------------------------------------------------------
 
 
-def _in_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    if len(sorted_arr) == 0:
-        return np.zeros(len(vals), dtype=bool)
-    pos = np.searchsorted(sorted_arr, vals)
-    pos = np.minimum(pos, len(sorted_arr) - 1)
-    return sorted_arr[pos] == vals
+def positive_bits(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """The (user, item) pairs as a table of one bit per pair, for :func:`draw_negatives`.
 
+    Bit ``user * n_items + item`` is set for each pair; bits run from the
+    least significant within each byte.
 
-def positive_keys(pairs: np.ndarray, n_items: int) -> np.ndarray:
-    """Sorted unique ``user * n_items + item`` keys of (user, item) pairs, for :func:`draw_negatives`."""
+    The table takes ``n_users * n_items / 8`` bytes whatever the number of
+    pairs: 69 KB on planted-mam. It is meant for catalogs of the synthetic
+    graphs' size; a 100k-user by 100k-item catalog would need 1.25 GB.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return np.unique(pairs[:, 0] * n_items + pairs[:, 1])
+    keys = pairs[:, 0] * n_items + pairs[:, 1]
+    bits = np.zeros(-(-n_users * n_items // 8), dtype=np.uint8)
+    np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+    return bits
+
+
+def _has_bit(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    return (bits[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1 == 1
 
 
 def draw_negatives(
     users: np.ndarray,
-    pos_keys: np.ndarray,
+    pos_bits: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
     max_tries: int = 100,
 ) -> np.ndarray:
     """Uniform un-interacted item per user, by rejection.
 
-    ``pos_keys`` holds the interacted pairs as sorted ``user * n_items + item``
-    keys (:func:`positive_keys`), so each rejection round is one
-    ``searchsorted`` over the whole batch. Every round redraws exactly the
-    rejected entries, in batch order.
+    ``pos_bits`` is the interacted pairs' bit table (:func:`positive_bits`).
+    Every round redraws exactly the rejected entries, in batch order, and
+    tests only those entries again.
     """
     offsets = np.asarray(users, dtype=np.int64) * n_items
     j = rng.integers(0, n_items, size=len(offsets))
+    bad = np.flatnonzero(_has_bit(pos_bits, offsets + j))
     for _ in range(max_tries):
-        bad = _in_sorted(pos_keys, offsets + j)
-        if not bad.any():
+        if not len(bad):
             return j
-        j[bad] = rng.integers(0, n_items, size=int(bad.sum()))
+        j[bad] = rng.integers(0, n_items, size=len(bad))
+        bad = bad[_has_bit(pos_bits, offsets[bad] + j[bad])]
     raise RuntimeError("could not draw negatives; catalog nearly saturated")
 
 
-def scatter_add(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``np.add.at(table, idx, vals)`` with the same bits, in rounds of distinct rows.
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, bound)``, sorted in the narrowest
+    unsigned dtype: numpy radix-sorts 8- and 16-bit keys, about ten times as fast as int64."""
+    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
 
-    Round k adds the k-th occurrence of every repeated index with one
-    fancy-indexed ``+=``, so each row still receives its terms one at a
-    time in ``idx`` order; only the number of rounds is a Python loop.
-    Rows and values are put in round order once, so each round adds a
-    contiguous slice.
+
+def scatter_rounds(rows: np.ndarray, n_rows: int, batch_size: int) -> tuple[np.ndarray, list[list[int]]]:
+    """Plan each batch's ``np.add.at`` into a table of ``n_rows`` rows as rounds of distinct rows.
+
+    ``rows`` holds one epoch's entries in batch order; batch ``b`` is
+    ``rows[b * batch_size:(b + 1) * batch_size]``. Round ``r`` of a batch
+    holds the ``r``-th occurrence of each row within that batch, in batch
+    order, so adding the rounds one after another gives every row its terms
+    in batch order, with the same bits as ``np.add.at``.
+
+    Returns ``(order, ends)``: ``order`` is a permutation of the epoch's
+    positions that keeps each batch in its own range and puts it in round
+    order, and ``ends[b]`` lists where batch ``b``'s rounds end, counted
+    from the batch's start.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if len(idx) == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    first = np.ones(len(idx), dtype=bool)
-    first[1:] = sorted_idx[1:] != sorted_idx[:-1]
-    positions = np.arange(len(idx))
-    occurrence = positions - np.maximum.accumulate(np.where(first, positions, 0))
-    by_round = order[np.argsort(occurrence, kind="stable")]
-    rows, vals = idx[by_round], vals[by_round]
+    n = len(rows)
+    batch = np.arange(n) // batch_size
+    by_row = _stable_order(rows, n_rows)
+    # Within a row's run, positions ascend, so each (row, batch) group is contiguous.
+    sorted_rows, sorted_batch = rows[by_row], batch[by_row]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_batch[1:] != sorted_batch[:-1])
+    ranks = np.arange(n)
+    occurrence = np.empty(n, dtype=np.int64)
+    occurrence[by_row] = ranks - np.maximum.accumulate(np.where(first, ranks, 0))
+    slot = batch * batch_size + occurrence
+    n_batches = int(batch[-1]) + 1 if n else 0
+    order = _stable_order(slot, n_batches * batch_size)
+    sizes = np.bincount(slot, minlength=n_batches * batch_size).reshape(n_batches, batch_size)
+    ends = [np.cumsum(s[s > 0]).tolist() for s in sizes]
+    return order, ends
+
+
+def add_in_rounds(table: np.ndarray, rows: np.ndarray, vals: np.ndarray, ends: list[int], op=np.add) -> None:
+    """``table[rows[lo:hi]] = op(table[rows[lo:hi]], vals[lo:hi])`` for each round ``lo:hi`` that ``ends``
+    bounds; each round must name distinct rows (:func:`scatter_rounds`)."""
     lo = 0
-    for hi in np.cumsum(np.bincount(occurrence)):
-        table[rows[lo:hi]] += vals[lo:hi]
+    for hi in ends:
+        at = rows[lo:hi]
+        part = table[at]
+        table[at] = op(part, vals[lo:hi], out=part)
         lo = hi
 
 
@@ -178,11 +208,17 @@ def mf_pretrain(
     ``pairs`` are (user_local, item_local) positives. Users or items with
     no interactions keep their random initialization (logged).
 
+    Each batch takes one SGD step whose updates land as ``np.add.at`` would
+    add them: ``P`` at the batch's users, then ``Q`` at its items, then
+    ``Q`` at its negatives, each repeated row receiving its terms in batch
+    order. The result is bit for bit that per-batch loop's.
+
     Each epoch draws a permutation, then every batch's negatives up front,
     one :func:`draw_negatives` call per batch in batch order, which is the
-    order of the generator's draws when each batch drew its own. Each batch
-    gathers its rows of ``P`` and ``Q`` once and scatters its updates with
-    :func:`scatter_add`.
+    order of the generator's draws when each batch drew its own. Then
+    :func:`scatter_rounds` plans the whole epoch's three scatters, and each
+    batch gathers its rows and steps in round order. The negatives' scatter
+    subtracts ``lr * gQ``, which has the bits of adding ``-lr * gQ``.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
@@ -199,21 +235,27 @@ def mf_pretrain(
             int((~touched_u).sum()),
             int((~touched_i).sum()),
         )
-    pos_keys = positive_keys(pairs, n_items)
-    batches = [slice(lo, lo + batch_size) for lo in range(0, len(pairs), batch_size)]
+    pos_bits = positive_bits(pairs, n_users, n_items)
+    n = len(pairs)
+    batches = [slice(lo, lo + batch_size) for lo in range(0, n, batch_size)]
     for _ in range(epochs):
-        perm = rng.permutation(len(pairs))
+        perm = rng.permutation(n)
         users, items = pairs[perm, 0], pairs[perm, 1]
-        negatives = [draw_negatives(users[b], pos_keys, n_items, rng) for b in batches]
-        for b, j in zip(batches, negatives):
-            u, i = users[b], items[b]
-            Pu, diff = P[u], Q[i] - Q[j]
-            s = expit(-np.sum(Pu * diff, axis=1))[:, None]
-            gP = s * diff
-            gQ = s * Pu
-            scatter_add(P, u, lr * gP)
-            scatter_add(Q, i, lr * gQ)
-            scatter_add(Q, j, -lr * gQ)
+        negatives = np.concatenate([draw_negatives(users[b], pos_bits, n_items, rng) for b in batches])
+        # (table, rows, op, round order, round ends) per scatter, in the order they apply.
+        scatters = [
+            (table, rows, op, *scatter_rounds(rows, len(table), batch_size))
+            for table, rows, op in ((P, users, np.add), (Q, items, np.add), (Q, negatives, np.subtract))
+        ]
+        for k, b in enumerate(batches):
+            step_q, step_p = P[users[b]], Q[items[b]] - Q[negatives[b]]
+            s = expit(-np.sum(step_q * step_p, axis=1))[:, None]
+            for step in (step_p, step_q):  # in place, with the bits of lr * (s * step)
+                step *= s
+                step *= lr
+            for (table, rows, op, order, ends), step in zip(scatters, (step_p, step_q, step_q)):
+                at = order[b]
+                add_in_rounds(table, rows[at], step[at - b.start], ends[k], op)
     return P, Q
 
 
@@ -520,7 +562,7 @@ def train(
     cfg = model.cfg
     pairs = split.train_local(model.graph)
     n_items = model.item_side.m
-    pos_keys = positive_keys(split.all_local(model.graph), n_items)
+    pos_bits = positive_bits(split.all_local(model.graph), model.user_side.m, n_items)
     result = TrainResult()
     best_snap = None
     bad_epochs = 0
@@ -528,7 +570,7 @@ def train(
         rng = derive_rng(seed, "rec-epoch", epoch)
         user_views = sample_views(model.user_side, cfg.fanout, rng)
         item_views = sample_views(model.item_side, cfg.fanout, rng)
-        negatives = draw_negatives(pairs[:, 0], pos_keys, n_items, rng)
+        negatives = draw_negatives(pairs[:, 0], pos_bits, n_items, rng)
         perm = rng.permutation(len(pairs))
         losses = []
         for lo in range(0, len(pairs), cfg.rec_batch):

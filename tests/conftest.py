@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from hinrec.hin import STOP_ACTION, HinGraph, HinSchema, SchemaError, load_graph
+from hinrec.hin import HinGraph, HinSchema, load_graph
 from hinrec.synth import write_dataset
 from hinrec.util import derive_rng, read_json
 
@@ -76,27 +75,6 @@ def adjacency_row(graph, rid, v):
 def subgraph_row(subgraph, v):
     """Row ``v`` of a meta-path subgraph: the type-local nodes it holds edges to."""
     return subgraph.dst[subgraph.indptr[v] : subgraph.indptr[v + 1]]
-
-
-def complement_relation(schema, rid):
-    """Complement relation id; rejects the reserved STOP id 0."""
-    if rid == STOP_ACTION:
-        raise SchemaError("relation id 0 is the reserved STOP action, not a relation")
-    return schema.relation(rid).comp
-
-
-def metapath_neighbors(graph, path, v):
-    """Sorted nodes reachable from v along some instance of the path, one frontier node at a time."""
-    if graph.node_type(v) != path.start_type:
-        return np.empty(0, dtype=np.int64)
-    frontier = np.asarray([v], dtype=np.int64)
-    for rid in path.relation_ids:
-        indptr, indices = graph.adjacency(rid)
-        if len(frontier) == 0:
-            return frontier
-        chunks = [indices[indptr[u] : indptr[u + 1]] for u in frontier]
-        frontier = np.unique(np.concatenate(chunks)) if chunks else frontier[:0]
-    return frontier
 
 
 def brute_force_metapath_neighbors(graph, path, v):

@@ -4,14 +4,14 @@ Each function mirrors a formula of the model one-to-one, with no batching
 and no tape, so the tests can compare the tape's batched forward pass
 (:func:`hinrec.recommender._side_forward`) and its activations against it.
 :func:`mf_pretrain` is the BPR loop that
-:func:`hinrec.recommender.mf_pretrain` restructures, one batch at a time.
+:func:`hinrec.recommender.mf_pretrain` restructures, one batch at a time,
+with :func:`draw_negatives` testing one user at a time and ``np.add.at``
+scattering; nothing here imports the package's MF code.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit
-
-from hinrec.recommender import draw_negatives, positive_keys
 
 
 def activation_fn(name: str):
@@ -96,18 +96,41 @@ def bpr_loss(triples) -> float:
     return float(np.mean(np.logaddexp(0.0, -(arr[:, 0] - arr[:, 1]))))
 
 
+def per_user_items(pairs, n_users):
+    """Each user's sorted distinct items, as a list indexed by user."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return [np.unique(pairs[pairs[:, 0] == u, 1]) for u in range(n_users)]
+
+
+def draw_negatives(users, user_items, n_items, rng, max_tries=100):
+    """Uniform item per user outside ``user_items[user]``, by rejection, one user at a time.
+
+    Each round tests every entry, then redraws the rejected ones in batch order.
+    """
+    j = rng.integers(0, n_items, size=len(users))
+    for _ in range(max_tries):
+        bad = np.zeros(len(users), dtype=bool)
+        for u in np.unique(users):
+            sel = users == u
+            bad[sel] = np.isin(j[sel], user_items[u])
+        if not bad.any():
+            return j
+        j[bad] = rng.integers(0, n_items, size=int(bad.sum()))
+    raise RuntimeError("could not draw negatives; catalog nearly saturated")
+
+
 def mf_pretrain(pairs, n_users, n_items, d, epochs, lr, rng, batch_size=512):
     """BPR matrix factorization, each batch drawing its negatives and scattering with ``np.add.at``."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     P = rng.normal(0.0, 0.1, size=(n_users, d))
     Q = rng.normal(0.0, 0.1, size=(n_items, d))
-    pos_keys = positive_keys(pairs, n_items)
+    user_items = per_user_items(pairs, n_users)
     for _ in range(epochs):
         perm = rng.permutation(len(pairs))
         for lo in range(0, len(pairs), batch_size):
             sel = perm[lo : lo + batch_size]
             u, i = pairs[sel, 0], pairs[sel, 1]
-            j = draw_negatives(u, pos_keys, n_items, rng)
+            j = draw_negatives(u, user_items, n_items, rng)
             x = np.sum(P[u] * (Q[i] - Q[j]), axis=1)
             s = expit(-x)[:, None]
             gP = s * (Q[i] - Q[j])

@@ -1,16 +1,17 @@
 """The vectorized hot paths against the loops they replaced.
 
 The reference implementations below are the earlier per-element versions
-of ``recommender.draw_negatives`` (one ``searchsorted`` per user per
-rejection round), ``Tape.gather``'s backward (``np.add.at`` into zeros),
+of ``Tape.gather``'s backward (``np.add.at`` into zeros),
 ``evaluation.evaluate`` (candidate rows redrawn on every call and ranked
-one user at a time), the node aggregation (gather, row scaling and group
-sum as three tape ops), ``Var.accumulate`` (zeros, then ``+=``), MF's
-scatter (``np.add.at``) and its per-batch loop
-(``reference_ops.mf_pretrain``), ``metapath.sample_view`` (one ``rng.choice`` per
-node) and ``metapath.materialize_subgraph`` (a boolean sparse product over
-all ``num_nodes x num_nodes`` relation matrices, sliced to the start type
-and sorted with ``lexsort``).
+one user at a time), ``evaluation.sample_negatives``'s pool (``np.setdiff1d``),
+the node aggregation (gather, row scaling and group sum as three tape ops),
+``Var.accumulate`` (zeros, then ``+=``), ``metapath.sample_view`` (one
+``rng.choice`` per node) and ``metapath.materialize_subgraph`` (a boolean
+sparse product over all ``num_nodes x num_nodes`` relation matrices, sliced
+to the start type and sorted with ``lexsort``). MF's references live in
+``reference_ops``: ``draw_negatives`` tests each user's items with
+``np.isin``, one user at a time, and ``mf_pretrain`` is the per-batch loop
+that draws each batch's negatives that way and scatters with ``np.add.at``.
 
 Most fast paths must reproduce their reference bit for bit, down to the
 state of the random generator they share. Three are held to a looser
@@ -36,7 +37,7 @@ from hinrec import autodiff, cli, evaluation, metapath, recommender
 from hinrec.autodiff import Tape, Var
 from hinrec.evaluation import embedding_scorer, split_leave_one_out
 from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
-from hinrec.recommender import _in_sorted, draw_negatives, positive_keys, scatter_add
+from hinrec.recommender import add_in_rounds, draw_negatives, positive_bits, scatter_rounds
 from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
 
 import reference_ops
@@ -46,31 +47,6 @@ from conftest import brute_force_subgraph_rows, graph_from, random_hin, random_p
 # ---------------------------------------------------------------------------
 # Reference implementations
 # ---------------------------------------------------------------------------
-
-
-def reference_per_user_items(pairs: np.ndarray, n_users: int) -> list[np.ndarray]:
-    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_users
-    if len(pairs):
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        sorted_pairs = pairs[order]
-        users, starts = np.unique(sorted_pairs[:, 0], return_index=True)
-        bounds = np.append(starts, len(sorted_pairs))
-        for k, u in enumerate(users):
-            out[int(u)] = sorted_pairs[bounds[k] : bounds[k + 1], 1]
-    return out
-
-
-def reference_draw_negatives(users, user_pos, n_items, rng, max_tries=100):
-    j = rng.integers(0, n_items, size=len(users))
-    for _ in range(max_tries):
-        bad = np.zeros(len(users), dtype=bool)
-        for u in np.unique(users):
-            sel = users == u
-            bad[sel] = _in_sorted(user_pos[u], j[sel])
-        if not bad.any():
-            return j
-        j[bad] = rng.integers(0, n_items, size=int(bad.sum()))
-    raise RuntimeError("could not draw negatives; catalog nearly saturated")
 
 
 def reference_gather(self, x, idx):
@@ -103,10 +79,6 @@ def reference_segment_weighted_sum(self, x, w, indptr, src, dst):
         msg.accumulate(g[src])
 
     return self._emit(np.add.reduceat(msg.value, indptr[:-1], axis=0), back_sum)
-
-
-def reference_scatter_add(table, idx, vals):
-    np.add.at(table, idx, vals)
 
 
 def reference_sample_neighbors(subgraph, v, fanout, rng):
@@ -267,19 +239,25 @@ def test_draw_negatives_matches_per_user_loop(n_items, seed):
     users = data.integers(0, n_users, size=300)
     assert set(users.tolist()) - set(pairs[:, 0].tolist())  # users with no positives are drawn for
 
+    bits = positive_bits(pairs, n_users, n_items)
+    dense = np.zeros((n_users, n_items), dtype=bool)
+    dense[pairs[:, 0], pairs[:, 1]] = True
+    assert len(bits) == -(-n_users * n_items // 8)
+    np.testing.assert_array_equal(np.unpackbits(bits, bitorder="little")[: n_users * n_items], dense.ravel())
+
     rng_fast, rng_ref = derive_rng(seed, "draw"), derive_rng(seed, "draw")
-    fast = draw_negatives(users, positive_keys(pairs, n_items), n_items, rng_fast)
-    ref = reference_draw_negatives(users, reference_per_user_items(pairs, n_users), n_items, rng_ref)
+    fast = draw_negatives(users, bits, n_items, rng_fast)
+    ref = reference_ops.draw_negatives(users, reference_ops.per_user_items(pairs, n_users), n_items, rng_ref)
     np.testing.assert_array_equal(fast, ref)
     assert fast.dtype == ref.dtype
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
-    assert not _in_sorted(positive_keys(pairs, n_items), users * n_items + fast).any()
+    assert not dense[users, fast].any()
 
 
 def test_draw_negatives_saturated_catalog_raises():
     pairs = np.asarray([[0, 0], [0, 1], [0, 2], [1, 0]])
     with pytest.raises(RuntimeError, match="saturated"):
-        draw_negatives(np.asarray([1, 0, 1]), positive_keys(pairs, 3), 3, derive_rng(0, "sat"), max_tries=20)
+        draw_negatives(np.asarray([1, 0, 1]), positive_bits(pairs, 2, 3), 3, derive_rng(0, "sat"), max_tries=20)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +405,110 @@ def test_weight_gradient_blocks_end_inside_groups(monkeypatch, block):
     ],
 )
 def test_scatter_add_bit_identical_to_add_at(shape, idx):
+    """Planned rounds, added batch after batch, against one ``np.add.at`` per batch;
+    with one batch, batches of 3 entries, and batches that do not divide the entries."""
     rng = np.random.default_rng(len(idx))
     idx = np.asarray(idx, dtype=np.int64)
     table = rng.normal(size=shape)
     vals = rng.normal(size=(len(idx),) + shape[1:]) * 10.0 ** rng.integers(-8, 8, size=(len(idx),) + shape[1:])
+    for batch_size in sorted({max(1, len(idx)), 3, max(1, len(idx) // 2 + 1)}):
+        order, ends = scatter_rounds(idx, shape[0], batch_size)
+        batches = [slice(lo, lo + batch_size) for lo in range(0, len(idx), batch_size)]
+        assert len(ends) == len(batches)
+        fast, ref = table.copy(), table.copy()
+        for k, b in enumerate(batches):
+            assert sorted(order[b].tolist()) == list(range(len(idx)))[b]
+            rows = idx[order[b]]
+            lo = 0
+            for hi in ends[k]:
+                assert len(np.unique(rows[lo:hi])) == hi - lo
+                lo = hi
+            assert lo == len(rows)
+            add_in_rounds(fast, rows, vals[order[b]], ends[k])
+            np.add.at(ref, idx[b], vals[b])
+        assert fast.tobytes() == ref.tobytes()
+
+
+def test_subtracting_rounds_match_adding_negated_values():
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, 7, size=40)
+    table = rng.normal(size=(7, 5))
+    vals = rng.normal(size=(40, 5))
+    order, ends = scatter_rounds(idx, 7, 40)
     fast, ref = table.copy(), table.copy()
-    scatter_add(fast, idx, vals)
-    reference_scatter_add(ref, idx, vals)
+    add_in_rounds(fast, idx[order], 0.05 * vals[order], ends[0], np.subtract)
+    np.add.at(ref, idx, -0.05 * vals)
     assert fast.tobytes() == ref.tobytes()
+
+
+def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, seed=5):
+    args = (pairs, n_users, n_items, 8, epochs, 0.05)
+    P, Q = recommender.mf_pretrain(*args, derive_rng(seed, "mf"), batch_size=batch_size)
+    P_ref, Q_ref = reference_ops.mf_pretrain(*args, derive_rng(seed, "mf"), batch_size=batch_size)
+    assert P.tobytes() == P_ref.tobytes()
+    assert Q.tobytes() == Q_ref.tobytes()
 
 
 def test_mf_pretrain_bit_identical_to_per_batch_loop(monkeypatch, small_planted):
     """Batches of 16: some scatters repeat a row and take several rounds, some take one."""
     graph, split, _ = small_planted
     pairs = split.train_local(graph)
-    args = (pairs, graph.type_count("User"), graph.type_count("Movie"), 8, 3, 0.05)
-    repeats = []
+    rounds = []
 
-    def scatter(table, idx, vals):
-        repeats.append(len(np.unique(idx)) < len(idx))
-        scatter_add(table, idx, vals)
+    def counting(table, rows, vals, ends, *op):
+        rounds.append(len(ends))
+        add_in_rounds(table, rows, vals, ends, *op)
 
-    monkeypatch.setattr(recommender, "scatter_add", scatter)
-    P, Q = recommender.mf_pretrain(*args, derive_rng(5, "mf"), batch_size=16)
-    assert any(repeats) and not all(repeats)
-    P_ref, Q_ref = reference_ops.mf_pretrain(*args, derive_rng(5, "mf"), batch_size=16)
-    assert P.tobytes() == P_ref.tobytes()
-    assert Q.tobytes() == Q_ref.tobytes()
+    monkeypatch.setattr(recommender, "add_in_rounds", counting)
+    assert_mf_matches_reference(pairs, graph.type_count("User"), graph.type_count("Movie"), 16)
+    assert max(rounds) > 1 and min(rounds) == 1
+
+
+def mf_case(name):
+    """``(pairs, n_users, n_items)`` for one edge case of :func:`test_mf_pretrain_bit_identical_on_edge_cases`."""
+    rng = derive_rng(0, "mf-case", name)
+    if name == "one user":  # the user's row repeats across every batch
+        return np.stack([np.zeros(30, dtype=np.int64), rng.permutation(40)[:30]], axis=1), 1, 40
+    pairs = random_pairs(rng, 25, 30)
+    if name == "unused rows":  # users 25-29 and items 30-34 have no pairs
+        return pairs, 30, 35
+    return pairs, 25, 30
+
+
+@pytest.mark.parametrize(
+    "name, batch_size",
+    [
+        ("random", 13),  # does not divide the pair count
+        ("random", 64),
+        ("random", 10_000),  # one batch holds every pair
+        ("one user", 8),
+        ("one user", 30),
+        ("unused rows", 11),
+    ],
+)
+def test_mf_pretrain_bit_identical_on_edge_cases(name, batch_size):
+    pairs, n_users, n_items = mf_case(name)
+    if name == "random":
+        assert len(pairs) % 13 and len(pairs) < 10_000
+    assert_mf_matches_reference(pairs, n_users, n_items, batch_size)
+
+
+def test_mf_pretrain_draws_each_batch_through_the_module(monkeypatch, small_planted):
+    """One ``recommender.draw_negatives`` call per batch: the benchmark counts calls by patching that name."""
+    graph, split, _ = small_planted
+    pairs = split.train_local(graph)
+    calls = []
+
+    def counting(users, *args, **kwargs):
+        calls.append(len(users))
+        return draw_negatives(users, *args, **kwargs)
+
+    monkeypatch.setattr(recommender, "draw_negatives", counting)
+    epochs, batch_size = 3, 100
+    recommender.mf_pretrain(pairs, graph.type_count("User"), graph.type_count("Movie"), 8, epochs, 0.05,
+                            derive_rng(0, "mf"), batch_size=batch_size)
+    per_epoch = [batch_size] * (len(pairs) // batch_size) + [len(pairs) % batch_size] * bool(len(pairs) % batch_size)
+    assert calls == per_epoch * epochs
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +772,40 @@ def fresh_split(small_planted):
     return graph, split, H_user, H_item
 
 
+def reference_sample_negatives(split, user, count, rng):
+    interacted = split.user_items.get(int(user), np.empty(0, dtype=np.int64))
+    pool = np.setdiff1d(split.item_ids, interacted, assume_unique=True)
+    if len(pool) < count:
+        return pool
+    return rng.choice(pool, size=count, replace=False)
+
+
+def hand_split(user_items, item_ids):
+    """A split with only profiles and an item universe, built without :func:`split_leave_one_out`."""
+    none = np.empty((0, 2), dtype=np.int64)
+    profiles = {u: np.asarray(items, dtype=np.int64) for u, items in user_items.items()}
+    return evaluation.SplitSet(1, none, none, none, profiles, np.empty(0, dtype=np.int64),
+                               np.asarray(item_ids, dtype=np.int64))
+
+
+@pytest.mark.parametrize("count", [0, 3, 100, 10_000])  # 100 exceeds the hand pools, 10,000 every pool
+def test_sample_negatives_matches_setdiff1d_pool(fresh_split, count):
+    _, split, _, _ = fresh_split
+    hand = hand_split(
+        # 1 has every item (an empty pool); 2 and 4 hold items outside item_ids; 5 has no profile.
+        {0: [10, 12, 14], 1: [10, 11, 12, 13, 14], 2: [12, 99], 3: [], 4: [9, 11]},
+        [10, 11, 12, 13, 14],
+    )
+    cases = [(split, u) for u in sorted(split.user_items)[:50]] + [(hand, u) for u in range(6)]
+    for which, u in cases:
+        rng_fast, rng_ref = derive_rng(u, "pool"), derive_rng(u, "pool")
+        fast = evaluation.sample_negatives(which, u, count, rng_fast)
+        ref = reference_sample_negatives(which, u, count, rng_ref)
+        assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes(), (u, count)
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    assert len(evaluation.sample_negatives(hand, 1, count, derive_rng(0, "pool"))) == 0
+
+
 def test_candidates_built_once_per_key(monkeypatch, fresh_split):
     graph, split, H_user, H_item = fresh_split
     scorer = embedding_scorer(graph, H_user, H_item)
@@ -832,28 +921,28 @@ def test_train_and_eval_outputs_match_reference_paths(monkeypatch, tmp_path):
 
         return wrapper
 
-    def reference_keys(pairs, n_items):
-        # The per-user item lists the reference draw takes where production takes keys.
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return reference_per_user_items(pairs, int(pairs[:, 0].max()) + 1)
+    def reference_bits(pairs, n_users, n_items):
+        # The per-user item lists the reference draw takes where production takes the bit table.
+        return reference_ops.per_user_items(pairs, n_users)
 
-    monkeypatch.setattr(recommender, "positive_keys", counted("keys", reference_keys))
-    monkeypatch.setattr(recommender, "draw_negatives", counted("draw", reference_draw_negatives))
+    monkeypatch.setattr(recommender, "positive_bits", counted("bits", reference_bits))
+    monkeypatch.setattr(recommender, "draw_negatives", counted("draw", reference_ops.draw_negatives))
+    monkeypatch.setattr(recommender, "mf_pretrain", counted("mf", reference_ops.mf_pretrain))
     monkeypatch.setattr(Tape, "gather", counted("gather", reference_gather))
     monkeypatch.setattr(
         evaluation, "evaluate", counted("evaluate", lambda scorer, *a: reference_evaluate(per_user(scorer), *a))
     )
     monkeypatch.setattr(Var, "accumulate", counted("accumulate", reference_accumulate))
-    monkeypatch.setattr(recommender, "scatter_add", counted("scatter", reference_scatter_add))
     monkeypatch.setattr(metapath, "materialize_subgraph", counted("materialize", reference_materialize_subgraph))
     ref = train_then_eval(dataset, config, tmp_path / "ref")
     used_by_train = used.copy()
     ref_search = random_search(dataset, config, tmp_path / "ref-search")
 
     assert set(used_by_train) == {
-        "keys", "draw", "gather", "evaluate", "accumulate", "scatter", "materialize",
+        "bits", "draw", "mf", "gather", "evaluate", "accumulate", "materialize",
     }
     assert used["materialize"] > used_by_train["materialize"]
+    assert used["mf"] > used_by_train["mf"]  # the search's probe starts from the reference MF too
     for name in fast:
         assert fast[name] == ref[name], name
     assert fast_search == ref_search

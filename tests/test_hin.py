@@ -9,7 +9,7 @@ from hinrec.hin import (
     load_graph,
 )
 
-from conftest import MOVIE_SCHEMA_TEXT, adjacency_row, complement_relation, graph_from
+from conftest import MOVIE_SCHEMA_TEXT, adjacency_row, graph_from
 
 
 def write_dataset(tmp_path, nodes_text, edges_text, schema_text=MOVIE_SCHEMA_TEXT):
@@ -36,13 +36,13 @@ class TestSchema:
 
     def test_complement_involution(self, movie_schema):
         for rel in movie_schema.relations:
-            assert complement_relation(movie_schema, complement_relation(movie_schema, rel.rid)) == rel.rid
+            assert movie_schema.relation(movie_schema.relation(rel.rid).comp).comp == rel.rid
 
     def test_complement_rejects_stop_and_range(self, movie_schema):
         with pytest.raises(SchemaError):
-            complement_relation(movie_schema, 0)
+            movie_schema.relation(0)  # the reserved STOP action
         with pytest.raises(SchemaError):
-            complement_relation(movie_schema, 7)
+            movie_schema.relation(7)
 
     def test_interaction_designation(self, movie_schema):
         assert movie_schema.user_type == "User"

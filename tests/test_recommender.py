@@ -21,7 +21,7 @@ from hinrec.recommender import (
     forward,
     infer_embeddings,
     mf_pretrain,
-    positive_keys,
+    positive_bits,
     sample_views,
     train,
 )
@@ -223,7 +223,7 @@ class TestMF:
         n_i = graph.type_count("Movie")
 
         def loss(P, Q, rng):
-            j = draw_negatives(pairs[:, 0], positive_keys(pairs, n_i), n_i, rng)
+            j = draw_negatives(pairs[:, 0], positive_bits(pairs, n_u, n_i), n_i, rng)
             return bpr_loss(list(zip(np.sum(P[pairs[:, 0]] * Q[pairs[:, 1]], 1),
                                      np.sum(P[pairs[:, 0]] * Q[j], 1))))
 
