@@ -118,33 +118,35 @@ class SplitSet:
 
 
 def split_leave_one_out(interactions: InteractionSet, rng: np.random.Generator) -> SplitSet:
-    """One random validation and one test pair per user with >= 3 interactions."""
+    """One random validation and one test pair per user with >= 3 interactions.
+
+    Users are visited in id order, and each eligible one draws its two
+    held-out positions with one ``rng.choice``. Training keeps every other
+    pair in the interaction set's order.
+    """
     pairs = interactions.pairs
     if len(pairs) == 0:
         raise ValueError("cannot split an empty interaction set")
-    users, starts = np.unique(pairs[:, 0], return_index=True)
-    bounds = np.append(starts, len(pairs))
-    train_rows, val_rows, test_rows, eligible = [], [], [], []
-    user_items: dict[int, np.ndarray] = {}
-    for k, u in enumerate(users):
-        items = pairs[bounds[k] : bounds[k + 1], 1]
-        user_items[int(u)] = np.sort(items)
-        if len(items) < 3:
-            train_rows.extend((u, i) for i in items)
-            continue
-        picks = rng.choice(len(items), size=2, replace=False)
-        val_rows.append((u, items[picks[0]]))
-        test_rows.append((u, items[picks[1]]))
-        rest = np.delete(items, picks)
-        train_rows.extend((u, i) for i in rest)
-        eligible.append(u)
+    # The pairs are sorted by (user, item), so each user's items are one
+    # ascending run: its profile, and the rows its picks index into.
+    users, starts, counts = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    items = np.ascontiguousarray(pairs[:, 1])
+    bounds = np.append(starts, len(pairs)).tolist()
+    user_items = {u: items[lo:hi] for u, lo, hi in zip(users.tolist(), bounds, bounds[1:])}
+    eligible = counts >= 3
+    picks = np.asarray(
+        [rng.choice(n, size=2, replace=False) for n in counts[eligible].tolist()], dtype=np.int64
+    ).reshape(-1, 2)
+    held = starts[eligible][:, None] + picks
+    train = np.ones(len(pairs), dtype=bool)
+    train[held.ravel()] = False
     return SplitSet(
         relation=interactions.relation,
-        train=np.asarray(train_rows, dtype=np.int64).reshape(-1, 2),
-        validation=np.asarray(val_rows, dtype=np.int64).reshape(-1, 2),
-        test=np.asarray(test_rows, dtype=np.int64).reshape(-1, 2),
+        train=pairs[train],
+        validation=pairs[held[:, 0]],
+        test=pairs[held[:, 1]],
         user_items=user_items,
-        eligible_users=np.asarray(eligible, dtype=np.int64),
+        eligible_users=users[eligible],
         item_ids=np.unique(pairs[:, 1]),
     )
 

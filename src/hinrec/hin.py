@@ -9,7 +9,9 @@ always the transpose of ``adjacency(r)``.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,9 @@ from .checkpoint import load_arrays, save_arrays
 log = logging.getLogger(__name__)
 
 STOP_ACTION = 0  # action id 0 is reserved; relation ids start at 1
+
+# The header format :meth:`HinGraph.save` writes; :meth:`HinGraph.load` rejects any other.
+BUNDLE_FORMAT = 1
 
 
 class SchemaError(ValueError):
@@ -231,26 +236,30 @@ class HinGraph:
         cls,
         schema: HinSchema,
         nodes: list[tuple[str, str]],
-        edges: list[tuple[int, int, int]],
+        edges: np.ndarray | list[tuple[int, int, int]],
         mirror: bool = True,
     ) -> "HinGraph":
         """Build from (string_id, type_name) nodes and (rid, src, dst) dense-id edges.
 
-        ``nodes`` order fixes the dense ids (grouped by type, file order
-        within a type) before this is called; see :func:`load_graph`.
+        ``edges`` is an (E, 3) integer array or a list of ``(rid, src, dst)``
+        tuples. ``nodes`` order fixes the dense ids (grouped by type, file
+        order within a type) before this is called; see :func:`load_graph`.
         """
-        counts = np.zeros(len(schema.node_types) + 1, dtype=np.int64)
-        for _, tname in nodes:
-            counts[schema.type_index(tname) + 1] += 1
-        offsets = np.cumsum(counts)
+        sizes = np.zeros(len(schema.node_types) + 1, dtype=np.int64)
+        for tname, count in Counter(tname for _, tname in nodes).items():
+            sizes[schema.type_index(tname) + 1] = count
+        offsets = np.cumsum(sizes)
         names = tuple(sid for sid, _ in nodes)
 
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        out_of_range = np.flatnonzero((arr[:, 0] < 1) | (arr[:, 0] > schema.n_relations))
+        if len(out_of_range):
+            schema.relation(int(arr[out_of_range[0], 0]))  # raises SchemaError
         if mirror:
-            mirrored = [(schema.relation(rid).comp, dst, src) for rid, src, dst in edges]
-            edges = edges + mirrored
+            comp = np.asarray([0] + [rel.comp for rel in schema.relations], dtype=np.int64)
+            arr = np.concatenate([arr, np.stack([comp[arr[:, 0]], arr[:, 2], arr[:, 1]], axis=1)])
         by_rel: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         num_nodes = int(offsets[-1])
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         for rel in schema.relations:
             sel = arr[arr[:, 0] == rel.rid]
             by_rel[rel.rid] = _build_csr(sel[:, 1], sel[:, 2], num_nodes)
@@ -328,7 +337,7 @@ class HinGraph:
     def save(self, path: str | Path) -> None:
         header = {
             "kind": "hin-bundle",
-            "format": 1,
+            "format": BUNDLE_FORMAT,
             "schema": self.schema.to_text(),
             "node_names": list(self.node_names),
         }
@@ -340,9 +349,16 @@ class HinGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "HinGraph":
+        """Read a bundle written by :meth:`save`.
+
+        Raises :class:`GraphLoadError`, naming ``path``, when the file is not
+        a hin bundle or its header's format is not :data:`BUNDLE_FORMAT`.
+        """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hin-bundle":
             raise GraphLoadError(path, 0, "not a hin bundle")
+        if header.get("format") != BUNDLE_FORMAT:
+            raise GraphLoadError(path, 0, f"hin bundle format {header.get('format')!r}, expected {BUNDLE_FORMAT}")
         schema = HinSchema.parse(header["schema"], source=str(path))
         adj = {
             rel.rid: (arrays[f"adj.{rel.rid}.indptr"], arrays[f"adj.{rel.rid}.indices"])
@@ -378,18 +394,25 @@ def _remove_pairs(
     return _build_csr(src[keep], indices[keep], num_nodes)
 
 
-def _parse_tsv(path: str | Path, n_fields: int) -> list[tuple[int, list[str]]]:
-    rows: list[tuple[int, list[str]]] = []
+def _parse_tsv(path: str | Path, n_fields: int) -> tuple[np.ndarray, list[list[str]]]:
+    """The 1-based line numbers of a TSV file's data lines, and its fields column by column.
+
+    Blank lines and lines whose first non-blank character is '#' are skipped
+    but counted. The whole file is parsed before anything is returned, so
+    the first line without ``n_fields`` tab-separated fields is reported
+    ahead of any check on the values.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise GraphLoadError(path, line_no, f"expected {n_fields} tab-separated fields, got {len(parts)}")
-            rows.append((line_no, parts))
-    return rows
+        lines = fh.read().split("\n")
+    rows = [k for k, line in enumerate(lines) if (text := line.lstrip()) and text[0] != "#"]
+    data = [lines[k] for k in rows]
+    tabs = np.fromiter(map(str.count, data, repeat("\t")), dtype=np.int64, count=len(data))
+    bad = np.flatnonzero(tabs != n_fields - 1)
+    if len(bad):
+        k = int(bad[0])
+        raise GraphLoadError(path, rows[k] + 1, f"expected {n_fields} tab-separated fields, got {tabs[k] + 1}")
+    fields = "\t".join(data).split("\t") if data else []
+    return np.asarray(rows, dtype=np.int64) + 1, [fields[j::n_fields] for j in range(n_fields)]
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path, schema: HinSchema) -> HinGraph:
@@ -399,43 +422,70 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path, schema: HinSchema
     ``<src>\\t<relation>\\t<dst>``. Duplicate lines are dropped, mirror
     edges under complements are materialized, and every structural error
     is reported with its file line number.
+
+    The checks run in this order, and the first offending line of each
+    step raises :class:`GraphLoadError`:
+
+    1. the node file's field counts;
+    2. per node line: a known type, then no re-declaration with another type;
+    3. the edge file's field counts;
+    4. per edge line: a known relation, then a declared source id, then a
+       declared destination id, then endpoint types matching the relation.
     """
-    raw_nodes = _parse_tsv(nodes_path, 2)
-    node_type_of: dict[str, str] = {}
-    ordered: list[tuple[str, str]] = []
-    for line_no, (sid, tname) in raw_nodes:
-        if tname not in schema.node_types:
-            raise GraphLoadError(nodes_path, line_no, f"unknown node type {tname!r}")
-        prev = node_type_of.get(sid)
-        if prev is None:
-            node_type_of[sid] = tname
-            ordered.append((sid, tname))
-        elif prev != tname:
-            raise GraphLoadError(nodes_path, line_no, f"node {sid!r} re-declared with type {tname!r} (was {prev!r})")
+    node_lines, (sids, tnames) = _parse_tsv(nodes_path, 2)
+    type_of = {t: k for k, t in enumerate(schema.node_types)}
+    tix = np.fromiter(map(type_of.get, tnames, repeat(-1)), dtype=np.int64, count=len(tnames))
+    # The row of each id's first declaration: dict() keeps the last value it
+    # is given for a key, so it is fed the rows last to first.
+    first = dict(zip(reversed(sids), range(len(sids) - 1, -1, -1)))
+    first_row = np.fromiter(map(first.__getitem__, sids), dtype=np.int64, count=len(sids))
+    bad = np.flatnonzero((tix < 0) | (tix != tix[first_row]))
+    if len(bad):
+        k = int(bad[0])
+        if tix[k] < 0:
+            raise GraphLoadError(nodes_path, int(node_lines[k]), f"unknown node type {tnames[k]!r}")
+        prev = tnames[first_row[k]]
+        raise GraphLoadError(
+            nodes_path, int(node_lines[k]), f"node {sids[k]!r} re-declared with type {tnames[k]!r} (was {prev!r})"
+        )
 
     # Dense ids: types in schema order, file order within each type.
-    grouped = sorted(ordered, key=lambda nt: schema.type_index(nt[1]))
-    dense: dict[str, int] = {sid: i for i, (sid, _) in enumerate(grouped)}
+    kept = np.flatnonzero(first_row == np.arange(len(sids)))
+    grouped = kept[np.argsort(tix[kept], kind="stable")]
+    nodes = [(sids[r], tnames[r]) for r in grouped.tolist()]
+    dense = dict(zip((sid for sid, _ in nodes), range(len(nodes))))
+    types = np.append(tix[grouped], -1)  # index -1 (an undeclared id) reads -1
 
-    edges: list[tuple[int, int, int]] = []
-    for line_no, (src_s, rel_name, dst_s) in _parse_tsv(edges_path, 3):
+    edge_lines, (src_s, rel_s, dst_s) = _parse_tsv(edges_path, 3)
+    rid_of: dict[str, int] = {}
+    for name in dict.fromkeys(rel_s):
         try:
-            rel = schema.by_name(rel_name)
+            rid_of[name] = schema.by_name(name).rid
         except SchemaError:
-            raise GraphLoadError(edges_path, line_no, f"unknown relation name {rel_name!r}") from None
-        if src_s not in dense:
-            raise GraphLoadError(edges_path, line_no, f"dangling node id {src_s!r}")
-        if dst_s not in dense:
-            raise GraphLoadError(edges_path, line_no, f"dangling node id {dst_s!r}")
-        if node_type_of[src_s] != rel.head or node_type_of[dst_s] != rel.tail:
-            raise GraphLoadError(
-                edges_path,
-                line_no,
-                f"endpoint-type mismatch at line {line_no}: {rel_name} expects "
-                f"{rel.head}->{rel.tail}, got {node_type_of[src_s]}->{node_type_of[dst_s]}",
-            )
-        edges.append((rel.rid, dense[src_s], dense[dst_s]))
+            rid_of[name] = 0
+    n = len(rel_s)
+    rid = np.fromiter(map(rid_of.__getitem__, rel_s), dtype=np.int64, count=n)
+    src = np.fromiter(map(dense.get, src_s, repeat(-1)), dtype=np.int64, count=n)
+    dst = np.fromiter(map(dense.get, dst_s, repeat(-1)), dtype=np.int64, count=n)
+    head = np.asarray([-1] + [type_of[rel.head] for rel in schema.relations], dtype=np.int64)
+    tail = np.asarray([-1] + [type_of[rel.tail] for rel in schema.relations], dtype=np.int64)
+    bad = np.flatnonzero((rid == 0) | (src < 0) | (dst < 0) | (types[src] != head[rid]) | (types[dst] != tail[rid]))
+    if len(bad):
+        k = int(bad[0])
+        line_no = int(edge_lines[k])
+        if not rid[k]:
+            raise GraphLoadError(edges_path, line_no, f"unknown relation name {rel_s[k]!r}")
+        for sid, v in ((src_s[k], src[k]), (dst_s[k], dst[k])):
+            if v < 0:
+                raise GraphLoadError(edges_path, line_no, f"dangling node id {sid!r}")
+        rel = schema.relation(int(rid[k]))
+        raise GraphLoadError(
+            edges_path,
+            line_no,
+            f"endpoint-type mismatch at line {line_no}: {rel_s[k]} expects "
+            f"{rel.head}->{rel.tail}, got {schema.node_types[types[src[k]]]}->{schema.node_types[types[dst[k]]]}",
+        )
 
-    graph = HinGraph.from_edges(schema, grouped, edges)
+    graph = HinGraph.from_edges(schema, nodes, np.stack([rid, src, dst], axis=1))
     log.info("loaded graph: %s", graph.stats())
     return graph

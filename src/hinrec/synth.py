@@ -68,27 +68,32 @@ def generate(profile: str, seed: int):
 
     movie_actor = rng.integers(0, p.actors, size=p.movies)
     movie_director = rng.integers(0, p.directors, size=p.movies)
-    by_actor: list[list[int]] = [[] for _ in range(p.actors)]
-    for m_idx, a_idx in enumerate(movie_actor):
-        by_actor[a_idx].append(m_idx)
+    # Actor a's filmography is by_actor[bounds[a]:bounds[a + 1]], ascending.
+    by_actor = np.argsort(movie_actor, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(movie_actor, minlength=p.actors))]).tolist()
 
     edges: list[tuple[str, str, str]] = []
     for m_idx in range(p.movies):
         edges.append((actors[movie_actor[m_idx]], "act", movies[m_idx]))
         edges.append((directors[movie_director[m_idx]], "direct", movies[m_idx]))
 
+    # Per user the draws are: favourite actors, watch count, favourite picks,
+    # noise picks. ``picked`` holds distinct values of the ``arange``
+    # ``all_movies``, so deleting them as indices removes them as values; and
+    # each movie has one actor, so the favourites' filmographies are disjoint
+    # and their sorted concatenation is already unique.
     all_movies = np.arange(p.movies)
     for u_idx in range(p.users):
         favs = rng.choice(p.actors, size=p.favorites_per_user, replace=False)
-        pool = np.unique(np.asarray([m for a in favs for m in by_actor[a]], dtype=np.int64))
+        pool = np.sort(np.concatenate([by_actor[bounds[a] : bounds[a + 1]] for a in favs.tolist()]))
         n_watch = int(rng.integers(p.watches_min, p.watches_max + 1))
         k_fav = min(int(round((1.0 - p.noise_rate) * n_watch)), len(pool))
         picked = rng.choice(pool, size=k_fav, replace=False) if k_fav else np.empty(0, dtype=np.int64)
-        rest = np.setdiff1d(all_movies, picked, assume_unique=False)
+        rest = np.delete(all_movies, picked)
         k_noise = min(n_watch - k_fav, len(rest))
         noise = rng.choice(rest, size=k_noise, replace=False) if k_noise else np.empty(0, dtype=np.int64)
-        for m_idx in np.sort(np.concatenate([picked, noise])):
-            edges.append((users[u_idx], "watch", movies[int(m_idx)]))
+        user = users[u_idx]
+        edges += [(user, "watch", movies[m_idx]) for m_idx in np.sort(np.concatenate([picked, noise])).tolist()]
 
     manifest = {
         "profile": key,
@@ -114,12 +119,10 @@ def write_dataset(out_dir: str | Path, profile: str, seed: int) -> dict:
     nodes, edges, manifest = generate(profile, seed)
     with open(out / "nodes.tsv", "w", encoding="utf-8") as fh:
         fh.write("# node_id\tnode_type\n")
-        for sid, tname in nodes:
-            fh.write(f"{sid}\t{tname}\n")
+        fh.write("".join(f"{sid}\t{tname}\n" for sid, tname in nodes))
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.write("# src\trelation\tdst\n")
-        for src, rel, dst in edges:
-            fh.write(f"{src}\t{rel}\t{dst}\n")
+        fh.write("".join(f"{src}\t{rel}\t{dst}\n" for src, rel, dst in edges))
     (out / "schema.txt").write_text(SCHEMA_TEXT, encoding="utf-8")
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -6,7 +6,15 @@ and no tape, so the tests can compare the tape's batched forward pass
 :func:`mf_pretrain` is the BPR loop that
 :func:`hinrec.recommender.mf_pretrain` restructures, one batch at a time,
 with :func:`draw_negatives` testing one user at a time and ``np.add.at``
-scattering; nothing here imports the package's MF code.
+scattering.
+
+The data set-up has references of the same kind: :func:`synth_tsvs` is
+``synth.generate``'s per-user loop and its line-by-line writer,
+:func:`load_tsvs` is ``hin.load_graph``'s line-by-line parse and checks,
+and :func:`split_leave_one_out` is the per-user split. Nothing here
+imports the package: the loader reference reads only a schema's
+``node_types`` and ``relations``, and raises :class:`LoadError` where
+the package raises ``GraphLoadError``.
 """
 from __future__ import annotations
 
@@ -139,3 +147,142 @@ def mf_pretrain(pairs, n_users, n_items, d, epochs, lr, rng, batch_size=512):
             np.add.at(Q, i, lr * gQ)
             np.add.at(Q, j, -lr * gQ)
     return P, Q
+
+
+def synth_tsvs(p, rng):
+    """``nodes.tsv`` and ``edges.tsv`` text of synth profile ``p``, drawn from ``rng`` one user at a time."""
+    users = [f"u{k:04d}" for k in range(p.users)]
+    movies = [f"m{k:04d}" for k in range(p.movies)]
+    actors = [f"a{k:04d}" for k in range(p.actors)]
+    directors = [f"d{k:04d}" for k in range(p.directors)]
+    nodes = (
+        [(u, "User") for u in users]
+        + [(m, "Movie") for m in movies]
+        + [(a, "Actor") for a in actors]
+        + [(d, "Director") for d in directors]
+    )
+    movie_actor = rng.integers(0, p.actors, size=p.movies)
+    movie_director = rng.integers(0, p.directors, size=p.movies)
+    by_actor = [[] for _ in range(p.actors)]
+    for m_idx, a_idx in enumerate(movie_actor):
+        by_actor[a_idx].append(m_idx)
+    edges = []
+    for m_idx in range(p.movies):
+        edges.append((actors[movie_actor[m_idx]], "act", movies[m_idx]))
+        edges.append((directors[movie_director[m_idx]], "direct", movies[m_idx]))
+    all_movies = np.arange(p.movies)
+    for u_idx in range(p.users):
+        favs = rng.choice(p.actors, size=p.favorites_per_user, replace=False)
+        pool = np.unique(np.asarray([m for a in favs for m in by_actor[a]], dtype=np.int64))
+        n_watch = int(rng.integers(p.watches_min, p.watches_max + 1))
+        k_fav = min(int(round((1.0 - p.noise_rate) * n_watch)), len(pool))
+        picked = rng.choice(pool, size=k_fav, replace=False) if k_fav else np.empty(0, dtype=np.int64)
+        rest = np.setdiff1d(all_movies, picked, assume_unique=False)
+        k_noise = min(n_watch - k_fav, len(rest))
+        noise = rng.choice(rest, size=k_noise, replace=False) if k_noise else np.empty(0, dtype=np.int64)
+        for m_idx in np.sort(np.concatenate([picked, noise])):
+            edges.append((users[u_idx], "watch", movies[int(m_idx)]))
+    nodes_text = "# node_id\tnode_type\n"
+    for sid, tname in nodes:
+        nodes_text += f"{sid}\t{tname}\n"
+    edges_text = "# src\trelation\tdst\n"
+    for src, rel, dst in edges:
+        edges_text += f"{src}\t{rel}\t{dst}\n"
+    return nodes_text, edges_text
+
+
+class LoadError(ValueError):
+    """The reference loader's counterpart of ``hin.GraphLoadError``."""
+
+    def __init__(self, path, line_no, message):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.path = str(path)
+        self.line_no = line_no
+
+
+def _tsv_rows(path, n_fields):
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != n_fields:
+                raise LoadError(path, line_no, f"expected {n_fields} tab-separated fields, got {len(parts)}")
+            rows.append((line_no, parts))
+    return rows
+
+
+def load_tsvs(nodes_path, edges_path, schema):
+    """Nodes grouped by type as ``(string_id, type_name)`` and ``(rid, src, dst)`` dense-id edges.
+
+    Each line is parsed and checked on its own, in file order: the node
+    file's field counts, then each node line, then the edge file's field
+    counts, then each edge line.
+    """
+    node_type_of = {}
+    ordered = []
+    for line_no, (sid, tname) in _tsv_rows(nodes_path, 2):
+        if tname not in schema.node_types:
+            raise LoadError(nodes_path, line_no, f"unknown node type {tname!r}")
+        prev = node_type_of.get(sid)
+        if prev is None:
+            node_type_of[sid] = tname
+            ordered.append((sid, tname))
+        elif prev != tname:
+            raise LoadError(nodes_path, line_no, f"node {sid!r} re-declared with type {tname!r} (was {prev!r})")
+    grouped = sorted(ordered, key=lambda nt: schema.node_types.index(nt[1]))
+    dense = {sid: i for i, (sid, _) in enumerate(grouped)}
+    relations = {}
+    for rel in schema.relations:
+        relations.setdefault(rel.name, rel)
+    edges = []
+    for line_no, (src_s, rel_name, dst_s) in _tsv_rows(edges_path, 3):
+        rel = relations.get(rel_name)
+        if rel is None:
+            raise LoadError(edges_path, line_no, f"unknown relation name {rel_name!r}")
+        if src_s not in dense:
+            raise LoadError(edges_path, line_no, f"dangling node id {src_s!r}")
+        if dst_s not in dense:
+            raise LoadError(edges_path, line_no, f"dangling node id {dst_s!r}")
+        if node_type_of[src_s] != rel.head or node_type_of[dst_s] != rel.tail:
+            raise LoadError(
+                edges_path,
+                line_no,
+                f"endpoint-type mismatch at line {line_no}: {rel_name} expects "
+                f"{rel.head}->{rel.tail}, got {node_type_of[src_s]}->{node_type_of[dst_s]}",
+            )
+        edges.append((rel.rid, dense[src_s], dense[dst_s]))
+    return grouped, edges
+
+
+def split_leave_one_out(pairs, rng):
+    """Leave-one-out over sorted, distinct (user, item) ``pairs``, one user at a time.
+
+    Returns ``(train, validation, test, user_items, eligible_users, item_ids)``.
+    """
+    users, starts = np.unique(pairs[:, 0], return_index=True)
+    bounds = np.append(starts, len(pairs))
+    train_rows, val_rows, test_rows, eligible = [], [], [], []
+    user_items = {}
+    for k, u in enumerate(users):
+        items = pairs[bounds[k] : bounds[k + 1], 1]
+        user_items[int(u)] = np.sort(items)
+        if len(items) < 3:
+            train_rows.extend((u, i) for i in items)
+            continue
+        picks = rng.choice(len(items), size=2, replace=False)
+        val_rows.append((u, items[picks[0]]))
+        test_rows.append((u, items[picks[1]]))
+        rest = np.delete(items, picks)
+        train_rows.extend((u, i) for i in rest)
+        eligible.append(u)
+    return (
+        np.asarray(train_rows, dtype=np.int64).reshape(-1, 2),
+        np.asarray(val_rows, dtype=np.int64).reshape(-1, 2),
+        np.asarray(test_rows, dtype=np.int64).reshape(-1, 2),
+        user_items,
+        np.asarray(eligible, dtype=np.int64),
+        np.unique(pairs[:, 1]),
+    )

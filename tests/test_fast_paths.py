@@ -12,6 +12,9 @@ to the start type and sorted with ``lexsort``). MF's references live in
 ``reference_ops``: ``draw_negatives`` tests each user's items with
 ``np.isin``, one user at a time, and ``mf_pretrain`` is the per-batch loop
 that draws each batch's negatives that way and scatters with ``np.add.at``.
+The data set-up's references live there too: ``synth_tsvs`` (one user at a
+time, with ``np.unique`` and ``np.setdiff1d``), ``load_tsvs`` (one line at a
+time) and ``split_leave_one_out`` (one user at a time).
 
 Most fast paths must reproduce their reference bit for bit, down to the
 state of the random generator they share. Three are held to a looser
@@ -33,9 +36,10 @@ import scipy.sparse as sp
 import logging
 from itertools import combinations
 
-from hinrec import autodiff, cli, evaluation, metapath, recommender
+from hinrec import autodiff, cli, evaluation, metapath, recommender, synth
 from hinrec.autodiff import Tape, Var
 from hinrec.evaluation import embedding_scorer, split_leave_one_out
+from hinrec.hin import GraphLoadError, HinGraph, HinSchema, InteractionSet, load_graph
 from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
 from hinrec.recommender import add_in_rounds, draw_negatives, positive_bits, scatter_rounds
 from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
@@ -879,6 +883,131 @@ def test_full_negative_pool_does_not_warn(caplog, fresh_split):
     with caplog.at_level(logging.WARNING, logger="hinrec.evaluation"):
         split.candidates("test", 0, 20)
     assert caplog.records == []
+
+
+# ---------------------------------------------------------------------------
+# Data set-up: synth, loader and split against their per-row references
+# ---------------------------------------------------------------------------
+
+
+def assert_same_graph(a, b):
+    assert a.node_names == b.node_names
+    assert a.type_offsets.dtype == b.type_offsets.dtype and a.type_offsets.tobytes() == b.type_offsets.tobytes()
+    for rel in a.schema.relations:
+        for x, y in zip(a.adjacency(rel.rid), b.adjacency(rel.rid)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), rel.name
+
+
+def assert_same_split(split, ref):
+    train, validation, test, user_items, eligible, item_ids = ref
+    for got, want in ((split.train, train), (split.validation, validation), (split.test, test),
+                      (split.eligible_users, eligible), (split.item_ids, item_ids)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert list(split.user_items) == list(user_items)
+    for u, items in user_items.items():
+        assert split.user_items[u].dtype == items.dtype and split.user_items[u].tobytes() == items.tobytes()
+
+
+@pytest.mark.parametrize("profile", sorted(synth.PROFILES))
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_setup_matches_per_row_references(tmp_path, profile, seed):
+    synth.write_dataset(tmp_path, profile, seed)
+    nodes_text, edges_text = reference_ops.synth_tsvs(synth.PROFILES[profile], derive_rng(seed, "synth", profile))
+    assert (tmp_path / "nodes.tsv").read_bytes() == nodes_text.encode("utf-8")
+    assert (tmp_path / "edges.tsv").read_bytes() == edges_text.encode("utf-8")
+
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    schema = HinSchema.from_file(tmp_path / "schema.txt")
+    graph = load_graph(nodes, edges, schema)
+    assert_same_graph(graph, HinGraph.from_edges(schema, *reference_ops.load_tsvs(nodes, edges, schema)))
+
+    for run_seed in range(3):
+        rng, rng_ref = derive_rng(run_seed, "split"), derive_rng(run_seed, "split")
+        split = split_leave_one_out(graph.interactions(), rng)
+        assert_same_split(split, reference_ops.split_leave_one_out(graph.interactions().pairs, rng_ref))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[1], [2], [3], [40], [1, 2], [2, 1, 2], [1, 2, 3, 40], [3, 3, 3], [40, 1, 7, 2, 3, 1, 12]],
+    ids=lambda sizes: "-".join(map(str, sizes)),
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_matches_per_user_loop_on_hand_sets(sizes, seed):
+    """Users holding 1, 2, 3 and many interactions, with gaps in the user and item ids."""
+    rng = np.random.default_rng(seed)
+    pairs = [(3 * u + 1, int(i)) for u, n in enumerate(sizes) for i in rng.choice(100, size=n, replace=False) + 5]
+    interactions = InteractionSet(1, np.asarray(pairs))
+    split_rng, ref_rng = derive_rng(seed, "split"), derive_rng(seed, "split")
+    split = split_leave_one_out(interactions, split_rng)
+    assert_same_split(split, reference_ops.split_leave_one_out(interactions.pairs, ref_rng))
+    assert split_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(split.validation) == sum(n >= 3 for n in sizes)
+
+
+# Values a mutated node or edge field takes: unknown ones, and known ones in the wrong place.
+FIELD_VALUES = (["Alien", "User", "Actor", "Movie", "zz9"], ["zz9", "kiss", "act", "watch", "acted", "u0001", "m0002"])
+LAYOUT_LINES = ["", "   ", "\t", "  # indented", "#"]
+
+
+def mutate_dataset(nodes_text, edges_text, rng):
+    """The planted TSVs with one to three random faults or layout changes, as bytes."""
+    files = [nodes_text.split("\n"), edges_text.split("\n")]
+    for _ in range(int(rng.integers(1, 4))):
+        which = int(rng.random() < 0.5)
+        lines, values = files[which], FIELD_VALUES[which]
+        k = int(rng.integers(1, len(lines) - 1))
+        fields = lines[k].split("\t")
+        kind = int(rng.integers(0, 5))
+        if kind == 0:  # one field replaced
+            fields[int(rng.integers(0, len(fields)))] = values[int(rng.integers(0, len(values)))]
+            lines[k] = "\t".join(fields)
+        elif kind == 1:  # a field too few or too many
+            lines[k] = "\t".join(fields[:-1] if rng.random() < 0.5 else fields + ["extra"])
+        elif kind == 2:  # first and last fields swapped
+            lines[k] = "\t".join(fields[-1:] + fields[1:-1] + fields[:1])
+        elif kind == 3:  # the line again further down, as is or with its last field replaced
+            if rng.random() < 0.5:
+                fields[-1] = values[int(rng.integers(0, len(values)))]
+            lines.insert(int(rng.integers(k + 1, len(lines))), "\t".join(fields))
+        else:
+            lines.insert(k, LAYOUT_LINES[int(rng.integers(0, len(LAYOUT_LINES)))])
+    out = []
+    for lines in files:
+        text = "\n".join(lines)
+        if rng.random() < 0.2:
+            text = text.rstrip("\n")
+        if rng.random() < 0.2:
+            text = text.replace("\n", "\r\n")
+        out.append(text.encode("utf-8"))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_loader_matches_per_line_reference_on_faulty_files(tmp_path, small_planted, seed):
+    """The first fault, or the graph when a file is only re-laid out, equals the per-line loader's."""
+    graph, _, _ = small_planted
+    schema = graph.schema
+    (tmp_path / "clean").mkdir()
+    synth.write_dataset(tmp_path / "clean", "planted-mam-small", 11)
+    nodes_bytes, edges_bytes = mutate_dataset(
+        (tmp_path / "clean" / "nodes.tsv").read_text(encoding="utf-8"),
+        (tmp_path / "clean" / "edges.tsv").read_text(encoding="utf-8"),
+        np.random.default_rng(seed),
+    )
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes.write_bytes(nodes_bytes)
+    edges.write_bytes(edges_bytes)
+    try:
+        ref = HinGraph.from_edges(schema, *reference_ops.load_tsvs(nodes, edges, schema))
+    except reference_ops.LoadError as exc:
+        with pytest.raises(GraphLoadError) as err:
+            load_graph(nodes, edges, schema)
+        assert (err.value.path, err.value.line_no, str(err.value)) == (exc.path, exc.line_no, str(exc))
+    else:
+        assert_same_graph(load_graph(nodes, edges, schema), ref)
 
 
 # ---------------------------------------------------------------------------

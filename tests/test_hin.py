@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hinrec.checkpoint import load_arrays, save_arrays
 from hinrec.hin import (
     GraphLoadError,
     HinGraph,
@@ -126,6 +127,117 @@ class TestLoader:
         assert stats["edges_per_relation"]["watch"] == 2
         assert stats["edges_per_relation"]["watched"] == 2
 
+    NODES = "U1\tUser\nU2\tUser\nM1\tMovie\nA1\tActor\n"
+
+    @pytest.mark.parametrize(
+        "nodes_text, edges_text, where, line_no, message",
+        [
+            pytest.param(
+                NODES, "U1\twatch\tM1\nU1\twatch\tM9\nU1\tkiss\tM1\n",
+                "edges", 2, "dangling node id 'M9'", id="dangling-before-unknown-relation",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM1\nU1\tkiss\tM1\nU1\twatch\tM9\n",
+                "edges", 2, "unknown relation name 'kiss'", id="unknown-relation-before-dangling",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM1\nM1\twatch\tU1\nU1\twatch\tM9\n",
+                "edges", 2, "endpoint-type mismatch at line 2: watch expects User->Movie, got Movie->User",
+                id="mismatch-before-dangling",
+            ),
+            pytest.param(
+                "U1\tUser\nU1\tMovie\nM1\tAlien\n", "",
+                "nodes", 2, "node 'U1' re-declared with type 'Movie' (was 'User')", id="redeclared-before-unknown-type",
+            ),
+            pytest.param(
+                "U1\tUser\nM1\tAlien\nU1\tMovie\n", "",
+                "nodes", 2, "unknown node type 'Alien'", id="unknown-type-before-redeclared",
+            ),
+            pytest.param(NODES, "X9\tkiss\tY9\n", "edges", 1, "unknown relation name 'kiss'", id="relation-first"),
+            pytest.param(NODES, "X9\twatch\tY9\n", "edges", 1, "dangling node id 'X9'", id="source-before-destination"),
+            pytest.param(NODES, "A1\twatch\tY9\n", "edges", 1, "dangling node id 'Y9'", id="destination-before-types"),
+            pytest.param(
+                NODES, "A1\twatch\tU2\n",
+                "edges", 1, "endpoint-type mismatch at line 1: watch expects User->Movie, got Actor->User",
+                id="types-last",
+            ),
+            pytest.param(
+                "U1\tUser\nU1\tAlien\n", "", "nodes", 2, "unknown node type 'Alien'", id="type-before-redeclared",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM9\nU1\twatch\tM1\nU1\twatch\n",
+                "edges", 3, "expected 3 tab-separated fields, got 2", id="late-field-count-beats-early-dangling",
+            ),
+            pytest.param(
+                "U1\tAlien\nM1\tMovie\nA1\tActor\textra\n", "",
+                "nodes", 3, "expected 2 tab-separated fields, got 3", id="late-node-field-count-beats-early-type",
+            ),
+            pytest.param(
+                "U1\tAlien\n", "U1\twatch\n",
+                "nodes", 1, "unknown node type 'Alien'", id="nodes-checked-before-edges-are-parsed",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM1\n\n   \n\t\n  # comment\n# comment\nU1\twatch\tM9\n",
+                "edges", 7, "dangling node id 'M9'", id="skipped-lines-still-counted",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM1\r\n\r\nU1\twatch\tM9\r\n",
+                "edges", 3, "dangling node id 'M9'", id="crlf-line-numbers",
+            ),
+            pytest.param(
+                NODES, "U1\twatch\tM1\nU1\twatch\tM9", "edges", 2, "dangling node id 'M9'", id="no-trailing-newline",
+            ),
+            pytest.param(
+                "U1\tUser\nM1\tMovie\nU1\tUser\nM1\tActor\n", "",
+                "nodes", 4, "node 'M1' re-declared with type 'Actor' (was 'Movie')", id="redeclared-at-its-own-line",
+            ),
+        ],
+    )
+    def test_first_offending_line_wins(self, tmp_path, nodes_text, edges_text, where, line_no, message):
+        nodes, edges, schema = write_dataset(tmp_path, nodes_text, edges_text)
+        path = nodes if where == "nodes" else edges
+        with pytest.raises(GraphLoadError) as err:
+            load_graph(nodes, edges, schema)
+        assert (err.value.path, err.value.line_no) == (str(path), line_no)
+        assert str(err.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize(
+        "nodes_text, edges_text",
+        [
+            pytest.param(
+                "\n# c\nU1\tUser\n  \n  # indented\nU2\tUser\n\t\nM1\tMovie\nA1\tActor\n",
+                "U1\twatch\tM1\n\n \t \n   # c\nU2\twatch\tM1\nA1\tact\tM1\n",
+                id="skipped-lines",
+            ),
+            pytest.param(
+                "U1\tUser\r\nU2\tUser\r\nM1\tMovie\r\nA1\tActor\r\n",
+                "U1\twatch\tM1\r\nU2\twatch\tM1\r\nA1\tact\tM1\r\n",
+                id="crlf",
+            ),
+            pytest.param(
+                "U1\tUser\nU2\tUser\nM1\tMovie\nA1\tActor",
+                "U1\twatch\tM1\nU2\twatch\tM1\nA1\tact\tM1",
+                id="no-trailing-newline",
+            ),
+            pytest.param(
+                "U1\tUser\nU2\tUser\nU1\tUser\nM1\tMovie\nA1\tActor\nM1\tMovie\n",
+                "U1\twatch\tM1\nU2\twatch\tM1\nA1\tact\tM1\n",
+                id="duplicate-node-same-type",
+            ),
+        ],
+    )
+    def test_loads_same_graph_as_plain_files(self, tmp_path, nodes_text, edges_text):
+        plain = load_graph(*write_dataset(tmp_path, self.NODES, "U1\twatch\tM1\nU2\twatch\tM1\nA1\tact\tM1\n"))
+        other = tmp_path / "other"
+        other.mkdir()
+        graph = load_graph(*write_dataset(other, nodes_text, edges_text))
+        assert graph.node_names == plain.node_names == ("U1", "U2", "M1", "A1")
+        assert np.array_equal(graph.type_offsets, plain.type_offsets)
+        for rel in graph.schema.relations:
+            for a, b in zip(graph.adjacency(rel.rid), plain.adjacency(rel.rid)):
+                assert np.array_equal(a, b)
+        assert graph.edge_count(graph.schema.by_name("acted").rid) == 1
+
 
 class TestGraph:
     def test_neighbors_sorted_and_mirrored(self, small_movie_graph):
@@ -166,6 +278,16 @@ class TestGraph:
             a = small_movie_graph.edges(rel.rid)
             b = again.edges(rel.rid)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_load_rejects_foreign_bundle_format(self, small_movie_graph, tmp_path):
+        path = tmp_path / "bundle.bin"
+        small_movie_graph.save(path)
+        header, arrays = load_arrays(path)
+        save_arrays(path, {**header, "format": 2}, arrays)
+        with pytest.raises(GraphLoadError) as err:
+            HinGraph.load(path)
+        assert err.value.path == str(path)
+        assert str(err.value) == f"{path}:0: hin bundle format 2, expected 1"
 
     def test_serialization_deterministic(self, small_movie_graph, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
