@@ -23,6 +23,9 @@ from scipy.special import expit
 # Its two (block, d) temporaries are 256 KB at d = 64; on planted-mam's
 # training views 512 and 1024 tie and 4096 takes 1.4-2x as long.
 WEIGHT_GRAD_BLOCK = 512
+# Negative-side slope of :meth:`Tape.leaky_relu`, as in GAT's node-level scores
+# (Velickovic et al., arXiv:1710.10903).
+LEAKY_SLOPE = 0.2
 
 
 class Var:
@@ -202,16 +205,13 @@ class Tape:
 
     # -- activations -------------------------------------------------------
 
-    def leaky_relu(self, x: Var, slope: float = 0.2) -> Var:
-        factor = np.where(x.value >= 0.0, 1.0, slope)
+    def leaky_relu(self, x: Var) -> Var:
+        factor = np.where(x.value >= 0.0, 1.0, LEAKY_SLOPE)
 
         def back(g):
             x.accumulate(g * factor)
 
         return self._emit(x.value * factor, back)
-
-    def relu(self, x: Var) -> Var:
-        return self.leaky_relu(x, slope=0.0)
 
     def elu(self, x: Var) -> Var:
         y = np.where(x.value >= 0.0, x.value, np.expm1(x.value))
@@ -295,15 +295,3 @@ class Tape:
 
         return self._emit(weights @ x.value, back)
 
-
-def activation(tape: Tape, name: str):
-    """Resolve a configured activation name to its tape method."""
-    table = {
-        "leaky_relu": lambda x: tape.leaky_relu(x, 0.2),
-        "relu": tape.relu,
-        "elu": tape.elu,
-        "tanh": tape.tanh,
-    }
-    if name not in table:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")
-    return table[name]

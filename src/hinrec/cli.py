@@ -25,6 +25,9 @@ from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, 
 
 log = logging.getLogger("hinrec")
 
+# The cutoffs ``hinrec eval`` reports HR@k and NDCG@k at.
+EVAL_KS = (1, 3, 10, 20)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -157,7 +160,7 @@ def cmd_search(args) -> int:
         env = search_env.SearchEnv(
             schema, form, probe.pair,
             frozen_other=search_env.initial_set(other, schema),
-            max_steps=cfg.max_steps, max_len=cfg.max_path_len,
+            max_steps=cfg.max_steps,
             trace_path=str(trace_path), trace_tag=tag,
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
@@ -199,8 +202,8 @@ def cmd_train(args) -> int:
     item_set = _set_from_payload(sets_doc["item_set"], schema, mp.ITEM_SYMMETRIC)
 
     train_graph = evaluation.training_graph(graph, split, cfg.leak_guard)
-    user_side = rec.build_side(train_graph, user_set, cfg.density_threshold, cfg.self_loops)
-    item_side = rec.build_side(train_graph, item_set, cfg.density_threshold, cfg.self_loops)
+    user_side = rec.build_side(train_graph, user_set, cfg.density_threshold)
+    item_side = rec.build_side(train_graph, item_set, cfg.density_threshold)
     mf = rec.mf_pretrain(
         split.train_local(graph),
         train_graph.type_count(schema.user_type),
@@ -257,7 +260,7 @@ def cmd_eval(args) -> int:
     if manifest_path.exists():
         strategy = read_json(manifest_path).get("strategy", "unknown")
     metrics = evaluation.evaluate_model(
-        model, split, args.split, ks=tuple(cfg.eval_ks), seed=cfg.seed,
+        model, split, args.split, ks=EVAL_KS, seed=cfg.seed,
         n_negatives=cfg.n_negatives,
     )
     metrics_path = out / "metrics.jsonl"

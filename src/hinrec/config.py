@@ -35,8 +35,6 @@ class RunConfig:
     # meta-path machinery
     density_threshold: float = 0.5
     fanout: int = 20
-    max_path_len: int = 8
-    self_loops: bool = True
 
     # search
     strategy: str = "rms"
@@ -63,14 +61,10 @@ class RunConfig:
     rec_batch: int = 1024
     rec_epochs: int = 30
     patience: int = 3
-    score_act: str = "leaky_relu"
-    agg_act: str = "elu"
-    fuse_act: str = "tanh"
     mf_epochs: int = 30
     mf_lr: float = 0.05
 
     # evaluation
-    eval_ks: tuple[int, ...] = (1, 3, 10, 20)
     n_negatives: int = 499
     leak_guard: bool = True
 
@@ -117,8 +111,6 @@ def _coerce(cfg: RunConfig, key: str, value):
         raise ConfigError(f"unknown config key {key!r}")
     current = getattr(cfg, key)
     if not isinstance(value, str):
-        if isinstance(current, tuple) and isinstance(value, (list, tuple)):
-            return tuple(int(v) for v in value)
         return type(current)(value) if not isinstance(value, type(current)) else value
     text = value.strip()
     if isinstance(current, bool):
@@ -132,8 +124,6 @@ def _coerce(cfg: RunConfig, key: str, value):
             return int(text)
         if isinstance(current, float):
             return float(text)
-        if isinstance(current, tuple):
-            return tuple(int(p) for p in text.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {type(current).__name__} from {value!r}") from None
     return text

@@ -55,7 +55,6 @@ class SplitSet:
     validation: np.ndarray
     test: np.ndarray
     user_items: dict[int, np.ndarray]  # full profile, sorted item ids per user
-    eligible_users: np.ndarray
     item_ids: np.ndarray  # the item universe (global ids), sorted and unique
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -146,7 +145,6 @@ def split_leave_one_out(interactions: InteractionSet, rng: np.random.Generator) 
         validation=pairs[held[:, 0]],
         test=pairs[held[:, 1]],
         user_items=user_items,
-        eligible_users=users[eligible],
         item_ids=np.unique(pairs[:, 1]),
     )
 
@@ -290,9 +288,7 @@ class PerformanceProbe:
     def subgraph(self, path: mp.MetaPath) -> mp.MetaPathSubgraph | None:
         key = path.relation_ids
         if key not in self._subgraphs:
-            self._subgraphs[key] = mp.materialize_subgraph(
-                self.graph, path, self.config.density_threshold, self.config.self_loops
-            )
+            self._subgraphs[key] = mp.materialize_subgraph(self.graph, path, self.config.density_threshold)
         return self._subgraphs[key]
 
     def mf_init(self) -> tuple[np.ndarray, np.ndarray]:
@@ -317,12 +313,8 @@ class PerformanceProbe:
         if key in self._results:
             return self._results[key]
         try:
-            user_side = rec.build_side(
-                self.graph, user_set, self.config.density_threshold, self.config.self_loops, self.subgraph
-            )
-            item_side = rec.build_side(
-                self.graph, item_set, self.config.density_threshold, self.config.self_loops, self.subgraph
-            )
+            user_side = rec.build_side(self.graph, user_set, self.config.density_threshold, self.subgraph)
+            item_side = rec.build_side(self.graph, item_set, self.config.density_threshold, self.subgraph)
         except rec.AllPathsRejected as exc:
             raise ProbeFailure(str(exc)) from exc
         self.evaluations += 1

@@ -237,13 +237,13 @@ class HinGraph:
         schema: HinSchema,
         nodes: list[tuple[str, str]],
         edges: np.ndarray | list[tuple[int, int, int]],
-        mirror: bool = True,
     ) -> "HinGraph":
         """Build from (string_id, type_name) nodes and (rid, src, dst) dense-id edges.
 
         ``edges`` is an (E, 3) integer array or a list of ``(rid, src, dst)``
         tuples. ``nodes`` order fixes the dense ids (grouped by type, file
         order within a type) before this is called; see :func:`load_graph`.
+        Each edge is also added reversed, under its relation's complement.
         """
         sizes = np.zeros(len(schema.node_types) + 1, dtype=np.int64)
         for tname, count in Counter(tname for _, tname in nodes).items():
@@ -255,9 +255,8 @@ class HinGraph:
         out_of_range = np.flatnonzero((arr[:, 0] < 1) | (arr[:, 0] > schema.n_relations))
         if len(out_of_range):
             schema.relation(int(arr[out_of_range[0], 0]))  # raises SchemaError
-        if mirror:
-            comp = np.asarray([0] + [rel.comp for rel in schema.relations], dtype=np.int64)
-            arr = np.concatenate([arr, np.stack([comp[arr[:, 0]], arr[:, 2], arr[:, 1]], axis=1)])
+        comp = np.asarray([0] + [rel.comp for rel in schema.relations], dtype=np.int64)
+        arr = np.concatenate([arr, np.stack([comp[arr[:, 0]], arr[:, 2], arr[:, 1]], axis=1)])
         by_rel: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         num_nodes = int(offsets[-1])
         for rel in schema.relations:

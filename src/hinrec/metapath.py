@@ -19,7 +19,8 @@ from .hin import HinGraph, HinSchema
 USER_SYMMETRIC = "user-symmetric"
 ITEM_SYMMETRIC = "item-symmetric"
 
-DEFAULT_MAX_PATH_LEN = 8
+# The most relations a searched path may hold; apply_action extends no path past it.
+MAX_PATH_LEN = 8
 # Start nodes per frontier block in materialize_subgraph; a block holds at
 # most (type size x FRONTIER_BLOCK) float32 entries.
 FRONTIER_BLOCK = 256

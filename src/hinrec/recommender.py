@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
-from .autodiff import Tape, Var, activation
+from .autodiff import Tape, Var
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .config import RunConfig
 from .hin import HinGraph
@@ -25,18 +25,15 @@ from .util import derive_rng
 log = logging.getLogger(__name__)
 
 
-class AllPathsRejected(RuntimeError):
+class AllPathsRejected(ValueError):
     """Every path of a set produced an over-dense (rejected) subgraph."""
 
 
 # The RunConfig fields that fix a model's parameters and forward pass; a
 # checkpoint's header stores them, and :meth:`HRecModel.load` applies them.
-ARCH_FIELDS = (
-    "embed_dim", "att_hidden", "dropout", "fanout",
-    "density_threshold", "self_loops", "score_act", "agg_act", "fuse_act",
-)
+ARCH_FIELDS = ("embed_dim", "att_hidden", "dropout", "fanout", "density_threshold")
 # The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -49,7 +46,6 @@ class SideBundle:
 
     form: str
     node_type: str
-    offset: int
     m: int
     pset: mp.MetaPathSet
     subgraphs: list[mp.MetaPathSubgraph]
@@ -59,7 +55,6 @@ def build_side(
     graph: HinGraph,
     pset: mp.MetaPathSet,
     threshold: float = 0.5,
-    self_loops: bool = True,
     materialize=None,
 ) -> SideBundle:
     """Filter a path set by subgraph density and bundle the survivors.
@@ -70,7 +65,7 @@ def build_side(
     already-accepted sets that way instead of filtering them again.
     """
     if materialize is None:
-        materialize = lambda path: mp.materialize_subgraph(graph, path, threshold, self_loops)
+        materialize = lambda path: mp.materialize_subgraph(graph, path, threshold)
     accepted: list[mp.MetaPath] = []
     subgraphs: list[mp.MetaPathSubgraph] = []
     for path in pset:
@@ -83,11 +78,9 @@ def build_side(
     if not accepted:
         raise AllPathsRejected(f"all paths rejected by density filter: {pset.labels()}")
     node_type = accepted[0].end_type
-    t_idx = graph.schema.type_index(node_type)
     return SideBundle(
         pset.form or "",
         node_type,
-        int(graph.type_offsets[t_idx]),
         graph.type_count(node_type),
         pset.replace(tuple(accepted)),
         subgraphs,
@@ -396,8 +389,8 @@ class HRecModel:
             mp.ITEM_SYMMETRIC,
             schema,
         )
-        user_side = build_side(graph, user_set, None, cfg.self_loops)
-        item_side = build_side(graph, item_set, None, cfg.self_loops)
+        user_side = build_side(graph, user_set, None)
+        item_side = build_side(graph, item_set, None)
         model = cls(graph, user_side, item_side, cfg, np.random.default_rng(0))
         check_arrays(path, arrays, {k: v.value for k, v in model.params.items()})
         for k, arr in arrays.items():
@@ -442,10 +435,13 @@ def _side_forward(
     training: bool,
     drop_rng: np.random.Generator | None,
 ) -> tuple[Var, Var]:
+    """One side's fused embedding table and its meta-path weights β.
+
+    The paper's σ at each level is HAN's (Wang et al., arXiv:1903.07293):
+    LeakyReLU on node-level scores, ELU on aggregation, tanh in the
+    meta-path-level attention.
+    """
     cfg = model.cfg
-    act_score = activation(tape, cfg.score_act)
-    act_agg = activation(tape, cfg.agg_act)
-    act_fuse = activation(tape, cfg.fuse_act)
     emb = model.params[f"{tag}_emb"]
     W = model.params[f"proj.{side.node_type}"]
     Z = tape.matmul(emb, W)
@@ -459,16 +455,16 @@ def _side_forward(
         a = model.params[f"natt.{tag}.{k}"]
         a_src = tape.slice1d(a, 0, cfg.embed_dim)
         a_dst = tape.slice1d(a, cfg.embed_dim, 2 * cfg.embed_dim)
-        e = act_score(
+        e = tape.leaky_relu(
             tape.add(
                 tape.gather(tape.matvec(Z, a_src), view.src),
                 tape.gather(tape.matvec(Z, a_dst), view.dst),
             )
         )
         alpha = tape.segment_softmax(e, view.indptr, view.src)
-        Hx = act_agg(tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst))
+        Hx = tape.elu(tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst))
         tables.append(Hx)
-        T = act_fuse(tape.add_bias(tape.matmul(Hx, model.params[f"fuse.{tag}.W"]), model.params[f"fuse.{tag}.b"]))
+        T = tape.tanh(tape.add_bias(tape.matmul(Hx, model.params[f"fuse.{tag}.W"]), model.params[f"fuse.{tag}.b"]))
         w_scalars.append(tape.mean(tape.matvec(T, model.params[f"q.{tag}.{k}"])))
 
     beta = tape.softmax(tape.stack_scalars(w_scalars))

@@ -25,7 +25,7 @@ from .util import append_jsonl
 log = logging.getLogger(__name__)
 
 
-class ProbeFailure(RuntimeError):
+class ProbeFailure(ValueError):
     """Raised by a probe when a candidate set cannot be evaluated."""
 
 
@@ -65,13 +65,13 @@ def initial_set(form: str, schema: HinSchema) -> mp.MetaPathSet:
     return mp.MetaPathSet((mp.MetaPath.from_relations(schema, rids),), form, schema)
 
 
-def apply_action(
-    pset: mp.MetaPathSet, action: int, schema: HinSchema, max_len: int = mp.DEFAULT_MAX_PATH_LEN
-) -> mp.MetaPathSet:
+def apply_action(pset: mp.MetaPathSet, action: int, schema: HinSchema) -> mp.MetaPathSet:
     """Extend every path at the first insertion point of [r, comp(r)]; keep the old paths.
 
-    The standalone segment joins the set only when it already satisfies
-    the form. The result preserves order and starts with the old set.
+    A path is extended only while the result stays within
+    :data:`~hinrec.metapath.MAX_PATH_LEN` relations. The standalone segment
+    joins the set only when it already satisfies the form. The result
+    preserves order and starts with the old set.
     """
     if action == STOP_ACTION:
         raise ValueError("STOP is handled by step(), not apply_action()")
@@ -81,7 +81,7 @@ def apply_action(
     out: list[mp.MetaPath] = list(pset.paths)
     seen = set(pset.key())
     for path in pset.paths:
-        if len(path) + 2 > max_len:
+        if len(path) + 2 > mp.MAX_PATH_LEN:
             continue
         try:
             pos = path.node_types.index(rel.head)
@@ -92,11 +92,7 @@ def apply_action(
             out.append(mp.MetaPath.from_relations(schema, new_ids))
             seen.add(new_ids)
     seg = mp.MetaPath.from_relations(schema, seg_ids)
-    if (
-        len(seg) <= max_len
-        and seg.relation_ids not in seen
-        and mp._form_ok(seg, pset.form, schema)
-    ):
+    if seg.relation_ids not in seen and mp._form_ok(seg, pset.form, schema):
         out.append(seg)
     return pset.replace(tuple(out))
 
@@ -108,7 +104,6 @@ def step(
     last_metric: float,
     schema: HinSchema,
     max_steps: int,
-    max_len: int = mp.DEFAULT_MAX_PATH_LEN,
 ) -> StepOutcome:
     """One MDP transition. Only STOP or the step limit terminate an episode."""
     if action == STOP_ACTION:
@@ -116,7 +111,7 @@ def step(
         return StepOutcome(nxt, 0.0, True, None, changed=False)
 
     limit_hit = state.step_index + 1 >= max_steps
-    new_set = apply_action(state.pset, action, schema, max_len)
+    new_set = apply_action(state.pset, action, schema)
     if new_set.key() == state.pset.key():
         nxt = SearchState(state.pset, state.step_index + 1, state.encoding)
         return StepOutcome(nxt, -1.0, limit_hit, None, changed=False)
@@ -147,7 +142,6 @@ class SearchEnv:
         probe_pair: Callable[[mp.MetaPathSet, mp.MetaPathSet], float],
         frozen_other: mp.MetaPathSet,
         max_steps: int = 4,
-        max_len: int = mp.DEFAULT_MAX_PATH_LEN,
         trace_path: str | None = None,
         trace_tag: str = "",
     ):
@@ -156,7 +150,6 @@ class SearchEnv:
         self._probe_pair = probe_pair
         self.frozen_other = frozen_other
         self.max_steps = max_steps
-        self.max_len = max_len
         self.trace_path = trace_path
         self.trace_tag = trace_tag
         self.episode = -1
@@ -193,9 +186,7 @@ class SearchEnv:
         if self._state is None:
             raise RuntimeError("call reset() before step()")
         t0 = time.perf_counter()
-        out = step(
-            self._state, action, self.probe, self._last_metric, self.schema, self.max_steps, self.max_len
-        )
+        out = step(self._state, action, self.probe, self._last_metric, self.schema, self.max_steps)
         if out.probe_metric is not None:
             self._last_metric = out.probe_metric
         self._state = None if out.done else out.state
@@ -222,7 +213,7 @@ def _random_episode_set(
     pset = initial_set(env.form, env.schema)
     for _ in range(length):
         action = int(rng.integers(1, env.schema.n_relations + 1))
-        pset = apply_action(pset, action, env.schema, env.max_len)
+        pset = apply_action(pset, action, env.schema)
     return pset
 
 
@@ -263,7 +254,7 @@ def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.M
         if metric is not None and metric > best_metric:
             best_set, best_metric = candidate, metric
     if not np.isfinite(best_metric):
-        log.warning("random search completed zero probes; returning the initial set")
+        log.warning("random search: no probe succeeded; returning the initial set")
         return start
     return best_set
 
@@ -289,7 +280,7 @@ def greedy_search(
         for _ in range(min(candidates_per_round, remaining)):
             remaining -= 1
             action = int(rng.integers(1, env.schema.n_relations + 1))
-            candidate = apply_action(current, action, env.schema, env.max_len)
+            candidate = apply_action(current, action, env.schema)
             if candidate.key() == current.key():
                 continue
             metric = _baseline_probe(env, candidate)

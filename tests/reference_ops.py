@@ -22,17 +22,14 @@ import numpy as np
 from scipy.special import expit
 
 
-def activation_fn(name: str):
-    """Plain-numpy counterpart of :func:`hinrec.autodiff.activation`."""
-    table = {
-        "leaky_relu": lambda x: np.where(x >= 0.0, x, 0.2 * x),
-        "relu": lambda x: np.maximum(x, 0.0),
-        "elu": lambda x: np.where(x >= 0.0, x, np.expm1(x)),
-        "tanh": np.tanh,
-    }
-    if name not in table:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")
-    return table[name]
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """Plain-numpy counterpart of :meth:`hinrec.autodiff.Tape.leaky_relu`."""
+    return np.where(x >= 0.0, x, 0.2 * x)
+
+
+def elu(x: np.ndarray) -> np.ndarray:
+    """Plain-numpy counterpart of :meth:`hinrec.autodiff.Tape.elu`."""
+    return np.where(x >= 0.0, x, np.expm1(x))
 
 
 def project(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -49,23 +46,21 @@ def node_attention(
     a: np.ndarray,
     z_i: np.ndarray,
     neighbors: list[tuple[int, np.ndarray]],
-    score_act: str = "leaky_relu",
-    agg_act: str = "elu",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention over one node's neighbor list.
 
     Scores come from the concatenation [z_i | z_j]; they are normalized
     with softmax and the neighbors' projected embeddings are aggregated
-    under the configured activation. Scores are directional: e_ij need
+    under ELU. Scores are directional: e_ij need
     not equal e_ji.
     """
     if not neighbors:
         raise ValueError("node_attention requires a non-empty neighbor list")
     zs = np.stack([z for _, z in neighbors])
     cat = np.concatenate([np.broadcast_to(z_i, zs.shape), zs], axis=1)
-    e = activation_fn(score_act)(cat @ a)
+    e = leaky_relu(cat @ a)
     alpha = _softmax(e)
-    h = activation_fn(agg_act)(alpha @ zs)
+    h = elu(alpha @ zs)
     return alpha, h
 
 
@@ -74,7 +69,6 @@ def path_attention(
     b: np.ndarray,
     queries: list[np.ndarray],
     H_list: list[np.ndarray],
-    fuse_act: str = "tanh",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fuse per-path embedding tables with softmax path weights."""
     if not H_list:
@@ -83,8 +77,7 @@ def path_attention(
     for H in H_list:
         if H.shape[0] != m:
             raise ValueError("per-path tables must cover the same node set")
-    act = activation_fn(fuse_act)
-    w = np.asarray([float(np.mean(act(H @ W + b) @ q)) for q, H in zip(queries, H_list)])
+    w = np.asarray([float(np.mean(np.tanh(H @ W + b) @ q)) for q, H in zip(queries, H_list)])
     beta = _softmax(w)
     fused = np.tensordot(beta, np.stack(H_list), axes=1)
     return beta, fused
@@ -260,11 +253,11 @@ def load_tsvs(nodes_path, edges_path, schema):
 def split_leave_one_out(pairs, rng):
     """Leave-one-out over sorted, distinct (user, item) ``pairs``, one user at a time.
 
-    Returns ``(train, validation, test, user_items, eligible_users, item_ids)``.
+    Returns ``(train, validation, test, user_items, item_ids)``.
     """
     users, starts = np.unique(pairs[:, 0], return_index=True)
     bounds = np.append(starts, len(pairs))
-    train_rows, val_rows, test_rows, eligible = [], [], [], []
+    train_rows, val_rows, test_rows = [], [], []
     user_items = {}
     for k, u in enumerate(users):
         items = pairs[bounds[k] : bounds[k + 1], 1]
@@ -277,12 +270,10 @@ def split_leave_one_out(pairs, rng):
         test_rows.append((u, items[picks[1]]))
         rest = np.delete(items, picks)
         train_rows.extend((u, i) for i in rest)
-        eligible.append(u)
     return (
         np.asarray(train_rows, dtype=np.int64).reshape(-1, 2),
         np.asarray(val_rows, dtype=np.int64).reshape(-1, 2),
         np.asarray(test_rows, dtype=np.int64).reshape(-1, 2),
         user_items,
-        np.asarray(eligible, dtype=np.int64),
         np.unique(pairs[:, 1]),
     )

@@ -6,6 +6,7 @@ import pytest
 
 from hinrec import cli
 from hinrec import metapath as mp
+from hinrec.checkpoint import load_arrays, save_arrays
 from hinrec.hin import HinSchema
 from hinrec.util import read_json, read_jsonl, strip_volatile
 
@@ -15,6 +16,32 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-data")
     assert cli.main(["synth", "--profile", "planted-mam-small", "--seed", "1", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def dense_dataset(tmp_path_factory):
+    """8 users x 12 movies, user i watching movie j iff (i + j) % 3 != 0, one actor and one
+    director on every movie: UMU and MUM both exceed the density threshold."""
+    out = tmp_path_factory.mktemp("dense-data")
+    (out / "schema.txt").write_text(
+        "node_types: User, Movie, Actor, Director\nwatch: User -> Movie ~ watched\n"
+        "act: Actor -> Movie ~ acted\ndirect: Director -> Movie ~ directed\ninteraction_relation: watch\n"
+    )
+    nodes = [f"u{i}\tUser" for i in range(8)] + [f"m{j}\tMovie" for j in range(12)] + ["a0\tActor", "d0\tDirector"]
+    edges = [f"u{i}\twatch\tm{j}" for i in range(8) for j in range(12) if (i + j) % 3]
+    edges += [f"{who}0\t{rel}\tm{j}" for j in range(12) for who, rel in (("a", "act"), ("d", "direct"))]
+    (out / "nodes.tsv").write_text("\n".join(nodes) + "\n")
+    (out / "edges.tsv").write_text("\n".join(edges) + "\n")
+    return out
+
+
+def base_sets(path):
+    """A sets JSON holding the initial pair {UMU} x {MUM}."""
+    path.write_text(json.dumps({
+        "user_set": {"paths": [{"relations": [1, 2]}]},
+        "item_set": {"paths": [{"relations": [2, 1]}]},
+    }))
+    return path
 
 
 def run(*argv) -> int:
@@ -107,11 +134,7 @@ def test_ingested_bundle_searches_like_the_tsvs(dataset, tmp_path):
 
 
 def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
-    sets = tmp_path / "sets.json"
-    sets.write_text(json.dumps({
-        "user_set": {"paths": [{"relations": [1, 2]}]},
-        "item_set": {"paths": [{"relations": [2, 1]}]},
-    }))
+    sets = base_sets(tmp_path / "sets.json")
     config = tmp_path / "run.cfg"
     config.write_text("rec_epochs = 2\n")
     common = ("--dataset", dataset, "--config", config, "--seed", 0, "--out", tmp_path / "run")
@@ -124,6 +147,31 @@ def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
     metrics = list(read_jsonl(tmp_path / "run" / "metrics.jsonl"))
     assert {(r["metric"], r["k"]) for r in metrics} == {(m, k) for m in ("hr", "ndcg") for k in (1, 3, 10, 20)}
     assert all(math.isfinite(r["value"]) and 0.0 <= r["value"] <= 1.0 for r in metrics)
+
+    checkpoint = tmp_path / "run" / "model.ckpt"
+    header, arrays = load_arrays(checkpoint)
+    save_arrays(checkpoint, {**header, "format": 3}, arrays)
+    assert run("eval", "--checkpoint", checkpoint, "--split", "test", *common) == 1
+
+
+@pytest.mark.parametrize("command", ["search", "train"])
+def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, capsys, command):
+    common = ("--dataset", dense_dataset, "--seed", 0, "--out", tmp_path / "run")
+    if command == "search":
+        rc = run("search", "--strategy", "rms", "--iter-limit", 8, *common)
+    else:
+        rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), *common)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: all paths rejected by density filter: ['UMU']" in err
+    assert "Traceback" not in err
+
+
+def test_random_search_reports_that_no_probe_succeeded(dense_dataset, tmp_path, caplog):
+    assert search(dense_dataset, tmp_path, "random") == 0
+    assert "no probe succeeded" in caplog.text
+    doc = read_json(tmp_path / "sets.json")
+    assert doc["probe_evaluations"] == 0 and doc["probe_calls"] > 0
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

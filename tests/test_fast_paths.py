@@ -788,8 +788,7 @@ def hand_split(user_items, item_ids):
     """A split with only profiles and an item universe, built without :func:`split_leave_one_out`."""
     none = np.empty((0, 2), dtype=np.int64)
     profiles = {u: np.asarray(items, dtype=np.int64) for u, items in user_items.items()}
-    return evaluation.SplitSet(1, none, none, none, profiles, np.empty(0, dtype=np.int64),
-                               np.asarray(item_ids, dtype=np.int64))
+    return evaluation.SplitSet(1, none, none, none, profiles, np.asarray(item_ids, dtype=np.int64))
 
 
 @pytest.mark.parametrize("count", [0, 3, 100, 10_000])  # 100 exceeds the hand pools, 10,000 every pool
@@ -899,9 +898,9 @@ def assert_same_graph(a, b):
 
 
 def assert_same_split(split, ref):
-    train, validation, test, user_items, eligible, item_ids = ref
+    train, validation, test, user_items, item_ids = ref
     for got, want in ((split.train, train), (split.validation, validation), (split.test, test),
-                      (split.eligible_users, eligible), (split.item_ids, item_ids)):
+                      (split.item_ids, item_ids)):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
     assert list(split.user_items) == list(user_items)

@@ -71,8 +71,8 @@ def test_trained_hrec_scores_at_least_mf_only(planted_graph, seed):
     user_set, item_set = pair_sets(planted_graph, "planted")
     model = rec.HRecModel(
         graph,
-        rec.build_side(graph, user_set, cfg.density_threshold, cfg.self_loops),
-        rec.build_side(graph, item_set, cfg.density_threshold, cfg.self_loops),
+        rec.build_side(graph, user_set, cfg.density_threshold),
+        rec.build_side(graph, item_set, cfg.density_threshold),
         cfg,
         derive_rng(seed, "hrec-init"),
         mf_init=mf,

@@ -42,8 +42,8 @@ def test_pair_scores_hrec_at_its_mf_init(probe, planted):
     key = (user_set.key(), item_set.key())
     model = rec.HRecModel(
         graph,
-        rec.build_side(graph, user_set, cfg.density_threshold, cfg.self_loops),
-        rec.build_side(graph, item_set, cfg.density_threshold, cfg.self_loops),
+        rec.build_side(graph, user_set, cfg.density_threshold),
+        rec.build_side(graph, item_set, cfg.density_threshold),
         cfg,
         derive_rng(derive_seed(SEED, "probe", key), "init"),
         mf_init=probe.mf_init(),

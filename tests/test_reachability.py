@@ -9,6 +9,10 @@ wraps functions by their string names). Tests do not count, so code that
 only tests reach fails here, and neither do the package's re-exports in
 ``__init__.py``: exporting a name does not make the pipeline call it.
 
+Every :class:`~hinrec.config.RunConfig` field must likewise be read, as
+an attribute, somewhere in ``src/hinrec`` outside ``config.py`` or in
+``bench/``, so a setting whose last reader is deleted fails here too.
+
 It matches names only, not call graphs. A dead cluster whose members name
 each other (a save method calling a helper that a load method also calls)
 passes, and so does a method that shares its name with a live one.
@@ -73,5 +77,22 @@ def unreached() -> list[str]:
     return out
 
 
+def unread_settings() -> list[str]:
+    """RunConfig fields that no attribute access outside ``config.py`` reads."""
+    from dataclasses import fields
+
+    from hinrec.config import RunConfig
+
+    trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "config"]
+    trees += [_parse(path) for path in sorted(BENCH.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f.name for f in fields(RunConfig) if f.name not in read]
+
+
 def test_every_package_name_is_reached_outside_tests():
     assert unreached() == []
+
+
+def test_every_setting_is_read_outside_config():
+    assert unread_settings() == []

@@ -556,19 +556,22 @@ class TestPersistence:
         again = HRecModel.load(str(path), tiny_model.graph)
         assert all(getattr(again.cfg, name) == getattr(tiny_model.cfg, name) for name in ARCH_FIELDS)
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_load_rejects_old_format(self, tiny_model, tmp_path, old_format):
-        # Format 1 named the embedding width ``d``; format 2 stored ``heads``.
+        # Format 1 named the embedding width ``d``; format 2 stored ``heads``;
+        # format 3 stored ``self_loops`` and the three activation names.
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
         header["format"] = old_format
         if old_format == 1:
             header["config"]["d"] = header["config"].pop("embed_dim")
-        else:
+        elif old_format == 2:
             header["config"]["heads"] = 1
+        else:
+            header["config"].update(self_loops=True, score_act="leaky_relu", agg_act="elu", fuse_act="tanh")
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected {CHECKPOINT_FORMAT}"):
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 4"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):

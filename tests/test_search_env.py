@@ -7,6 +7,7 @@ from hinrec.config import ConfigError
 from hinrec.hin import HinSchema
 from hinrec.metapath import (
     ITEM_SYMMETRIC,
+    MAX_PATH_LEN,
     USER_SYMMETRIC,
     MetaPath,
     MetaPathSet,
@@ -54,39 +55,46 @@ class TestApplyAction:
     def test_paper_worked_example(self, movie_schema):
         """UMU extended by the movie->actor relation gives UMAMU; MAM is excluded."""
         start = initial_set(USER_SYMMETRIC, movie_schema)
-        out = apply_action(start, ACTED, movie_schema, max_len=8)
+        out = apply_action(start, ACTED, movie_schema)
         assert out.labels() == ["UMU", "UMAMU"]
         assert out.key() == ((WATCH, WATCHED), (WATCH, ACTED, ACT, WATCHED))
 
     def test_friend_relation_first_position_and_standalone(self):
         start = initial_set(USER_SYMMETRIC, FRIEND_SCHEMA)
         friend = FRIEND_SCHEMA.by_name("friend").rid
-        out = apply_action(start, friend, FRIEND_SCHEMA, max_len=8)
+        out = apply_action(start, friend, FRIEND_SCHEMA)
         # Hand-trace: insert at the first U (position 0) -> U-U-U-M-U, plus
         # the standalone U-U-U which is form-valid.
         assert out.labels() == ["UMU", "UUUMU", "UUU"]
 
     def test_no_insertion_position_returns_same_set(self, movie_schema):
         start = initial_set(ITEM_SYMMETRIC, movie_schema)
-        out = apply_action(start, ACT, movie_schema, max_len=8)  # act: Actor -> Movie
+        out = apply_action(start, ACT, movie_schema)  # act: Actor -> Movie
         assert out.key() == start.key()
 
     def test_item_side_action_adds_standalone(self, movie_schema):
         start = initial_set(ITEM_SYMMETRIC, movie_schema)
-        out = apply_action(start, ACTED, movie_schema, max_len=8)
+        out = apply_action(start, ACTED, movie_schema)
         assert out.labels() == ["MUM", "MAMUM", "MAM"]
 
     def test_max_len_blocks_long_extensions(self, movie_schema):
-        start = initial_set(USER_SYMMETRIC, movie_schema)
-        out = apply_action(start, ACTED, movie_schema, max_len=2)
-        assert out.key() == start.key()
+        """A path at MAX_PATH_LEN relations is kept but not extended; a shorter one still is."""
+        longest = (WATCH, *(ACTED, ACT) * 3, WATCHED)
+        assert len(longest) == MAX_PATH_LEN
+        start = MetaPathSet(
+            (MetaPath.from_relations(movie_schema, (WATCH, WATCHED)), MetaPath.from_relations(movie_schema, longest)),
+            USER_SYMMETRIC,
+            movie_schema,
+        )
+        out = apply_action(start, ACTED, movie_schema)
+        assert out.labels() == ["UMU", "UMAMAMAMU", "UMAMU"]
 
     def test_old_set_is_prefix(self, movie_schema):
         current = initial_set(USER_SYMMETRIC, movie_schema)
         rng = np.random.default_rng(0)
         for _ in range(6):
             action = int(rng.integers(1, 7))
-            new = apply_action(current, action, movie_schema, max_len=8)
+            new = apply_action(current, action, movie_schema)
             assert new.key()[: len(current)] == current.key()
             current = new
 
@@ -102,7 +110,7 @@ class TestApplyAction:
             current = initial_set(form, schema)
             for _ in range(4):
                 action = int(rng.integers(1, schema.n_relations + 1))
-                new = apply_action(current, action, schema, max_len=8)
+                new = apply_action(current, action, schema)
                 assert len(new) >= len(current)
                 for path in new:
                     assert path.start_type == path.end_type
@@ -110,8 +118,8 @@ class TestApplyAction:
 
     def test_idempotent_no_change(self, movie_schema):
         start = initial_set(ITEM_SYMMETRIC, movie_schema)
-        once = apply_action(start, ACT, movie_schema, max_len=8)
-        twice = apply_action(once, ACT, movie_schema, max_len=8)
+        once = apply_action(start, ACT, movie_schema)
+        twice = apply_action(once, ACT, movie_schema)
         assert once.key() == twice.key() == start.key()
 
 
