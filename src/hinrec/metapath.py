@@ -2,9 +2,10 @@
 
 A meta-path is a chain of relation ids. Its fixed-length encoding counts
 relation multiplicities; a set of paths is encoded as the L2-normalized
-sum of member encodings. A subgraph is built a block of start nodes at a
-time: a dense 0/1 frontier per block is stepped through each relation's
-transposed adjacency and clipped back to 0/1, so only connectivity
+sum of member encodings. A subgraph is one reachability walk over all
+start nodes at once, from the path's last relation back to its first:
+each node holds the set of end nodes it reaches as a packed bitset, and a
+head's set is the OR of its successors' sets, so only connectivity
 matters, never instance counts.
 """
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hin import HinGraph, HinSchema
 
@@ -21,9 +21,6 @@ ITEM_SYMMETRIC = "item-symmetric"
 
 # The most relations a searched path may hold; apply_action extends no path past it.
 MAX_PATH_LEN = 8
-# Start nodes per frontier block in materialize_subgraph; a block holds at
-# most (type size x FRONTIER_BLOCK) float32 entries.
-FRONTIER_BLOCK = 256
 
 
 class MetaPathError(ValueError):
@@ -161,27 +158,10 @@ class MetaPathSubgraph:
     density: float = 0.0
 
 
-def _transposed_block(graph: HinGraph, rid: int) -> sp.csr_matrix:
-    """Relation ``rid``'s head x tail adjacency over type-local ids, transposed."""
-    rel = graph.schema.relation(rid)
-    offsets = graph.type_offsets
-    h = graph.schema.type_index(rel.head)
-    t = graph.schema.type_index(rel.tail)
-    h_lo, h_hi, t_lo = int(offsets[h]), int(offsets[h + 1]), int(offsets[t])
-    indptr, indices = graph.adjacency(rid)
-    ptr = indptr[h_lo : h_hi + 1] - indptr[h_lo]
-    idx = indices[indptr[h_lo] : indptr[h_hi]] - t_lo
-    block = sp.csr_matrix(
-        (np.ones(len(idx), dtype=np.float32), idx, ptr),
-        shape=(h_hi - h_lo, int(offsets[t + 1]) - t_lo),
-    )
-    return block.T.tocsr()
-
-
 def materialize_subgraph(
     graph: HinGraph,
     path: MetaPath,
-    threshold: float | None = 0.5,
+    threshold: float | None,
     self_loops: bool = True,
 ) -> MetaPathSubgraph | None:
     """Build the meta-path subgraph, or None when its density exceeds the threshold.
@@ -189,43 +169,51 @@ def materialize_subgraph(
     Requires a symmetric path (same start and end node type). With
     ``threshold=None`` the density filter is disabled.
 
-    Start nodes are taken ``FRONTIER_BLOCK`` at a time. A block's frontier
-    is a dense 0/1 float32 array (nodes of the current type x block); each
-    relation steps it as ``R.T @ frontier != 0``, with R the relation's own
-    head x tail adjacency. The count of off-diagonal pairs only grows from
-    block to block, so the path is rejected as soon as the count so far
-    puts its density above the threshold: the same decision as counting
-    every block first.
+    The walk starts from the identity over the m end-type nodes, one row
+    of ceil(m / 64) uint64 words per node, and takes the relations from
+    the path's last to its first. For each, a head's row becomes the OR of
+    its successors' rows: one gather of the relation's adjacency and one
+    ``bitwise_or.reduceat`` over the heads that have edges. Row s of the
+    last step then holds the end nodes start s reaches, in order, so the
+    rows unpack straight into the m x m reachability.
+
+    Memory: each step gathers nnz x ceil(m / 64) x 8 bytes, with nnz the
+    relation's edge count, and the unpacked reachability takes m x m bytes
+    (about 1 MB each on planted-mam's 1,100 movies).
     """
     if not path.is_symmetric:
         raise MetaPathError(f"subgraph requires symmetric meta-path, got {path.label()}")
-    t_idx = graph.schema.type_index(path.node_types[0])
-    m = int(graph.type_offsets[t_idx + 1] - graph.type_offsets[t_idx])
-    steps = [_transposed_block(graph, rid) for rid in path.relation_ids]
+    schema, offsets = graph.schema, graph.type_offsets
+    t_idx = schema.type_index(path.end_type)
+    m = int(offsets[t_idx + 1] - offsets[t_idx])
+    own = np.arange(m)
+    identity = np.zeros((m, -(-m // 64) * 8), dtype=np.uint8)
+    identity[own, own >> 3] = 1 << (own & 7)  # bits run from the least significant within each byte
+    reach = identity.view(np.uint64)  # row v: the end nodes v reaches
+    for rid in reversed(path.relation_ids):
+        rel = schema.relation(rid)
+        h = schema.type_index(rel.head)
+        h_lo, h_hi = int(offsets[h]), int(offsets[h + 1])
+        t_lo = int(offsets[schema.type_index(rel.tail)])
+        indptr, indices = graph.adjacency(rid)
+        ptr = indptr[h_lo : h_hi + 1]
+        heads = np.flatnonzero(np.diff(ptr))  # reduceat yields succ[start], not 0, for an empty segment
+        step = np.zeros((h_hi - h_lo, reach.shape[1]), dtype=np.uint64)
+        if len(heads):
+            succ = reach[indices[ptr[0] : ptr[-1]] - t_lo]
+            step[heads] = np.bitwise_or.reduceat(succ, ptr[heads] - ptr[0], axis=0)
+        reach = step
 
-    n_plain = 0
-    found = [np.empty(0, dtype=np.int64)]  # row-major positions in the m x m reachability
-    for b0 in range(0, m, FRONTIER_BLOCK):
-        width = min(FRONTIER_BLOCK, m - b0)
-        own = np.arange(width)
-        reach = np.zeros((m, width), dtype=bool)
-        reach[b0 + own, own] = True
-        for step in steps:
-            reach = step @ reach.astype(np.float32) != 0  # counts <= type size: exact in float32
-        rows = np.ascontiguousarray(reach.T)  # row k: start node b0 + k
-        n_plain += int(np.count_nonzero(rows) - np.count_nonzero(rows[own, b0 + own]))
-        if threshold is not None and m > 1 and n_plain / (m * (m - 1)) > threshold:
-            return None
-        if self_loops:
-            rows[own, b0 + own] |= rows.any(axis=1)
-        found.append(np.flatnonzero(rows) + b0 * m)
-
+    rows = np.unpackbits(reach.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
+    n_plain = int(np.count_nonzero(rows)) - int(np.count_nonzero(rows[own, own]))
     density = n_plain / (m * (m - 1)) if m > 1 else 0.0
     if threshold is not None and density > threshold:
         return None
-    src, dst = np.divmod(np.concatenate(found), m)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
+    if self_loops:
+        rows[own, own] |= rows.any(axis=1)
+    flat = np.flatnonzero(rows)
+    indptr = np.searchsorted(flat, np.arange(m + 1) * m)
+    dst = flat % m  # a fresh array: keeping flatnonzero's own raised search-rms peak RSS by ~1.3 MB
     return MetaPathSubgraph(path, path.node_types[0], m, indptr, dst, density)
 
 

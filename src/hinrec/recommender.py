@@ -54,7 +54,7 @@ class SideBundle:
 def build_side(
     graph: HinGraph,
     pset: mp.MetaPathSet,
-    threshold: float = 0.5,
+    threshold: float | None,
     materialize=None,
 ) -> SideBundle:
     """Filter a path set by subgraph density and bundle the survivors.

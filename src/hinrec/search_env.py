@@ -10,7 +10,6 @@ delta against the previous step.
 """
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -21,8 +20,6 @@ from . import metapath as mp
 from .config import ConfigError
 from .hin import STOP_ACTION, HinSchema, SchemaError
 from .util import append_jsonl
-
-log = logging.getLogger(__name__)
 
 
 class ProbeFailure(ValueError):
@@ -244,18 +241,22 @@ def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float | None:
 
 
 def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:
-    """Best-of-random-draws: sample ``budget`` action sequences, probe the final sets."""
-    start = initial_set(env.form, env.schema)
-    best_set, best_metric = start, -np.inf
+    """Best-of-random-draws: sample ``budget`` action sequences, probe the final sets.
+
+    A zero budget returns the initial set. Raises :class:`ProbeFailure`
+    when every probe fails.
+    """
+    if budget <= 0:
+        return initial_set(env.form, env.schema)
+    best_set, best_metric = None, -np.inf
     for _ in range(budget):
         length = int(rng.integers(1, env.max_steps + 1))
         candidate = _random_episode_set(env, length, rng)
         metric = _baseline_probe(env, candidate)
         if metric is not None and metric > best_metric:
             best_set, best_metric = candidate, metric
-    if not np.isfinite(best_metric):
-        log.warning("random search: no probe succeeded; returning the initial set")
-        return start
+    if best_set is None:
+        raise ProbeFailure(f"random search: no probe succeeded in {budget} draws")
     return best_set
 
 
@@ -266,7 +267,8 @@ def greedy_search(
 
     ``budget`` counts drawn candidates, no-ops included; the start set's
     probe is not counted. Raises :class:`ConfigError` when
-    ``candidates_per_round`` is below 1, since no round would spend budget.
+    ``candidates_per_round`` is below 1, since no round would spend budget,
+    and :class:`ProbeFailure` when every probe fails.
     """
     if candidates_per_round < 1:
         raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
@@ -288,4 +290,6 @@ def greedy_search(
                 best_cand, best_metric = candidate, metric
         if best_cand is not None:
             current, current_metric = best_cand, best_metric
+    if current_metric == -np.inf:
+        raise ProbeFailure("greedy search: no probe succeeded")
     return current

@@ -110,11 +110,13 @@ def brute_force_subgraph_rows(graph, path, self_loops=True):
     return rows
 
 
-def random_hin(rng, max_nodes=50, max_base_relations=3, min_per_type=2, p_empty=0.0):
+def random_hin(rng, max_nodes=50, max_base_relations=3, min_per_type=2, p_empty=0.0, type_sizes=None):
     """A random schema plus random edges, for oracle-equivalence sweeps.
 
     Each type gets at least ``min_per_type`` nodes; each base relation is
-    left without edges with probability ``p_empty``.
+    left without edges with probability ``p_empty``. With ``type_sizes``,
+    each type's size is drawn from it instead, and a head expects 0.2 to 3
+    edges per relation, so large types stay sparse.
     """
     n_types = int(rng.integers(2, 4))
     type_names = [f"T{k}" for k in range(n_types)]
@@ -129,7 +131,10 @@ def random_hin(rng, max_nodes=50, max_base_relations=3, min_per_type=2, p_empty=
             lines.append(f"r{b}: {head} -> {tail} ~ r{b}x")
     schema = HinSchema.parse("\n".join(lines))
 
-    per_type = rng.integers(min_per_type, max(3, max_nodes // n_types + 1), size=n_types)
+    if type_sizes is None:
+        per_type = rng.integers(min_per_type, max(3, max_nodes // n_types + 1), size=n_types)
+    else:
+        per_type = rng.choice(type_sizes, size=n_types)
     nodes = [(f"{t}_{i}", t) for k, t in enumerate(type_names) for i in range(int(per_type[k]))]
     order = {sid: idx for idx, (sid, _) in enumerate(nodes)}
     by_type = {t: [sid for sid, tt in nodes if tt == t] for t in type_names}
@@ -143,7 +148,7 @@ def random_hin(rng, max_nodes=50, max_base_relations=3, min_per_type=2, p_empty=
         if p_empty and rng.random() < p_empty:
             continue
         heads, tails = by_type[rel.head], by_type[rel.tail]
-        p = rng.uniform(0.05, 0.35)
+        p = rng.uniform(0.05, 0.35) if type_sizes is None else rng.uniform(0.2, 3.0) / len(tails)
         for h in heads:
             for t in tails:
                 if rng.random() < p:

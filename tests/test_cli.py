@@ -167,11 +167,14 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
     assert "Traceback" not in err
 
 
-def test_random_search_reports_that_no_probe_succeeded(dense_dataset, tmp_path, caplog):
-    assert search(dense_dataset, tmp_path, "random") == 0
-    assert "no probe succeeded" in caplog.text
-    doc = read_json(tmp_path / "sets.json")
-    assert doc["probe_evaluations"] == 0 and doc["probe_calls"] > 0
+@pytest.mark.parametrize("strategy", ["random", "greedy"])
+def test_baseline_search_fails_when_no_probe_succeeds(dense_dataset, tmp_path, capsys, strategy):
+    rc = search(dense_dataset, tmp_path, strategy)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {strategy} search: no probe succeeded" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sets.json").exists()
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

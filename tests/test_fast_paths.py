@@ -659,7 +659,11 @@ def test_sample_view_draws_uniform_subsets(has_self):
 # ---------------------------------------------------------------------------
 
 
-BLOCKS = [1, 3, metapath.FRONTIER_BLOCK]
+# End-type sizes around one 64-bit word of the walk's bitsets: one bit
+# short, exactly one word, one bit over, and three words.
+WORD_SIZES = [63, 64, 65, 130]
+# Seeds of the random and planted graphs that the subgraphs are checked on.
+SEEDS = [1, 3, 256]
 
 
 def assert_same_subgraph(graph, path, threshold, self_loops=True):
@@ -686,32 +690,56 @@ def assert_rows_match_brute_force(graph, path, subgraph):
     assert rows == brute_force_subgraph_rows(graph, path), path.label()
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_materialize_matches_reference_on_random_graphs(monkeypatch, block):
-    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
-    rng = np.random.default_rng(23)
+def has_empty_head_between(graph, rid):
+    """Whether a head without edges under ``rid`` sits between heads with edges."""
+    h = graph.schema.type_index(graph.schema.relation(rid).head)
+    lo, hi = int(graph.type_offsets[h]), int(graph.type_offsets[h + 1])
+    degrees = np.diff(graph.adjacency(rid)[0][lo : hi + 1])
+    busy = np.flatnonzero(degrees)
+    return len(busy) > 1 and bool((degrees[busy[0] : busy[-1]] == 0).any())
+
+
+def sweep_random_paths(rng, n_paths, brute_force, end_size=None, **hin_args):
+    """Check ``n_paths`` random symmetric paths against the reference; count the cases met."""
     seen = Counter()
     checked = 0
-    while checked < 40:
-        graph = random_hin(rng, max_nodes=24, min_per_type=1, p_empty=0.25)
+    while checked < n_paths:
+        graph = random_hin(rng, **hin_args)
         path = random_path(graph.schema, rng, max_len=6)
-        if not path.is_symmetric:
+        if not path.is_symmetric or end_size not in (None, graph.type_count(path.end_type)):
             continue
         subgraphs = [assert_same_subgraph(graph, path, threshold) for threshold in (None, 0.0, 0.25, 0.5)]
         seen["rejected"] += sum(sg is None for sg in subgraphs)
         assert_same_subgraph(graph, path, None, self_loops=False)
         full = subgraphs[0]
-        assert_rows_match_brute_force(graph, path, full)
+        if brute_force:
+            assert_rows_match_brute_force(graph, path, full)
         rels = [graph.schema.relation(rid) for rid in path.relation_ids]
         seen["self-complementary"] += any(rel.comp == rel.rid for rel in rels)
         seen["zero-edge relation"] += any(graph.edge_count(rel.rid) == 0 for rel in rels)
         seen["isolated node"] += bool((np.diff(full.indptr) == 0).any())
         seen["type of size 1"] += full.m == 1
-        seen["several blocks"] += full.m > block
+        seen["empty head mid-path"] += any(has_empty_head_between(graph, rid) for rid in path.relation_ids[1:-1])
         checked += 1
-    cases = {"rejected", "self-complementary", "zero-edge relation", "isolated node", "type of size 1"}
-    if block != BLOCKS[-1]:  # the default block spans every type here
-        cases.add("several blocks")
+    return seen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_materialize_matches_reference_on_random_graphs(seed):
+    seen = sweep_random_paths(
+        np.random.default_rng(seed), 60, brute_force=True, max_nodes=24, min_per_type=1, p_empty=0.25
+    )
+    cases = {
+        "rejected", "self-complementary", "zero-edge relation", "isolated node", "type of size 1",
+        "empty head mid-path",
+    }
+    assert all(seen[case] > 0 for case in cases), seen
+
+
+@pytest.mark.parametrize("size", WORD_SIZES)
+def test_materialize_matches_reference_across_word_boundaries(size):
+    seen = sweep_random_paths(np.random.default_rng(size), 20, brute_force=False, end_size=size, type_sizes=(size, 7))
+    cases = {"rejected", "isolated node", "empty head mid-path"}
     assert all(seen[case] > 0 for case in cases), seen
 
 
@@ -728,27 +756,26 @@ def planted_paths(schema, max_len=8):
     return sorted(found, key=lambda p: (len(p), p.relation_ids))
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_materialize_matches_reference_on_planted_graph(monkeypatch, small_planted, block):
-    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
-    graph, _, _ = small_planted
+@pytest.mark.parametrize("seed", SEEDS)
+def test_materialize_matches_reference_on_planted_graph(tmp_path, seed):
+    synth.write_dataset(tmp_path, "planted-mam-small", seed=seed)
+    schema = HinSchema.from_file(tmp_path / "schema.txt")
+    graph = load_graph(tmp_path / "nodes.tsv", tmp_path / "edges.tsv", schema)
     paths = planted_paths(graph.schema)
     assert len(paths) == 160 and {len(p) for p in paths} == {2, 4, 6, 8}
     rejected = 0
-    for k, path in enumerate(paths):
-        if block != BLOCKS[-1] and k % 3:  # narrow blocks: every third path
-            continue
+    for path in paths:
         rejected += assert_same_subgraph(graph, path, 0.5) is None
         full = assert_same_subgraph(graph, path, None)
+        assert_same_subgraph(graph, path, None, self_loops=False)
         if len(path) == 2:
             assert_same_subgraph(graph, path, 0.0)
             assert_rows_match_brute_force(graph, path, full)
     assert rejected > 0
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_materialize_accepts_density_equal_to_threshold(monkeypatch, movie_schema, block):
-    monkeypatch.setattr(metapath, "FRONTIER_BLOCK", block)
+@pytest.mark.parametrize("idle", [1, 3, 256])
+def test_materialize_accepts_density_equal_to_threshold(movie_schema, idle):
     users = [(f"U{k}", "User") for k in range(4)]
     edges = [("U0", "watch", "M0"), ("U1", "watch", "M0"), ("U2", "watch", "M0"), ("U3", "watch", "M1")]
     graph = graph_from(movie_schema, users + [("M0", "Movie"), ("M1", "Movie")], edges)
@@ -757,6 +784,15 @@ def test_materialize_accepts_density_equal_to_threshold(monkeypatch, movie_schem
     sg = assert_same_subgraph(graph, umu, 0.5)
     assert sg.density == 0.5
     assert assert_same_subgraph(graph, umu, np.nextafter(0.5, 0.0)) is None
+
+    # The same pairs with ``idle`` users who watch nothing, so the user
+    # bitsets end mid-word or span several words.
+    idle_users = [(f"I{k}", "User") for k in range(idle)]
+    graph = graph_from(movie_schema, users + idle_users + [("M0", "Movie"), ("M1", "Movie")], edges)
+    m = 4 + idle
+    density = 6 / (m * (m - 1))
+    assert assert_same_subgraph(graph, umu, density).density == density
+    assert assert_same_subgraph(graph, umu, np.nextafter(density, 0.0)) is None
 
 
 # ---------------------------------------------------------------------------

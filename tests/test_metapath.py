@@ -214,7 +214,7 @@ class TestSubgraph:
     def test_non_symmetric_rejected(self, movie_schema):
         um = MetaPath.from_relations(movie_schema, [1])
         with pytest.raises(MetaPathError, match="symmetric"):
-            materialize_subgraph(graph_from(movie_schema, [("U1", "User"), ("M1", "Movie")], []), um)
+            materialize_subgraph(graph_from(movie_schema, [("U1", "User"), ("M1", "Movie")], []), um, 0.5)
 
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_rows_strictly_increasing(self, small_planted, self_loops):

@@ -286,6 +286,18 @@ class TestBaselines:
                 assert line["reward"] == line["probe_metric"] == pytest.approx(0.1 * len(line["set"]))
         assert {line["agent"] for line in lines} == {"user"}
 
+    @pytest.mark.parametrize("strategy", ["random", "greedy"])
+    def test_raises_when_every_probe_fails(self, movie_schema, strategy):
+        def failing(u, i):
+            raise ProbeFailure("degenerate set")
+
+        env = SearchEnv(movie_schema, USER_SYMMETRIC, failing, initial_set(ITEM_SYMMETRIC, movie_schema), max_steps=4)
+        with pytest.raises(ProbeFailure, match=f"{strategy} search: no probe succeeded"):
+            if strategy == "random":
+                random_search(env, 5, np.random.default_rng(0))
+            else:
+                greedy_search(env, 6, 2, np.random.default_rng(0))
+
     def test_greedy_single_candidate_walks(self, movie_schema):
         out = greedy_search(self._env(movie_schema), 6, 1, np.random.default_rng(11))
         assert len(out) >= 1
