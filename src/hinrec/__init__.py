@@ -9,7 +9,7 @@ from .metapath import (
     encode_set,
     materialize_subgraph,
 )
-from .search_env import SearchEnv, apply_action, initial_set, step
+from .search_env import SearchEnv, apply_action, initial_set
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "initial_set",
     "load_graph",
     "materialize_subgraph",
-    "step",
     "__version__",
 ]

@@ -151,6 +151,10 @@ def cmd_search(args) -> int:
     if trace_path.exists():
         trace_path.unlink()
     probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
+    # Every set the search probes extends an initial set by accepted paths
+    # only, so once both initial sets pass the density filter no probe fails.
+    for form in (mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC):
+        rec.build_side(probe.graph, search_env.initial_set(form, schema), cfg.density_threshold, probe.subgraph)
     episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
     found = {}
     for tag, form, other in (
@@ -158,7 +162,7 @@ def cmd_search(args) -> int:
         ("item", mp.ITEM_SYMMETRIC, mp.USER_SYMMETRIC),
     ):
         env = search_env.SearchEnv(
-            schema, form, probe.pair,
+            schema, form, probe,
             frozen_other=search_env.initial_set(other, schema),
             max_steps=cfg.max_steps,
             trace_path=str(trace_path), trace_tag=tag,

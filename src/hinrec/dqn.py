@@ -37,10 +37,9 @@ class QNetworkParams:
         cls,
         n_in: int,
         n_out: int,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        rng: np.random.Generator | None = None,
+        hidden: tuple[int, ...],
+        rng: np.random.Generator,
     ) -> "QNetworkParams":
-        rng = rng or np.random.default_rng()
         dims = (n_in, *hidden, n_out)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -55,10 +54,6 @@ class QNetworkParams:
     @property
     def n_in(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.weights[-1].shape[1]
 
 
 def _forward_batch(params: QNetworkParams, s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

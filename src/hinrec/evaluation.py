@@ -271,7 +271,11 @@ class PerformanceProbe:
     already score in the MF space, so the pair's meta-paths alone move the
     metric. Subgraph materializations are cached per meta-path, the MF init
     is computed once, and probe results are cached by the candidate pair,
-    so one set always probes to the same value.
+    so one set always probes to the same value. The search's sets hold only
+    paths that :meth:`subgraph` accepts, so each cache entry, and each
+    per-pair init seed, belongs to one model. :meth:`pair` raises
+    :class:`~hinrec.search_env.ProbeFailure` when a side has no accepted
+    path.
     """
 
     def __init__(self, graph: HinGraph, split: SplitSet, config, seed: int):

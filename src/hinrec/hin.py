@@ -277,12 +277,6 @@ class HinGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def node_type_index(self, v: int) -> int:
-        return int(self._type_of[v])
-
-    def node_type(self, v: int) -> str:
-        return self.schema.node_types[self.node_type_index(v)]
-
     def type_count(self, type_name: str) -> int:
         t = self.schema.type_index(type_name)
         return int(self.type_offsets[t + 1] - self.type_offsets[t])

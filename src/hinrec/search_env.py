@@ -4,15 +4,22 @@ States are meta-path sets (encoded as normalized relation-count vectors),
 actions are relation ids plus STOP (0). A non-STOP action r is completed
 into the symmetric segment [r, comp(r)], spliced into each existing path
 at the first type-compatible position, and added standalone when it fits
-the set's form. Rewards come from a recommender performance probe:
-STOP gives 0, a no-op action gives -1, everything else gives the probe
-delta against the previous step.
+the set's form (:func:`apply_action`). :meth:`SearchEnv.extend` then drops
+each new path whose subgraph the density filter rejects, so every state,
+and every set a search probes, holds only accepted paths: one set per
+model. Rewards come from a recommender performance probe: STOP gives 0,
+an action that adds no accepted path gives -1, everything else gives the
+probe delta against the previous step.
+
+The probe cannot fail inside a search: ``hinrec search`` checks both
+initial sets against the density filter before any strategy runs, and
+raises :class:`~hinrec.recommender.AllPathsRejected` there. A probe still
+raises :class:`ProbeFailure` for a set whose every path is rejected.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +51,6 @@ class StepOutcome:
     done: bool
     probe_metric: float | None
     changed: bool
-    diagnostic: str = ""
 
 
 def initial_set(form: str, schema: HinSchema) -> mp.MetaPathSet:
@@ -94,41 +100,17 @@ def apply_action(pset: mp.MetaPathSet, action: int, schema: HinSchema) -> mp.Met
     return pset.replace(tuple(out))
 
 
-def step(
-    state: SearchState,
-    action: int,
-    probe: Callable[[mp.MetaPathSet], float],
-    last_metric: float,
-    schema: HinSchema,
-    max_steps: int,
-) -> StepOutcome:
-    """One MDP transition. Only STOP or the step limit terminate an episode."""
-    if action == STOP_ACTION:
-        nxt = SearchState(state.pset, state.step_index + 1, state.encoding)
-        return StepOutcome(nxt, 0.0, True, None, changed=False)
-
-    limit_hit = state.step_index + 1 >= max_steps
-    new_set = apply_action(state.pset, action, schema)
-    if new_set.key() == state.pset.key():
-        nxt = SearchState(state.pset, state.step_index + 1, state.encoding)
-        return StepOutcome(nxt, -1.0, limit_hit, None, changed=False)
-    try:
-        metric = probe(new_set)
-    except ProbeFailure as exc:
-        nxt = SearchState(state.pset, state.step_index + 1, state.encoding)
-        return StepOutcome(nxt, -1.0, limit_hit, None, changed=False, diagnostic=str(exc))
-    nxt = SearchState.create(schema, new_set, state.step_index + 1)
-    return StepOutcome(nxt, metric - last_metric, limit_hit, metric, changed=True)
-
-
 class SearchEnv:
     """Episode driver binding a form, a probe, and optional trace output.
 
     :meth:`step` writes one trace line per MDP step; the baseline searches
     write one per probe instead.
 
-    ``probe_pair(user_set, item_set)`` is the evaluation oracle; the env
-    holds the opposite form's set frozen and probes only its own side's
+    ``probe`` is the evaluation oracle, a
+    :class:`~hinrec.evaluation.PerformanceProbe` or any object with its
+    ``pair(user_set, item_set)`` and ``subgraph(path)``; ``subgraph``
+    returns ``None`` for a path the density filter rejects. The env holds
+    the opposite form's set frozen and probes only its own side's
     candidates.
     """
 
@@ -136,7 +118,7 @@ class SearchEnv:
         self,
         schema: HinSchema,
         form: str,
-        probe_pair: Callable[[mp.MetaPathSet, mp.MetaPathSet], float],
+        probe,
         frozen_other: mp.MetaPathSet,
         max_steps: int = 4,
         trace_path: str | None = None,
@@ -144,7 +126,7 @@ class SearchEnv:
     ):
         self.schema = schema
         self.form = form
-        self._probe_pair = probe_pair
+        self._probe = probe
         self.frozen_other = frozen_other
         self.max_steps = max_steps
         self.trace_path = trace_path
@@ -167,8 +149,17 @@ class SearchEnv:
 
     def probe(self, pset: mp.MetaPathSet) -> float:
         if self.form == mp.ITEM_SYMMETRIC:
-            return self._probe_pair(self.frozen_other, pset)
-        return self._probe_pair(pset, self.frozen_other)
+            return self._probe.pair(self.frozen_other, pset)
+        return self._probe.pair(pset, self.frozen_other)
+
+    def extend(self, pset: mp.MetaPathSet, action: int) -> mp.MetaPathSet:
+        """:func:`apply_action`, keeping only the new paths the density filter accepts.
+
+        Returns ``pset`` itself when no accepted path is new.
+        """
+        grown = apply_action(pset, action, self.schema)
+        new = [path for path in grown.paths[len(pset):] if self._probe.subgraph(path) is not None]
+        return pset.replace(pset.paths + tuple(new)) if new else pset
 
     def reset(self) -> SearchState:
         self.episode += 1
@@ -180,12 +171,25 @@ class SearchEnv:
         return self._state
 
     def step(self, action: int) -> StepOutcome:
-        if self._state is None:
+        """One MDP transition. Only STOP or the step limit terminate an episode."""
+        state = self._state
+        if state is None:
             raise RuntimeError("call reset() before step()")
         t0 = time.perf_counter()
-        out = step(self._state, action, self.probe, self._last_metric, self.schema, self.max_steps)
-        if out.probe_metric is not None:
-            self._last_metric = out.probe_metric
+        index = state.step_index + 1
+        unchanged = SearchState(state.pset, index, state.encoding)
+        if action == STOP_ACTION:
+            out = StepOutcome(unchanged, 0.0, True, None, changed=False)
+        else:
+            done = index >= self.max_steps
+            new_set = self.extend(state.pset, action)
+            if new_set is state.pset:
+                out = StepOutcome(unchanged, -1.0, done, None, changed=False)
+            else:
+                metric = self.probe(new_set)
+                nxt = SearchState.create(self.schema, new_set, index)
+                out = StepOutcome(nxt, metric - self._last_metric, done, metric, changed=True)
+                self._last_metric = metric
         self._state = None if out.done else out.state
         if self.trace_path:
             append_jsonl(
@@ -209,29 +213,24 @@ def _random_episode_set(
 ) -> mp.MetaPathSet:
     pset = initial_set(env.form, env.schema)
     for _ in range(length):
-        action = int(rng.integers(1, env.schema.n_relations + 1))
-        pset = apply_action(pset, action, env.schema)
+        pset = env.extend(pset, int(rng.integers(1, env.schema.n_relations + 1)))
     return pset
 
 
-def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float | None:
-    """Probe ``pset`` for a baseline search; ``None`` when the probe fails.
+def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float:
+    """Probe ``pset`` for a baseline search.
 
     Appends one line per probe to the env's trace. A baseline takes no MDP
-    step, so the line's reward is the probe metric itself, or 0.0 with a
-    null ``probe_metric`` when the probe fails.
+    step, so the line's reward is the probe metric itself.
     """
     t0 = time.perf_counter()
-    try:
-        metric = env.probe(pset)
-    except ProbeFailure:
-        metric = None
+    metric = env.probe(pset)
     if env.trace_path:
         append_jsonl(
             env.trace_path,
             {
                 "set": pset.labels(),
-                "reward": 0.0 if metric is None else float(metric),
+                "reward": float(metric),
                 "probe_metric": metric,
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
                 "agent": env.trace_tag,
@@ -243,21 +242,13 @@ def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float | None:
 def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:
     """Best-of-random-draws: sample ``budget`` action sequences, probe the final sets.
 
-    A zero budget returns the initial set. Raises :class:`ProbeFailure`
-    when every probe fails.
+    A zero budget returns the initial set; of equal probe values the
+    earliest draw wins.
     """
     if budget <= 0:
         return initial_set(env.form, env.schema)
-    best_set, best_metric = None, -np.inf
-    for _ in range(budget):
-        length = int(rng.integers(1, env.max_steps + 1))
-        candidate = _random_episode_set(env, length, rng)
-        metric = _baseline_probe(env, candidate)
-        if metric is not None and metric > best_metric:
-            best_set, best_metric = candidate, metric
-    if best_set is None:
-        raise ProbeFailure(f"random search: no probe succeeded in {budget} draws")
-    return best_set
+    draws = (_random_episode_set(env, int(rng.integers(1, env.max_steps + 1)), rng) for _ in range(budget))
+    return max(draws, key=lambda pset: _baseline_probe(env, pset))
 
 
 def greedy_search(
@@ -267,29 +258,22 @@ def greedy_search(
 
     ``budget`` counts drawn candidates, no-ops included; the start set's
     probe is not counted. Raises :class:`ConfigError` when
-    ``candidates_per_round`` is below 1, since no round would spend budget,
-    and :class:`ProbeFailure` when every probe fails.
+    ``candidates_per_round`` is below 1, since no round would spend budget.
     """
     if candidates_per_round < 1:
         raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
     current = initial_set(env.form, env.schema)
     current_metric = _baseline_probe(env, current)
-    if current_metric is None:
-        current_metric = -np.inf
     remaining = budget
     while remaining > 0:
-        best_cand, best_metric = None, current_metric
+        best, best_metric = current, current_metric
         for _ in range(min(candidates_per_round, remaining)):
             remaining -= 1
-            action = int(rng.integers(1, env.schema.n_relations + 1))
-            candidate = apply_action(current, action, env.schema)
-            if candidate.key() == current.key():
+            candidate = env.extend(current, int(rng.integers(1, env.schema.n_relations + 1)))
+            if candidate is current:
                 continue
             metric = _baseline_probe(env, candidate)
-            if metric is not None and metric > best_metric:
-                best_cand, best_metric = candidate, metric
-        if best_cand is not None:
-            current, current_metric = best_cand, best_metric
-    if current_metric == -np.inf:
-        raise ProbeFailure("greedy search: no probe succeeded")
+            if metric > best_metric:
+                best, best_metric = candidate, metric
+        current, current_metric = best, best_metric
     return current

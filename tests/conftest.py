@@ -86,7 +86,8 @@ def brute_force_metapath_neighbors(graph, path, v):
         for s, d in zip(src.tolist(), dst.tolist()):
             table.setdefault(s, []).append(d)
         adj[rel.rid] = table
-    if graph.node_type(v) != path.start_type:
+    t = graph.schema.type_index(path.start_type)
+    if not graph.type_offsets[t] <= v < graph.type_offsets[t + 1]:
         return []
     sequences = [[v]]
     for rid in path.relation_ids:
@@ -169,3 +170,27 @@ def random_path(schema, rng, max_len=4):
             break
         rids.append(int(options[int(rng.integers(len(options)))]))
     return MetaPath.from_relations(schema, rids)
+
+
+def reachable_sets(form, schema, max_steps, extend):
+    """Every set reachable from the form's initial set in at most ``max_steps`` actions, each once.
+
+    A breadth-first walk over every non-STOP action: ``extend(pset, action)``
+    is the set an action leads to, ``apply_action`` for the full walk or
+    ``SearchEnv.extend`` for the walk over density-accepted paths.
+    """
+    from hinrec.search_env import initial_set
+
+    start = initial_set(form, schema)
+    seen = {start.key(): start}
+    frontier = [start]
+    for _ in range(max_steps):
+        reached = []
+        for pset in frontier:
+            for action in range(1, schema.n_relations + 1):
+                out = extend(pset, action)
+                if out.key() not in seen:
+                    seen[out.key()] = out
+                    reached.append(out)
+        frontier = reached
+    return list(seen.values())

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from hinrec import cli
+from hinrec import cli, evaluation
 from hinrec import metapath as mp
 from hinrec.checkpoint import load_arrays, save_arrays
+from hinrec.config import RunConfig
 from hinrec.hin import HinSchema
 from hinrec.util import read_json, read_jsonl, strip_volatile
 
@@ -68,11 +69,14 @@ def test_search_writes_valid_sets_deterministically(dataset, tmp_path, strategy)
     doc = read_json(tmp_path / "a" / "sets.json")
     assert doc["strategy"] == strategy
     assert 1 <= doc["probe_evaluations"] <= doc["probe_calls"]
+    graph = cli._load_dataset(dataset)
+    probe = evaluation.PerformanceProbe(graph, cli._split_for(graph, RunConfig(seed=0)), RunConfig(), 0)
     for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC)):
         payload = doc[key]
         assert payload["form"] == form
         paths = tuple(mp.MetaPath.from_relations(schema, p["relations"]) for p in payload["paths"])
         assert len(mp.MetaPathSet(paths, form, schema)) >= 1  # raises on a form violation
+        assert all(probe.subgraph(path) is not None for path in paths)  # density-accepted only
     assert stripped_outputs(tmp_path / "a") == stripped_outputs(tmp_path / "b")
 
 
@@ -85,14 +89,11 @@ def test_baseline_search_traces_every_probe(dataset, tmp_path, strategy):
     for line in lines:
         assert set(line) == {"set", "probe_metric", "reward", "wall_ms", "agent"}
         assert line["agent"] in ("user", "item")
-        assert math.isfinite(line["reward"]) and line["wall_ms"] >= 0.0
-        if line["probe_metric"] is None:
-            assert line["reward"] == 0.0
-        else:
-            assert 0.0 <= line["probe_metric"] <= 1.0
-            assert line["reward"] == line["probe_metric"]
+        assert line["wall_ms"] >= 0.0
+        assert 0.0 <= line["probe_metric"] <= 1.0
+        assert line["reward"] == line["probe_metric"]
     for agent in ("user", "item"):
-        probed = [l for l in lines if l["agent"] == agent and l["probe_metric"] is not None]
+        probed = [l for l in lines if l["agent"] == agent]
         assert probed, agent
         found = [p["label"] for p in doc[f"{agent}_set"]["paths"]]
         best = max(l["probe_metric"] for l in probed)
@@ -154,27 +155,24 @@ def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
     assert run("eval", "--checkpoint", checkpoint, "--split", "test", *common) == 1
 
 
-@pytest.mark.parametrize("command", ["search", "train"])
-def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, capsys, command):
-    common = ("--dataset", dense_dataset, "--seed", 0, "--out", tmp_path / "run")
-    if command == "search":
-        rc = run("search", "--strategy", "rms", "--iter-limit", 8, *common)
+@pytest.mark.parametrize("command", ["train", "rms", "greedy", "random"])
+def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, capsys, monkeypatch, command):
+    """Every strategy checks both initial sets before it searches, so it probes nothing."""
+    out = tmp_path / "run"
+    if command == "train":
+        rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), "--dataset", dense_dataset,
+                 "--seed", 0, "--out", out)
     else:
-        rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), *common)
+        probed = []
+        pair = evaluation.PerformanceProbe.pair
+        monkeypatch.setattr(evaluation.PerformanceProbe, "pair", lambda *a: probed.append(a) or pair(*a))
+        rc = search(dense_dataset, out, command)
+        assert not probed
+        assert not (out / "sets.json").exists()
     err = capsys.readouterr().err
     assert rc == 1
     assert "error: all paths rejected by density filter: ['UMU']" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("strategy", ["random", "greedy"])
-def test_baseline_search_fails_when_no_probe_succeeds(dense_dataset, tmp_path, capsys, strategy):
-    rc = search(dense_dataset, tmp_path, strategy)
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert f"error: {strategy} search: no probe succeeded" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "sets.json").exists()
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

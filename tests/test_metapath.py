@@ -109,7 +109,7 @@ class TestMetaPath:
 def local_id(graph, name):
     """A node's id within its own type."""
     v = graph.node_names.index(name)
-    return v - int(graph.type_offsets[graph.schema.type_index(graph.node_type(v))])
+    return v - int(graph.type_offsets[np.searchsorted(graph.type_offsets, v, side="right") - 1])
 
 
 def plain_rows(graph, path):

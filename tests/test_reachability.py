@@ -3,11 +3,15 @@
 The check parses ``src/hinrec/*.py`` and ``bench/*.py`` and collects each
 top-level function, class, method and UPPER_CASE constant that
 ``src/hinrec`` defines (dunder names excluded). Each must be named
-somewhere in ``src/hinrec`` or ``bench/`` outside its own definition: as a
-name, an attribute, an import, or a string constant (``bench/tracing.py``
-wraps functions by their string names). Tests do not count, so code that
-only tests reach fails here, and neither do the package's re-exports in
-``__init__.py``: exporting a name does not make the pipeline call it.
+somewhere in ``src/hinrec`` or ``bench/`` outside its own definition. A
+function, class or constant counts as named by a name, an attribute, an
+import, or a string constant (``bench/tracing.py`` wraps functions by
+their string names). A method or property counts as named only by an
+attribute, a keyword argument or a string constant, so a parameter or a
+local variable that shares its name does not keep it alive. Tests do not
+count, so code that only tests reach fails here, and neither do the
+package's re-exports in ``__init__.py``: exporting a name does not make
+the pipeline call it.
 
 Every :class:`~hinrec.config.RunConfig` field must likewise be read, as
 an attribute, somewhere in ``src/hinrec`` outside ``config.py`` or in
@@ -15,7 +19,9 @@ an attribute, somewhere in ``src/hinrec`` outside ``config.py`` or in
 
 It matches names only, not call graphs. A dead cluster whose members name
 each other (a save method calling a helper that a load method also calls)
-passes, and so does a method that shares its name with a live one.
+passes, and so does a method that shares its name with a live method or
+attribute of another class (``HinGraph.node_type`` passed while only tests
+called it, because ``SideBundle.node_type`` is read).
 """
 from __future__ import annotations
 
@@ -48,33 +54,44 @@ def _definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
     return [d for d in out if not (d[1].startswith("__") and d[1].endswith("__"))]
 
 
-def _uses(tree: ast.AST) -> Counter:
-    """How often each name, attribute, imported name or identifier string occurs in ``tree``."""
+def _uses(tree: ast.AST, member: bool = False) -> Counter:
+    """How often each name, attribute, imported name or identifier string occurs in ``tree``.
+
+    With ``member``, only the uses that can reach a class member count:
+    attributes, keyword arguments and identifier strings.
+    """
     names: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             names[node.value] += 1
+        elif member:
+            if isinstance(node, ast.keyword) and node.arg:
+                names[node.arg] += 1
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
     return names
 
 
 def unreached() -> list[str]:
     """Qualified names of package definitions that nothing outside their own body names."""
     modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
-    uses = {stem: _uses(tree) for stem, tree in modules.items()}
-    bench = sum((_uses(_parse(path)) for path in sorted(BENCH.glob("*.py"))), Counter())
+    benches = [_parse(path) for path in sorted(BENCH.glob("*.py"))]
     out = []
-    for stem, tree in modules.items():
-        elsewhere = bench + sum((u for other, u in uses.items() if other != stem), Counter())
-        for qualified, name, node in _definitions(tree):
-            if not elsewhere[name] and uses[stem][name] == _uses(node)[name]:
-                out.append(f"{stem}.{qualified}")
-    return out
+    for member in (False, True):
+        uses = {stem: _uses(tree, member) for stem, tree in modules.items()}
+        bench = sum((_uses(tree, member) for tree in benches), Counter())
+        for stem, tree in modules.items():
+            elsewhere = bench + sum((u for other, u in uses.items() if other != stem), Counter())
+            for qualified, name, node in _definitions(tree):
+                if ("." in qualified) != member:
+                    continue
+                if not elsewhere[name] and uses[stem][name] == _uses(node, member)[name]:
+                    out.append(f"{stem}.{qualified}")
+    return sorted(out)
 
 
 def unread_settings() -> list[str]:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hinrec.config import ConfigError
-from hinrec.hin import HinSchema
+from hinrec import cli, evaluation
+from hinrec.config import ConfigError, RunConfig
+from hinrec.evaluation import PerformanceProbe, split_leave_one_out
+from hinrec.hin import HinSchema, load_graph
 from hinrec.metapath import (
     ITEM_SYMMETRIC,
     MAX_PATH_LEN,
@@ -14,17 +16,16 @@ from hinrec.metapath import (
     encode_set,
 )
 from hinrec.search_env import (
-    ProbeFailure,
     SearchEnv,
-    SearchState,
     apply_action,
     greedy_search,
     initial_set,
     random_search,
-    step,
 )
+from hinrec.synth import write_dataset
+from hinrec.util import derive_rng, read_json
 
-from conftest import WATCH, WATCHED, ACT, ACTED, DIRECT, DIRECTED, random_hin
+from conftest import WATCH, WATCHED, ACT, ACTED, DIRECT, DIRECTED, random_hin, reachable_sets
 
 FRIEND_SCHEMA = HinSchema.parse(
     "node_types: User, Movie, Actor\n"
@@ -124,62 +125,92 @@ class TestApplyAction:
 
 
 class FakeProbe:
-    """Metric = 0.1 * number of paths; records calls."""
+    """Metric = 0.1 * number of user-side paths; records the user sets it scores.
 
-    def __init__(self, fail_on=None):
+    Its density filter accepts every path except those in ``rejected``.
+    """
+
+    def __init__(self, rejected=(), score=None):
         self.calls = []
-        self.fail_on = fail_on or set()
+        self.rejected = set(rejected)
+        self.score = score or (lambda pset: 0.1 * len(pset))
 
-    def __call__(self, pset):
-        key = pset.key()
-        if key in self.fail_on:
-            raise ProbeFailure("degenerate set")
-        self.calls.append(key)
-        return 0.1 * len(pset)
+    def pair(self, user_set, item_set):
+        self.calls.append(user_set.key())
+        return self.score(user_set)
+
+    def subgraph(self, path):
+        return None if path.relation_ids in self.rejected else path
+
+
+def user_env(schema, probe, **kw):
+    """A user-side env with the item side frozen at its initial set (``max_steps`` 4)."""
+    return SearchEnv(schema, USER_SYMMETRIC, probe, initial_set(ITEM_SYMMETRIC, schema), **kw)
+
+
+class TestExtend:
+    def test_keeps_only_accepted_new_paths(self, movie_schema):
+        env = SearchEnv(
+            movie_schema, ITEM_SYMMETRIC, FakeProbe(rejected={(ACTED, ACT, WATCHED, WATCH)}),
+            initial_set(USER_SYMMETRIC, movie_schema),
+        )
+        start = initial_set(ITEM_SYMMETRIC, movie_schema)
+        assert apply_action(start, ACTED, movie_schema).labels() == ["MUM", "MAMUM", "MAM"]
+        assert env.extend(start, ACTED).labels() == ["MUM", "MAM"]
+
+    def test_returns_the_same_set_when_nothing_accepted_is_new(self, movie_schema):
+        start = initial_set(USER_SYMMETRIC, movie_schema)
+        env = user_env(movie_schema, FakeProbe(rejected={(WATCH, ACTED, ACT, WATCHED)}))
+        assert env.extend(start, ACTED) is start
+        assert env.extend(start, ACT) is start  # act: Actor -> Movie fits no user path
 
 
 class TestStep:
-    def _state(self, schema, form=USER_SYMMETRIC):
-        return SearchState.create(schema, initial_set(form, schema))
-
     def test_stop_rewards_zero_and_ends(self, movie_schema):
-        state = self._state(movie_schema)
-        out = step(state, 0, FakeProbe(), 0.1, movie_schema, max_steps=4)
+        env = user_env(movie_schema, FakeProbe())
+        state = env.reset()
+        out = env.step(0)
         assert out.reward == 0.0
-        assert out.done
+        assert out.done and not out.changed
         assert out.state.pset.key() == state.pset.key()
         assert out.probe_metric is None
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step(ACTED)
 
     def test_no_change_action_rewards_minus_one(self, movie_schema):
-        state = self._state(movie_schema, ITEM_SYMMETRIC)
-        out = step(state, ACT, FakeProbe(), 0.1, movie_schema, max_steps=4)
+        probe = FakeProbe()
+        env = SearchEnv(movie_schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, movie_schema), max_steps=4)
+        env.reset()
+        out = env.step(ACT)
         assert out.reward == -1.0
-        assert not out.done
+        assert not out.done and not out.changed
         assert out.state.step_index == 1
+        assert len(probe.calls) == 1  # the start set's probe only
+
+    def test_action_adding_only_rejected_paths_is_a_no_op(self, movie_schema):
+        probe = FakeProbe(rejected={(WATCH, ACTED, ACT, WATCHED)})
+        env = user_env(movie_schema, probe)
+        state = env.reset()
+        out = env.step(ACTED)
+        assert (out.reward, out.changed, out.probe_metric) == (-1.0, False, None)
+        assert out.state.pset.key() == state.pset.key()
+        assert len(probe.calls) == 1
 
     def test_reward_is_probe_delta(self, movie_schema):
-        state = self._state(movie_schema)
-        out = step(state, ACTED, FakeProbe(), 0.1, movie_schema, max_steps=4)
+        env = user_env(movie_schema, FakeProbe())
+        env.reset()
+        out = env.step(ACTED)
         assert out.reward == pytest.approx(0.2 - 0.1)
         assert out.probe_metric == pytest.approx(0.2)
+        assert out.changed
 
     def test_step_limit_terminates(self, movie_schema):
-        state = SearchState.create(movie_schema, initial_set(USER_SYMMETRIC, movie_schema))
-        state = SearchState(state.pset, 3, state.encoding)
-        out = step(state, ACTED, FakeProbe(), 0.0, movie_schema, max_steps=4)
-        assert out.done
-
-    def test_probe_failure_maps_to_minus_one(self, movie_schema):
-        probe = FakeProbe(fail_on={((WATCH, WATCHED), (WATCH, ACTED, ACT, WATCHED))})
-        state = self._state(movie_schema)
-        out = step(state, ACTED, probe, 0.0, movie_schema, max_steps=4)
-        assert out.reward == -1.0
-        assert out.state.pset.key() == state.pset.key()
-        assert "degenerate" in out.diagnostic
+        env = user_env(movie_schema, FakeProbe())
+        env.reset()
+        assert [env.step(ACTED).done for _ in range(4)] == [False, False, False, True]
 
     def test_reward_telescoping(self, movie_schema):
-        probe = FakeProbe()
-        env = SearchEnv(movie_schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, movie_schema), max_steps=4)
+        env = user_env(movie_schema, FakeProbe())
         state = env.reset()
         first = env.probe(state.pset)
         rewards = []
@@ -190,16 +221,9 @@ class TestStep:
 
 
 class TestEnv:
-    def _env(self, schema, **kw):
-        probe = FakeProbe()
-        return SearchEnv(
-            schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, schema),
-            max_steps=4, **kw,
-        ), probe
-
     def test_episode_flow_and_trace(self, movie_schema, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        env, _ = self._env(movie_schema, trace_path=str(trace))
+        env = user_env(movie_schema, FakeProbe(), trace_path=str(trace))
         env.reset()
         done = False
         steps = 0
@@ -208,23 +232,18 @@ class TestEnv:
             steps += 1
         lines = trace.read_text().strip().splitlines()
         assert len(lines) == steps
-        import json
-
         rec = json.loads(lines[0])
         assert set(rec) >= {"episode", "step", "action", "set", "reward", "probe_metric", "wall_ms"}
 
     def test_encoding_matches_encode_set(self, movie_schema):
-        env, _ = self._env(movie_schema)
+        env = user_env(movie_schema, FakeProbe())
         state = env.reset()
         np.testing.assert_allclose(state.encoding, encode_set(movie_schema, state.pset))
 
 
 class TestBaselines:
-    def _env(self, schema):
-        probe = FakeProbe()
-        return SearchEnv(
-            schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, schema), max_steps=4
-        )
+    def _env(self, schema, probe=None):
+        return user_env(schema, probe or FakeProbe())
 
     def test_random_zero_budget_returns_initial(self, movie_schema):
         env = self._env(movie_schema)
@@ -237,20 +256,14 @@ class TestBaselines:
         assert a.key() == b.key()
 
     def test_random_returns_best_probed(self, movie_schema):
-        env = self._env(movie_schema)
-        out = random_search(env, 10, np.random.default_rng(1))
-        # FakeProbe scores by size, so the winner is at least as large as the start.
-        assert len(out) >= 1
+        probe = FakeProbe()
+        out = random_search(self._env(movie_schema, probe), 10, np.random.default_rng(1))
+        # FakeProbe scores by size; the first of the largest draws wins.
+        largest = max(len(key) for key in probe.calls)
+        assert out.key() == next(key for key in probe.calls if len(key) == largest)
 
     def test_greedy_keeps_current_when_no_improvement(self, movie_schema):
-        class FlatProbe:
-            def __call__(self, pset):
-                return 0.5
-
-        env = SearchEnv(
-            movie_schema, USER_SYMMETRIC, lambda u, i: FlatProbe()(u),
-            initial_set(ITEM_SYMMETRIC, movie_schema), max_steps=4,
-        )
+        env = self._env(movie_schema, FakeProbe(score=lambda pset: 0.5))
         out = greedy_search(env, 8, 2, np.random.default_rng(2))
         assert out.key() == initial_set(USER_SYMMETRIC, movie_schema).key()
 
@@ -265,39 +278,82 @@ class TestBaselines:
         with pytest.raises(ConfigError, match="greedy_candidates"):
             greedy_search(self._env(movie_schema), 8, candidates, np.random.default_rng(0))
 
-    def test_baselines_trace_each_probe_and_failures(self, movie_schema, tmp_path):
-        start = initial_set(USER_SYMMETRIC, movie_schema)
-        probe = FakeProbe(fail_on={start.key()})
+    def test_baselines_trace_each_probe(self, movie_schema, tmp_path):
+        probe = FakeProbe()
         trace = tmp_path / "trace.jsonl"
-        env = SearchEnv(
-            movie_schema, USER_SYMMETRIC, lambda u, i: probe(u), initial_set(ITEM_SYMMETRIC, movie_schema),
-            max_steps=4, trace_path=str(trace), trace_tag="user",
-        )
+        env = user_env(movie_schema, probe, trace_path=str(trace), trace_tag="user")
         greedy_search(env, 6, 2, np.random.default_rng(3))
         random_search(env, 5, np.random.default_rng(3))
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
-        failed = [line for line in lines if line["probe_metric"] is None]
-        assert lines[0] in failed
-        assert len(lines) == len(failed) + len(probe.calls)
-        for line in failed:
-            assert line["set"] == start.labels() and line["reward"] == 0.0
+        assert len(lines) == len(probe.calls)
         for line in lines:
-            if line["probe_metric"] is not None:
-                assert line["reward"] == line["probe_metric"] == pytest.approx(0.1 * len(line["set"]))
+            assert line["reward"] == line["probe_metric"] == pytest.approx(0.1 * len(line["set"]))
         assert {line["agent"] for line in lines} == {"user"}
 
     @pytest.mark.parametrize("strategy", ["random", "greedy"])
-    def test_raises_when_every_probe_fails(self, movie_schema, strategy):
-        def failing(u, i):
-            raise ProbeFailure("degenerate set")
-
-        env = SearchEnv(movie_schema, USER_SYMMETRIC, failing, initial_set(ITEM_SYMMETRIC, movie_schema), max_steps=4)
-        with pytest.raises(ProbeFailure, match=f"{strategy} search: no probe succeeded"):
-            if strategy == "random":
-                random_search(env, 5, np.random.default_rng(0))
-            else:
-                greedy_search(env, 6, 2, np.random.default_rng(0))
+    def test_baselines_probe_only_accepted_paths(self, movie_schema, strategy):
+        rejected = {(WATCH, ACTED, ACT, WATCHED), (WATCH, DIRECTED, DIRECT, WATCHED)}
+        probe = FakeProbe(rejected=rejected)
+        env = self._env(movie_schema, probe)
+        if strategy == "random":
+            out = random_search(env, 20, np.random.default_rng(4))
+        else:
+            out = greedy_search(env, 20, 2, np.random.default_rng(4))
+        assert len(probe.calls) > 1
+        for key in [*probe.calls, out.key()]:
+            assert not rejected & set(key)
 
     def test_greedy_single_candidate_walks(self, movie_schema):
         out = greedy_search(self._env(movie_schema), 6, 1, np.random.default_rng(11))
         assert len(out) >= 1
+
+
+@pytest.fixture(scope="module")
+def small_planted_1(tmp_path_factory):
+    """The planted-mam-small dataset at synth seed 1: (directory, graph)."""
+    out = tmp_path_factory.mktemp("planted-small-1")
+    write_dataset(out, "planted-mam-small", seed=1)
+    return out, load_graph(out / "nodes.tsv", out / "edges.tsv", HinSchema.from_file(out / "schema.txt"))
+
+
+def accepted_key(probe, pset):
+    """The relation ids of the set's paths that the probe's density filter accepts."""
+    return tuple(p.relation_ids for p in pset if probe.subgraph(p) is not None)
+
+
+class TestAcceptedWalk:
+    """Dropping rejected paths after every action loses no model the full walk reaches."""
+
+    @pytest.mark.parametrize("run_seed", range(5))
+    def test_accepted_walk_reaches_the_accepted_classes_of_the_full_walk(self, small_planted_1, run_seed):
+        _, graph = small_planted_1
+        schema = graph.schema
+        cfg = RunConfig(seed=run_seed)
+        split = split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
+        probe = PerformanceProbe(graph, split, cfg, run_seed)
+        sizes = {}
+        for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
+            env = SearchEnv(schema, form, probe, initial_set(other, schema))
+            full = reachable_sets(form, schema, cfg.max_steps, lambda pset, a: apply_action(pset, a, schema))
+            accepted = reachable_sets(form, schema, cfg.max_steps, env.extend)
+            assert {s.key() for s in accepted} == {accepted_key(probe, s) for s in full}
+            sizes[form] = (len(full), len(accepted))
+        assert sizes == {USER_SYMMETRIC: (162, 4), ITEM_SYMMETRIC: (284, 81)}
+        assert probe.calls == 0
+
+    def test_default_rms_probes_each_accepted_model_once(self, small_planted_1, tmp_path, monkeypatch):
+        directory, _ = small_planted_1
+        probed = []
+        pair = evaluation.PerformanceProbe.pair
+
+        def recording(probe, user_set, item_set):
+            probed.append((accepted_key(probe, user_set), accepted_key(probe, item_set)))
+            assert probed[-1] == (user_set.key(), item_set.key())
+            return pair(probe, user_set, item_set)
+
+        monkeypatch.setattr(evaluation.PerformanceProbe, "pair", recording)
+        assert cli.main(["search", "--dataset", str(directory), "--strategy", "rms",
+                         "--seed", "0", "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "sets.json")
+        assert doc["probe_calls"] == len(probed)
+        assert doc["probe_evaluations"] == len(set(probed))
