@@ -102,9 +102,15 @@ def _set_payload(pset: mp.MetaPathSet) -> dict:
     }
 
 
-def _set_from_payload(payload: dict, schema, form: str) -> mp.MetaPathSet:
-    paths = tuple(mp.MetaPath.from_relations(schema, p["relations"]) for p in payload["paths"])
-    return mp.MetaPathSet(paths, form, schema)
+def _set_from_payload(doc: dict, key: str, schema, form: str, source: str) -> mp.MetaPathSet:
+    """The ``key`` side of a sets file; a ValueError names ``source`` and the missing or empty key."""
+    try:
+        relations = [p["relations"] for p in doc[key]["paths"]]
+    except KeyError as exc:
+        raise ValueError(f"{source}: {key}: missing key {exc}") from None
+    if not relations:
+        raise ValueError(f"{source}: {key}: empty 'paths' list")
+    return mp.MetaPathSet(tuple(mp.MetaPath.from_relations(schema, r) for r in relations), form, schema)
 
 
 def cmd_ingest(args) -> int:
@@ -150,11 +156,11 @@ def cmd_search(args) -> int:
     trace_path = out / "trace.jsonl"
     if trace_path.exists():
         trace_path.unlink()
-    probe = evaluation.PerformanceProbe(graph, split, cfg, cfg.seed)
+    probe = evaluation.PerformanceProbe(graph, split, cfg)
     # Every set the search probes extends an initial set by accepted paths
     # only, so once both initial sets pass the density filter no probe fails.
     for form in (mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC):
-        rec.build_side(probe.graph, search_env.initial_set(form, schema), cfg.density_threshold, probe.subgraph)
+        probe.side(search_env.initial_set(form, schema))
     episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
     found = {}
     for tag, form, other in (
@@ -202,34 +208,12 @@ def cmd_train(args) -> int:
     split = _split_for(graph, cfg)
     sets_doc = read_json(args.sets)
     schema = graph.schema
-    user_set = _set_from_payload(sets_doc["user_set"], schema, mp.USER_SYMMETRIC)
-    item_set = _set_from_payload(sets_doc["item_set"], schema, mp.ITEM_SYMMETRIC)
+    user_set = _set_from_payload(sets_doc, "user_set", schema, mp.USER_SYMMETRIC, args.sets)
+    item_set = _set_from_payload(sets_doc, "item_set", schema, mp.ITEM_SYMMETRIC, args.sets)
 
-    train_graph = evaluation.training_graph(graph, split, cfg.leak_guard)
-    user_side = rec.build_side(train_graph, user_set, cfg.density_threshold)
-    item_side = rec.build_side(train_graph, item_set, cfg.density_threshold)
-    mf = rec.mf_pretrain(
-        split.train_local(graph),
-        train_graph.type_count(schema.user_type),
-        train_graph.type_count(schema.item_type),
-        cfg.embed_dim,
-        cfg.mf_epochs,
-        cfg.mf_lr,
-        derive_rng(cfg.seed, "mf-init"),
-    )
-    model = rec.HRecModel(
-        train_graph, user_side, item_side, cfg,
-        derive_rng(cfg.seed, "hrec-init"), mf_init=mf,
-    )
-
-    def evaluator(m, epoch):
-        metrics = evaluation.evaluate_model(
-            m, split, "validation", ks=(10,), seed=cfg.seed,
-            n_negatives=cfg.n_negatives, view_tag=f"val-{epoch}",
-        )
-        return metrics.ndcg[10]
-
-    result = rec.train(model, split, cfg.seed, evaluator=evaluator)
+    probe = evaluation.PerformanceProbe(graph, split, cfg)
+    model = probe.model(user_set, item_set, derive_rng(cfg.seed, "hrec-init"))
+    result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
     history_path = out / "history.jsonl"
     if history_path.exists():
         history_path.unlink()

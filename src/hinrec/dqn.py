@@ -192,10 +192,11 @@ class DqnAgent:
     """Owns the online/target networks, the buffer, and the schedule position.
 
     TD updates start once the buffer holds one batch, ``dqn_batch``
-    transitions (:attr:`min_buffer`).
+    transitions (:attr:`min_buffer`). Epsilon decays linearly over the first
+    ``eps_fraction`` of ``total_steps``, the run's expected environment steps.
     """
 
-    def __init__(self, n_state: int, n_actions: int, cfg: RunConfig, seed: int):
+    def __init__(self, n_state: int, n_actions: int, cfg: RunConfig, seed: int, total_steps: int):
         self.cfg = cfg
         self.seed = seed
         self.min_buffer = cfg.dqn_batch
@@ -205,12 +206,11 @@ class DqnAgent:
         self.buffer = ReplayBuffer(cfg.dqn_buffer)
         self.env_steps = 0
         self.updates = 0
-        self.total_steps_estimate = 1
+        self.eps_horizon = max(1, int(cfg.eps_fraction * total_steps))
 
     def epsilon(self) -> float:
         cfg = self.cfg
-        horizon = max(1, int(cfg.eps_fraction * self.total_steps_estimate))
-        frac = min(1.0, self.env_steps / horizon)
+        frac = min(1.0, self.env_steps / self.eps_horizon)
         return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
     def act(self, s: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -254,8 +254,7 @@ def search(env, cfg: RunConfig, seed: int, episodes: int):
     when training ends without a TD update, since the greedy episode then
     follows an untrained network.
     """
-    agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed)
-    agent.total_steps_estimate = max(1, episodes * env.max_steps)
+    agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed, episodes * env.max_steps)
     for ep in range(episodes):
         rng = derive_rng(seed, "episode", ep)
         _, total = run_episode(env, agent, rng)

@@ -266,23 +266,23 @@ def training_graph(graph: HinGraph, split: SplitSet, leak_guard: bool = True) ->
 class PerformanceProbe:
     """Validation NDCG@10 of an untrained recommender, as the search oracle.
 
-    A probe builds HRec over the candidate pair at the MF embedding init and
-    evaluates it as built, with no training step: the identity projections
-    already score in the MF space, so the pair's meta-paths alone move the
-    metric. Subgraph materializations are cached per meta-path, the MF init
-    is computed once, and probe results are cached by the candidate pair,
-    so one set always probes to the same value. The search's sets hold only
-    paths that :meth:`subgraph` accepts, so each cache entry, and each
-    per-pair init seed, belongs to one model. :meth:`pair` raises
-    :class:`~hinrec.search_env.ProbeFailure` when a side has no accepted
-    path.
+    The probe owns a run's training graph, split, subgraph cache and MF
+    init, and :meth:`model` is the one place that builds HRec from them,
+    for the search's reward and for ``hinrec train`` alike. :meth:`pair`
+    scores HRec at its MF init with no training step: the identity
+    projections already score in the MF space, so the pair's meta-paths
+    alone move the metric. Subgraphs are cached per meta-path, the MF init
+    is computed once, and results are cached by the pair, so one set always
+    probes to the same value. The search's sets hold only paths that
+    :meth:`subgraph` accepts, so each cache entry, and each per-pair init
+    seed, belongs to one model. :meth:`pair` raises
+    :class:`~hinrec.search_env.ProbeFailure` when a side has no accepted path.
     """
 
-    def __init__(self, graph: HinGraph, split: SplitSet, config, seed: int):
+    def __init__(self, graph: HinGraph, split: SplitSet, config):
         self.graph = training_graph(graph, split, config.leak_guard)
         self.split = split
         self.config = config
-        self.seed = seed
         self.calls = 0
         self.evaluations = 0
         self._subgraphs: dict[tuple[int, ...], mp.MetaPathSubgraph | None] = {}
@@ -294,6 +294,11 @@ class PerformanceProbe:
         if key not in self._subgraphs:
             self._subgraphs[key] = mp.materialize_subgraph(self.graph, path, self.config.density_threshold)
         return self._subgraphs[key]
+
+    def side(self, pset: mp.MetaPathSet) -> rec.SideBundle:
+        """The set's density-accepted paths and their cached subgraphs; raises
+        :class:`~hinrec.recommender.AllPathsRejected` when none is accepted."""
+        return rec.build_side(self.graph, pset, self.config.density_threshold, self.subgraph)
 
     def mf_init(self) -> tuple[np.ndarray, np.ndarray]:
         if self._mf is None:
@@ -307,38 +312,35 @@ class PerformanceProbe:
                 self.config.embed_dim,
                 self.config.mf_epochs,
                 self.config.mf_lr,
-                derive_rng(self.seed, "mf-init"),
+                derive_rng(self.config.seed, "mf-init"),
             )
         return self._mf
+
+    def model(
+        self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet, rng: np.random.Generator
+    ) -> rec.HRecModel:
+        """HRec over both sets at the MF init; ``rng`` draws its attention parameters."""
+        user_side, item_side = self.side(user_set), self.side(item_set)
+        return rec.HRecModel(self.graph, user_side, item_side, self.config, rng, self.mf_init())
+
+    def val_ndcg(self, model: rec.HRecModel, view_tag: str = "eval") -> float:
+        """The model's validation NDCG@10 against ``n_negatives`` sampled negatives."""
+        metrics = evaluate_model(
+            model, self.split, "validation", (10,), self.config.seed, self.config.n_negatives, view_tag
+        )
+        return metrics.ndcg[10]
 
     def pair(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet) -> float:
         self.calls += 1
         key = (user_set.key(), item_set.key())
         if key in self._results:
             return self._results[key]
+        probe_seed = derive_seed(self.config.seed, "probe", key)
         try:
-            user_side = rec.build_side(self.graph, user_set, self.config.density_threshold, self.subgraph)
-            item_side = rec.build_side(self.graph, item_set, self.config.density_threshold, self.subgraph)
+            model = self.model(user_set, item_set, derive_rng(probe_seed, "init"))
         except rec.AllPathsRejected as exc:
             raise ProbeFailure(str(exc)) from exc
         self.evaluations += 1
-        probe_seed = derive_seed(self.seed, "probe", key)
-        model = rec.HRecModel(
-            self.graph,
-            user_side,
-            item_side,
-            self.config,
-            derive_rng(probe_seed, "init"),
-            mf_init=self.mf_init(),
-        )
-        metrics = evaluate_model(
-            model,
-            self.split,
-            "validation",
-            ks=(10,),
-            seed=self.seed,
-            n_negatives=self.config.n_negatives,
-        )
-        value = metrics.ndcg[10]
+        value = self.val_ndcg(model)
         self._results[key] = value
         return value

@@ -143,11 +143,9 @@ class MetaPathSubgraph:
     """Homogeneous graph over the path's end type: edges are meta-path neighbor pairs.
 
     Node ids are type-local, and ``materialize_subgraph`` builds every row
-    strictly increasing. With ``self_loops=True`` rows of non-isolated nodes
-    also hold the self-loop, so a node can attend to itself during
-    aggregation; with ``self_loops=False`` a row holds the node only when
-    the path leads back to it. Isolated nodes have empty rows. Density
-    counts directed non-self edges over m*(m-1).
+    strictly increasing. Rows of non-isolated nodes also hold the self-loop,
+    so a node can attend to itself during aggregation. Isolated nodes have
+    empty rows. Density counts directed non-self edges over m*(m-1).
     """
 
     path: MetaPath
@@ -162,7 +160,6 @@ def materialize_subgraph(
     graph: HinGraph,
     path: MetaPath,
     threshold: float | None,
-    self_loops: bool = True,
 ) -> MetaPathSubgraph | None:
     """Build the meta-path subgraph, or None when its density exceeds the threshold.
 
@@ -209,8 +206,7 @@ def materialize_subgraph(
     density = n_plain / (m * (m - 1)) if m > 1 else 0.0
     if threshold is not None and density > threshold:
         return None
-    if self_loops:
-        rows[own, own] |= rows.any(axis=1)
+    rows[own, own] |= rows.any(axis=1)
     flat = np.flatnonzero(rows)
     indptr = np.searchsorted(flat, np.arange(m + 1) * m)
     dst = flat % m  # a fresh array: keeping flatnonzero's own raised search-rms peak RSS by ~1.3 MB

@@ -270,7 +270,8 @@ class HRecModel:
     ``cfg`` supplies the architecture (:data:`ARCH_FIELDS`) and the training
     loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``. The
     type projections start at the identity, so the untrained model scores
-    in the space of its embedding init. Adam's two moment arrays per
+    in the space of its embedding init, ``mf_init``: the ``(users, items)``
+    tables of :func:`mf_pretrain`, copied. Adam's two moment arrays per
     parameter live on the model and start at zero with it; checkpoints
     hold the parameters only.
     """
@@ -282,23 +283,17 @@ class HRecModel:
         item_side: SideBundle,
         cfg: RunConfig,
         rng: np.random.Generator,
-        mf_init: tuple[np.ndarray, np.ndarray] | None = None,
+        mf_init: tuple[np.ndarray, np.ndarray],
     ):
         self.cfg = cfg
         self.graph = graph
         self.user_side = user_side
         self.item_side = item_side
         d, hid = cfg.embed_dim, cfg.att_hidden
-        params: dict[str, Var] = {}
-        if mf_init is not None:
-            user_emb, item_emb = mf_init
-            if user_emb.shape != (user_side.m, d) or item_emb.shape != (item_side.m, d):
-                raise ValueError("MF init shapes do not match the graph/type sizes")
-            params["user_emb"] = Var(user_emb.copy())
-            params["item_emb"] = Var(item_emb.copy())
-        else:
-            params["user_emb"] = Var(_glorot(rng, user_side.m, d))
-            params["item_emb"] = Var(_glorot(rng, item_side.m, d))
+        user_emb, item_emb = mf_init
+        if user_emb.shape != (user_side.m, d) or item_emb.shape != (item_side.m, d):
+            raise ValueError("MF init shapes do not match the graph/type sizes")
+        params: dict[str, Var] = {"user_emb": Var(user_emb.copy()), "item_emb": Var(item_emb.copy())}
         for side in (user_side, item_side):
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
@@ -391,7 +386,10 @@ class HRecModel:
         )
         user_side = build_side(graph, user_set, None)
         item_side = build_side(graph, item_set, None)
-        model = cls(graph, user_side, item_side, cfg, np.random.default_rng(0))
+        # Zero tables of the graph's shapes stand in for the embeddings the
+        # checkpoint overwrites, so ``check_arrays`` compares against them.
+        zeros = tuple(np.zeros((side.m, cfg.embed_dim)) for side in (user_side, item_side))
+        model = cls(graph, user_side, item_side, cfg, np.random.default_rng(0), zeros)
         check_arrays(path, arrays, {k: v.value for k, v in model.params.items()})
         for k, arr in arrays.items():
             model.params[k].value[...] = arr

@@ -99,13 +99,13 @@ def brute_force_metapath_neighbors(graph, path, v):
     return sorted({seq[-1] for seq in sequences})
 
 
-def brute_force_subgraph_rows(graph, path, self_loops=True):
-    """Oracle rows of the path's subgraph in type-local ids; non-empty rows gain the node itself if asked."""
+def brute_force_subgraph_rows(graph, path):
+    """Oracle rows of the path's subgraph in type-local ids; non-empty rows gain the node itself."""
     lo = int(graph.type_offsets[graph.schema.type_index(path.start_type)])
     rows = []
     for v in range(graph.type_count(path.start_type)):
         reached = [w - lo for w in brute_force_metapath_neighbors(graph, path, lo + v)]
-        if self_loops and reached:
+        if reached:
             reached = sorted(set(reached) | {v})
         rows.append(reached)
     return rows

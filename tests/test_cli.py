@@ -36,12 +36,14 @@ def dense_dataset(tmp_path_factory):
     return out
 
 
+# The initial sets {UMU} and {MUM}, as a sets JSON stores them.
+UMU = {"paths": [{"relations": [1, 2]}]}
+MUM = {"paths": [{"relations": [2, 1]}]}
+
+
 def base_sets(path):
     """A sets JSON holding the initial pair {UMU} x {MUM}."""
-    path.write_text(json.dumps({
-        "user_set": {"paths": [{"relations": [1, 2]}]},
-        "item_set": {"paths": [{"relations": [2, 1]}]},
-    }))
+    path.write_text(json.dumps({"user_set": UMU, "item_set": MUM}))
     return path
 
 
@@ -70,7 +72,8 @@ def test_search_writes_valid_sets_deterministically(dataset, tmp_path, strategy)
     assert doc["strategy"] == strategy
     assert 1 <= doc["probe_evaluations"] <= doc["probe_calls"]
     graph = cli._load_dataset(dataset)
-    probe = evaluation.PerformanceProbe(graph, cli._split_for(graph, RunConfig(seed=0)), RunConfig(), 0)
+    cfg = RunConfig(seed=0)
+    probe = evaluation.PerformanceProbe(graph, cli._split_for(graph, cfg), cfg)
     for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC)):
         payload = doc[key]
         assert payload["form"] == form
@@ -153,6 +156,26 @@ def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
     header, arrays = load_arrays(checkpoint)
     save_arrays(checkpoint, {**header, "format": 3}, arrays)
     assert run("eval", "--checkpoint", checkpoint, "--split", "test", *common) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"user_set": UMU}, "item_set: missing key 'item_set'"),
+        ({"item_set": MUM}, "user_set: missing key 'user_set'"),
+        ({"user_set": {"form": "user"}, "item_set": MUM}, "user_set: missing key 'paths'"),
+        ({"user_set": UMU, "item_set": {"paths": [{"label": "MUM"}]}}, "item_set: missing key 'relations'"),
+        ({"user_set": {"paths": []}, "item_set": MUM}, "user_set: empty 'paths' list"),
+    ],
+    ids=["no-item-set", "no-user-set", "no-paths", "no-relations", "empty-paths"],
+)
+def test_train_reports_a_malformed_sets_file(dataset, tmp_path, capsys, doc, message):
+    sets = tmp_path / "broken-sets.json"
+    sets.write_text(json.dumps(doc))
+    assert run("train", "--sets", sets, "--dataset", dataset, "--seed", 0, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert f"error: {sets}: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["train", "rms", "greedy", "random"])

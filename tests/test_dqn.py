@@ -5,6 +5,7 @@ import pytest
 
 from hinrec.config import RunConfig
 from hinrec.dqn import (
+    DqnAgent,
     QNetworkParams,
     ReplayBuffer,
     Transition,
@@ -221,6 +222,18 @@ class TestReplayBuffer:
             buf.push(Transition(np.asarray([float(k)]), k, 0.0, np.asarray([0.0]), False))
         batch = buf.sample(10, np.random.default_rng(0))
         assert sorted(t.a for t in batch) == list(range(10))
+
+
+class TestAgent:
+    @pytest.mark.parametrize("total_steps, horizon", [(20, 10), (1, 1), (0, 1)])
+    def test_epsilon_decays_over_half_the_total_steps(self, total_steps, horizon):
+        agent = DqnAgent(3, 2, RunConfig(), seed=0, total_steps=total_steps)
+        assert agent.eps_horizon == horizon
+        for steps, expected in ((0, 1.0), (horizon, 0.1), (horizon + 7, 0.1)):
+            agent.env_steps = steps
+            assert agent.epsilon() == pytest.approx(expected)
+        agent.env_steps = 5
+        assert agent.epsilon() == pytest.approx(1.0 - 0.9 * min(1.0, 5 / horizon))
 
 
 class ToyBanditEnv:

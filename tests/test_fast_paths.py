@@ -120,7 +120,7 @@ def reference_sample_view(subgraph, fanout, rng):
     return SampledView(m, indptr, src, dst)
 
 
-def reference_materialize_subgraph(graph, path, threshold=0.5, self_loops=True):
+def reference_materialize_subgraph(graph, path, threshold=0.5):
     def relation_matrix(rid):
         indptr, indices = graph.adjacency(rid)
         data = np.ones(len(indices), dtype=np.float64)
@@ -145,7 +145,7 @@ def reference_materialize_subgraph(graph, path, threshold=0.5, self_loops=True):
     if threshold is not None and density > threshold:
         return None
 
-    if self_loops and m:
+    if m:
         has_out = np.zeros(m, dtype=bool)
         has_out[src] = True
         loops = np.flatnonzero(has_out)
@@ -529,6 +529,11 @@ def hand_subgraph(rows):
     return MetaPathSubgraph(path, "User", len(rows), indptr, dst)
 
 
+def without_diagonal(subgraph):
+    """The subgraph with each row's own node dropped, so that no row holds its node."""
+    return hand_subgraph([[w for w in subgraph_row(subgraph, v).tolist() if w != v] for v in range(subgraph.m)])
+
+
 HAND_ROWS = [
     [],  # isolated
     [1, 2, 3],  # degree == fanout, with self
@@ -577,8 +582,8 @@ def test_sample_view_matches_per_node_loop_on_hand_rows(fanout, seed):
     assert_view_contract(hand_subgraph(HAND_ROWS), fanout, seed)
 
 
-@pytest.mark.parametrize("self_loops", [True, False])
-def test_sample_view_matches_per_node_loop_on_random_graphs(self_loops):
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_sample_view_matches_per_node_loop_on_random_graphs(diagonal):
     rng = np.random.default_rng(17)
     checked = 0
     while checked < 20:
@@ -586,7 +591,9 @@ def test_sample_view_matches_per_node_loop_on_random_graphs(self_loops):
         path = random_path(graph.schema, rng)
         if not path.is_symmetric:
             continue
-        subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+        subgraph = metapath.materialize_subgraph(graph, path, threshold=None)
+        if not diagonal:
+            subgraph = without_diagonal(subgraph)
         degrees = np.diff(subgraph.indptr)
         for fanout in sorted({1, 2, max(1, int(degrees.max(initial=0))), max(1, int(np.median(degrees)))}):
             assert_view_contract(subgraph, fanout, checked)
@@ -597,8 +604,8 @@ def test_sample_view_matches_per_node_loop_on_planted_graph(small_planted):
     graph, _, _ = small_planted
     for relations in ([1, 2], [1, 4, 3, 2], [2, 1], [4, 3]):
         path = MetaPath.from_relations(graph.schema, relations)
-        for self_loops in (True, False):
-            subgraph = metapath.materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+        full = metapath.materialize_subgraph(graph, path, threshold=None)
+        for subgraph in (full, without_diagonal(full)):
             for fanout in (1, 5, 20):
                 assert_view_contract(subgraph, fanout, fanout)
 
@@ -666,10 +673,10 @@ WORD_SIZES = [63, 64, 65, 130]
 SEEDS = [1, 3, 256]
 
 
-def assert_same_subgraph(graph, path, threshold, self_loops=True):
-    """Byte-equal to the reference, or None on both sides; rows sorted without self-loops."""
-    fast = metapath.materialize_subgraph(graph, path, threshold, self_loops)
-    ref = reference_materialize_subgraph(graph, path, threshold, self_loops)
+def assert_same_subgraph(graph, path, threshold):
+    """Byte-equal to the reference, or None on both sides."""
+    fast = metapath.materialize_subgraph(graph, path, threshold)
+    ref = reference_materialize_subgraph(graph, path, threshold)
     assert (fast is None) == (ref is None), (path.label(), threshold)
     if ref is None:
         return None
@@ -677,11 +684,7 @@ def assert_same_subgraph(graph, path, threshold, self_loops=True):
     assert fast.indptr.dtype == fast.dst.dtype == ref.dst.dtype == np.int64
     assert fast.indptr.tobytes() == ref.indptr.tobytes()
     assert type(fast.density) is float and fast.density == ref.density
-    if self_loops:
-        assert fast.dst.tobytes() == ref.dst.tobytes()
-    else:  # the reference keeps the sparse product's row order
-        for v in range(ref.m):
-            np.testing.assert_array_equal(subgraph_row(fast, v), np.sort(subgraph_row(ref, v)))
+    assert fast.dst.tobytes() == ref.dst.tobytes()
     return fast
 
 
@@ -710,7 +713,6 @@ def sweep_random_paths(rng, n_paths, brute_force, end_size=None, **hin_args):
             continue
         subgraphs = [assert_same_subgraph(graph, path, threshold) for threshold in (None, 0.0, 0.25, 0.5)]
         seen["rejected"] += sum(sg is None for sg in subgraphs)
-        assert_same_subgraph(graph, path, None, self_loops=False)
         full = subgraphs[0]
         if brute_force:
             assert_rows_match_brute_force(graph, path, full)
@@ -767,7 +769,6 @@ def test_materialize_matches_reference_on_planted_graph(tmp_path, seed):
     for path in paths:
         rejected += assert_same_subgraph(graph, path, 0.5) is None
         full = assert_same_subgraph(graph, path, None)
-        assert_same_subgraph(graph, path, None, self_loops=False)
         if len(path) == 2:
             assert_same_subgraph(graph, path, 0.0)
             assert_rows_match_brute_force(graph, path, full)

@@ -49,7 +49,7 @@ def pair_sets(graph, name):
 def probe_for(graph, seed):
     """A run's probe, with the split ``hinrec search --seed`` draws."""
     split = evaluation.split_leave_one_out(graph.interactions(), derive_rng(seed, "split"))
-    return evaluation.PerformanceProbe(graph, split, RunConfig(seed=seed), seed)
+    return evaluation.PerformanceProbe(graph, split, RunConfig(seed=seed))
 
 
 @pytest.mark.parametrize("seed", RUN_SEEDS)
@@ -63,25 +63,10 @@ def test_probe_ranks_planted_pair_first(planted_graph, seed):
 def test_trained_hrec_scores_at_least_mf_only(planted_graph, seed):
     """``hinrec train`` on the planted pair, against the MF embeddings it starts from."""
     probe = probe_for(planted_graph, seed)
-    cfg, graph, split = probe.config, probe.graph, probe.split
-    mf = probe.mf_init()
     mf_only = evaluation.evaluate(
-        evaluation.embedding_scorer(graph, *mf), split, "validation", (10,), seed, cfg.n_negatives
+        evaluation.embedding_scorer(probe.graph, *probe.mf_init()),
+        probe.split, "validation", (10,), seed, probe.config.n_negatives,
     ).ndcg[10]
-    user_set, item_set = pair_sets(planted_graph, "planted")
-    model = rec.HRecModel(
-        graph,
-        rec.build_side(graph, user_set, cfg.density_threshold),
-        rec.build_side(graph, item_set, cfg.density_threshold),
-        cfg,
-        derive_rng(seed, "hrec-init"),
-        mf_init=mf,
-    )
-
-    def evaluator(m, epoch):
-        return evaluation.evaluate_model(
-            m, split, "validation", (10,), seed, cfg.n_negatives, view_tag=f"val-{epoch}"
-        ).ndcg[10]
-
-    result = rec.train(model, split, seed, evaluator=evaluator)
+    model = probe.model(*pair_sets(planted_graph, "planted"), derive_rng(seed, "hrec-init"))
+    result = rec.train(model, probe.split, seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
     assert result.best_val_ndcg >= mf_only, (result.best_val_ndcg, mf_only)

@@ -112,9 +112,9 @@ def local_id(graph, name):
     return v - int(graph.type_offsets[np.searchsorted(graph.type_offsets, v, side="right") - 1])
 
 
-def plain_rows(graph, path):
-    """Every row of the path's subgraph with no density filter and no added self-loops, as lists."""
-    sg = materialize_subgraph(graph, path, threshold=None, self_loops=False)
+def subgraph_rows(graph, path):
+    """Every row of the path's subgraph with no density filter, as lists."""
+    sg = materialize_subgraph(graph, path, threshold=None)
     return [subgraph_row(sg, v).tolist() for v in range(sg.m)]
 
 
@@ -124,7 +124,7 @@ class TestNeighbors:
     def test_figure_style_mam(self, small_movie_graph):
         g = small_movie_graph
         mam = MetaPath.from_relations(g.schema, [4, 3])  # acted, act
-        ns = plain_rows(g, mam)[local_id(g, "M0")]
+        ns = subgraph_rows(g, mam)[local_id(g, "M0")]
         assert {local_id(g, "M1"), local_id(g, "M2")}.issubset(ns)
 
     def test_single_relation_equals_neighbors(self, small_movie_graph):
@@ -134,7 +134,7 @@ class TestNeighbors:
         u0 = g.node_names.index("U0")
         users = set().union(*(adjacency_row(g, 2, m).tolist() for m in adjacency_row(g, 1, u0)))
         user_lo = int(g.type_offsets[g.schema.type_index("User")])
-        assert plain_rows(g, umu)[local_id(g, "U0")] == sorted(u - user_lo for u in users)
+        assert subgraph_rows(g, umu)[local_id(g, "U0")] == sorted(u - user_lo for u in users)
 
     def test_umu_hand_case(self, movie_schema):
         g = graph_from(
@@ -144,7 +144,7 @@ class TestNeighbors:
         )
         umu = MetaPath.from_relations(movie_schema, [1, 2])
         u1, u2 = local_id(g, "U1"), local_id(g, "U2")
-        assert plain_rows(g, umu) == [[u1, u2], [u1, u2]]
+        assert subgraph_rows(g, umu) == [[u1, u2], [u1, u2]]
         # Oracle: brute-force enumeration of all length-2 node sequences.
         u1_id, u2_id = g.node_names.index("U1"), g.node_names.index("U2")
         assert brute_force_metapath_neighbors(g, umu, u1_id) == [u1_id, u2_id]
@@ -153,7 +153,7 @@ class TestNeighbors:
         """Only the start type has rows, and they reach only the start type."""
         g = small_movie_graph
         umu = MetaPath.from_relations(g.schema, [1, 2])
-        sg = materialize_subgraph(g, umu, threshold=None, self_loops=False)
+        sg = materialize_subgraph(g, umu, threshold=None)
         assert (sg.node_type, sg.m) == ("User", g.type_count("User"))
         assert sg.dst.max() < sg.m
 
@@ -165,7 +165,7 @@ class TestNeighbors:
             path = random_path(graph.schema, rng)
             if not path.is_symmetric:
                 continue
-            assert plain_rows(graph, path) == brute_force_subgraph_rows(graph, path, self_loops=False)
+            assert subgraph_rows(graph, path) == brute_force_subgraph_rows(graph, path)
             checked += 1
 
     def test_palindromic_symmetry(self):
@@ -175,7 +175,7 @@ class TestNeighbors:
             schema = graph.schema
             rid = int(rng.integers(1, schema.n_relations + 1))
             path = MetaPath.from_relations(schema, [rid, schema.relation(rid).comp])
-            reach = plain_rows(graph, path)
+            reach = subgraph_rows(graph, path)
             for v, ns in enumerate(reach):
                 for w in ns:
                     assert v in reach[w]
@@ -216,8 +216,7 @@ class TestSubgraph:
         with pytest.raises(MetaPathError, match="symmetric"):
             materialize_subgraph(graph_from(movie_schema, [("U1", "User"), ("M1", "Movie")], []), um, 0.5)
 
-    @pytest.mark.parametrize("self_loops", [True, False])
-    def test_rows_strictly_increasing(self, small_planted, self_loops):
+    def test_rows_strictly_increasing(self, small_planted):
         planted = small_planted[0]
         cases = [
             (planted, MetaPath.from_relations(planted.schema, r)) for r in ([1, 2], [2, 1], [1, 4, 3, 2], [2, 1, 2, 1])
@@ -229,10 +228,10 @@ class TestSubgraph:
             if path.is_symmetric:
                 cases.append((graph, path))
         for graph, path in cases:
-            sg = materialize_subgraph(graph, path, threshold=None, self_loops=self_loops)
+            sg = materialize_subgraph(graph, path, threshold=None)
             rows = [subgraph_row(sg, v) for v in range(sg.m)]
             assert all((np.diff(row) > 0).all() for row in rows), path.label()
-            assert [row.tolist() for row in rows] == brute_force_subgraph_rows(graph, path, self_loops)
+            assert [row.tolist() for row in rows] == brute_force_subgraph_rows(graph, path)
 
     def test_density_in_unit_interval(self):
         rng = np.random.default_rng(42)

@@ -27,7 +27,7 @@ def pair_sets(graph, user_paths, item_paths):
 @pytest.fixture
 def probe(small_planted):
     graph, split, _ = small_planted
-    return evaluation.PerformanceProbe(graph, split, RunConfig(seed=SEED), SEED)
+    return evaluation.PerformanceProbe(graph, split, RunConfig(seed=SEED))
 
 
 @pytest.fixture

@@ -31,24 +31,35 @@ from conftest import WATCH, WATCHED, ACT, ACTED, graph_from
 from reference_ops import bpr_loss, node_attention, path_attention, project, score
 
 
+def glorot_init(rng, user_side, item_side, d):
+    """Glorot-uniform user and item tables: an embedding init for models that need no MF."""
+    return tuple(
+        rng.uniform(-np.sqrt(6.0 / (side.m + d)), np.sqrt(6.0 / (side.m + d)), size=(side.m, d))
+        for side in (user_side, item_side)
+    )
+
+
+# The tiny model's graph: 4 users, 4 movies, 2 actors and a director.
+TINY_NODES = (
+    [(f"U{k}", "User") for k in range(4)]
+    + [(f"M{k}", "Movie") for k in range(4)]
+    + [("A0", "Actor"), ("A1", "Actor"), ("D0", "Director")]
+)
+TINY_EDGES = [
+    ("U0", "watch", "M0"), ("U0", "watch", "M1"),
+    ("U1", "watch", "M1"), ("U1", "watch", "M2"),
+    ("U2", "watch", "M2"), ("U2", "watch", "M3"),
+    ("U3", "watch", "M0"), ("U3", "watch", "M3"),
+    ("A0", "act", "M0"), ("A0", "act", "M1"),
+    ("A1", "act", "M2"), ("A1", "act", "M3"),
+    ("D0", "direct", "M0"), ("D0", "direct", "M2"),
+]
+
+
 @pytest.fixture
 def tiny_model(movie_schema):
-    """4 users, 4 movies, 2 actors; two paths per side; small dims for FD checks."""
-    nodes = (
-        [(f"U{k}", "User") for k in range(4)]
-        + [(f"M{k}", "Movie") for k in range(4)]
-        + [("A0", "Actor"), ("A1", "Actor"), ("D0", "Director")]
-    )
-    edges = [
-        ("U0", "watch", "M0"), ("U0", "watch", "M1"),
-        ("U1", "watch", "M1"), ("U1", "watch", "M2"),
-        ("U2", "watch", "M2"), ("U2", "watch", "M3"),
-        ("U3", "watch", "M0"), ("U3", "watch", "M3"),
-        ("A0", "act", "M0"), ("A0", "act", "M1"),
-        ("A1", "act", "M2"), ("A1", "act", "M3"),
-        ("D0", "direct", "M0"), ("D0", "direct", "M2"),
-    ]
-    graph = graph_from(movie_schema, nodes, edges)
+    """The tiny graph with two paths per side; small dims for FD checks."""
+    graph = graph_from(movie_schema, TINY_NODES, TINY_EDGES)
     user_set = mp.MetaPathSet(
         (
             mp.MetaPath.from_relations(movie_schema, [WATCH, WATCHED]),
@@ -68,8 +79,8 @@ def tiny_model(movie_schema):
     cfg = RunConfig(embed_dim=5, att_hidden=4, dropout=0.0, fanout=16, rec_lr=0.05, rec_batch=8)
     user_side = build_side(graph, user_set, threshold=None)
     item_side = build_side(graph, item_set, threshold=None)
-    model = HRecModel(graph, user_side, item_side, cfg, derive_rng(0, "tiny-model"))
-    return model
+    rng = derive_rng(0, "tiny-model")
+    return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
 
 class TestReferenceOps:
@@ -516,7 +527,8 @@ def _small_model(graph, seed=0, lr=0.05, epochs=1):
     )
     user_side = build_side(graph, user_set, threshold=0.9)
     item_side = build_side(graph, item_set, threshold=0.9)
-    return HRecModel(graph, user_side, item_side, cfg, derive_rng(seed, "model"))
+    rng = derive_rng(seed, "model")
+    return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
 
 class TestPersistence:
@@ -537,6 +549,18 @@ class TestPersistence:
         save_arrays(path, header, arrays)
         with pytest.raises(CheckpointError, match=r"model\.ckpt.*missing \['q\.user\.1'\]"):
             HRecModel.load(str(path), tiny_model.graph)
+
+    @pytest.mark.parametrize(
+        "extra_node, extra_edge, table",
+        [(("U4", "User"), ("U4", "watch", "M0"), "user_emb"), (("M4", "Movie"), ("U0", "watch", "M4"), "item_emb")],
+        ids=["user", "item"],
+    )
+    def test_load_rejects_graph_of_other_size(self, tiny_model, movie_schema, tmp_path, extra_node, extra_edge, table):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(str(path))
+        graph = graph_from(movie_schema, TINY_NODES + [extra_node], TINY_EDGES + [extra_edge])
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*wrong shape \['{table}'\]"):
+            HRecModel.load(str(path), graph)
 
     def test_load_rejects_unknown_config_field(self, tiny_model, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -330,7 +330,7 @@ class TestAcceptedWalk:
         schema = graph.schema
         cfg = RunConfig(seed=run_seed)
         split = split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
-        probe = PerformanceProbe(graph, split, cfg, run_seed)
+        probe = PerformanceProbe(graph, split, cfg)
         sizes = {}
         for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
             env = SearchEnv(schema, form, probe, initial_set(other, schema))
