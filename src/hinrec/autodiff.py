@@ -28,6 +28,24 @@ WEIGHT_GRAD_BLOCK = 512
 LEAKY_SLOPE = 0.2
 
 
+def scatter_rows(op: np.ufunc, table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """``op.at(table, rows, vals)`` in place: each row of ``table`` takes its
+    ``vals`` in index order, with the bits of that row-indexed call.
+
+    A 2-D table is scattered through its flat view, one index per element,
+    which numpy (1.25 and later) runs on its one-dimensional fast path: at
+    512 x 64 about a quarter of the row-indexed call's time. ``table`` must
+    be C-contiguous, so that the flat view is not a copy.
+    """
+    if table.ndim == 1:
+        op.at(table, rows, vals)
+        return
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter_rows needs a C-contiguous table")
+    d = table.shape[1]
+    op.at(table.reshape(-1), (rows[:, None] * d + np.arange(d)).reshape(-1), vals.reshape(-1))
+
+
 class Var:
     """A value participating in one tape's forward pass."""
 
@@ -111,20 +129,16 @@ class Tape:
     def gather(self, x: Var, idx: np.ndarray) -> Var:
         """Rows ``x[idx]``; repeated indices sum their gradients.
 
-        The backward scatter is ``np.bincount`` for 1-D values and an
-        ``(n, E)`` CSR selection matrix times the gradient for 2-D ones.
-        Both add each row's terms from zero in index order, as ``np.add.at``
-        does, so gradients are bit-identical to that scatter.
+        The backward scatters into zeros with :func:`scatter_rows`, so each
+        row adds its terms from zero in index order and the gradient is
+        bit-identical to ``np.add.at``.
         """
         idx = np.asarray(idx, dtype=np.int64)
 
         def back(g):
-            n = len(x.value)
-            if g.ndim == 1:
-                x.accumulate(np.bincount(idx, weights=g, minlength=n))
-            else:
-                select = csr_matrix((np.ones(len(idx)), (idx, np.arange(len(idx)))), shape=(n, len(idx)))
-                x.accumulate(select @ g)
+            full = np.zeros_like(x.value)
+            scatter_rows(np.add, full, idx, g)
+            x.accumulate(full)
 
         return self._emit(x.value[idx], back)
 
@@ -276,7 +290,7 @@ class Tape:
         entry e belongs to group ``src[e]`` and reads row ``dst[e]``. With A
         the (m, n) CSR matrix of the weights, the value is ``A @ x`` and
         ``x``'s gradient is ``A.T @ g``, which adds each row's terms from
-        zero in entry order, as :meth:`gather`'s selection matrix does. The
+        zero in entry order, as :meth:`gather`'s backward does. The
         weights' gradient ``sum(g[src] * x[dst], axis=1)`` is taken
         :data:`WEIGHT_GRAD_BLOCK` entries at a time, so no (E, d) array is
         held whole; each entry's sum is the same as in one pass.

@@ -102,15 +102,33 @@ def _set_payload(pset: mp.MetaPathSet) -> dict:
     }
 
 
-def _set_from_payload(doc: dict, key: str, schema, form: str, source: str) -> mp.MetaPathSet:
-    """The ``key`` side of a sets file; a ValueError names ``source`` and the missing or empty key."""
-    try:
-        relations = [p["relations"] for p in doc[key]["paths"]]
-    except KeyError as exc:
-        raise ValueError(f"{source}: {key}: missing key {exc}") from None
-    if not relations:
-        raise ValueError(f"{source}: {key}: empty 'paths' list")
-    return mp.MetaPathSet(tuple(mp.MetaPath.from_relations(schema, r) for r in relations), form, schema)
+def _set_from_payload(doc: dict, key: str, source: str) -> list[list[int]]:
+    """The ``key`` side of a sets file: one relation-id list per path.
+
+    ``doc[key]`` must be an object whose ``paths`` is a non-empty list of
+    objects, each with ``relations`` a non-empty list of integers. Anything
+    else raises a ValueError that names ``source``, ``key`` and the fault.
+    """
+
+    def check(ok, fault: str) -> None:
+        if not ok:
+            raise ValueError(f"{source}: {key}: {fault}")
+
+    check(key in doc, f"missing key '{key}'")
+    check(isinstance(doc[key], dict), "expected an object")
+    check("paths" in doc[key], "missing key 'paths'")
+    paths = doc[key]["paths"]
+    check(isinstance(paths, list), "'paths' is not a list")
+    check(paths, "empty 'paths' list")
+    relations = []
+    for path in paths:
+        check(isinstance(path, dict), "a 'paths' entry is not an object")
+        check("relations" in path, "missing key 'relations'")
+        rids = path["relations"]
+        check(isinstance(rids, list) and rids and all(type(r) is int for r in rids),
+              "'relations' is not a non-empty list of integers")
+        relations.append(rids)
+    return relations
 
 
 def cmd_ingest(args) -> int:
@@ -204,12 +222,17 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    sets_doc = read_json(args.sets)
+    if not isinstance(sets_doc, dict):
+        raise ValueError(f"{args.sets}: expected a JSON object, not {type(sets_doc).__name__}")
+    relations = {key: _set_from_payload(sets_doc, key, args.sets) for key in ("user_set", "item_set")}
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
-    sets_doc = read_json(args.sets)
     schema = graph.schema
-    user_set = _set_from_payload(sets_doc, "user_set", schema, mp.USER_SYMMETRIC, args.sets)
-    item_set = _set_from_payload(sets_doc, "item_set", schema, mp.ITEM_SYMMETRIC, args.sets)
+    user_set, item_set = (
+        mp.MetaPathSet(tuple(mp.MetaPath.from_relations(schema, r) for r in relations[key]), form, schema)
+        for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC))
+    )
 
     probe = evaluation.PerformanceProbe(graph, split, cfg)
     model = probe.model(user_set, item_set, derive_rng(cfg.seed, "hrec-init"))

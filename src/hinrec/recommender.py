@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
-from .autodiff import Tape, Var
+from .autodiff import Tape, Var, scatter_rows
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .config import RunConfig
 from .hin import HinGraph
@@ -137,55 +137,6 @@ def draw_negatives(
     raise RuntimeError("could not draw negatives; catalog nearly saturated")
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for keys in ``[0, bound)``, sorted in the narrowest
-    unsigned dtype: numpy radix-sorts 8- and 16-bit keys, about ten times as fast as int64."""
-    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
-
-
-def scatter_rounds(rows: np.ndarray, n_rows: int, batch_size: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Plan each batch's ``np.add.at`` into a table of ``n_rows`` rows as rounds of distinct rows.
-
-    ``rows`` holds one epoch's entries in batch order; batch ``b`` is
-    ``rows[b * batch_size:(b + 1) * batch_size]``. Round ``r`` of a batch
-    holds the ``r``-th occurrence of each row within that batch, in batch
-    order, so adding the rounds one after another gives every row its terms
-    in batch order, with the same bits as ``np.add.at``.
-
-    Returns ``(order, ends)``: ``order`` is a permutation of the epoch's
-    positions that keeps each batch in its own range and puts it in round
-    order, and ``ends[b]`` lists where batch ``b``'s rounds end, counted
-    from the batch's start.
-    """
-    n = len(rows)
-    batch = np.arange(n) // batch_size
-    by_row = _stable_order(rows, n_rows)
-    # Within a row's run, positions ascend, so each (row, batch) group is contiguous.
-    sorted_rows, sorted_batch = rows[by_row], batch[by_row]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_batch[1:] != sorted_batch[:-1])
-    ranks = np.arange(n)
-    occurrence = np.empty(n, dtype=np.int64)
-    occurrence[by_row] = ranks - np.maximum.accumulate(np.where(first, ranks, 0))
-    slot = batch * batch_size + occurrence
-    n_batches = int(batch[-1]) + 1 if n else 0
-    order = _stable_order(slot, n_batches * batch_size)
-    sizes = np.bincount(slot, minlength=n_batches * batch_size).reshape(n_batches, batch_size)
-    ends = [np.cumsum(s[s > 0]).tolist() for s in sizes]
-    return order, ends
-
-
-def add_in_rounds(table: np.ndarray, rows: np.ndarray, vals: np.ndarray, ends: list[int], op=np.add) -> None:
-    """``table[rows[lo:hi]] = op(table[rows[lo:hi]], vals[lo:hi])`` for each round ``lo:hi`` that ``ends``
-    bounds; each round must name distinct rows (:func:`scatter_rounds`)."""
-    lo = 0
-    for hi in ends:
-        at = rows[lo:hi]
-        part = table[at]
-        table[at] = op(part, vals[lo:hi], out=part)
-        lo = hi
-
-
 def mf_pretrain(
     pairs: np.ndarray,
     n_users: int,
@@ -201,17 +152,16 @@ def mf_pretrain(
     ``pairs`` are (user_local, item_local) positives. Users or items with
     no interactions keep their random initialization (logged).
 
-    Each batch takes one SGD step whose updates land as ``np.add.at`` would
-    add them: ``P`` at the batch's users, then ``Q`` at its items, then
-    ``Q`` at its negatives, each repeated row receiving its terms in batch
-    order. The result is bit for bit that per-batch loop's.
+    Each batch takes one SGD step, as three :func:`~hinrec.autodiff.scatter_rows`
+    calls: ``P`` at the batch's users, then ``Q`` at its items, then ``Q``
+    at its negatives, each repeated row receiving its terms in batch order.
+    The result is bit for bit the per-batch loop's with ``np.add.at``; the
+    negatives' scatter subtracts ``lr * gQ``, which has the bits of adding
+    ``-lr * gQ``.
 
     Each epoch draws a permutation, then every batch's negatives up front,
     one :func:`draw_negatives` call per batch in batch order, which is the
-    order of the generator's draws when each batch drew its own. Then
-    :func:`scatter_rounds` plans the whole epoch's three scatters, and each
-    batch gathers its rows and steps in round order. The negatives' scatter
-    subtracts ``lr * gQ``, which has the bits of adding ``-lr * gQ``.
+    order of the generator's draws when each batch drew its own.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
@@ -235,20 +185,15 @@ def mf_pretrain(
         perm = rng.permutation(n)
         users, items = pairs[perm, 0], pairs[perm, 1]
         negatives = np.concatenate([draw_negatives(users[b], pos_bits, n_items, rng) for b in batches])
-        # (table, rows, op, round order, round ends) per scatter, in the order they apply.
-        scatters = [
-            (table, rows, op, *scatter_rounds(rows, len(table), batch_size))
-            for table, rows, op in ((P, users, np.add), (Q, items, np.add), (Q, negatives, np.subtract))
-        ]
-        for k, b in enumerate(batches):
+        for b in batches:
             step_q, step_p = P[users[b]], Q[items[b]] - Q[negatives[b]]
             s = expit(-np.sum(step_q * step_p, axis=1))[:, None]
             for step in (step_p, step_q):  # in place, with the bits of lr * (s * step)
                 step *= s
                 step *= lr
-            for (table, rows, op, order, ends), step in zip(scatters, (step_p, step_q, step_q)):
-                at = order[b]
-                add_in_rounds(table, rows[at], step[at - b.start], ends[k], op)
+            scatter_rows(np.add, P, users[b], step_p)
+            scatter_rows(np.add, Q, items[b], step_q)
+            scatter_rows(np.subtract, Q, negatives[b], step_q)
     return P, Q
 
 

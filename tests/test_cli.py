@@ -166,13 +166,20 @@ def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
         ({"user_set": {"form": "user"}, "item_set": MUM}, "user_set: missing key 'paths'"),
         ({"user_set": UMU, "item_set": {"paths": [{"label": "MUM"}]}}, "item_set: missing key 'relations'"),
         ({"user_set": {"paths": []}, "item_set": MUM}, "user_set: empty 'paths' list"),
+        ({"user_set": {"paths": [[1, 2]]}, "item_set": MUM}, "user_set: a 'paths' entry is not an object"),
+        ([UMU, MUM], "expected a JSON object, not list"),
+        ({"user_set": {"paths": [{"relations": "UMU"}]}, "item_set": MUM},
+         "user_set: 'relations' is not a non-empty list of integers"),
     ],
-    ids=["no-item-set", "no-user-set", "no-paths", "no-relations", "empty-paths"],
+    ids=["no-item-set", "no-user-set", "no-paths", "no-relations", "empty-paths", "path-not-object",
+         "top-level-list", "relations-string"],
 )
-def test_train_reports_a_malformed_sets_file(dataset, tmp_path, capsys, doc, message):
+def test_train_reports_a_malformed_sets_file(tmp_path, capsys, monkeypatch, doc, message):
+    """Reported before the dataset is loaded, so the data set-up is not paid for a bad file."""
+    monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("the dataset was loaded"))
     sets = tmp_path / "broken-sets.json"
     sets.write_text(json.dumps(doc))
-    assert run("train", "--sets", sets, "--dataset", dataset, "--seed", 0, "--out", tmp_path / "run") == 1
+    assert run("train", "--sets", sets, "--dataset", tmp_path / "data", "--seed", 0, "--out", tmp_path / "run") == 1
     err = capsys.readouterr().err
     assert f"error: {sets}: {message}" in err
     assert "Traceback" not in err

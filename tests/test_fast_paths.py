@@ -12,6 +12,8 @@ to the start type and sorted with ``lexsort``). MF's references live in
 ``reference_ops``: ``draw_negatives`` tests each user's items with
 ``np.isin``, one user at a time, and ``mf_pretrain`` is the per-batch loop
 that draws each batch's negatives that way and scatters with ``np.add.at``.
+``autodiff.scatter_rows``, which both ``Tape.gather``'s backward and MF
+scatter through, is held to the row-indexed ``np.add.at`` directly.
 The data set-up's references live there too: ``synth_tsvs`` (one user at a
 time, with ``np.unique`` and ``np.setdiff1d``), ``load_tsvs`` (one line at a
 time) and ``split_leave_one_out`` (one user at a time).
@@ -37,11 +39,11 @@ import logging
 from itertools import combinations
 
 from hinrec import autodiff, cli, evaluation, metapath, recommender, synth
-from hinrec.autodiff import Tape, Var
+from hinrec.autodiff import Tape, Var, scatter_rows
 from hinrec.evaluation import embedding_scorer, split_leave_one_out
 from hinrec.hin import GraphLoadError, HinGraph, HinSchema, InteractionSet, load_graph
 from hinrec.metapath import MetaPath, MetaPathError, MetaPathSubgraph, SampledView, sample_view
-from hinrec.recommender import add_in_rounds, draw_negatives, positive_bits, scatter_rounds
+from hinrec.recommender import draw_negatives, positive_bits
 from hinrec.util import derive_rng, read_json, read_jsonl, strip_volatile
 
 import reference_ops
@@ -290,14 +292,36 @@ def gather_grad(x0: np.ndarray, idx: np.ndarray, c: np.ndarray) -> np.ndarray:
 def test_gather_backward_bit_identical_to_add_at(monkeypatch, shape, idx):
     rng = np.random.default_rng(len(idx))
     idx = np.asarray(idx, dtype=np.int64)
-    x0 = rng.normal(size=shape)
-    c = rng.normal(size=(len(idx),) + shape[1:])
+    assert_gather_matches_add_at(monkeypatch, rng.normal(size=shape), idx, rng.normal(size=(len(idx),) + shape[1:]))
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 2)])
+def test_gather_backward_adds_signed_zeros_as_add_at(monkeypatch, shape):
+    """Rows 0 and 3 repeat and rows 2 and 5 appear once; each takes only -0.0 or only +0.0
+    terms, and ``np.add.at`` into zeros makes every row +0.0. ``Var.accumulate`` would turn
+    -0.0 into +0.0 on both sides of the scatter, so here it keeps each gradient as given."""
+
+    def keep(self, g):
+        assert self.grad is None
+        self.grad = g
+
+    monkeypatch.setattr(Var, "accumulate", keep)
+    idx = np.asarray([0, 3, 3, 5, 0, 2], dtype=np.int64)
+    c = np.asarray([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0]).reshape((-1,) + (1,) * (len(shape) - 1)) * np.ones(shape[1:])
+    assert np.signbit(c).any()
+    grad = assert_gather_matches_add_at(monkeypatch, np.ones(shape), idx, c)
+    assert not np.signbit(grad).any()
+
+
+def assert_gather_matches_add_at(monkeypatch, x0, idx, c):
+    """``x0``'s gradient through ``gather(x0, idx) * c``, checked against ``reference_gather``'s bytes."""
     fast = gather_grad(x0, idx, c)
     monkeypatch.setattr(Tape, "gather", reference_gather)
     ref = gather_grad(x0, idx, c)
     assert fast.dtype == ref.dtype == np.float64
-    assert fast.shape == ref.shape == shape
+    assert fast.shape == ref.shape == x0.shape
     assert fast.tobytes() == ref.tobytes()
+    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -406,43 +430,21 @@ def test_weight_gradient_blocks_end_inside_groups(monkeypatch, block):
         ((6,), [1, 1, 0, 5, 1]),  # 1-D
         ((500, 64), np.random.default_rng(3).integers(0, 500, size=512)),
         ((40, 4), np.random.default_rng(4).zipf(1.5, size=300) % 40),  # a few rows repeat often
+        ((7, 5), np.random.default_rng(8).integers(0, 7, size=40)),
     ],
 )
 def test_scatter_add_bit_identical_to_add_at(shape, idx):
-    """Planned rounds, added batch after batch, against one ``np.add.at`` per batch;
-    with one batch, batches of 3 entries, and batches that do not divide the entries."""
+    """``scatter_rows`` against the row-indexed ``np.add.at``: adding the values,
+    and subtracting them, which must have the bits of adding their negations."""
     rng = np.random.default_rng(len(idx))
     idx = np.asarray(idx, dtype=np.int64)
     table = rng.normal(size=shape)
     vals = rng.normal(size=(len(idx),) + shape[1:]) * 10.0 ** rng.integers(-8, 8, size=(len(idx),) + shape[1:])
-    for batch_size in sorted({max(1, len(idx)), 3, max(1, len(idx) // 2 + 1)}):
-        order, ends = scatter_rounds(idx, shape[0], batch_size)
-        batches = [slice(lo, lo + batch_size) for lo in range(0, len(idx), batch_size)]
-        assert len(ends) == len(batches)
+    for op, sign in ((np.add, 1.0), (np.subtract, -1.0)):
         fast, ref = table.copy(), table.copy()
-        for k, b in enumerate(batches):
-            assert sorted(order[b].tolist()) == list(range(len(idx)))[b]
-            rows = idx[order[b]]
-            lo = 0
-            for hi in ends[k]:
-                assert len(np.unique(rows[lo:hi])) == hi - lo
-                lo = hi
-            assert lo == len(rows)
-            add_in_rounds(fast, rows, vals[order[b]], ends[k])
-            np.add.at(ref, idx[b], vals[b])
+        scatter_rows(op, fast, idx, vals)
+        np.add.at(ref, idx, sign * vals)
         assert fast.tobytes() == ref.tobytes()
-
-
-def test_subtracting_rounds_match_adding_negated_values():
-    rng = np.random.default_rng(8)
-    idx = rng.integers(0, 7, size=40)
-    table = rng.normal(size=(7, 5))
-    vals = rng.normal(size=(40, 5))
-    order, ends = scatter_rounds(idx, 7, 40)
-    fast, ref = table.copy(), table.copy()
-    add_in_rounds(fast, idx[order], 0.05 * vals[order], ends[0], np.subtract)
-    np.add.at(ref, idx, -0.05 * vals)
-    assert fast.tobytes() == ref.tobytes()
 
 
 def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, seed=5):
@@ -454,18 +456,21 @@ def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, s
 
 
 def test_mf_pretrain_bit_identical_to_per_batch_loop(monkeypatch, small_planted):
-    """Batches of 16: some scatters repeat a row and take several rounds, some take one."""
+    """Batches of 16: some add to one user's ``P`` row several times, and some add to
+    a movie's ``Q`` row as an item and subtract from it as a negative."""
     graph, split, _ = small_planted
     pairs = split.train_local(graph)
-    rounds = []
+    scattered = []
 
-    def counting(table, rows, vals, ends, *op):
-        rounds.append(len(ends))
-        add_in_rounds(table, rows, vals, ends, *op)
+    def recording(op, table, rows, vals):
+        scattered.append(rows.copy())
+        scatter_rows(op, table, rows, vals)
 
-    monkeypatch.setattr(recommender, "add_in_rounds", counting)
+    monkeypatch.setattr(recommender, "scatter_rows", recording)
     assert_mf_matches_reference(pairs, graph.type_count("User"), graph.type_count("Movie"), 16)
-    assert max(rounds) > 1 and min(rounds) == 1
+    users, items, negatives = scattered[0::3], scattered[1::3], scattered[2::3]
+    assert any(len(np.unique(u)) < len(u) for u in users)
+    assert any(np.intersect1d(i, j).size for i, j in zip(items, negatives))
 
 
 def mf_case(name):
