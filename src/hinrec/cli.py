@@ -229,13 +229,16 @@ def cmd_train(args) -> int:
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
     schema = graph.schema
-    user_set, item_set = (
-        mp.MetaPathSet(tuple(mp.MetaPath.from_relations(schema, r) for r in relations[key]), form, schema)
-        for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC))
-    )
+    sets = {}
+    for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC)):
+        try:  # faults only the schema can find, such as an unknown relation id
+            paths = tuple(mp.MetaPath.from_relations(schema, r) for r in relations[key])
+            sets[key] = mp.MetaPathSet(paths, form, schema)
+        except ValueError as exc:
+            raise ValueError(f"{args.sets}: {key}: {exc}") from exc
 
     probe = evaluation.PerformanceProbe(graph, split, cfg)
-    model = probe.model(user_set, item_set, derive_rng(cfg.seed, "hrec-init"))
+    model = probe.model(sets["user_set"], sets["item_set"], derive_rng(cfg.seed, "hrec-init"))
     result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
     history_path = out / "history.jsonl"
     if history_path.exists():

@@ -155,9 +155,10 @@ def mf_pretrain(
     Each batch takes one SGD step, as three :func:`~hinrec.autodiff.scatter_rows`
     calls: ``P`` at the batch's users, then ``Q`` at its items, then ``Q``
     at its negatives, each repeated row receiving its terms in batch order.
-    The result is bit for bit the per-batch loop's with ``np.add.at``; the
-    negatives' scatter subtracts ``lr * gQ``, which has the bits of adding
-    ``-lr * gQ``.
+    At an even ``d`` they move complex128 pairs, two float64 terms per
+    index. The result is bit for bit the per-batch loop's with
+    ``np.add.at``; the negatives' scatter subtracts ``lr * gQ``, which has
+    the bits of adding ``-lr * gQ``.
 
     Each epoch draws a permutation, then every batch's negatives up front,
     one :func:`draw_negatives` call per batch in batch order, which is the

@@ -177,20 +177,22 @@ def reachable_sets(form, schema, max_steps, extend):
 
     A breadth-first walk over every non-STOP action: ``extend(pset, action)``
     is the set an action leads to, ``apply_action`` for the full walk or
-    ``SearchEnv.extend`` for the walk over density-accepted paths.
+    ``SearchEnv.extend`` for the walk over density-accepted paths. Returns
+    ``(pset, actions)`` pairs, ``actions`` being the sequence that first
+    reached ``pset`` from the initial set.
     """
     from hinrec.search_env import initial_set
 
     start = initial_set(form, schema)
-    seen = {start.key(): start}
-    frontier = [start]
+    seen = {start.key(): (start, ())}
+    frontier = [(start, ())]
     for _ in range(max_steps):
         reached = []
-        for pset in frontier:
+        for pset, actions in frontier:
             for action in range(1, schema.n_relations + 1):
                 out = extend(pset, action)
                 if out.key() not in seen:
-                    seen[out.key()] = out
-                    reached.append(out)
+                    seen[out.key()] = (out, (*actions, action))
+                    reached.append(seen[out.key()])
         frontier = reached
     return list(seen.values())

@@ -185,6 +185,26 @@ def test_train_reports_a_malformed_sets_file(tmp_path, capsys, monkeypatch, doc,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"user_set": {"paths": [{"relations": [99]}]}, "item_set": MUM},
+         "user_set: relation id 99 out of range 1..6"),
+        ({"user_set": UMU, "item_set": {"paths": [{"relations": [1, 1]}]}}, "item_set: relations do not chain: "),
+        ({"user_set": MUM, "item_set": MUM}, "user_set: path MUM violates form 'user-symmetric'"),
+    ],
+    ids=["relation-out-of-range", "relations-do-not-chain", "wrong-form"],
+)
+def test_train_reports_a_set_the_schema_rejects(dataset, tmp_path, capsys, doc, message):
+    """Faults only the dataset's schema can find still name the file and the key."""
+    sets = tmp_path / "bad-sets.json"
+    sets.write_text(json.dumps(doc))
+    assert run("train", "--sets", sets, "--dataset", dataset, "--seed", 0, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert f"error: {sets}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "rms", "greedy", "random"])
 def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, capsys, monkeypatch, command):
     """Every strategy checks both initial sets before it searches, so it probes nothing."""

@@ -13,7 +13,11 @@ to the start type and sorted with ``lexsort``). MF's references live in
 ``np.isin``, one user at a time, and ``mf_pretrain`` is the per-batch loop
 that draws each batch's negatives that way and scatters with ``np.add.at``.
 ``autodiff.scatter_rows``, which both ``Tape.gather``'s backward and MF
-scatter through, is held to the row-indexed ``np.add.at`` directly.
+scatter through, is held to the row-indexed ``op.at`` directly: on even
+widths, which it moves as complex128 pairs, and odd ones, on a table 8
+bytes off a 16-byte boundary, on strided values, and on signed zeros,
+infinities and nan. A spy pins which widths take the pairs, and MF is
+checked at odd widths too.
 The data set-up's references live there too: ``synth_tsvs`` (one user at a
 time, with ``np.unique`` and ``np.setdiff1d``), ``load_tsvs`` (one line at a
 time) and ``split_leave_one_out`` (one user at a time).
@@ -421,34 +425,85 @@ def test_weight_gradient_blocks_end_inside_groups(monkeypatch, block):
 # ---------------------------------------------------------------------------
 
 
+SCATTER_CASES = [
+    ((6, 3), [0, 3, 3, 5, 0, 0, 2]),  # repeated
+    ((6, 3), [4] * 9),  # all equal
+    ((6, 3), []),  # empty
+    ((6,), [1, 1, 0, 5, 1]),  # 1-D
+    ((500, 64), np.random.default_rng(3).integers(0, 500, size=512)),
+    ((40, 4), np.random.default_rng(4).zipf(1.5, size=300) % 40),  # a few rows repeat often
+    ((7, 5), np.random.default_rng(8).integers(0, 7, size=40)),
+]
+# Even widths, so that they take the complex128 pairs.
+LAYOUT_CASES = [
+    pytest.param((6, 4), [0, 3, 3, 5, 0, 2], "offset-table", id="offset-table"),  # 8 bytes off 16
+    pytest.param((9, 6), np.random.default_rng(5).integers(0, 9, size=30), "strided-values", id="strided-values"),
+    pytest.param((5, 4), [0, 1, 1, 4, 4, 4, 2], "special-values", id="special-values"),  # -0.0, +0.0, inf, nan
+]
+
+
+def scatter_case(shape, n, layout, rng):
+    """``(table, vals)`` for one case of :func:`test_scatter_add_bit_identical_to_add_at`."""
+    scale = 10.0 ** rng.integers(-8, 8, size=(n,) + shape[1:])
+    if layout == "offset-table":
+        big = rng.normal(size=shape[0] * shape[1] + 2)
+        table = big[1 : 1 + shape[0] * shape[1]].reshape(shape)
+        assert table.flags.c_contiguous and table.ctypes.data % 16 == 8
+        return table, rng.normal(size=(n,) + shape[1:]) * scale
+    if layout == "strided-values":
+        vals = (rng.normal(size=(n, 2 * shape[1])) * np.repeat(scale, 2, axis=1))[:, ::2]
+        assert not vals.flags.c_contiguous
+        return rng.normal(size=shape), vals
+    if layout == "special-values":
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5])
+        return rng.choice(specials, size=shape), rng.choice(specials, size=(n,) + shape[1:])
+    return rng.normal(size=shape), rng.normal(size=(n,) + shape[1:]) * scale
+
+
 @pytest.mark.parametrize(
-    "shape, idx",
-    [
-        ((6, 3), [0, 3, 3, 5, 0, 0, 2]),  # repeated
-        ((6, 3), [4] * 9),  # all equal
-        ((6, 3), []),  # empty
-        ((6,), [1, 1, 0, 5, 1]),  # 1-D
-        ((500, 64), np.random.default_rng(3).integers(0, 500, size=512)),
-        ((40, 4), np.random.default_rng(4).zipf(1.5, size=300) % 40),  # a few rows repeat often
-        ((7, 5), np.random.default_rng(8).integers(0, 7, size=40)),
-    ],
+    "shape, idx, layout",
+    [pytest.param(*case, "plain", id=f"shape{k}-idx{k}") for k, case in enumerate(SCATTER_CASES)] + LAYOUT_CASES,
 )
-def test_scatter_add_bit_identical_to_add_at(shape, idx):
-    """``scatter_rows`` against the row-indexed ``np.add.at``: adding the values,
-    and subtracting them, which must have the bits of adding their negations."""
-    rng = np.random.default_rng(len(idx))
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+def test_scatter_add_bit_identical_to_add_at(shape, idx, layout):
+    """``scatter_rows`` against the row-indexed ``op.at``, adding the values and subtracting
+    them. Subtracting must also have the bits of adding their negations, except where a
+    value is nan: negating a nan flips its sign bit, and the sum keeps it."""
     idx = np.asarray(idx, dtype=np.int64)
-    table = rng.normal(size=shape)
-    vals = rng.normal(size=(len(idx),) + shape[1:]) * 10.0 ** rng.integers(-8, 8, size=(len(idx),) + shape[1:])
     for op, sign in ((np.add, 1.0), (np.subtract, -1.0)):
-        fast, ref = table.copy(), table.copy()
-        scatter_rows(op, fast, idx, vals)
-        np.add.at(ref, idx, sign * vals)
+        fast, vals = scatter_case(shape, len(idx), layout, np.random.default_rng(len(idx)))
+        ref, negated = fast.copy(), fast.copy()
+        scatter_rows(op, fast, idx, vals)  # in place, so on the offset table itself
+        op.at(ref, idx, vals)
         assert fast.tobytes() == ref.tobytes()
+        if not np.isnan(vals).any():
+            np.add.at(negated, idx, sign * vals)
+            assert fast.tobytes() == negated.tobytes()
 
 
-def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, seed=5):
-    args = (pairs, n_users, n_items, 8, epochs, 0.05)
+@pytest.mark.parametrize("shape, dtype", [((5, 4), np.complex128), ((5, 3), np.float64), ((5,), np.float64)])
+def test_scatter_pairs_even_width_float64_rows(shape, dtype):
+    """An even-width float64 table reaches ``op.at`` as complex128 pairs; odd widths and
+    1-D tables stay float64, so dropping the pairing fails here, not only in a timing."""
+    seen = []
+
+    class Spy:
+        @staticmethod
+        def at(table, rows, vals):
+            seen.append((table.dtype, vals.dtype))
+            np.add.at(table, rows, vals)
+
+    rows = np.array([0, 2, 2, 4])
+    vals = np.arange(np.prod((4,) + shape[1:]), dtype=np.float64).reshape((4,) + shape[1:])
+    table, expected = np.ones(shape), np.ones(shape)
+    scatter_rows(Spy, table, rows, vals)
+    np.add.at(expected, rows, vals)
+    assert seen == [(np.dtype(dtype), np.dtype(dtype))]
+    assert table.tobytes() == expected.tobytes()
+
+
+def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, seed=5, d=8):
+    args = (pairs, n_users, n_items, d, epochs, 0.05)
     P, Q = recommender.mf_pretrain(*args, derive_rng(seed, "mf"), batch_size=batch_size)
     P_ref, Q_ref = reference_ops.mf_pretrain(*args, derive_rng(seed, "mf"), batch_size=batch_size)
     assert P.tobytes() == P_ref.tobytes()
@@ -500,6 +555,13 @@ def test_mf_pretrain_bit_identical_on_edge_cases(name, batch_size):
     if name == "random":
         assert len(pairs) % 13 and len(pairs) < 10_000
     assert_mf_matches_reference(pairs, n_users, n_items, batch_size)
+
+
+@pytest.mark.parametrize("d", [1, 7])
+def test_mf_pretrain_bit_identical_at_odd_widths(d):
+    """Odd widths scatter as float64 rather than as complex128 pairs."""
+    pairs, n_users, n_items = mf_case("random")
+    assert_mf_matches_reference(pairs, n_users, n_items, 13, d=d)
 
 
 def test_mf_pretrain_draws_each_batch_through_the_module(monkeypatch, small_planted):

@@ -321,25 +321,55 @@ def accepted_key(probe, pset):
     return tuple(p.relation_ids for p in pset if probe.subgraph(p) is not None)
 
 
+def walk_extends(graph, run_seed):
+    """The run seed's probe, and per form the full walk's and the accepted walk's ``extend``.
+
+    Each side is walked with the other frozen at its initial set, as ``cmd_search`` searches it.
+    """
+    schema = graph.schema
+    split = split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
+    probe = PerformanceProbe(graph, split, RunConfig(seed=run_seed))
+    extends = {}
+    for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
+        env = SearchEnv(schema, form, probe, initial_set(other, schema))
+        extends[form] = {"full": lambda pset, a: apply_action(pset, a, schema), "accepted": env.extend}
+    return probe, extends
+
+
 class TestAcceptedWalk:
     """Dropping rejected paths after every action loses no model the full walk reaches."""
 
     @pytest.mark.parametrize("run_seed", range(5))
     def test_accepted_walk_reaches_the_accepted_classes_of_the_full_walk(self, small_planted_1, run_seed):
         _, graph = small_planted_1
-        schema = graph.schema
-        cfg = RunConfig(seed=run_seed)
-        split = split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
-        probe = PerformanceProbe(graph, split, cfg)
+        probe, extends = walk_extends(graph, run_seed)
+        max_steps = RunConfig().max_steps
         sizes = {}
-        for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
-            env = SearchEnv(schema, form, probe, initial_set(other, schema))
-            full = reachable_sets(form, schema, cfg.max_steps, lambda pset, a: apply_action(pset, a, schema))
-            accepted = reachable_sets(form, schema, cfg.max_steps, env.extend)
+        for form, extend in extends.items():
+            full = [s for s, _ in reachable_sets(form, graph.schema, max_steps, extend["full"])]
+            accepted = [s for s, _ in reachable_sets(form, graph.schema, max_steps, extend["accepted"])]
             assert {s.key() for s in accepted} == {accepted_key(probe, s) for s in full}
             sizes[form] = (len(full), len(accepted))
         assert sizes == {USER_SYMMETRIC: (162, 4), ITEM_SYMMETRIC: (284, 81)}
         assert probe.calls == 0
+
+    @pytest.mark.parametrize("walk", ["full", "accepted"])
+    @pytest.mark.parametrize("run_seed", range(5))
+    def test_walk_returns_distinct_sets_that_their_actions_reach(self, small_planted_1, run_seed, walk):
+        """Each set comes once, and replaying its recorded actions from the initial set reaches it again."""
+        _, graph = small_planted_1
+        max_steps = RunConfig().max_steps
+        _, extends = walk_extends(graph, run_seed)
+        for form, extend in extends.items():
+            sets = reachable_sets(form, graph.schema, max_steps, extend[walk])
+            keys = [pset.key() for pset, _ in sets]
+            assert len(set(keys)) == len(keys)
+            for pset, actions in sets:
+                assert len(actions) <= max_steps
+                replayed = initial_set(form, graph.schema)
+                for action in actions:
+                    replayed = extend[walk](replayed, action)
+                assert replayed.key() == pset.key()
 
     def test_default_rms_probes_each_accepted_model_once(self, small_planted_1, tmp_path, monkeypatch):
         directory, _ = small_planted_1
