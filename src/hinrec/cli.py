@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dqn, evaluation, metapath as mp, recommender as rec, search_env, synth
 from .checkpoint import CheckpointError
-from .config import ConfigError, RunConfig
+from .config import STRATEGIES, ConfigError, RunConfig
 from .hin import GraphLoadError, HinGraph, HinSchema, load_graph
 from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, write_json
 
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="search meta-path sets")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--strategy", choices=("rms", "greedy", "random"))
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--iter-limit", type=int, dest="iter_limit")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")

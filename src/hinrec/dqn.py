@@ -98,11 +98,9 @@ def select_action(
     return int(np.argmax(q))
 
 
-def huber_loss(delta) -> np.ndarray | float:
-    """0.5*d^2 inside the unit interval, |d| - 0.5 outside."""
-    delta = np.asarray(delta, dtype=np.float64)
-    out = np.where(np.abs(delta) <= 1.0, 0.5 * delta**2, np.abs(delta) - 0.5)
-    return float(out) if out.ndim == 0 else out
+def huber_loss(delta: np.ndarray) -> np.ndarray:
+    """0.5*d^2 inside the unit interval, |d| - 0.5 outside, elementwise."""
+    return np.where(np.abs(delta) <= 1.0, 0.5 * delta**2, np.abs(delta) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class Transition:
 class ReplayBuffer:
     """FIFO ring of transitions."""
 
-    def __init__(self, capacity: int = 10000):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: list[Transition] = []
         self._pos = 0
@@ -213,9 +211,6 @@ class DqnAgent:
         frac = min(1.0, self.env_steps / self.eps_horizon)
         return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
-    def act(self, s: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-        return select_action(self.params, s, mask, epsilon, rng)
-
     def observe(self, t: Transition) -> None:
         self.buffer.push(t)
         self.env_steps += 1
@@ -234,7 +229,7 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
     total_reward = 0.0
     while True:
         eps = 0.0 if greedy else agent.epsilon()
-        action = agent.act(state.encoding, env.action_mask(), eps, rng)
+        action = select_action(agent.params, state.encoding, env.action_mask(), eps, rng)
         out = env.step(action)
         if not greedy:
             agent.observe(

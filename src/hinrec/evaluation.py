@@ -22,7 +22,6 @@ import numpy as np
 from . import metapath as mp
 from . import recommender as rec
 from .hin import HinGraph, InteractionSet
-from .search_env import ProbeFailure
 from .util import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
@@ -50,7 +49,6 @@ class Candidates:
 class SplitSet:
     """Disjoint train/validation/test pairs plus per-user profiles."""
 
-    relation: int
     train: np.ndarray  # (k, 2) global (user, item)
     validation: np.ndarray
     test: np.ndarray
@@ -140,7 +138,6 @@ def split_leave_one_out(interactions: InteractionSet, rng: np.random.Generator) 
     train = np.ones(len(pairs), dtype=bool)
     train[held.ravel()] = False
     return SplitSet(
-        relation=interactions.relation,
         train=pairs[train],
         validation=pairs[held[:, 0]],
         test=pairs[held[:, 1]],
@@ -204,7 +201,7 @@ def evaluate(
     which: str,
     ks: tuple[int, ...],
     seed: int,
-    n_negatives: int = 499,
+    n_negatives: int,
 ) -> RankingMetrics:
     """Rank each eligible user's held-out positive among sampled negatives.
 
@@ -247,7 +244,7 @@ def evaluate_model(
     which: str,
     ks: tuple[int, ...],
     seed: int,
-    n_negatives: int = 499,
+    n_negatives: int,
     view_tag: str = "eval",
 ) -> RankingMetrics:
     H_user, H_item = rec.infer_embeddings(model, seed, tag=view_tag)
@@ -255,8 +252,8 @@ def evaluate_model(
     return evaluate(scorer, split, which, ks, seed, n_negatives)
 
 
-def training_graph(graph: HinGraph, split: SplitSet, leak_guard: bool = True) -> HinGraph:
-    """The HIN used for subgraph materialization; held-out edges removed by default."""
+def training_graph(graph: HinGraph, split: SplitSet, leak_guard: bool) -> HinGraph:
+    """The HIN used for subgraph materialization; with ``leak_guard``, held-out edges removed."""
     if not leak_guard:
         return graph
     held = np.concatenate([split.validation, split.test])
@@ -275,8 +272,7 @@ class PerformanceProbe:
     is computed once, and results are cached by the pair, so one set always
     probes to the same value. The search's sets hold only paths that
     :meth:`subgraph` accepts, so each cache entry, and each per-pair init
-    seed, belongs to one model. :meth:`pair` raises
-    :class:`~hinrec.search_env.ProbeFailure` when a side has no accepted path.
+    seed, belongs to one model.
     """
 
     def __init__(self, graph: HinGraph, split: SplitSet, config):
@@ -298,7 +294,7 @@ class PerformanceProbe:
     def side(self, pset: mp.MetaPathSet) -> rec.SideBundle:
         """The set's density-accepted paths and their cached subgraphs; raises
         :class:`~hinrec.recommender.AllPathsRejected` when none is accepted."""
-        return rec.build_side(self.graph, pset, self.config.density_threshold, self.subgraph)
+        return rec.build_side(self.graph, pset, self.subgraph)
 
     def mf_init(self) -> tuple[np.ndarray, np.ndarray]:
         if self._mf is None:
@@ -323,7 +319,7 @@ class PerformanceProbe:
         user_side, item_side = self.side(user_set), self.side(item_set)
         return rec.HRecModel(self.graph, user_side, item_side, self.config, rng, self.mf_init())
 
-    def val_ndcg(self, model: rec.HRecModel, view_tag: str = "eval") -> float:
+    def val_ndcg(self, model: rec.HRecModel, view_tag: str) -> float:
         """The model's validation NDCG@10 against ``n_negatives`` sampled negatives."""
         metrics = evaluate_model(
             model, self.split, "validation", (10,), self.config.seed, self.config.n_negatives, view_tag
@@ -336,11 +332,8 @@ class PerformanceProbe:
         if key in self._results:
             return self._results[key]
         probe_seed = derive_seed(self.config.seed, "probe", key)
-        try:
-            model = self.model(user_set, item_set, derive_rng(probe_seed, "init"))
-        except rec.AllPathsRejected as exc:
-            raise ProbeFailure(str(exc)) from exc
+        model = self.model(user_set, item_set, derive_rng(probe_seed, "init"))
         self.evaluations += 1
-        value = self.val_ndcg(model)
+        value = self.val_ndcg(model, "eval")
         self._results[key] = value
         return value

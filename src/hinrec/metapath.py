@@ -71,9 +71,7 @@ class MetaPath:
         return "".join(t[0].upper() for t in self.node_types)
 
 
-def _form_ok(path: MetaPath, form: str | None, schema: HinSchema) -> bool:
-    if form is None:
-        return True
+def _form_ok(path: MetaPath, form: str, schema: HinSchema) -> bool:
     if form == USER_SYMMETRIC:
         return path.start_type == path.end_type == schema.user_type
     if form == ITEM_SYMMETRIC:
@@ -86,19 +84,16 @@ class MetaPathSet:
     """Ordered, duplicate-free meta-path collection under one form constraint."""
 
     paths: tuple[MetaPath, ...]
-    form: str | None = None
-    schema: HinSchema | None = field(default=None, compare=False, repr=False)
+    form: str
+    schema: HinSchema = field(compare=False, repr=False)
 
     def __post_init__(self):
         keys = [p.relation_ids for p in self.paths]
         if len(set(keys)) != len(keys):
             raise MetaPathError("duplicate meta-paths in set")
-        if self.form is not None:
-            if self.schema is None:
-                raise MetaPathError("a form-constrained set needs its schema")
-            for p in self.paths:
-                if not _form_ok(p, self.form, self.schema):
-                    raise MetaPathError(f"path {p.label()} violates form {self.form!r}")
+        for p in self.paths:
+            if not _form_ok(p, self.form, self.schema):
+                raise MetaPathError(f"path {p.label()} violates form {self.form!r}")
 
     def __len__(self) -> int:
         return len(self.paths)

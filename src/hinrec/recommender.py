@@ -44,28 +44,21 @@ ADAM_EPS = 1e-8
 class SideBundle:
     """Density-accepted paths of one form plus their materialized subgraphs."""
 
-    form: str
     node_type: str
     m: int
     pset: mp.MetaPathSet
     subgraphs: list[mp.MetaPathSubgraph]
 
 
-def build_side(
-    graph: HinGraph,
-    pset: mp.MetaPathSet,
-    threshold: float | None,
-    materialize=None,
-) -> SideBundle:
+def build_side(graph: HinGraph, pset: mp.MetaPathSet, materialize) -> SideBundle:
     """Filter a path set by subgraph density and bundle the survivors.
 
-    ``materialize`` may override subgraph construction (the probe passes a
-    cached version). Raises :class:`AllPathsRejected` when nothing passes.
-    ``threshold=None`` keeps every path: :meth:`HRecModel.load` rebuilds
-    already-accepted sets that way instead of filtering them again.
+    ``materialize(path)`` returns the path's subgraph, or ``None`` when the
+    density filter rejects it: the probe passes its cached, filtered
+    version, and :meth:`HRecModel.load` an unfiltered one, since a
+    checkpoint's sets were accepted when it was saved. Raises
+    :class:`AllPathsRejected` when nothing passes.
     """
-    if materialize is None:
-        materialize = lambda path: mp.materialize_subgraph(graph, path, threshold)
     accepted: list[mp.MetaPath] = []
     subgraphs: list[mp.MetaPathSubgraph] = []
     for path in pset:
@@ -78,13 +71,7 @@ def build_side(
     if not accepted:
         raise AllPathsRejected(f"all paths rejected by density filter: {pset.labels()}")
     node_type = accepted[0].end_type
-    return SideBundle(
-        pset.form or "",
-        node_type,
-        graph.type_count(node_type),
-        pset.replace(tuple(accepted)),
-        subgraphs,
-    )
+    return SideBundle(node_type, graph.type_count(node_type), pset.replace(tuple(accepted)), subgraphs)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +283,16 @@ class HRecModel:
         save_arrays(path, header, {k: v.value for k, v in self.params.items()})
 
     @classmethod
-    def load(cls, path: str, graph: HinGraph, cfg: RunConfig | None = None) -> "HRecModel":
+    def load(cls, path: str, graph: HinGraph) -> "HRecModel":
         """Rebuild a model saved by :meth:`save` on ``graph``.
 
         The checkpoint's path sets are the density-accepted ones its sides
         were built from, so they are trusted as stored: the density filter is
         not applied again, and each positional ``natt``/``q`` parameter stays
-        on its own path. The header's architecture fields override ``cfg``.
-        Raises :class:`CheckpointError`, naming ``path``, when the header's
-        format is not :data:`CHECKPOINT_FORMAT`, when it names a field outside
+        on its own path. The model's config is :class:`RunConfig`'s defaults
+        with the header's architecture fields. Raises :class:`CheckpointError`,
+        naming ``path``, when the header's format is not
+        :data:`CHECKPOINT_FORMAT`, when it names a field outside
         :data:`ARCH_FIELDS`, or when the stored arrays do not match the
         rebuilt model's parameters in name and shape.
         """
@@ -318,7 +306,7 @@ class HRecModel:
         unknown = sorted(set(header["config"]) - set(ARCH_FIELDS))
         if unknown:
             raise CheckpointError(f"{path}: config header names non-architecture fields {unknown}")
-        cfg = replace(cfg or RunConfig(), **header["config"])
+        cfg = replace(RunConfig(), **header["config"])
         schema = graph.schema
         user_set = mp.MetaPathSet(
             tuple(mp.MetaPath.from_relations(schema, r) for r in header["user_set"]),
@@ -330,8 +318,9 @@ class HRecModel:
             mp.ITEM_SYMMETRIC,
             schema,
         )
-        user_side = build_side(graph, user_set, None)
-        item_side = build_side(graph, item_set, None)
+        unfiltered = lambda p: mp.materialize_subgraph(graph, p, None)
+        user_side = build_side(graph, user_set, unfiltered)
+        item_side = build_side(graph, item_set, unfiltered)
         # Zero tables of the graph's shapes stand in for the embeddings the
         # checkpoint overwrites, so ``check_arrays`` compares against them.
         zeros = tuple(np.zeros((side.m, cfg.embed_dim)) for side in (user_side, item_side))
@@ -376,20 +365,20 @@ def _side_forward(
     tag: str,
     side: SideBundle,
     views: list[mp.SampledView],
-    training: bool,
     drop_rng: np.random.Generator | None,
 ) -> tuple[Var, Var]:
     """One side's fused embedding table and its meta-path weights β.
 
     The paper's σ at each level is HAN's (Wang et al., arXiv:1903.07293):
     LeakyReLU on node-level scores, ELU on aggregation, tanh in the
-    meta-path-level attention.
+    meta-path-level attention. ``drop_rng`` draws dropout masks; inference,
+    with no dropout, passes ``None``.
     """
     cfg = model.cfg
     emb = model.params[f"{tag}_emb"]
     W = model.params[f"proj.{side.node_type}"]
     Z = tape.matmul(emb, W)
-    if training and cfg.dropout > 0.0:
+    if drop_rng is not None and cfg.dropout > 0.0:
         keep = (drop_rng.random(Z.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         Z = tape.mul_const(Z, keep)
 
@@ -423,24 +412,18 @@ def forward(
     batch_u: np.ndarray,
     batch_i: np.ndarray,
     batch_j: np.ndarray,
-    rng: np.random.Generator | None = None,
-    training: bool = True,
-    user_views: list[mp.SampledView] | None = None,
-    item_views: list[mp.SampledView] | None = None,
+    user_views: list[mp.SampledView],
+    item_views: list[mp.SampledView],
+    rng: np.random.Generator,
 ) -> ForwardPass:
-    """Score a (u, i, j) batch, recording the tape for the backward pass.
+    """Score a training (u, i, j) batch, recording the tape for the backward pass.
 
-    Node indices are type-local. Views are sampled at the configured
-    fanout when not supplied (training resamples per epoch; pass them in
-    to share one sampling across batches).
+    Node indices are type-local; the views are one :func:`sample_views`
+    per side, and ``rng`` draws the dropout masks.
     """
-    if user_views is None:
-        user_views = sample_views(model.user_side, model.cfg.fanout, rng)
-    if item_views is None:
-        item_views = sample_views(model.item_side, model.cfg.fanout, rng)
     tape = Tape()
-    H_user, beta_u = _side_forward(tape, model, "user", model.user_side, user_views, training, rng)
-    H_item, beta_i = _side_forward(tape, model, "item", model.item_side, item_views, training, rng)
+    H_user, beta_u = _side_forward(tape, model, "user", model.user_side, user_views, rng)
+    H_item, beta_i = _side_forward(tape, model, "item", model.item_side, item_views, rng)
     hu = tape.gather(H_user, np.asarray(batch_u, dtype=np.int64))
     hi = tape.gather(H_item, np.asarray(batch_i, dtype=np.int64))
     hj = tape.gather(H_item, np.asarray(batch_j, dtype=np.int64))
@@ -453,9 +436,7 @@ def bpr_loss_var(tape: Tape, ypos: Var, yneg: Var) -> Var:
     return tape.mean(tape.softplus(tape.neg(tape.sub(ypos, yneg))))
 
 
-def infer_embeddings(
-    model: HRecModel, seed: int, tag: str = "eval"
-) -> tuple[np.ndarray, np.ndarray]:
+def infer_embeddings(model: HRecModel, seed: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
     """Fused user/item embedding tables with deterministic view sampling.
 
     Runs the training forward pass without dropout on a tape that is then
@@ -463,8 +444,8 @@ def infer_embeddings(
     """
     uv = sample_views(model.user_side, model.cfg.fanout, derive_rng(seed, tag, "user-views"))
     iv = sample_views(model.item_side, model.cfg.fanout, derive_rng(seed, tag, "item-views"))
-    H_user, _ = _side_forward(Tape(), model, "user", model.user_side, uv, False, None)
-    H_item, _ = _side_forward(Tape(), model, "item", model.item_side, iv, False, None)
+    H_user, _ = _side_forward(Tape(), model, "user", model.user_side, uv, None)
+    H_item, _ = _side_forward(Tape(), model, "item", model.item_side, iv, None)
     return H_user.value, H_item.value
 
 
@@ -481,20 +462,15 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def train(
-    model: HRecModel,
-    split,
-    seed: int,
-    evaluator=None,
-) -> TrainResult:
+def train(model: HRecModel, split, seed: int, evaluator) -> TrainResult:
     """``cfg.rec_epochs`` epochs of tape forward/backward and Adam steps.
 
     ``split`` provides local-index training pairs and the per-user
-    interaction profile. Passing ``evaluator(model, epoch) -> float``, the
-    validation NDCG@10, turns on per-epoch validation and early stopping
-    after ``cfg.patience`` epochs without improvement; the model is then
-    left at its best-validation snapshot. Without an evaluator every epoch
-    runs and the model keeps its last parameters.
+    interaction profile. ``evaluator(model, epoch) -> float``, the
+    validation NDCG@10, runs after every epoch; training stops early after
+    ``cfg.patience`` epochs without improvement, and the model is left at
+    its best-validation snapshot. When no epoch's value exceeds ``-inf``
+    (none runs, or each is NaN) the model keeps its last parameters.
 
     Each batch's backward consumes its tape, and the loop drops the tape
     before the next batch's forward: at most one tape is alive at a time.
@@ -515,16 +491,7 @@ def train(
         losses = []
         for lo in range(0, len(pairs), cfg.rec_batch):
             sel = perm[lo : lo + cfg.rec_batch]
-            fp = forward(
-                model,
-                pairs[sel, 0],
-                pairs[sel, 1],
-                negatives[sel],
-                rng=rng,
-                training=True,
-                user_views=user_views,
-                item_views=item_views,
-            )
+            fp = forward(model, pairs[sel, 0], pairs[sel, 1], negatives[sel], user_views, item_views, rng)
             loss = bpr_loss_var(fp.tape, fp.ypos, fp.yneg)
             if not np.isfinite(loss.value):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // cfg.rec_batch}")
@@ -534,19 +501,16 @@ def train(
             losses.append((float(loss.value), len(sel)))
             del fp, loss  # the next batch's forward must not run beside this tape
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))
-        record = {"epoch": epoch, "train_loss": epoch_loss}
-        if evaluator is not None:
-            val_ndcg = evaluator(model, epoch)
-            record["val_ndcg10"] = val_ndcg
-            if val_ndcg > result.best_val_ndcg:
-                result.best_val_ndcg = val_ndcg
-                result.best_epoch = epoch
-                best_snap = model.snapshot()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-        result.history.append(record)
-        if evaluator is not None and bad_epochs > cfg.patience:
+        val_ndcg = evaluator(model, epoch)
+        result.history.append({"epoch": epoch, "train_loss": epoch_loss, "val_ndcg10": val_ndcg})
+        if val_ndcg > result.best_val_ndcg:
+            result.best_val_ndcg = val_ndcg
+            result.best_epoch = epoch
+            best_snap = model.snapshot()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+        if bad_epochs > cfg.patience:
             result.stopped_early = True
             break
     if best_snap is not None:

@@ -13,8 +13,7 @@ probe delta against the previous step.
 
 The probe cannot fail inside a search: ``hinrec search`` checks both
 initial sets against the density filter before any strategy runs, and
-raises :class:`~hinrec.recommender.AllPathsRejected` there. A probe still
-raises :class:`ProbeFailure` for a set whose every path is rejected.
+raises :class:`~hinrec.recommender.AllPathsRejected` there.
 """
 from __future__ import annotations
 
@@ -26,11 +25,11 @@ import numpy as np
 from . import metapath as mp
 from .config import ConfigError
 from .hin import STOP_ACTION, HinSchema, SchemaError
+from .recommender import AllPathsRejected
 from .util import append_jsonl
 
-
-class ProbeFailure(ValueError):
-    """Raised by a probe when a candidate set cannot be evaluated."""
+# The fault's former name, kept while bench/tracing.py imports it.
+ProbeFailure = AllPathsRejected
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class SearchEnv:
         form: str,
         probe,
         frozen_other: mp.MetaPathSet,
-        max_steps: int = 4,
+        max_steps: int,
         trace_path: str | None = None,
         trace_tag: str = "",
     ):

@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
 
+from hinrec import dqn
+from hinrec.config import RunConfig
+from hinrec.evaluation import PerformanceProbe, split_leave_one_out
 from hinrec.hin import HinGraph, HinSchema, load_graph
-from hinrec.synth import write_dataset
+from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC
+from hinrec.search_env import SearchEnv, initial_set
+from hinrec.synth import PLANTED_ITEM_PATH, write_dataset
 from hinrec.util import derive_rng, read_json
 
 MOVIE_SCHEMA_TEXT = """\
@@ -51,6 +57,14 @@ def small_movie_graph(movie_schema):
         ("D0", "direct", "M0"), ("D0", "direct", "M1"), ("D0", "direct", "M2"),
     ]
     return graph_from(movie_schema, nodes, edges)
+
+
+@pytest.fixture(scope="session")
+def small_planted_1(tmp_path_factory):
+    """The planted-mam-small dataset at synth seed 1: (directory, graph)."""
+    out = tmp_path_factory.mktemp("planted-small-1")
+    write_dataset(out, "planted-mam-small", seed=1)
+    return out, load_graph(out / "nodes.tsv", out / "edges.tsv", HinSchema.from_file(out / "schema.txt"))
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +210,100 @@ def reachable_sets(form, schema, max_steps, extend):
                     reached.append(seen[out.key()])
         frontier = reached
     return list(seen.values())
+
+
+class TableProbe:
+    """The probe of one side's search served from a table: item-set key -> probe value.
+
+    ``pair`` looks up the item set's key and ignores the frozen user set.
+    ``subgraph`` accepts exactly the paths that occur in the table's keys,
+    which are the density-accepted ones, so ``SearchEnv.extend`` walks the
+    same sets over the table as over the real probe.
+    """
+
+    def __init__(self, values):
+        self.values = values
+        self.paths = {path for key in values for path in key}
+        self.calls = 0
+
+    def pair(self, user_set, item_set):
+        self.calls += 1
+        return self.values[item_set.key()]
+
+    def subgraph(self, path):
+        return path if path.relation_ids in self.paths else None
+
+
+class RewardBlind:
+    """The reward-blind control: probes through ``inner``, then rewards every set 0.1."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def pair(self, user_set, item_set):
+        self.inner.pair(user_set, item_set)
+        return 0.1
+
+    def subgraph(self, path):
+        return self.inner.subgraph(path)
+
+
+def item_table(graph, run_seed):
+    """The real probe's value of every accepted item set, as ``hinrec search --seed run_seed`` probes it.
+
+    The user side stays frozen at its initial set {UMU}, and the sets are
+    :func:`reachable_sets` over ``SearchEnv.extend``. Returns the table
+    and the real probe, whose cache then holds every set's value.
+    """
+    schema, cfg = graph.schema, RunConfig(seed=run_seed)
+    probe = PerformanceProbe(graph, split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split")), cfg)
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), cfg.max_steps)
+    sets = reachable_sets(ITEM_SYMMETRIC, schema, cfg.max_steps, env.extend)
+    return TableProbe({pset.key(): env.probe(pset) for pset, _ in sets}), probe
+
+
+@pytest.fixture(scope="session")
+def item_tables(small_planted_1):
+    """``item_table`` on planted-mam-small (synth seed 1) per run seed, each built once on first use."""
+    _, graph = small_planted_1
+    built = {}
+
+    def get(run_seed):
+        if run_seed not in built:
+            built[run_seed] = item_table(graph, run_seed)
+        return built[run_seed]
+
+    return get
+
+
+def item_search(schema, probe, agent_seed):
+    """``dqn.search`` of the item side over ``probe`` at the default settings, as ``hinrec search`` runs it."""
+    cfg = RunConfig()
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), cfg.max_steps)
+    return dqn.search(env, cfg, agent_seed, cfg.dqn_episodes)
+
+
+def is_hit(key):
+    """A hit: the item set holds the planted path MAM and not its distractor MDM."""
+    return PLANTED_ITEM_PATH in key and (DIRECTED, DIRECT) not in key
+
+
+def sweep(schema, table, agent_seeds):
+    """The DQN over ``table`` and over its reward-blind control, one search each per agent seed.
+
+    Reports the hits of each, the median regret (the table's best value
+    minus the found set's), the number of distinct results, how many
+    results are the table's best value, and how many differ from the
+    control's result at the same agent seed.
+    """
+    best = max(table.values.values())
+    found = [item_search(schema, table, seed).key() for seed in agent_seeds]
+    blind = [item_search(schema, RewardBlind(table), seed).key() for seed in agent_seeds]
+    return {
+        "hits": sum(map(is_hit, found)),
+        "control_hits": sum(map(is_hit, blind)),
+        "median_regret": float(np.median([best - table.values[key] for key in found])),
+        "distinct": len(set(found)),
+        "exact_best": sum(table.values[key] == best for key in found),
+        "differ_from_control": sum(a != b for a, b in zip(found, blind)),
+    }

@@ -225,6 +225,24 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "setting, strategy, iter_limit",
+    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("target_sync = 0", "rms", 400)],
+    ids=["strategy", "max-steps", "target-sync"],
+)
+def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit):
+    """Reported with the file, the line and the key, before the dataset is read."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{setting}\n")
+    out = tmp_path / "run"
+    argv = ["search", "--dataset", dataset, "--config", config, "--iter-limit", iter_limit, "--seed", 0, "--out", out]
+    assert run(*argv, *(("--strategy", strategy) if strategy else ())) == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:1: config key '{setting.split()[0]}'" in err
+    assert "Traceback" not in err
+    assert not (out / "sets.json").exists()
+
+
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from hinrec.config import ConfigError, RunConfig
+from hinrec.config import STRATEGIES, ConfigError, RunConfig
 
 
 def write(tmp_path, text):
@@ -63,3 +63,35 @@ def test_removed_settings_are_unknown_keys(tmp_path, line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:1: unknown config key '{key}'$"):
         RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [("strategy = bogus", "config key 'strategy': unknown strategy 'bogus', expected one of rms, greedy, random"),
+     ("max_steps = 0", "config key 'max_steps': must be at least 1, got 0"),
+     ("target_sync = 0", "config key 'target_sync': must be at least 1, got 0"),
+     ("target_sync = -2", "config key 'target_sync': must be at least 1, got -2"),
+     ("dqn_buffer = 0", "config key 'dqn_buffer': must be at least 1, got 0"),
+     ("dqn_batch = 0", "config key 'dqn_batch': must be at least 1, got 0"),
+     ("rec_batch = 0", "config key 'rec_batch': must be at least 1, got 0")],
+)
+def test_values_the_search_cannot_run_name_file_line_and_key(tmp_path, line, message):
+    path = write(tmp_path, f"seed = 1\n{line}\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
+        RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("override", [{"strategy": "bogus"}, {"max_steps": 0}, {"target_sync": 0}])
+def test_overrides_are_checked_like_the_file(override):
+    with pytest.raises(ConfigError):
+        RunConfig().with_overrides(override)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [f"strategy = {name}" for name in STRATEGIES]
+    + [f"{key} = 1" for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch")],
+)
+def test_values_the_search_can_run_are_accepted(tmp_path, line):
+    key, value = (part.strip() for part in line.split("="))
+    assert str(getattr(RunConfig.from_file(write(tmp_path, line + "\n")), key)) == value

@@ -15,6 +15,9 @@ from hinrec.dqn import (
     select_action,
     td_update,
 )
+from hinrec.synth import PLANTED_ITEM_PATH
+
+from conftest import RewardBlind, is_hit, item_search, sweep
 
 
 def make_params(n_in=4, n_out=5, hidden=(6, 7), seed=0):
@@ -313,3 +316,58 @@ class TestSearch:
         with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
             search(ToyBanditEnv(), self.CFG, 0, 60)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+class TestTableBed:
+    """The DQN's test bed: the item side's search over a table of real probe values.
+
+    On planted-mam-small (synth seed 1) the item side has 81 accepted sets
+    at the default ``max_steps``, with the user side frozen at {UMU}. Each
+    table costs 81 probe evaluations, and a search over it no MF, subgraph
+    or ranking work, so the DQN can be swept over many agent seeds in
+    tier-1 time. These tests pin that the table stands in for the real
+    probe. The sweep's numbers are recorded in ROADMAP item 15, not
+    bounded, until the DQN moves them.
+    """
+
+    @pytest.mark.parametrize("run_seed", range(5))
+    def test_table_holds_every_accepted_item_set_and_its_best_holds_mam(self, item_tables, run_seed):
+        table, probe = item_tables(run_seed)
+        assert len(table.values) == 81
+        assert probe.evaluations == 81
+        best = max(table.values, key=table.values.get)
+        assert PLANTED_ITEM_PATH in best
+
+    @pytest.mark.parametrize("agent_seed", range(5))
+    def test_search_over_the_table_returns_the_real_probes_set(self, small_planted_1, item_tables, agent_seed):
+        _, graph = small_planted_1
+        table, probe = item_tables(0)
+        evaluations = probe.evaluations
+        real = item_search(graph.schema, probe, agent_seed)
+        assert item_search(graph.schema, table, agent_seed).key() == real.key()
+        assert probe.evaluations == evaluations  # building the table cached every set a search reaches
+
+    def test_the_control_probes_through_the_table(self, small_planted_1, item_tables):
+        _, graph = small_planted_1
+        table, _ = item_tables(0)
+        calls = table.calls
+        found = item_search(graph.schema, RewardBlind(table), 0)
+        assert table.calls > calls
+        assert found.key() in table.values
+
+    def test_sweep_reports_each_number_over_the_agent_seeds(self, small_planted_1, item_tables):
+        _, graph = small_planted_1
+        table, _ = item_tables(0)
+        seeds = range(2)
+        out = sweep(graph.schema, table, seeds)
+        assert set(out) == {"hits", "control_hits", "median_regret", "distinct", "exact_best", "differ_from_control"}
+        for count in ("hits", "control_hits", "exact_best", "differ_from_control"):
+            assert 0 <= out[count] <= len(seeds)
+        assert 1 <= out["distinct"] <= len(seeds)
+        assert out["median_regret"] >= 0.0
+
+    def test_a_hit_holds_mam_without_mdm(self):
+        mum, mam, mdm = (2, 1), (4, 3), (6, 5)
+        assert is_hit((mum, mam))
+        assert not is_hit((mum, mam, mdm))
+        assert not is_hit((mum,))

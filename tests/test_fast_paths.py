@@ -892,7 +892,7 @@ def hand_split(user_items, item_ids):
     """A split with only profiles and an item universe, built without :func:`split_leave_one_out`."""
     none = np.empty((0, 2), dtype=np.int64)
     profiles = {u: np.asarray(items, dtype=np.int64) for u, items in user_items.items()}
-    return evaluation.SplitSet(1, none, none, none, profiles, np.asarray(item_ids, dtype=np.int64))
+    return evaluation.SplitSet(none, none, none, profiles, np.asarray(item_ids, dtype=np.int64))
 
 
 @pytest.mark.parametrize("count", [0, 3, 100, 10_000])  # 100 exceeds the hand pools, 10,000 every pool

@@ -6,8 +6,7 @@ import pytest
 from hinrec import evaluation, recommender as rec
 from hinrec.autodiff import Tape
 from hinrec.config import RunConfig
-from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPath, MetaPathSet
-from hinrec.search_env import ProbeFailure
+from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPath, MetaPathSet, materialize_subgraph
 from hinrec.util import derive_rng, derive_seed
 
 from conftest import ACT, ACTED, DIRECT, DIRECTED, WATCH, WATCHED
@@ -40,10 +39,11 @@ def test_pair_scores_hrec_at_its_mf_init(probe, planted):
     user_set, item_set = planted
     cfg, graph = probe.config, probe.graph
     key = (user_set.key(), item_set.key())
+    materialize = lambda path: materialize_subgraph(graph, path, cfg.density_threshold)
     model = rec.HRecModel(
         graph,
-        rec.build_side(graph, user_set, cfg.density_threshold),
-        rec.build_side(graph, item_set, cfg.density_threshold),
+        rec.build_side(graph, user_set, materialize),
+        rec.build_side(graph, item_set, materialize),
         cfg,
         derive_rng(derive_seed(SEED, "probe", key), "init"),
         mf_init=probe.mf_init(),
@@ -71,10 +71,10 @@ def test_repeated_pair_is_a_cache_hit(probe, planted):
     assert (probe.calls, probe.evaluations) == (2, 1)
 
 
-def test_all_paths_rejected_raises_probe_failure(probe, small_planted):
+def test_all_paths_rejected_reaches_the_caller(probe, small_planted):
     graph, _, _ = small_planted
     # UMDMU's co-director subgraph is far above the 0.5 density threshold.
     dense_only = pair_sets(graph, [(WATCH, DIRECTED, DIRECT, WATCHED)], [(WATCHED, WATCH)])
-    with pytest.raises(ProbeFailure, match="density"):
+    with pytest.raises(rec.AllPathsRejected, match="density"):
         probe.pair(*dense_only)
     assert (probe.calls, probe.evaluations) == (1, 0)

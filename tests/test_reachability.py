@@ -17,6 +17,11 @@ Every :class:`~hinrec.config.RunConfig` field must likewise be read, as
 an attribute, somewhere in ``src/hinrec`` outside ``config.py`` or in
 ``bench/``, so a setting whose last reader is deleted fails here too.
 
+A setting has one home as well: no function or method in ``src/hinrec``
+gives a default to a parameter named after a ``RunConfig`` field, since
+such a default is a second copy of the setting's value that the pipeline,
+which passes the setting, never reads.
+
 It matches names only, not call graphs. A dead cluster whose members name
 each other (a save method calling a helper that a load method also calls)
 passes, and so does a method that shares its name with a live method or
@@ -107,9 +112,38 @@ def unread_settings() -> list[str]:
     return [f.name for f in fields(RunConfig) if f.name not in read]
 
 
+def defaulted_settings() -> list[str]:
+    """``module.function(parameter)`` for each parameter named after a RunConfig field that has a default."""
+    from dataclasses import fields
+
+    from hinrec.config import RunConfig
+
+    settings = {f.name for f in fields(RunConfig)}
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out += [f"{path.stem}.{node.name}({arg.arg})" for arg in defaulted if arg.arg in settings]
+    return out
+
+
 def test_every_package_name_is_reached_outside_tests():
     assert unreached() == []
 
 
 def test_every_setting_is_read_outside_config():
     assert unread_settings() == []
+
+
+def test_no_signature_copies_a_settings_default():
+    assert defaulted_settings() == []
+
+
+def test_the_probe_failures_old_name_is_the_fault_it_raises():
+    from hinrec import recommender, search_env
+
+    assert search_env.ProbeFailure is recommender.AllPathsRejected

@@ -31,6 +31,26 @@ from conftest import WATCH, WATCHED, ACT, ACTED, graph_from
 from reference_ops import bpr_loss, node_attention, path_attention, project, score
 
 
+def density_filter(graph, threshold):
+    """``build_side``'s materializer: the path's subgraph, or None above ``threshold``."""
+    return lambda path: mp.materialize_subgraph(graph, path, threshold)
+
+
+def views_and_rng(model, rng):
+    """``forward``'s last three arguments: both sides' views at the model's fanout, drawn from ``rng``,
+    then ``rng`` itself for the dropout masks."""
+    return [*(sample_views(side, model.cfg.fanout, rng) for side in (model.user_side, model.item_side)), rng]
+
+
+# ``forward``'s dropout generator for the tiny model, whose dropout of 0 draws nothing from it.
+NO_DROPOUT = np.random.default_rng(0)
+
+
+def rising(model, epoch):
+    """An evaluator under which every epoch improves: training runs them all and keeps the last."""
+    return float(epoch)
+
+
 def glorot_init(rng, user_side, item_side, d):
     """Glorot-uniform user and item tables: an embedding init for models that need no MF."""
     return tuple(
@@ -77,8 +97,8 @@ def tiny_model(movie_schema):
         movie_schema,
     )
     cfg = RunConfig(embed_dim=5, att_hidden=4, dropout=0.0, fanout=16, rec_lr=0.05, rec_batch=8)
-    user_side = build_side(graph, user_set, threshold=None)
-    item_side = build_side(graph, item_set, threshold=None)
+    user_side = build_side(graph, user_set, density_filter(graph, None))
+    item_side = build_side(graph, item_set, density_filter(graph, None))
     rng = derive_rng(0, "tiny-model")
     return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
@@ -265,7 +285,7 @@ class TestBuildSide:
             (mp.MetaPath.from_relations(movie_schema, [WATCH, WATCHED]),), mp.USER_SYMMETRIC, movie_schema
         )
         with pytest.raises(AllPathsRejected):
-            build_side(g, umu, threshold=0.5)
+            build_side(g, umu, density_filter(g, 0.5))
 
     def test_partial_rejection_keeps_survivors(self, movie_schema):
         # All users co-watch M1 (UMU complete, density 1.0) but only M2 has
@@ -280,7 +300,7 @@ class TestBuildSide:
         dense_umu = mp.MetaPath.from_relations(movie_schema, [WATCH, WATCHED])
         sparse = mp.MetaPath.from_relations(movie_schema, [WATCH, ACTED, ACT, WATCHED])
         pset = mp.MetaPathSet((dense_umu, sparse), mp.USER_SYMMETRIC, movie_schema)
-        side = build_side(g, pset, threshold=0.99)
+        side = build_side(g, pset, density_filter(g, 0.99))
         assert side.pset.labels() == ["UMAMU"]
 
 
@@ -294,10 +314,10 @@ class TestForward:
         bj = np.asarray([3, 2, 0])
 
         def loss_value():
-            fp = forward(model, bu, bi, bj, training=False, user_views=views_u, item_views=views_i)
+            fp = forward(model, bu, bi, bj, views_u, views_i, NO_DROPOUT)
             return float(bpr_loss_var(fp.tape, fp.ypos, fp.yneg).value)
 
-        fp = forward(model, bu, bi, bj, training=False, user_views=views_u, item_views=views_i)
+        fp = forward(model, bu, bi, bj, views_u, views_i, NO_DROPOUT)
         loss = bpr_loss_var(fp.tape, fp.ypos, fp.yneg)
         fp.tape.backward(loss)
         grads = {k: (v.grad.copy() if v.grad is not None else np.zeros_like(v.value)) for k, v in model.params.items()}
@@ -334,7 +354,7 @@ class TestForward:
             tiny_model.zero_grad()
             fp = forward(
                 tiny_model, np.asarray([0, 1, 2, 3]), np.asarray([1, 2, 3, 0]), np.asarray([2, 3, 0, 1]),
-                rng=derive_rng(8, "fwd"), training=True,
+                *views_and_rng(tiny_model, derive_rng(8, "fwd")),
             )
             fp.tape.backward(bpr_loss_var(fp.tape, fp.ypos, fp.yneg))
             return {k: v.grad.tobytes() for k, v in tiny_model.params.items()}
@@ -349,7 +369,7 @@ class TestForward:
         for _ in range(2):
             fp = forward(
                 model, np.asarray([0, 1]), np.asarray([1, 2]), np.asarray([3, 0]),
-                rng=derive_rng(4, "fwd"), training=False,
+                *views_and_rng(model, derive_rng(4, "fwd")),
             )
             out.append(fp.ypos.copy() if isinstance(fp.ypos, np.ndarray) else fp.ypos.value.copy())
         np.testing.assert_array_equal(out[0], out[1])
@@ -358,7 +378,7 @@ class TestForward:
         model = tiny_model
         fp = forward(
             model, np.asarray([0]), np.asarray([1]), np.asarray([1]),
-            rng=derive_rng(5, "fwd"), training=False,
+            *views_and_rng(model, derive_rng(5, "fwd")),
         )
         loss = bpr_loss_var(fp.tape, fp.ypos, fp.yneg)
         assert float(loss.value) == pytest.approx(np.log(2.0), abs=1e-12)
@@ -366,7 +386,7 @@ class TestForward:
     def test_betas_sum_to_one(self, tiny_model):
         fp = forward(
             tiny_model, np.asarray([0]), np.asarray([0]), np.asarray([1]),
-            rng=derive_rng(6, "fwd"), training=False,
+            *views_and_rng(tiny_model, derive_rng(6, "fwd")),
         )
         assert fp.beta_user.sum() == pytest.approx(1.0, abs=1e-9)
         assert fp.beta_item.sum() == pytest.approx(1.0, abs=1e-9)
@@ -374,12 +394,12 @@ class TestForward:
     def test_infer_matches_tape_forward(self, tiny_model):
         """Inference tables, scored row by row, equal the tape forward on the same views."""
         model = tiny_model
-        H_u, H_i = infer_embeddings(model, seed=7)
+        H_u, H_i = infer_embeddings(model, 7, "eval")
         views_u = sample_views(model.user_side, model.cfg.fanout, derive_rng(7, "eval", "user-views"))
         views_i = sample_views(model.item_side, model.cfg.fanout, derive_rng(7, "eval", "item-views"))
         fp = forward(
             model, np.arange(4), np.arange(4), np.asarray([3, 2, 1, 0]),
-            training=False, user_views=views_u, item_views=views_i,
+            views_u, views_i, NO_DROPOUT,
         )
         np.testing.assert_allclose(np.sum(H_u * H_i, axis=1), fp.ypos.value, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.sum(H_u * H_i[::-1], axis=1), fp.yneg.value, rtol=0, atol=1e-12)
@@ -389,7 +409,7 @@ class TestForward:
         model = tiny_model
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
             views = sample_views(side, 16, derive_rng(3, "v", tag))
-            fused, beta = _side_forward(Tape(), model, tag, side, views, False, None)
+            fused, beta = _side_forward(Tape(), model, tag, side, views, None)
 
             Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
             tables = []
@@ -440,11 +460,11 @@ class TestTraining:
     def test_fresh_model_starts_fresh_moments(self, small_planted):
         graph, split, _ = small_planted
         trained = _small_model(graph)
-        train(trained, split, seed=0)
+        train(trained, split, 0, rising)
         assert trained.adam_steps > 0
         again = _small_model(graph)
         assert again.adam_steps == 0
-        train(again, split, seed=0)
+        train(again, split, 0, rising)
         for k in trained.params:
             np.testing.assert_array_equal(trained.params[k].value, again.params[k].value)
 
@@ -452,7 +472,7 @@ class TestTraining:
         graph, split, _ = small_planted
         model = _small_model(graph, lr=0.0)
         before = model.snapshot()
-        train(model, split, seed=0)
+        train(model, split, 0, rising)
         after = model.snapshot()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
@@ -462,7 +482,7 @@ class TestTraining:
         ok = 0
         for seed in range(3):
             model = _small_model(graph, seed=seed, epochs=5)
-            result = train(model, split, seed=seed)
+            result = train(model, split, seed, rising)
             if result.history[-1]["train_loss"] < result.history[0]["train_loss"]:
                 ok += 1
         assert ok == 3
@@ -480,7 +500,7 @@ class TestTraining:
             return fp
 
         monkeypatch.setattr(recommender, "forward", tracked_forward)
-        train(model, split, seed=0)
+        train(model, split, 0, rising)
         batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
         assert len(tapes) == 2 * batches and batches > 1
 
@@ -525,8 +545,8 @@ def _small_model(graph, seed=0, lr=0.05, epochs=1):
     cfg = RunConfig(
         embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128, rec_epochs=epochs
     )
-    user_side = build_side(graph, user_set, threshold=0.9)
-    item_side = build_side(graph, item_set, threshold=0.9)
+    user_side = build_side(graph, user_set, density_filter(graph, 0.9))
+    item_side = build_side(graph, item_set, density_filter(graph, 0.9))
     rng = derive_rng(seed, "model")
     return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 

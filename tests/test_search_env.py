@@ -6,7 +6,7 @@ import pytest
 from hinrec import cli, evaluation
 from hinrec.config import ConfigError, RunConfig
 from hinrec.evaluation import PerformanceProbe, split_leave_one_out
-from hinrec.hin import HinSchema, load_graph
+from hinrec.hin import HinSchema
 from hinrec.metapath import (
     ITEM_SYMMETRIC,
     MAX_PATH_LEN,
@@ -22,7 +22,6 @@ from hinrec.search_env import (
     initial_set,
     random_search,
 )
-from hinrec.synth import write_dataset
 from hinrec.util import derive_rng, read_json
 
 from conftest import WATCH, WATCHED, ACT, ACTED, DIRECT, DIRECTED, random_hin, reachable_sets
@@ -145,14 +144,14 @@ class FakeProbe:
 
 def user_env(schema, probe, **kw):
     """A user-side env with the item side frozen at its initial set (``max_steps`` 4)."""
-    return SearchEnv(schema, USER_SYMMETRIC, probe, initial_set(ITEM_SYMMETRIC, schema), **kw)
+    return SearchEnv(schema, USER_SYMMETRIC, probe, initial_set(ITEM_SYMMETRIC, schema), max_steps=4, **kw)
 
 
 class TestExtend:
     def test_keeps_only_accepted_new_paths(self, movie_schema):
         env = SearchEnv(
             movie_schema, ITEM_SYMMETRIC, FakeProbe(rejected={(ACTED, ACT, WATCHED, WATCH)}),
-            initial_set(USER_SYMMETRIC, movie_schema),
+            initial_set(USER_SYMMETRIC, movie_schema), max_steps=4,
         )
         start = initial_set(ITEM_SYMMETRIC, movie_schema)
         assert apply_action(start, ACTED, movie_schema).labels() == ["MUM", "MAMUM", "MAM"]
@@ -308,14 +307,6 @@ class TestBaselines:
         assert len(out) >= 1
 
 
-@pytest.fixture(scope="module")
-def small_planted_1(tmp_path_factory):
-    """The planted-mam-small dataset at synth seed 1: (directory, graph)."""
-    out = tmp_path_factory.mktemp("planted-small-1")
-    write_dataset(out, "planted-mam-small", seed=1)
-    return out, load_graph(out / "nodes.tsv", out / "edges.tsv", HinSchema.from_file(out / "schema.txt"))
-
-
 def accepted_key(probe, pset):
     """The relation ids of the set's paths that the probe's density filter accepts."""
     return tuple(p.relation_ids for p in pset if probe.subgraph(p) is not None)
@@ -331,7 +322,7 @@ def walk_extends(graph, run_seed):
     probe = PerformanceProbe(graph, split, RunConfig(seed=run_seed))
     extends = {}
     for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
-        env = SearchEnv(schema, form, probe, initial_set(other, schema))
+        env = SearchEnv(schema, form, probe, initial_set(other, schema), probe.config.max_steps)
         extends[form] = {"full": lambda pset, a: apply_action(pset, a, schema), "accepted": env.extend}
     return probe, extends
 
