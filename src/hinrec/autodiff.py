@@ -1,10 +1,13 @@
-"""Minimal reverse-mode tape for the recommender's fixed operation set.
+"""Minimal reverse-mode tape for the package's two learners.
 
-The computation graph is known and small (projection, two attention
-levels, inner-product scoring, pairwise ranking loss), so instead of a
-general autodiff system each op records one backward closure on a tape.
-Everything runs in float64; segment ops assume contiguous, non-empty
-groups (guaranteed by the sampled neighborhood views).
+Both computation graphs are known and small. HRec's is a projection, two
+attention levels, inner-product scoring and a pairwise ranking loss; the
+DQN's Q-network is a rectifier MLP with a mean-Huber TD loss. So instead
+of a general autodiff system each op records one backward closure on a
+tape, and :meth:`Tape.backward` is the package's only reverse pass. Both
+learners' weight matrices start from :func:`glorot`. Everything runs in
+float64; segment ops assume contiguous, non-empty groups (guaranteed by
+the sampled neighborhood views).
 
 Node-level aggregation is one fused op, :meth:`Tape.segment_weighted_sum`:
 each group's sum of neighbour rows under per-edge weights, as one sparse
@@ -51,6 +54,17 @@ def scatter_rows(op: np.ufunc, table: np.ndarray, rows: np.ndarray, vals: np.nda
     dtype, k = (np.complex128, d // 2) if table.dtype == np.float64 and d % 2 == 0 else (table.dtype, d)
     flat = np.ascontiguousarray(vals, dtype=table.dtype).view(dtype).reshape(-1)
     op.at(table.view(dtype).reshape(-1), (rows[:, None] * k + np.arange(k)).reshape(-1), flat)
+
+
+def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """U(-b, b) draws of ``shape``, b = sqrt(6 / (fan_in + fan_out)) (Glorot uniform).
+
+    A vector's fans are its length and 1, an array's its last two axes.
+    """
+    fan_in = shape[0] if len(shape) == 1 else shape[-2]
+    fan_out = 1 if len(shape) == 1 else shape[-1]
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Var:
@@ -156,7 +170,9 @@ class Tape:
 
         return self._emit(np.asarray([it.value for it in items]), back)
 
-    def pick(self, v: Var, i: int) -> Var:
+    def pick(self, v: Var, i) -> Var:
+        """Entries ``v[i]``: one int, or a fancy index that names no entry twice."""
+
         def back(g):
             full = np.zeros_like(v.value)
             full[i] = g
@@ -224,7 +240,22 @@ class Tape:
 
         return self._emit(v.value.mean(), back)
 
+    def huber(self, x: Var) -> Var:
+        """0.5*x^2 inside the unit interval, |x| - 0.5 outside, elementwise."""
+        magnitude = np.abs(x.value)
+
+        def back(g):
+            x.accumulate(g * np.clip(x.value, -1.0, 1.0))
+
+        return self._emit(np.where(magnitude <= 1.0, 0.5 * x.value**2, magnitude - 0.5), back)
+
     # -- activations -------------------------------------------------------
+
+    def relu(self, x: Var) -> Var:
+        def back(g):
+            x.accumulate(g * (x.value > 0.0))
+
+        return self._emit(np.maximum(x.value, 0.0), back)
 
     def leaky_relu(self, x: Var) -> Var:
         factor = np.where(x.value >= 0.0, 1.0, LEAKY_SLOPE)

@@ -228,12 +228,10 @@ def cmd_train(args) -> int:
     relations = {key: _set_from_payload(sets_doc, key, args.sets) for key in ("user_set", "item_set")}
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
-    schema = graph.schema
     sets = {}
     for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC)):
         try:  # faults only the schema can find, such as an unknown relation id
-            paths = tuple(mp.MetaPath.from_relations(schema, r) for r in relations[key])
-            sets[key] = mp.MetaPathSet(paths, form, schema)
+            sets[key] = mp.MetaPathSet.from_relations(graph.schema, form, relations[key])
         except ValueError as exc:
             raise ValueError(f"{args.sets}: {key}: {exc}") from exc
 

@@ -2,13 +2,13 @@
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
 config file, then CLI flags. Unknown keys, unparsable values, an unknown
-``strategy``, and a step limit, sync period, buffer or batch size below 1
-are rejected with :class:`ConfigError`, prefixed with ``path:line`` when
-they come from a file. :class:`RunConfig` is the only settings table:
-HRec, the probe and the DQN read it directly. The config hash covers
-every field except ``seed``, ``out`` and ``dataset``, which name a run
-without changing its science, so a report can refuse to aggregate runs
-produced under different settings.
+``strategy``, and a step limit, sync period, buffer or batch size or HRec
+epoch count below 1 are rejected with :class:`ConfigError`, prefixed with
+``path:line`` when they come from a file. :class:`RunConfig` is the only
+settings table: HRec, the probe and the DQN read it directly. The config
+hash covers every field except ``seed``, ``out`` and ``dataset``, which
+name a run without changing its science, so a report can refuse to
+aggregate runs produced under different settings.
 """
 from __future__ import annotations
 
@@ -114,7 +114,7 @@ def _coerce(cfg: RunConfig, key: str, value):
     out = _parse(cfg, key, value)
     if key == "strategy" and out not in STRATEGIES:
         raise ConfigError(f"config key 'strategy': unknown strategy {out!r}, expected one of {', '.join(STRATEGIES)}")
-    if key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch") and out < 1:
+    if key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs") and out < 1:
         raise ConfigError(f"config key {key!r}: must be at least 1, got {out}")
     return out
 

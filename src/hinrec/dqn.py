@@ -1,14 +1,19 @@
 """Deep Q-learning for meta-path search: MLP Q-function, replay, TD updates.
 
 The Q-network scores every action (STOP plus each relation) from a set
-encoding. Training interleaves epsilon-greedy episodes with Huber-loss TD
-updates against a periodically synced target network; inference runs one
-greedy episode and returns its final meta-path set. The agent reads
-``gamma``, ``dqn_lr``, ``dqn_batch`` (also its replay warm-up),
-``dqn_buffer``, ``target_sync``, ``eps_start``, ``eps_end`` and
-``eps_fraction`` from a :class:`~hinrec.config.RunConfig`; the seed and the
-episode count are passed in. Per-episode and per-update RNG streams are
-derived from (seed, counter), so a search is reproducible from its seed.
+encoding. Its parameters are :class:`~hinrec.autodiff.Var` leaves by name,
+as HRec's are, and it runs on the same reverse-mode tape: a TD update
+records the forward pass and the Huber loss and calls
+:meth:`~hinrec.autodiff.Tape.backward`, while action selection and the
+target network record on a tape that is then dropped. Training
+interleaves epsilon-greedy episodes with Huber-loss TD updates against a
+periodically synced target network; inference runs one greedy episode
+and returns its final meta-path set. The agent reads ``gamma``,
+``dqn_lr``, ``dqn_batch`` (also its replay warm-up), ``dqn_buffer``,
+``target_sync``, ``eps_start``, ``eps_end`` and ``eps_fraction`` from a
+:class:`~hinrec.config.RunConfig`; the seed and the episode count are
+passed in. Per-episode and per-update RNG streams are derived from
+(seed, counter), so a search is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tape, Var, glorot
 from .config import RunConfig
 from .util import derive_rng
 
@@ -25,63 +31,50 @@ log = logging.getLogger(__name__)
 DEFAULT_HIDDEN = (32, 64, 32)
 
 
-@dataclass
-class QNetworkParams:
-    """Fully-connected rectifier MLP: weight/bias per layer, linear output."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @classmethod
-    def init(
-        cls,
-        n_in: int,
-        n_out: int,
-        hidden: tuple[int, ...],
-        rng: np.random.Generator,
-    ) -> "QNetworkParams":
-        dims = (n_in, *hidden, n_out)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
-
-    def copy(self) -> "QNetworkParams":
-        return QNetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    @property
-    def n_in(self) -> int:
-        return self.weights[0].shape[0]
+def init_q_network(
+    n_in: int, n_out: int, hidden: tuple[int, ...], rng: np.random.Generator
+) -> dict[str, Var]:
+    """A rectifier MLP's parameters: Glorot weight ``W{k}`` and zero bias ``b{k}`` per layer."""
+    dims = (n_in, *hidden, n_out)
+    params: dict[str, Var] = {}
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        params[f"W{k}"] = Var(glorot(rng, fan_in, fan_out))
+        params[f"b{k}"] = Var(np.zeros(fan_out))
+    return params
 
 
-def _forward_batch(params: QNetworkParams, s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping post-activation values for the backward pass."""
-    acts = [s]
-    h = s
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+def copy_params(params: dict[str, Var]) -> dict[str, Var]:
+    return {name: Var(var.value.copy()) for name, var in params.items()}
+
+
+def q_batch(tape: Tape, params: dict[str, Var], states: np.ndarray) -> Var:
+    """Q-values of a (B, n_in) batch of states, recorded on ``tape``.
+
+    Every layer is affine; all but the last are rectified.
+    """
+    h = Var(states)
+    last = len(params) // 2 - 1
+    for k in range(last + 1):
+        h = tape.add_bias(tape.matmul(h, params[f"W{k}"]), params[f"b{k}"])
         if k != last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
-    return h, acts
+            h = tape.relu(h)
+    return h
 
 
-def q_forward(params: QNetworkParams, s: np.ndarray) -> np.ndarray:
-    """Q-values for one state vector."""
+def q_forward(params: dict[str, Var], s: np.ndarray) -> np.ndarray:
+    """Q-values for one state vector, on a tape that is then dropped."""
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (params.n_in,):
-        raise ValueError(f"state shape {s.shape} does not match input dim {params.n_in}")
-    out, _ = _forward_batch(params, s[None, :])
+    n_in = params["W0"].shape[0]
+    if s.shape != (n_in,):
+        raise ValueError(f"state shape {s.shape} does not match input dim {n_in}")
+    out = q_batch(Tape(), params, s[None, :]).value
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite Q values")
     return out[0]
 
 
 def select_action(
-    params: QNetworkParams,
+    params: dict[str, Var],
     s: np.ndarray,
     mask: np.ndarray,
     epsilon: float,
@@ -96,11 +89,6 @@ def select_action(
     q = q_forward(params, s).copy()
     q[~np.asarray(mask, dtype=bool)] = -np.inf
     return int(np.argmax(q))
-
-
-def huber_loss(delta: np.ndarray) -> np.ndarray:
-    """0.5*d^2 inside the unit interval, |d| - 0.5 outside, elementwise."""
-    return np.where(np.abs(delta) <= 1.0, 0.5 * delta**2, np.abs(delta) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -136,8 +124,8 @@ class ReplayBuffer:
 
 
 def td_update(
-    params: QNetworkParams,
-    target_params: QNetworkParams,
+    params: dict[str, Var],
+    target_params: dict[str, Var],
     batch: list[Transition],
     gamma: float,
     lr: float,
@@ -145,7 +133,12 @@ def td_update(
     """One mean-Huber TD step in place; returns the batch loss.
 
     Bootstrap values come from the target network and are zeroed on
-    terminal transitions.
+    terminal transitions. The loss is recorded on a tape, and
+    :meth:`~hinrec.autodiff.Tape.backward` takes every gradient at the
+    pre-update weights before one SGD step applies them all. Each
+    ``Q(s, a)`` receives ``(1/B) * clip(delta, -1, 1)``; at a power-of-two
+    batch size B, as ``dqn_batch`` is by default, that has the bits of
+    ``clip(delta, -1, 1) / B``.
     """
     if not batch:
         raise ValueError("td_update needs a non-empty batch")
@@ -157,33 +150,20 @@ def td_update(
     r = np.asarray([t.r for t in batch], dtype=np.float64)
     done = np.asarray([t.done for t in batch], dtype=bool)
 
-    q_next, _ = _forward_batch(target_params, s2)
-    bootstrap = np.where(done, 0.0, gamma * q_next.max(axis=1))
-    y = r + bootstrap
+    q_next = q_batch(Tape(), target_params, s2).value
+    y = r + np.where(done, 0.0, gamma * q_next.max(axis=1))
 
-    q, acts = _forward_batch(params, s)
-    rows = np.arange(len(batch))
-    delta = q[rows, a] - y
-    loss = float(np.mean(huber_loss(delta)))
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite TD loss; delta={delta!r}")
-
-    # Reverse pass: d(mean Huber)/dQ[rows, a] = clip(delta, -1, 1) / B.
-    # All gradients are taken at the pre-update weights, then applied at once.
-    g = np.zeros_like(q)
-    g[rows, a] = np.clip(delta, -1.0, 1.0) / len(batch)
-    n_layers = len(params.weights)
-    grads_w: list[np.ndarray | None] = [None] * n_layers
-    grads_b: list[np.ndarray | None] = [None] * n_layers
-    for k in range(n_layers - 1, -1, -1):
-        grads_w[k] = acts[k].T @ g
-        grads_b[k] = g.sum(axis=0)
-        if k > 0:
-            g = (g @ params.weights[k].T) * (acts[k] > 0.0)
-    for k in range(n_layers):
-        params.weights[k] -= lr * grads_w[k]
-        params.biases[k] -= lr * grads_b[k]
-    return loss
+    tape = Tape()
+    q = q_batch(tape, params, s)
+    delta = tape.sub(tape.pick(q, (np.arange(len(batch)), a)), Var(y))
+    loss = tape.mean(tape.huber(delta))
+    if not np.isfinite(loss.value):
+        raise FloatingPointError(f"non-finite TD loss; delta={delta.value!r}")
+    tape.backward(loss)
+    for var in params.values():
+        var.value -= lr * var.grad
+        var.grad = None
+    return float(loss.value)
 
 
 class DqnAgent:
@@ -199,8 +179,8 @@ class DqnAgent:
         self.seed = seed
         self.min_buffer = cfg.dqn_batch
         rng = derive_rng(seed, "qnet-init")
-        self.params = QNetworkParams.init(n_state, n_actions, DEFAULT_HIDDEN, rng)
-        self.target = self.params.copy()
+        self.params = init_q_network(n_state, n_actions, DEFAULT_HIDDEN, rng)
+        self.target = copy_params(self.params)
         self.buffer = ReplayBuffer(cfg.dqn_buffer)
         self.env_steps = 0
         self.updates = 0
@@ -219,7 +199,7 @@ class DqnAgent:
             td_update(self.params, self.target, batch, self.cfg.gamma, self.cfg.dqn_lr)
             self.updates += 1
             if self.updates % self.cfg.target_sync == 0:
-                self.target = self.params.copy()
+                self.target = copy_params(self.params)
 
 
 def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = False):

@@ -113,6 +113,11 @@ class MetaPathSet:
     def replace(self, paths: tuple[MetaPath, ...]) -> "MetaPathSet":
         return MetaPathSet(paths, self.form, self.schema)
 
+    @classmethod
+    def from_relations(cls, schema: HinSchema, form: str, relations) -> "MetaPathSet":
+        """The set of ``form`` whose paths are the relation-id lists ``relations``, in order."""
+        return cls(tuple(MetaPath.from_relations(schema, r) for r in relations), form, schema)
+
 
 def encode_metapath(schema: HinSchema, path: MetaPath) -> np.ndarray:
     """Relation-multiplicity vector of length n."""

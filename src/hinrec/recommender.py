@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
-from .autodiff import Tape, Var, scatter_rows
+from .autodiff import Tape, Var, glorot, scatter_rows
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
 from .config import RunConfig
 from .hin import HinGraph
@@ -190,13 +190,6 @@ def mf_pretrain(
 # ---------------------------------------------------------------------------
 
 
-def _glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    fan_in = shape[0] if len(shape) == 1 else shape[-2]
-    fan_out = 1 if len(shape) == 1 else shape[-1]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class HRecModel:
     """All learnable state plus the side bundles it was built for.
 
@@ -231,11 +224,11 @@ class HRecModel:
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
             for k in range(len(side.pset)):
-                params[f"natt.{tag}.{k}"] = Var(_glorot(rng, 2 * d))
-            params[f"fuse.{tag}.W"] = Var(_glorot(rng, d, hid))
+                params[f"natt.{tag}.{k}"] = Var(glorot(rng, 2 * d))
+            params[f"fuse.{tag}.W"] = Var(glorot(rng, d, hid))
             params[f"fuse.{tag}.b"] = Var(np.zeros(hid))
             for k in range(len(side.pset)):
-                params[f"q.{tag}.{k}"] = Var(_glorot(rng, hid))
+                params[f"q.{tag}.{k}"] = Var(glorot(rng, hid))
         self.params = params
         self.adam_steps = 0
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -307,20 +300,11 @@ class HRecModel:
         if unknown:
             raise CheckpointError(f"{path}: config header names non-architecture fields {unknown}")
         cfg = replace(RunConfig(), **header["config"])
-        schema = graph.schema
-        user_set = mp.MetaPathSet(
-            tuple(mp.MetaPath.from_relations(schema, r) for r in header["user_set"]),
-            mp.USER_SYMMETRIC,
-            schema,
-        )
-        item_set = mp.MetaPathSet(
-            tuple(mp.MetaPath.from_relations(schema, r) for r in header["item_set"]),
-            mp.ITEM_SYMMETRIC,
-            schema,
-        )
         unfiltered = lambda p: mp.materialize_subgraph(graph, p, None)
-        user_side = build_side(graph, user_set, unfiltered)
-        item_side = build_side(graph, item_set, unfiltered)
+        user_side, item_side = (
+            build_side(graph, mp.MetaPathSet.from_relations(graph.schema, form, header[key]), unfiltered)
+            for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC))
+        )
         # Zero tables of the graph's shapes stand in for the embeddings the
         # checkpoint overwrites, so ``check_arrays`` compares against them.
         zeros = tuple(np.zeros((side.m, cfg.embed_dim)) for side in (user_side, item_side))

@@ -64,7 +64,7 @@ def initial_set(form: str, schema: HinSchema) -> mp.MetaPathSet:
         rids = [rc, r]
     else:
         raise mp.MetaPathError(f"unknown path form {form!r}")
-    return mp.MetaPathSet((mp.MetaPath.from_relations(schema, rids),), form, schema)
+    return mp.MetaPathSet.from_relations(schema, form, [rids])
 
 
 def apply_action(pset: mp.MetaPathSet, action: int, schema: HinSchema) -> mp.MetaPathSet:

@@ -1,4 +1,4 @@
-"""Plain-numpy references for HRec's formulas, one node or one path at a time.
+"""Plain-numpy references for the package's formulas, mostly one node or one path at a time.
 
 Each function mirrors a formula of the model one-to-one, with no batching
 and no tape, so the tests can compare the tape's batched forward pass
@@ -15,6 +15,12 @@ and :func:`split_leave_one_out` is the per-user split. Nothing here
 imports the package: the loader reference reads only a schema's
 ``node_types`` and ``relations``, and raises :class:`LoadError` where
 the package raises ``GraphLoadError``.
+
+The DQN's TD update has a hand-written one: :func:`q_layers` keeps each
+layer's activations and :func:`td_update` runs the reverse pass layer by
+layer, on plain weight and bias lists, where ``hinrec.dqn`` records the
+loss on the tape. Its steps are the tape's steps in the same order, so
+the two agree in every bit at a power-of-two batch size.
 """
 from __future__ import annotations
 
@@ -140,6 +146,59 @@ def mf_pretrain(pairs, n_users, n_items, d, epochs, lr, rng, batch_size=512):
             np.add.at(Q, i, lr * gQ)
             np.add.at(Q, j, -lr * gQ)
     return P, Q
+
+
+def q_layers(weights, biases, s):
+    """Rectifier MLP forward keeping post-activation values for the backward pass."""
+    acts = [s]
+    h = s
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if k != last:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return h, acts
+
+
+def huber(delta):
+    """0.5*d^2 inside the unit interval, |d| - 0.5 outside, elementwise."""
+    return np.where(np.abs(delta) <= 1.0, 0.5 * delta**2, np.abs(delta) - 0.5)
+
+
+def td_update(weights, biases, target_weights, target_biases, batch, gamma, lr):
+    """One mean-Huber TD step on the weight and bias lists in place; returns the batch loss."""
+    s = np.stack([t.s for t in batch]).astype(np.float64)
+    s2 = np.stack([t.s_next for t in batch]).astype(np.float64)
+    a = np.asarray([t.a for t in batch], dtype=np.int64)
+    r = np.asarray([t.r for t in batch], dtype=np.float64)
+    done = np.asarray([t.done for t in batch], dtype=bool)
+
+    q_next, _ = q_layers(target_weights, target_biases, s2)
+    bootstrap = np.where(done, 0.0, gamma * q_next.max(axis=1))
+    y = r + bootstrap
+
+    q, acts = q_layers(weights, biases, s)
+    rows = np.arange(len(batch))
+    delta = q[rows, a] - y
+    loss = float(np.mean(huber(delta)))
+
+    # Reverse pass: d(mean Huber)/dQ[rows, a] = clip(delta, -1, 1) / B.
+    # All gradients are taken at the pre-update weights, then applied at once.
+    g = np.zeros_like(q)
+    g[rows, a] = np.clip(delta, -1.0, 1.0) / len(batch)
+    n_layers = len(weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    for k in range(n_layers - 1, -1, -1):
+        grads_w[k] = acts[k].T @ g
+        grads_b[k] = g.sum(axis=0)
+        if k > 0:
+            g = (g @ weights[k].T) * (acts[k] > 0.0)
+    for k in range(n_layers):
+        weights[k] -= lr * grads_w[k]
+        biases[k] -= lr * grads_b[k]
+    return loss
 
 
 def synth_tsvs(p, rng):

@@ -104,7 +104,29 @@ class TestOps:
         c = np.asarray([[2.0, -1.0], [0.5, 3.0]])
         check_op(lambda t, v: t.mean(t.mul_const(v[0], c)), [(2, 2)])
 
-    @pytest.mark.parametrize("act", [Tape.leaky_relu, Tape.elu, Tape.tanh], ids=["leaky_relu", "elu", "tanh"])
+    def test_pick_fancy_index(self):
+        # One entry per row, as the TD loss picks Q(s, a) from each row.
+        rows, cols = np.arange(4), np.asarray([2, 0, 2, 1])
+        check_op(lambda t, v: t.mean(t.mul_const(t.pick(v[0], (rows, cols)), weights(4))), [(4, 3)])
+
+    def test_huber_on_both_branches(self):
+        # Twelve points in [-2, 2], none at the branch points +-1; half lie outside them.
+        arr = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        assert (np.abs(arr) > 1.0).sum() == 6
+
+        def numeric(arrs):
+            tape = Tape()
+            return float(tape.mean(tape.mul_const(tape.huber(Var(arrs[0].copy())), weights(3, 4))).value)
+
+        tape = Tape()
+        var = Var(arr.copy())
+        tape.backward(tape.mean(tape.mul_const(tape.huber(var), weights(3, 4))))
+        fd = finite_diff(numeric, [arr.copy()])
+        np.testing.assert_allclose(var.grad, fd[0], atol=1e-6)
+        np.testing.assert_allclose(var.grad, np.clip(arr, -1.0, 1.0) * weights(3, 4) / 12, rtol=1e-12)
+
+    @pytest.mark.parametrize("act", [Tape.relu, Tape.leaky_relu, Tape.elu, Tape.tanh],
+                             ids=["relu", "leaky_relu", "elu", "tanh"])
     def test_activations(self, act):
         # Shift values away from the kink so FD stays clean.
         rng = np.random.default_rng(11)
@@ -219,6 +241,6 @@ class TestComposition:
     def test_activation_fn_matches_tape(self):
         rng = np.random.default_rng(4)
         arr = rng.normal(size=(5, 4))
-        for op, reference in ((Tape.leaky_relu, reference_ops.leaky_relu), (Tape.elu, reference_ops.elu),
-                              (Tape.tanh, np.tanh)):
+        for op, reference in ((Tape.relu, lambda x: np.maximum(x, 0.0)), (Tape.leaky_relu, reference_ops.leaky_relu),
+                              (Tape.elu, reference_ops.elu), (Tape.tanh, np.tanh), (Tape.huber, reference_ops.huber)):
             np.testing.assert_allclose(op(Tape(), Var(arr)).value, reference(arr))

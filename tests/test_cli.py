@@ -243,6 +243,20 @@ def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, 
     assert not (out / "sets.json").exists()
 
 
+def test_train_rejects_zero_epochs(dataset, tmp_path, capsys):
+    """Zero epochs would leave no best validation value to report; the config names the fault."""
+    config = tmp_path / "run.cfg"
+    config.write_text("rec_epochs = 0\n")
+    out = tmp_path / "run"
+    rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), "--dataset", dataset, "--config", config,
+             "--seed", 0, "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:1: config key 'rec_epochs': must be at least 1, got 0" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))

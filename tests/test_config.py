@@ -73,7 +73,8 @@ def test_removed_settings_are_unknown_keys(tmp_path, line):
      ("target_sync = -2", "config key 'target_sync': must be at least 1, got -2"),
      ("dqn_buffer = 0", "config key 'dqn_buffer': must be at least 1, got 0"),
      ("dqn_batch = 0", "config key 'dqn_batch': must be at least 1, got 0"),
-     ("rec_batch = 0", "config key 'rec_batch': must be at least 1, got 0")],
+     ("rec_batch = 0", "config key 'rec_batch': must be at least 1, got 0"),
+     ("rec_epochs = 0", "config key 'rec_epochs': must be at least 1, got 0")],
 )
 def test_values_the_search_cannot_run_name_file_line_and_key(tmp_path, line, message):
     path = write(tmp_path, f"seed = 1\n{line}\n")
@@ -90,7 +91,7 @@ def test_overrides_are_checked_like_the_file(override):
 @pytest.mark.parametrize(
     "line",
     [f"strategy = {name}" for name in STRATEGIES]
-    + [f"{key} = 1" for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch")],
+    + [f"{key} = 1" for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs")],
 )
 def test_values_the_search_can_run_are_accepted(tmp_path, line):
     key, value = (part.strip() for part in line.split("="))

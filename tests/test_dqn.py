@@ -3,13 +3,15 @@ import logging
 import numpy as np
 import pytest
 
+from hinrec.autodiff import Tape, Var
 from hinrec.config import RunConfig
 from hinrec.dqn import (
+    DEFAULT_HIDDEN,
     DqnAgent,
-    QNetworkParams,
     ReplayBuffer,
     Transition,
-    huber_loss,
+    copy_params,
+    init_q_network,
     q_forward,
     search,
     select_action,
@@ -17,24 +19,73 @@ from hinrec.dqn import (
 )
 from hinrec.synth import PLANTED_ITEM_PATH
 
+import reference_ops
 from conftest import RewardBlind, is_hit, item_search, sweep
 
 
 def make_params(n_in=4, n_out=5, hidden=(6, 7), seed=0):
-    return QNetworkParams.init(n_in, n_out, hidden, np.random.default_rng(seed))
+    return init_q_network(n_in, n_out, hidden, np.random.default_rng(seed))
+
+
+def network(weights, biases):
+    """A Q-network's parameter dict from its per-layer weights and biases."""
+    params = {}
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        params[f"W{k}"] = Var(np.array(w, dtype=np.float64))
+        params[f"b{k}"] = Var(np.array(b, dtype=np.float64))
+    return params
+
+
+def layers(params):
+    """Copies of the per-layer weights and biases, the lists :mod:`reference_ops` steps."""
+    n = len(params) // 2
+    return [params[f"W{k}"].value.copy() for k in range(n)], [params[f"b{k}"].value.copy() for k in range(n)]
+
+
+def random_batch(rng, n, n_in, n_out):
+    return [
+        Transition(
+            rng.normal(size=n_in),
+            int(rng.integers(n_out)),
+            float(rng.normal()),
+            rng.normal(size=n_in),
+            bool(rng.random() < 0.3),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestInit:
+    def test_layers_are_glorot_draws_in_order_with_zero_biases(self):
+        params = make_params(n_in=4, n_out=5, hidden=(6, 7), seed=3)
+        rng = np.random.default_rng(3)
+        dims = (4, 6, 7, 5)
+        assert list(params) == ["W0", "b0", "W1", "b1", "W2", "b2"]
+        for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            want = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            assert params[f"W{k}"].value.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(params[f"b{k}"].value, np.zeros(fan_out))
+
+    def test_copy_is_independent(self):
+        params = make_params()
+        twin = copy_params(params)
+        twin["W0"].value[0, 0] += 1.0
+        assert params["W0"].value[0, 0] != twin["W0"].value[0, 0]
 
 
 class TestForward:
     def test_zero_params_zero_output(self):
         p = make_params()
-        for w in p.weights:
-            w[:] = 0.0
+        for name, var in p.items():
+            if name.startswith("W"):
+                var.value[:] = 0.0
         assert np.allclose(q_forward(p, np.ones(4)), 0.0)
 
     def test_single_layer_identity_pads(self):
         w = np.zeros((3, 5))
         w[:3, :3] = np.eye(3)
-        p = QNetworkParams([w], [np.zeros(5)])
+        p = network([w], [np.zeros(5)])
         s = np.asarray([0.3, -0.7, 1.1])
         np.testing.assert_allclose(q_forward(p, s), np.concatenate([s, [0.0, 0.0]]))
 
@@ -43,30 +94,37 @@ class TestForward:
         out = q_forward(p, np.random.default_rng(1).normal(size=4))
         assert np.all(np.isfinite(out))
 
+    def test_matches_the_reference_forward(self):
+        p = make_params()
+        s = np.random.default_rng(2).normal(size=4)
+        want, _ = reference_ops.q_layers(*layers(p), s[None, :])
+        assert q_forward(p, s).tobytes() == want[0].tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             q_forward(make_params(), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_raises(self, bad):
+        p = make_params()
+        p["W2"].value[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite Q values"):
+            q_forward(p, np.ones(4))
+
 
 class TestSelectAction:
     def test_greedy_argmax(self):
-        p = make_params(n_in=2, n_out=3, hidden=())
-        p.weights[0][:] = 0.0
-        p.biases[0][:] = [0.1, 0.9, 0.3]
+        p = network([np.zeros((2, 3))], [[0.1, 0.9, 0.3]])
         a = select_action(p, np.zeros(2), np.ones(3, dtype=bool), 0.0, np.random.default_rng(0))
         assert a == 1
 
     def test_tie_breaks_to_lowest_id(self):
-        p = make_params(n_in=2, n_out=6, hidden=())
-        p.weights[0][:] = 0.0
-        p.biases[0][:] = [0.0, 0.0, 0.7, 0.1, 0.2, 0.7]
+        p = network([np.zeros((2, 6))], [[0.0, 0.0, 0.7, 0.1, 0.2, 0.7]])
         a = select_action(p, np.zeros(2), np.ones(6, dtype=bool), 0.0, np.random.default_rng(0))
         assert a == 2
 
     def test_mask_respected(self):
-        p = make_params(n_in=2, n_out=3, hidden=())
-        p.weights[0][:] = 0.0
-        p.biases[0][:] = [0.1, 0.9, 0.3]
+        p = network([np.zeros((2, 3))], [[0.1, 0.9, 0.3]])
         mask = np.asarray([True, False, True])
         assert select_action(p, np.zeros(2), mask, 0.0, np.random.default_rng(0)) == 2
 
@@ -84,8 +142,8 @@ class TestSelectAction:
 
     def test_greedy_shift_invariance(self):
         p = make_params(n_in=3, n_out=4, hidden=())
-        shifted = QNetworkParams([w.copy() for w in p.weights], [b.copy() for b in p.biases])
-        shifted.biases[0] += 5.0
+        shifted = copy_params(p)
+        shifted["b0"].value += 5.0
         s = np.random.default_rng(3).normal(size=3)
         mask = np.ones(4, dtype=bool)
         a = select_action(p, s, mask, 0.0, np.random.default_rng(0))
@@ -103,74 +161,112 @@ class TestSelectAction:
 
 
 class TestHuber:
+    """The TD loss is the tape's Huber op."""
+
     def test_quadratic_branch(self):
-        assert huber_loss(0.5) == pytest.approx(0.125)
+        assert Tape().huber(Var(0.5)).value == pytest.approx(0.125)
 
     def test_linear_branch(self):
-        assert huber_loss(2.0) == pytest.approx(1.5)
+        assert Tape().huber(Var(2.0)).value == pytest.approx(1.5)
 
     def test_boundary_continuity(self):
-        assert huber_loss(1.0) == pytest.approx(0.5)
-        assert huber_loss(-1.0) == pytest.approx(0.5)
+        np.testing.assert_allclose(Tape().huber(Var([1.0, -1.0])).value, [0.5, 0.5])
+
+    def test_matches_the_reference(self):
+        delta = np.random.default_rng(0).normal(scale=2.0, size=50)
+        assert Tape().huber(Var(delta)).value.tobytes() == reference_ops.huber(delta).tobytes()
 
 
 class TestTdUpdate:
-    def _batch(self, rng, p, n=6, n_in=4, n_out=5):
-        return [
-            Transition(
-                rng.normal(size=n_in),
-                int(rng.integers(n_out)),
-                float(rng.normal()),
-                rng.normal(size=n_in),
-                bool(rng.random() < 0.3),
-            )
-            for _ in range(n)
-        ]
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         params = make_params()
         target = make_params(seed=1)
-        batch = self._batch(rng, params)
+        batch = random_batch(rng, 6, 4, 5)
+        weights, biases = layers(params)
+        target_layers = layers(target)
 
-        def loss_of(p):
+        def loss_of(ws):
             s = np.stack([t.s for t in batch])
             s2 = np.stack([t.s_next for t in batch])
             a = np.asarray([t.a for t in batch])
             r = np.asarray([t.r for t in batch])
             done = np.asarray([t.done for t in batch])
-            from hinrec.dqn import _forward_batch
-
-            qn, _ = _forward_batch(target, s2)
+            qn, _ = reference_ops.q_layers(*target_layers, s2)
             y = r + np.where(done, 0.0, 0.9 * qn.max(axis=1))
-            q, _ = _forward_batch(p, s)
-            return float(np.mean(huber_loss(q[np.arange(len(batch)), a] - y)))
+            q, _ = reference_ops.q_layers(ws, biases, s)
+            return float(np.mean(reference_ops.huber(q[np.arange(len(batch)), a] - y)))
 
-        before = params.copy()
         td_update(params, target, batch, gamma=0.9, lr=1.0)
         # With lr = 1 the applied step equals the gradient: grad = before - after.
         h = 1e-5
-        for k in range(len(before.weights)):
-            grad_w = before.weights[k] - params.weights[k]
+        for k, w in enumerate(weights):
+            grad_w = w - params[f"W{k}"].value
             fd = np.zeros_like(grad_w)
             for idx in np.ndindex(*grad_w.shape):
-                orig = before.weights[k][idx]
-                before.weights[k][idx] = orig + h
-                up = loss_of(before)
-                before.weights[k][idx] = orig - h
-                down = loss_of(before)
-                before.weights[k][idx] = orig
+                orig = w[idx]
+                w[idx] = orig + h
+                up = loss_of(weights)
+                w[idx] = orig - h
+                down = loss_of(weights)
+                w[idx] = orig
                 fd[idx] = (up - down) / (2 * h)
             err = np.abs(grad_w - fd) / np.maximum(1.0, np.abs(fd))
             assert err.max() < 1e-4
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_hand_written_backward_in_every_bit(self, seed):
+        """At the pipeline's batch of 32, 25 consecutive updates with a target sync every 10."""
+        rng = np.random.default_rng(seed)
+        n_in, n_out = 6, 7
+        params = init_q_network(n_in, n_out, DEFAULT_HIDDEN, rng)
+        target = copy_params(params)
+        weights, biases = layers(params)
+        target_weights, target_biases = layers(target)
+        for step in range(1, 26):
+            batch = random_batch(rng, 32, n_in, n_out)
+            loss = td_update(params, target, batch, 0.9, 0.01)
+            want = reference_ops.td_update(weights, biases, target_weights, target_biases, batch, 0.9, 0.01)
+            assert loss == want
+            got_weights, got_biases = layers(params)
+            for got, ref in zip(got_weights + got_biases, weights + biases):
+                assert got.tobytes() == ref.tobytes()
+            if step % 10 == 0:
+                target = copy_params(params)
+                target_weights, target_biases = layers(target)
+
+    def test_non_power_of_two_batch_agrees_closely(self):
+        """(1/B) * clip(delta) and clip(delta) / B may differ in the last bit at B = 6."""
+        rng = np.random.default_rng(7)
+        params = init_q_network(6, 7, DEFAULT_HIDDEN, rng)
+        target = copy_params(params)
+        weights, biases = layers(params)
+        target_layers = layers(target)
+        for _ in range(20):
+            batch = random_batch(rng, 6, 6, 7)
+            loss = td_update(params, target, batch, 0.9, 0.01)
+            assert loss == pytest.approx(reference_ops.td_update(weights, biases, *target_layers, batch, 0.9, 0.01),
+                                         rel=1e-12)
+        got_weights, got_biases = layers(params)
+        for got, ref in zip(got_weights + got_biases, weights + biases):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_nan_reward_raises_and_leaves_parameters_unchanged(self):
+        rng = np.random.default_rng(0)
+        params = make_params()
+        target = make_params(seed=1)
+        batch = random_batch(rng, 4, 4, 5)
+        batch[2] = Transition(batch[2].s, batch[2].a, float("nan"), batch[2].s_next, batch[2].done)
+        before = {name: var.value.tobytes() for name, var in params.items()}
+        with pytest.raises(FloatingPointError, match="non-finite TD loss"):
+            td_update(params, target, batch, 0.9, 0.1)
+        assert {name: var.value.tobytes() for name, var in params.items()} == before
+        assert all(var.grad is None for var in params.values())
+
     def test_single_terminal_transition_contracts(self):
         """After one small step, |Q(s,a) - r| strictly decreases (hand oracle)."""
-        params = QNetworkParams(
-            [np.asarray([[0.5]]), np.asarray([[0.8]])],
-            [np.asarray([0.1]), np.asarray([0.0])],
-        )
-        target = params.copy()
+        params = network([[[0.5]], [[0.8]]], [[0.1], [0.0]])
+        target = copy_params(params)
         s = np.asarray([1.0])
         t = Transition(s, 0, 1.0, s, True)
         before = abs(q_forward(params, s)[0] - 1.0)
@@ -184,30 +280,31 @@ class TestTdUpdate:
         rng = np.random.default_rng(5)
         t = Transition(rng.normal(size=4), 1, 0.7, rng.normal(size=4) * 100, False)
         # With gamma=0 the huge next state must not matter: same update as done.
-        p1, p2 = params.copy(), params.copy()
+        p1, p2 = copy_params(params), copy_params(params)
         td_update(p1, target, [t], gamma=0.0, lr=0.01)
         td_update(p2, target, [Transition(t.s, t.a, t.r, t.s_next, True)], gamma=0.5, lr=0.01)
-        for w1, w2 in zip(p1.weights, p2.weights):
-            np.testing.assert_allclose(w1, w2)
+        for name in params:
+            np.testing.assert_allclose(p1[name].value, p2[name].value)
 
     def test_zero_everything_is_fixed_point(self):
         params = make_params()
-        for w in params.weights:
-            w[:] = 0.0
-        target = params.copy()
+        for name, var in params.items():
+            if name.startswith("W"):
+                var.value[:] = 0.0
+        target = copy_params(params)
         rng = np.random.default_rng(0)
         batch = [Transition(rng.normal(size=4), 2, 0.0, rng.normal(size=4), False)]
         loss = td_update(params, target, batch, gamma=0.9, lr=0.1)
         assert loss == 0.0
-        assert all(np.allclose(w, 0.0) for w in params.weights)
+        assert all(np.allclose(var.value, 0.0) for var in params.values())
 
     def test_rejects_bad_args(self):
         params = make_params()
         with pytest.raises(ValueError):
-            td_update(params, params.copy(), [], 0.9, 0.1)
+            td_update(params, copy_params(params), [], 0.9, 0.1)
         t = Transition(np.zeros(4), 0, 0.0, np.zeros(4), False)
         with pytest.raises(ValueError):
-            td_update(params, params.copy(), [t], 1.0, 0.1)
+            td_update(params, copy_params(params), [t], 1.0, 0.1)
 
 
 class TestReplayBuffer:

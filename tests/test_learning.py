@@ -17,7 +17,7 @@ import pytest
 from hinrec import evaluation, recommender as rec
 from hinrec.config import RunConfig
 from hinrec.hin import HinSchema, load_graph
-from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPath, MetaPathSet
+from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPathSet
 from hinrec.synth import ACT, ACTED, DIRECT, DIRECTED, WATCH, WATCHED, write_dataset
 from hinrec.util import derive_rng
 
@@ -39,11 +39,8 @@ def planted_graph(tmp_path_factory):
 def pair_sets(graph, name):
     user_paths, item_paths = PAIRS[name]
     schema = graph.schema
-
-    def side(form, paths):
-        return MetaPathSet(tuple(MetaPath.from_relations(schema, p) for p in paths), form, schema)
-
-    return side(USER_SYMMETRIC, user_paths), side(ITEM_SYMMETRIC, item_paths)
+    return (MetaPathSet.from_relations(schema, USER_SYMMETRIC, user_paths),
+            MetaPathSet.from_relations(schema, ITEM_SYMMETRIC, item_paths))
 
 
 def probe_for(graph, seed):

@@ -105,6 +105,19 @@ class TestMetaPath:
         with pytest.raises(MetaPathError, match="violates form"):
             MetaPathSet((mum,), USER_SYMMETRIC, movie_schema)
 
+    def test_set_from_relations_keeps_order_and_checks(self, movie_schema):
+        pset = MetaPathSet.from_relations(movie_schema, USER_SYMMETRIC, [[1, 4, 3, 2], (1, 2)])
+        assert pset.key() == ((1, 4, 3, 2), (1, 2))
+        assert pset == MetaPathSet(
+            (MetaPath.from_relations(movie_schema, [1, 4, 3, 2]), MetaPath.from_relations(movie_schema, [1, 2])),
+            USER_SYMMETRIC,
+            movie_schema,
+        )
+        for relations, message in (([[2, 1]], "violates form"), ([[1, 2], [1, 2]], "duplicate"),
+                                   ([[1, 1]], "do not chain")):
+            with pytest.raises(MetaPathError, match=message):
+                MetaPathSet.from_relations(movie_schema, USER_SYMMETRIC, relations)
+
 
 def local_id(graph, name):
     """A node's id within its own type."""

@@ -6,7 +6,7 @@ import pytest
 from hinrec import evaluation, recommender as rec
 from hinrec.autodiff import Tape
 from hinrec.config import RunConfig
-from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPath, MetaPathSet, materialize_subgraph
+from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPathSet, materialize_subgraph
 from hinrec.util import derive_rng, derive_seed
 
 from conftest import ACT, ACTED, DIRECT, DIRECTED, WATCH, WATCHED
@@ -16,11 +16,8 @@ SEED = 11
 
 def pair_sets(graph, user_paths, item_paths):
     schema = graph.schema
-
-    def side(form, paths):
-        return MetaPathSet(tuple(MetaPath.from_relations(schema, p) for p in paths), form, schema)
-
-    return side(USER_SYMMETRIC, user_paths), side(ITEM_SYMMETRIC, item_paths)
+    return (MetaPathSet.from_relations(schema, USER_SYMMETRIC, user_paths),
+            MetaPathSet.from_relations(schema, ITEM_SYMMETRIC, item_paths))
 
 
 @pytest.fixture

@@ -80,22 +80,10 @@ TINY_EDGES = [
 def tiny_model(movie_schema):
     """The tiny graph with two paths per side; small dims for FD checks."""
     graph = graph_from(movie_schema, TINY_NODES, TINY_EDGES)
-    user_set = mp.MetaPathSet(
-        (
-            mp.MetaPath.from_relations(movie_schema, [WATCH, WATCHED]),
-            mp.MetaPath.from_relations(movie_schema, [WATCH, ACTED, ACT, WATCHED]),
-        ),
-        mp.USER_SYMMETRIC,
-        movie_schema,
+    user_set = mp.MetaPathSet.from_relations(
+        movie_schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
     )
-    item_set = mp.MetaPathSet(
-        (
-            mp.MetaPath.from_relations(movie_schema, [WATCHED, WATCH]),
-            mp.MetaPath.from_relations(movie_schema, [ACTED, ACT]),
-        ),
-        mp.ITEM_SYMMETRIC,
-        movie_schema,
-    )
+    item_set = mp.MetaPathSet.from_relations(movie_schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
     cfg = RunConfig(embed_dim=5, att_hidden=4, dropout=0.0, fanout=16, rec_lr=0.05, rec_batch=8)
     user_side = build_side(graph, user_set, density_filter(graph, None))
     item_side = build_side(graph, item_set, density_filter(graph, None))
@@ -504,6 +492,27 @@ class TestTraining:
         batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
         assert len(tapes) == 2 * batches and batches > 1
 
+    def test_non_finite_loss_names_epoch_and_batch(self, small_planted, monkeypatch):
+        """A NaN score in epoch 1's second batch stops training before its backward pass."""
+        graph, split, _ = small_planted
+        model = _small_model(graph, epochs=2)
+        batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
+        calls = []
+
+        def poisoned_loss(tape, ypos, yneg):
+            calls.append(len(calls))
+            if len(calls) == batches + 2:
+                ypos.value[0] = np.nan
+            return bpr_loss_var(tape, ypos, yneg)
+
+        monkeypatch.setattr(recommender, "bpr_loss_var", poisoned_loss)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"^non-finite training loss at epoch 1, batch 1$"
+        ):
+            train(model, split, 0, rising)
+        assert batches > 1 and len(calls) == batches + 2
+        assert model.adam_steps == batches + 1
+
     def test_early_stopping_restores_best(self, small_planted):
         graph, split, _ = small_planted
         model = _small_model(graph, epochs=8)
@@ -526,22 +535,10 @@ class TestTraining:
 
 def _small_model(graph, seed=0, lr=0.05, epochs=1):
     schema = graph.schema
-    user_set = mp.MetaPathSet(
-        (
-            mp.MetaPath.from_relations(schema, [WATCH, WATCHED]),
-            mp.MetaPath.from_relations(schema, [WATCH, ACTED, ACT, WATCHED]),
-        ),
-        mp.USER_SYMMETRIC,
-        schema,
+    user_set = mp.MetaPathSet.from_relations(
+        schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
     )
-    item_set = mp.MetaPathSet(
-        (
-            mp.MetaPath.from_relations(schema, [WATCHED, WATCH]),
-            mp.MetaPath.from_relations(schema, [ACTED, ACT]),
-        ),
-        mp.ITEM_SYMMETRIC,
-        schema,
-    )
+    item_set = mp.MetaPathSet.from_relations(schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
     cfg = RunConfig(
         embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128, rec_epochs=epochs
     )
