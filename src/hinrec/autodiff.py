@@ -258,18 +258,41 @@ class Tape:
         return self._emit(np.maximum(x.value, 0.0), back)
 
     def leaky_relu(self, x: Var) -> Var:
-        factor = np.where(x.value >= 0.0, 1.0, LEAKY_SLOPE)
+        """``x`` where ``x >= 0``, else ``LEAKY_SLOPE * x``: the bits of that
+        ``np.where``, without its select.
+
+        Scores have random signs, so a select mispredicts a branch on about
+        half the entries: on 48k scores the ``np.where`` form took 230 us and
+        ``max(x, LEAKY_SLOPE * x)`` 26 us (numpy 2.4.6, one Xeon core). The
+        max is exact: its arguments tie only at +-0 and +-inf, where they
+        have the same bits, and a nan stays that nan. The gradient's factor
+        is the comparison used as a number, ``LEAKY_SLOPE + (1 - LEAKY_SLOPE)
+        * (x >= 0)``: 0.8 + 0.2 rounds to 1.0 exactly, and nan compares
+        False, as in ``np.where``.
+        """
 
         def back(g):
-            x.accumulate(g * factor)
+            x.accumulate(g * (LEAKY_SLOPE + (1.0 - LEAKY_SLOPE) * (x.value >= 0.0)))
 
-        return self._emit(x.value * factor, back)
+        return self._emit(np.maximum(x.value, LEAKY_SLOPE * x.value), back)
 
     def elu(self, x: Var) -> Var:
-        y = np.where(x.value >= 0.0, x.value, np.expm1(x.value))
+        """``x`` where ``x >= 0``, else ``expm1(x)``: the bits of that
+        ``np.where``, without its select (see :meth:`leaky_relu`).
+
+        ``expm1(min(x, 0)) + max(x, 0)`` adds an exact +0.0 to whichever side
+        is kept, and ``copysign`` restores -0.0, the one input the sum turns
+        positive. The shorter ``max(expm1(min(x, 0)), x)`` would rest on how
+        ``min`` and ``max`` break a tie between +0.0 and -0.0, which IEEE 754
+        leaves open. The gradient ``g * (min(y, 0) + 1)`` is ``g`` where
+        ``x >= 0`` and ``g * (y + 1)`` elsewhere, nan included. On a 1,100 x
+        64 aggregate the value took 210 us instead of 460, and the gradient
+        60 us instead of 430 (numpy 2.4.6, one Xeon core).
+        """
+        y = np.copysign(np.expm1(np.minimum(x.value, 0.0)) + np.maximum(x.value, 0.0), x.value)
 
         def back(g):
-            x.accumulate(g * np.where(x.value >= 0.0, 1.0, y + 1.0))
+            x.accumulate(g * (np.minimum(y, 0.0) + 1.0))
 
         return self._emit(y, back)
 

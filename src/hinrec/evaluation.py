@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .hin import HinGraph, InteractionSet
 from .util import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
+
+_NO_ITEMS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,11 +78,12 @@ class SplitSet:
         """
         key = (which, seed, n_negatives)
         if key not in self._candidates:
-            users, rows = [], []
-            for u, positive in sorted(self.held_out(which).items()):
-                negs = sample_negatives(self, u, n_negatives, derive_rng(seed, "negatives", which, u))
-                users.append(u)
-                rows.append(np.concatenate([[positive], negs]))
+            held = self.held_out(which)
+            users = sorted(held)
+            rows = []
+            for u, pool in zip(users, negative_pools(self, users)):
+                negs = sample_negatives(pool, n_negatives, derive_rng(seed, "negatives", which, u))
+                rows.append(np.concatenate([[held[u]], negs]))
             counts = np.asarray([len(row) for row in rows], dtype=np.int64)
             short = counts[counts <= n_negatives] - 1
             if len(short):
@@ -146,25 +150,34 @@ def split_leave_one_out(interactions: InteractionSet, rng: np.random.Generator) 
     )
 
 
-def sample_negatives(
-    split: SplitSet, user: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Distinct items the user never interacted with, uniform without replacement.
+def negative_pools(split: SplitSet, users: list[int]) -> Iterator[np.ndarray]:
+    """Yield each user's never-interacted items, in ``users`` order: the
+    sorted ``item_ids`` without the user's profile, as
+    ``np.setdiff1d(item_ids, profile, assume_unique=True)`` gives them.
 
-    Falls back to the whole eligible pool when it is smaller than ``count``;
-    :meth:`SplitSet.candidates` reports such users.
-
-    The pool is ``item_ids`` without the user's profile items: the profile
-    items found by ``searchsorted`` in the sorted ``item_ids`` are deleted,
-    which gives ``np.setdiff1d(item_ids, interacted, assume_unique=True)``
-    several times faster.
+    One ``searchsorted`` places every user's profile in ``item_ids``, and
+    each pool is one ``np.delete`` of its user's found positions; profile
+    items outside ``item_ids`` are skipped. Only one pool is alive at a
+    time: a boolean keep-matrix over every user and item saved about 2 ms
+    more per draw on planted-mam, but raised search-rms's peak RSS.
     """
-    interacted = split.user_items.get(int(user), np.empty(0, dtype=np.int64))
     ids = split.item_ids
+    profiles = [split.user_items.get(int(u), _NO_ITEMS) for u in users]
+    interacted = np.concatenate([_NO_ITEMS, *profiles])
     at = np.searchsorted(ids, interacted)
     found = at < len(ids)
     found[found] = ids[at[found]] == interacted[found]
-    pool = np.delete(ids, at[found])
+    bounds = np.cumsum([0, *map(len, profiles)]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield np.delete(ids, at[lo:hi][found[lo:hi]])
+
+
+def sample_negatives(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct items of ``pool``, uniform without replacement.
+
+    Falls back to the whole pool when it is smaller than ``count``;
+    :meth:`SplitSet.candidates` reports such users.
+    """
     if len(pool) < count:
         return pool
     return rng.choice(pool, size=count, replace=False)

@@ -16,6 +16,12 @@ imports the package: the loader reference reads only a schema's
 ``node_types`` and ``relations``, and raises :class:`LoadError` where
 the package raises ``GraphLoadError``.
 
+The activations keep the ``np.where`` selects that the tape's
+branch-free forms must reproduce bit for bit, values and gradients, and
+:func:`sample_view_rows` is ``metapath.sample_view`` with its Floyd
+picks held one row per node, whose draws the fanout-major loop must
+reproduce.
+
 The DQN's TD update has a hand-written one: :func:`q_layers` keeps each
 layer's activations and :func:`td_update` runs the reverse pass layer by
 layer, on plain weight and bias lists, where ``hinrec.dqn`` records the
@@ -33,9 +39,62 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, x, 0.2 * x)
 
 
+def leaky_relu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient :meth:`hinrec.autodiff.Tape.leaky_relu` passes to ``x`` for upstream ``g``."""
+    return g * np.where(x >= 0.0, 1.0, 0.2)
+
+
 def elu(x: np.ndarray) -> np.ndarray:
     """Plain-numpy counterpart of :meth:`hinrec.autodiff.Tape.elu`."""
     return np.where(x >= 0.0, x, np.expm1(x))
+
+
+def elu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient :meth:`hinrec.autodiff.Tape.elu` passes to ``x`` for upstream ``g``."""
+    return g * np.where(x >= 0.0, 1.0, elu(x) + 1.0)
+
+
+def sample_view_rows(sub_indptr, sub_dst, fanout, rng):
+    """The sampled view ``(indptr, src, dst)`` of a subgraph's CSR rows, by a
+    row-major Floyd loop: ``picks[row, round]``, each round's repeat check an
+    ``any`` over each row's earlier picks."""
+    m = len(sub_indptr) - 1
+    degrees = np.diff(sub_indptr)
+    counts = np.where(degrees == 0, 1, np.minimum(degrees, fanout))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    src = np.repeat(np.arange(m), counts)
+    dst = np.empty(int(indptr[-1]), dtype=np.int64)
+
+    isolated = np.flatnonzero(degrees == 0)
+    dst[indptr[isolated]] = isolated
+    whole = (degrees > 0) & (degrees <= fanout)
+    kept = np.repeat(whole, degrees)
+    shift = np.repeat((indptr - sub_indptr)[:-1][whole], degrees[whole])
+    dst[np.flatnonzero(kept) + shift] = sub_dst[kept]
+
+    owner = np.repeat(np.arange(m), degrees)
+    self_edges = np.flatnonzero(sub_dst == owner)
+    self_at = np.full(m, -1, dtype=np.int64)
+    self_at[owner[self_edges]] = self_edges - sub_indptr[owner[self_edges]]
+    big = np.flatnonzero(degrees > fanout)
+    at = self_at[big]
+    has_self = at >= 0
+    pool = degrees[big] - has_self
+    picks = np.full((len(big), fanout), -1, dtype=np.int64)
+    for r in range(fanout):
+        active = np.flatnonzero(~has_self) if r == 0 else slice(None)
+        j = pool[active] - fanout + r
+        draw = rng.integers(0, j + 1)
+        taken = (picks[active, :r] == draw[:, None]).any(axis=1)
+        picks[active, r] = np.where(taken, j, draw)
+    rows = picks + sub_indptr[big, None]
+    rows += (picks >= at[:, None]) & has_self[:, None]
+    chosen = sub_dst[rows]
+    chosen[has_self, 0] = big[has_self]
+    chosen.sort(axis=1)
+    dst[indptr[big, None] + np.arange(fanout)] = chosen
+    return indptr, src, dst
 
 
 def project(W: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -243,4 +243,59 @@ class TestComposition:
         arr = rng.normal(size=(5, 4))
         for op, reference in ((Tape.relu, lambda x: np.maximum(x, 0.0)), (Tape.leaky_relu, reference_ops.leaky_relu),
                               (Tape.elu, reference_ops.elu), (Tape.tanh, np.tanh), (Tape.huber, reference_ops.huber)):
-            np.testing.assert_allclose(op(Tape(), Var(arr)).value, reference(arr))
+            assert op(Tape(), Var(arr)).value.tobytes() == reference(arr).tobytes(), op.__name__
+
+
+# Signed zeros, infinities, nan, the smallest subnormal, a value expm1 returns
+# unrounded, and one where it returns -1.
+SPECIAL_VALUES = np.asarray([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-17, -1e-17, -700.0])
+
+
+class Spy(Var):
+    """A leaf that keeps the raw array each accumulate passes it."""
+
+    __slots__ = ("seen",)
+
+    def accumulate(self, g):
+        self.seen = g.copy()
+
+
+class TestActivationBits:
+    """The branch-free activations against the ``np.where`` selects, bit for bit.
+
+    Lengths 1, 7 and 9 run numpy's scalar loops or a SIMD body with a short
+    tail; 64 and 1,100 x 64 (a node-level aggregate) run whole vectors. Every
+    other entry is a special value, cycled so that each of them takes each
+    such slot over the shifts, and length 1 takes each of them alone.
+    """
+
+    @staticmethod
+    def inputs(length):
+        rng = np.random.default_rng(length)
+        for shift in range(len(SPECIAL_VALUES)):
+            x = rng.normal(size=length) * 10.0 ** rng.integers(-3, 3, size=length)
+            x[::2] = SPECIAL_VALUES[(np.arange(0, length, 2) // 2 + shift) % len(SPECIAL_VALUES)]
+            g = rng.normal(size=length)
+            g[::5] = SPECIAL_VALUES[(np.arange(0, length, 5) + shift) % len(SPECIAL_VALUES)]
+            shape = (1100, 64) if length == 70_400 else (length,)
+            yield x.reshape(shape), g.reshape(shape)
+
+    @pytest.mark.parametrize("length", [1, 7, 9, 64, 70_400])
+    @pytest.mark.parametrize(
+        "op, value, grad",
+        [
+            (Tape.leaky_relu, reference_ops.leaky_relu, reference_ops.leaky_relu_grad),
+            (Tape.elu, reference_ops.elu, reference_ops.elu_grad),
+        ],
+        ids=["leaky_relu", "elu"],
+    )
+    def test_value_and_gradient_bytes_match_the_selects(self, op, value, grad, length):
+        for x, g in self.inputs(length):
+            tape = Tape()
+            leaf = Spy(x)
+            y = op(tape, leaf)
+            assert y.value.tobytes() == value(x).tobytes()
+            # The upstream gradient reaches y as g + 0.0 (Var.accumulate), which only drops -0.0's sign.
+            with np.errstate(invalid="ignore"):  # inf * 0 in the products
+                tape.backward(tape.mul_const(y, g))
+                assert leaf.seen.tobytes() == grad(x, g + 0.0).tobytes()

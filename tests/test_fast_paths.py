@@ -3,7 +3,7 @@
 The reference implementations below are the earlier per-element versions
 of ``Tape.gather``'s backward (``np.add.at`` into zeros),
 ``evaluation.evaluate`` (candidate rows redrawn on every call and ranked
-one user at a time), ``evaluation.sample_negatives``'s pool (``np.setdiff1d``),
+one user at a time), ``evaluation.negative_pools`` (``np.setdiff1d``),
 the node aggregation (gather, row scaling and group sum as three tape ops),
 ``Var.accumulate`` (zeros, then ``+=``), ``metapath.sample_view`` (one
 ``rng.choice`` per node) and ``metapath.materialize_subgraph`` (a boolean
@@ -26,9 +26,10 @@ Most fast paths must reproduce their reference bit for bit, down to the
 state of the random generator they share. Three are held to a looser
 contract instead. The sampler draws other (equally uniform) subsets than
 ``rng.choice``, so its views are checked for shape, membership, the
-self-loop, determinism and uniformity. The aggregation's forward sums each
-group in another order, so it is checked to 1e-13, with its gradients
-still byte-equal. The ranking scores every pair from one product of the
+self-loop, determinism and uniformity, and in every byte against
+``reference_ops.sample_view_rows``, the same Floyd draws held row by row.
+The aggregation's forward sums each group in another order, so it is
+checked to 1e-13, with its gradients still byte-equal. The ranking scores every pair from one product of the
 embedding tables, and its metrics must equal the per-user reference.
 """
 from __future__ import annotations
@@ -210,7 +211,7 @@ def reference_evaluate(scorer, split, which, ks, seed, n_negatives=499):
 
     def rank_one(u):
         positive = held[u]
-        negs = evaluation.sample_negatives(split, u, n_negatives, derive_rng(seed, "negatives", which, u))
+        negs = reference_sample_negatives(split, u, n_negatives, derive_rng(seed, "negatives", which, u))
         candidates = np.concatenate([[positive], negs])
         return reference_rank_position(scorer(u, candidates), 0)
 
@@ -623,9 +624,20 @@ def assert_view_contract(subgraph, fanout, seed):
     """The per-node loop's contract: every row holds min(degree, fanout) entries,
     sorted and distinct, drawn from its subgraph row with the self-loop kept, and
     isolated nodes get themselves. Rows at or below the fanout equal the loop's;
-    drawn rows may hold another subset than its ``rng.choice``."""
-    view = sample_view(subgraph, fanout, derive_rng(seed, "view"))
+    drawn rows may hold another subset than its ``rng.choice``.
+
+    The view is also ``reference_ops.sample_view_rows``'s in every byte, the
+    same Floyd draws with the picks held row by row, and leaves the generator
+    in the same state."""
+    rng = derive_rng(seed, "view")
+    view = sample_view(subgraph, fanout, rng)
     ref = reference_sample_view(subgraph, fanout, derive_rng(seed, "view"))
+    rng_rows = derive_rng(seed, "view")
+    rows_ref = reference_ops.sample_view_rows(subgraph.indptr, subgraph.dst, fanout, rng_rows)
+    for name, want in zip(("indptr", "src", "dst"), rows_ref):
+        got = getattr(view, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, fanout, seed)
+    assert rng.bit_generator.state == rng_rows.bit_generator.state
     assert view.m == subgraph.m
     for name in ("indptr", "src", "dst"):
         assert getattr(view, name).dtype == np.int64, name
@@ -669,11 +681,11 @@ def test_sample_view_matches_per_node_loop_on_random_graphs(diagonal):
 
 def test_sample_view_matches_per_node_loop_on_planted_graph(small_planted):
     graph, _, _ = small_planted
-    for relations in ([1, 2], [1, 4, 3, 2], [2, 1], [4, 3]):
+    for relations in ([1, 2], [1, 4, 3, 2], [2, 1], [4, 3], [2, 1, 2, 1]):  # the last is the dense MUMUM
         path = MetaPath.from_relations(graph.schema, relations)
         full = metapath.materialize_subgraph(graph, path, threshold=None)
         for subgraph in (full, without_diagonal(full)):
-            for fanout in (1, 5, 20):
+            for fanout in sorted({1, 2, 5, 20, int(np.diff(subgraph.indptr).max())}):
                 assert_view_contract(subgraph, fanout, fanout)
 
 
@@ -903,14 +915,18 @@ def test_sample_negatives_matches_setdiff1d_pool(fresh_split, count):
         {0: [10, 12, 14], 1: [10, 11, 12, 13, 14], 2: [12, 99], 3: [], 4: [9, 11]},
         [10, 11, 12, 13, 14],
     )
-    cases = [(split, u) for u in sorted(split.user_items)[:50]] + [(hand, u) for u in range(6)]
-    for which, u in cases:
-        rng_fast, rng_ref = derive_rng(u, "pool"), derive_rng(u, "pool")
-        fast = evaluation.sample_negatives(which, u, count, rng_fast)
-        ref = reference_sample_negatives(which, u, count, rng_ref)
-        assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes(), (u, count)
-        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
-    assert len(evaluation.sample_negatives(hand, 1, count, derive_rng(0, "pool"))) == 0
+    # One negative_pools pass per split, as SplitSet.candidates makes, over every case's user.
+    for which, users in ((split, sorted(split.user_items)[:50]), (hand, list(range(6)))):
+        pools = list(evaluation.negative_pools(which, users))
+        assert len(pools) == len(users)
+        for u, pool in zip(users, pools):
+            rng_fast, rng_ref = derive_rng(u, "pool"), derive_rng(u, "pool")
+            fast = evaluation.sample_negatives(pool, count, rng_fast)
+            ref = reference_sample_negatives(which, u, count, rng_ref)
+            assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes(), (u, count)
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    assert [len(pool) for pool in evaluation.negative_pools(hand, [1, 3])] == [0, 5]
+    assert list(evaluation.negative_pools(hand, [])) == []
 
 
 def test_candidates_built_once_per_key(monkeypatch, fresh_split):
@@ -919,9 +935,9 @@ def test_candidates_built_once_per_key(monkeypatch, fresh_split):
     calls = Counter()
     original = evaluation.sample_negatives
 
-    def counting(split_, user, count, rng):
+    def counting(pool, count, rng):
         calls[count] += 1
-        return original(split_, user, count, rng)
+        return original(pool, count, rng)
 
     monkeypatch.setattr(evaluation, "sample_negatives", counting)
     n_val = len(split.validation)
