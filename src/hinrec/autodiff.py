@@ -31,6 +31,20 @@ WEIGHT_GRAD_BLOCK = 512
 LEAKY_SLOPE = 0.2
 
 
+# Lane offsets ``tile(arange(k), n)`` per pair count ``k``, for :func:`scatter_rows`:
+# each call takes a prefix, and a width's array grows to the most rows seen.
+# They are read-only, as every call shares them.
+_LANES: dict[int, np.ndarray] = {}
+
+
+def _lane_offsets(k: int, n: int) -> np.ndarray:
+    lanes = _LANES.get(k)
+    if lanes is None or len(lanes) < n * k:
+        lanes = _LANES[k] = np.tile(np.arange(k, dtype=np.int64), n)
+        lanes.flags.writeable = False
+    return lanes[: n * k]
+
+
 def scatter_rows(op: np.ufunc, table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     """``op.at(table, rows, vals)`` in place: each row of ``table`` takes its
     ``vals`` in index order, with the bits of that row-indexed call.
@@ -40,10 +54,16 @@ def scatter_rows(op: np.ufunc, table: np.ndarray, rows: np.ndarray, vals: np.nda
     width is viewed as ``complex128`` pairs: a complex add or subtract is one
     float64 add or subtract on each part, so every element takes the same
     operations in the same order, and ``ufunc.at`` walks half as many
-    indices. One 512 x 64 scatter, index build included, took about 50 us
+    indices. One 512 x 64 scatter, index build included, took about 43 us
     this way, 70 us unpaired and 380 us row-indexed (numpy 2.4.6, one Xeon
     core). ``table`` must be C-contiguous, so that the flat view is not a
     copy.
+
+    The flat index is ``repeat(rows * k, k)`` plus the lane offsets
+    ``tile(arange(k), len(rows))``, a prefix of one array kept per width
+    ``k``. The broadcast ``rows[:, None] * k + arange(k)`` gives the same
+    index, but numpy runs it as one short inner loop per row: a 512-row
+    index at k = 32 took 17.8 us that way and 11.8 us this way.
     """
     if table.ndim == 1:
         op.at(table, rows, vals)
@@ -53,7 +73,9 @@ def scatter_rows(op: np.ufunc, table: np.ndarray, rows: np.ndarray, vals: np.nda
     d = table.shape[1]
     dtype, k = (np.complex128, d // 2) if table.dtype == np.float64 and d % 2 == 0 else (table.dtype, d)
     flat = np.ascontiguousarray(vals, dtype=table.dtype).view(dtype).reshape(-1)
-    op.at(table.view(dtype).reshape(-1), (rows[:, None] * k + np.arange(k)).reshape(-1), flat)
+    idx = np.repeat(rows * k, k)
+    idx += _lane_offsets(k, len(rows))
+    op.at(table.view(dtype).reshape(-1), idx, flat)
 
 
 def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -112,6 +112,10 @@ def draw_negatives(
     ``pos_bits`` is the interacted pairs' bit table (:func:`positive_bits`).
     Every round redraws exactly the rejected entries, in batch order, and
     tests only those entries again.
+
+    Entries still rejected after ``max_tries`` rounds belong to users with
+    few free items. Each takes one uniform draw from its user's free items,
+    in batch order; a user with none raises :class:`ValueError`.
     """
     offsets = np.asarray(users, dtype=np.int64) * n_items
     j = rng.integers(0, n_items, size=len(offsets))
@@ -121,7 +125,15 @@ def draw_negatives(
             return j
         j[bad] = rng.integers(0, n_items, size=len(bad))
         bad = bad[_has_bit(pos_bits, offsets[bad] + j[bad])]
-    raise RuntimeError("could not draw negatives; catalog nearly saturated")
+    for e in bad:
+        free = np.flatnonzero(~_has_bit(pos_bits, offsets[e] + np.arange(n_items)))
+        if not len(free):
+            raise ValueError(
+                f"user {offsets[e] // n_items} (local index) has interacted with all {n_items} items, "
+                "so no negative item can be drawn for it"
+            )
+        j[e] = free[rng.integers(len(free))]
+    return j
 
 
 def mf_pretrain(
@@ -150,6 +162,16 @@ def mf_pretrain(
     Each epoch draws a permutation, then every batch's negatives up front,
     one :func:`draw_negatives` call per batch in batch order, which is the
     order of the generator's draws when each batch drew its own.
+
+    The step works on flat operands, each float operation with the
+    operands and order of the loop's. Rows are gathered with ``np.take``
+    and the negatives' rows subtracted in place; the row factor ``s`` is
+    expanded once to ``repeat(s, d)`` and multiplied into the flat step
+    arrays. numpy runs a ``(B, 1)`` column broadcast over ``(B, d)`` rows
+    as B inner loops of d elements, so with the scatter's flat index
+    (:func:`~hinrec.autodiff.scatter_rows`) this form took MF on
+    planted-mam from 141-148 to 121-123 ms (medians of 9 calls, 360
+    batches of 512 at d = 64, one Xeon core).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
@@ -174,9 +196,10 @@ def mf_pretrain(
         users, items = pairs[perm, 0], pairs[perm, 1]
         negatives = np.concatenate([draw_negatives(users[b], pos_bits, n_items, rng) for b in batches])
         for b in batches:
-            step_q, step_p = P[users[b]], Q[items[b]] - Q[negatives[b]]
-            s = expit(-np.sum(step_q * step_p, axis=1))[:, None]
-            for step in (step_p, step_q):  # in place, with the bits of lr * (s * step)
+            step_q, step_p = np.take(P, users[b], axis=0), np.take(Q, items[b], axis=0)
+            step_p -= np.take(Q, negatives[b], axis=0)
+            s = np.repeat(expit(-np.sum(step_q * step_p, axis=1)), d)
+            for step in (step_p.reshape(-1), step_q.reshape(-1)):  # in place, with the bits of lr * (s * step)
                 step *= s
                 step *= lr
             scatter_rows(np.add, P, users[b], step_p)

@@ -172,17 +172,28 @@ def draw_negatives(users, user_items, n_items, rng, max_tries=100):
     """Uniform item per user outside ``user_items[user]``, by rejection, one user at a time.
 
     Each round tests every entry, then redraws the rejected ones in batch order.
+    An entry still rejected after the last round draws from its user's free
+    items with ``np.setdiff1d``, in batch order.
     """
-    j = rng.integers(0, n_items, size=len(users))
-    for _ in range(max_tries):
+    def rejected():
         bad = np.zeros(len(users), dtype=bool)
         for u in np.unique(users):
             sel = users == u
             bad[sel] = np.isin(j[sel], user_items[u])
+        return bad
+
+    j = rng.integers(0, n_items, size=len(users))
+    for _ in range(max_tries):
+        bad = rejected()
         if not bad.any():
             return j
         j[bad] = rng.integers(0, n_items, size=int(bad.sum()))
-    raise RuntimeError("could not draw negatives; catalog nearly saturated")
+    for e in np.flatnonzero(rejected()):
+        free = np.setdiff1d(np.arange(n_items), user_items[users[e]])
+        if not len(free):
+            raise ValueError(f"user {users[e]} has no free item")
+        j[e] = free[rng.integers(len(free))]
+    return j
 
 
 def mf_pretrain(pairs, n_users, n_items, d, epochs, lr, rng, batch_size=512):

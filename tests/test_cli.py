@@ -257,6 +257,25 @@ def test_train_rejects_zero_epochs(dataset, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys):
+    """4 users x 4 movies, u0 (user 0) having watched all four: no negative can be drawn
+    for it, and the CLI reports that as an error rather than a traceback."""
+    (tmp_path / "schema.txt").write_text(
+        "node_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: watch\n"
+    )
+    watched = {0: range(4), 1: (0, 1), 2: (1, 2), 3: (2, 3)}
+    (tmp_path / "nodes.tsv").write_text("".join(f"{t}{i}\t{n}\n" for t, n in (("u", "User"), ("m", "Movie")) for i in range(4)))
+    (tmp_path / "edges.tsv").write_text("".join(f"u{u}\twatch\tm{m}\n" for u, ms in watched.items() for m in ms))
+    config = tmp_path / "run.cfg"
+    config.write_text("density_threshold = 1.0\nmf_epochs = 1\nrec_epochs = 1\n")  # keep the dense UMU and MUM
+    rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), "--dataset", tmp_path, "--config", config,
+             "--seed", 0, "--out", tmp_path / "run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: user 0 (local index) has interacted with all 4 items" in err
+    assert "Traceback" not in err
+
+
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))

@@ -16,8 +16,9 @@ that draws each batch's negatives that way and scatters with ``np.add.at``.
 scatter through, is held to the row-indexed ``op.at`` directly: on even
 widths, which it moves as complex128 pairs, and odd ones, on a table 8
 bytes off a 16-byte boundary, on strided values, and on signed zeros,
-infinities and nan. A spy pins which widths take the pairs, and MF is
-checked at odd widths too.
+infinities and nan; at widths 1 to 66 with no rows, one row and 512; and
+past the most rows its lane offsets have held. A spy pins which widths
+take the pairs, and MF is checked at odd widths and at d = 64 too.
 The data set-up's references live there too: ``synth_tsvs`` (one user at a
 time, with ``np.unique`` and ``np.setdiff1d``), ``load_tsvs`` (one line at a
 time) and ``split_leave_one_out`` (one user at a time).
@@ -266,9 +267,41 @@ def test_draw_negatives_matches_per_user_loop(n_items, seed):
 
 
 def test_draw_negatives_saturated_catalog_raises():
+    """User 0 has interacted with every item: a ``ValueError`` names it, which the CLI reports."""
     pairs = np.asarray([[0, 0], [0, 1], [0, 2], [1, 0]])
-    with pytest.raises(RuntimeError, match="saturated"):
+    with pytest.raises(ValueError, match=r"user 0 .*all 3 items"):
         draw_negatives(np.asarray([1, 0, 1]), positive_bits(pairs, 2, 3), 3, derive_rng(0, "sat"), max_tries=20)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_draw_negatives_finds_the_one_free_item(seed):
+    """One free item of 1,100: the 100 rejection rounds miss it on 18 of these 20 seeds,
+    and the fallback draws it from the user's free items."""
+    n_items, free = 1100, 417
+    pairs = np.stack([np.zeros(n_items - 1, dtype=np.int64), np.delete(np.arange(n_items), free)], axis=1)
+    j = draw_negatives(np.zeros(1, dtype=np.int64), positive_bits(pairs, 1, n_items), n_items, derive_rng(seed, "one-free"))
+    assert j.tolist() == [free]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_negatives_fallback_matches_per_user_loop(seed):
+    """Users 0 and 3 have 2 free items of 300, so 3 rounds leave entries rejected: the fallback's
+    draws, in batch order, match the reference's, down to the generator state."""
+    data = derive_rng(seed, "fallback")
+    n_users, n_items = 5, 300
+    pairs = random_pairs(data, n_users, n_items)
+    pairs = pairs[(pairs[:, 0] != 0) & (pairs[:, 0] != 3)]
+    crowded = [(u, i) for u in (0, 3) for i in np.sort(data.choice(n_items, size=n_items - 2, replace=False))]
+    pairs = np.concatenate([pairs, np.asarray(crowded, dtype=np.int64)])
+    users = data.integers(0, n_users, size=200)
+    rng_fast, rng_ref = derive_rng(seed, "draw"), derive_rng(seed, "draw")
+    fast = draw_negatives(users, positive_bits(pairs, n_users, n_items), n_items, rng_fast, max_tries=3)
+    ref = reference_ops.draw_negatives(users, reference_ops.per_user_items(pairs, n_users), n_items, rng_ref, max_tries=3)
+    np.testing.assert_array_equal(fast, ref)
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    dense = np.zeros((n_users, n_items), dtype=bool)
+    dense[pairs[:, 0], pairs[:, 1]] = True
+    assert not dense[users, fast].any()
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +536,33 @@ def test_scatter_pairs_even_width_float64_rows(shape, dtype):
     assert table.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 32, 64, 66])
+@pytest.mark.parametrize("n", [0, 1, 512])
+def test_scatter_rows_matches_add_at_by_width(width, n):
+    """Odd and even widths, each with no rows, one row and a batch of 512 that repeats rows."""
+    rng = np.random.default_rng(width * 1000 + n)
+    rows = rng.integers(0, 40, size=n)
+    table, vals = rng.normal(size=(40, width)), rng.normal(size=(n, width))
+    expected = table.copy()
+    scatter_rows(np.add, table, rows, vals)
+    np.add.at(expected, rows, vals)
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_scatter_rows_lane_offsets_grow_past_the_largest_count(monkeypatch):
+    """Starting from no lane offsets, each call takes more rows than any before it, then fewer."""
+    monkeypatch.setattr(autodiff, "_LANES", {})
+    rng = np.random.default_rng(7)
+    for n in (3, 40, 700, 5, 701):
+        rows = rng.integers(0, 50, size=n)
+        table, vals = rng.normal(size=(50, 64)), rng.normal(size=(n, 64))
+        expected = table.copy()
+        scatter_rows(np.subtract, table, rows, vals)
+        np.subtract.at(expected, rows, vals)
+        assert table.tobytes() == expected.tobytes()
+    assert len(autodiff._LANES[32]) == 701 * 32 and not autodiff._LANES[32].flags.writeable
+
+
 def assert_mf_matches_reference(pairs, n_users, n_items, batch_size, epochs=3, seed=5, d=8):
     args = (pairs, n_users, n_items, d, epochs, 0.05)
     P, Q = recommender.mf_pretrain(*args, derive_rng(seed, "mf"), batch_size=batch_size)
@@ -524,9 +584,20 @@ def test_mf_pretrain_bit_identical_to_per_batch_loop(monkeypatch, small_planted)
 
     monkeypatch.setattr(recommender, "scatter_rows", recording)
     assert_mf_matches_reference(pairs, graph.type_count("User"), graph.type_count("Movie"), 16)
+    assert len(scattered) == 3 * 3 * -(-len(pairs) // 16)  # three scatters per batch, three epochs
     users, items, negatives = scattered[0::3], scattered[1::3], scattered[2::3]
     assert any(len(np.unique(u)) < len(u) for u in users)
     assert any(np.intersect1d(i, j).size for i, j in zip(items, negatives))
+
+
+@pytest.mark.parametrize("batch_size", [512, 100])
+def test_mf_pretrain_bit_identical_at_production_shape(small_planted, batch_size):
+    """d = 64 and batches of 512, as the probe runs MF: planted-mam-small's 360 training
+    pairs make each epoch one short batch. Batches of 100 end each epoch on a short one."""
+    graph, split, _ = small_planted
+    pairs = split.train_local(graph)
+    assert len(pairs) % batch_size
+    assert_mf_matches_reference(pairs, graph.type_count("User"), graph.type_count("Movie"), batch_size, d=64)
 
 
 def mf_case(name):
