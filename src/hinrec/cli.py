@@ -165,7 +165,6 @@ def _side_budget(cfg: RunConfig) -> int:
 def cmd_search(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
     schema = graph.schema
@@ -221,7 +220,6 @@ def cmd_search(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     sets_doc = read_json(args.sets)
     if not isinstance(sets_doc, dict):
         raise ValueError(f"{args.sets}: expected a JSON object, not {type(sets_doc).__name__}")
@@ -236,8 +234,12 @@ def cmd_train(args) -> int:
             raise ValueError(f"{args.sets}: {key}: {exc}") from exc
 
     probe = evaluation.PerformanceProbe(graph, split, cfg)
-    model = probe.model(sets["user_set"], sets["item_set"], derive_rng(cfg.seed, "hrec-init"))
-    result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
+    try:
+        model = probe.model(sets["user_set"], sets["item_set"], derive_rng(cfg.seed, "hrec-init"))
+        result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
+    except rec.SaturatedUser as exc:  # name the user as the dataset does
+        user_offset = graph.type_offsets[graph.schema.type_index(graph.schema.user_type)]
+        raise rec.SaturatedUser(exc.user, exc.n_items, graph.node_names[user_offset + exc.user]) from None
     history_path = out / "history.jsonl"
     if history_path.exists():
         history_path.unlink()
@@ -262,7 +264,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
     train_graph = evaluation.training_graph(graph, split, cfg.leak_guard)

@@ -205,7 +205,6 @@ class DqnAgent:
 def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = False):
     """One episode; during training every transition feeds the buffer/updates."""
     state = env.reset()
-    final_state = state
     total_reward = 0.0
     while True:
         eps = 0.0 if greedy else agent.epsilon()
@@ -216,10 +215,9 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
                 Transition(state.encoding.copy(), action, out.reward, out.state.encoding.copy(), out.done)
             )
         total_reward += out.reward
-        final_state = out.state
         state = out.state
         if out.done:
-            return final_state, total_reward
+            return state, total_reward
 
 
 def search(env, cfg: RunConfig, seed: int, episodes: int):

@@ -1,11 +1,14 @@
 """HRec: two-level attention over meta-path subgraphs with BPR training.
 
 User and item embeddings (initialized by BPR matrix factorization) are
-projected per node type, aggregated over each meta-path subgraph with
-node-level attention, fused across meta-paths with a second attention
-layer, and scored by inner product. All gradients flow through the local
-reverse-mode tape in :mod:`hinrec.autodiff`; there is no framework
-underneath.
+projected per node type and pass two levels of attention. Each meta-path
+runs on its own: :func:`path_table`, the node level, aggregates each node's
+sampled neighbours in the path's subgraph, and :func:`path_score` rates the
+resulting table. The meta-path level's weighting, :func:`fuse`, then runs
+once per set: a softmax over the scores weights the tables into one. Users
+and items are scored by inner product.
+All gradients flow through the local reverse-mode tape in
+:mod:`hinrec.autodiff`; there is no framework underneath.
 """
 from __future__ import annotations
 
@@ -27,6 +30,15 @@ log = logging.getLogger(__name__)
 
 class AllPathsRejected(ValueError):
     """Every path of a set produced an over-dense (rejected) subgraph."""
+
+
+class SaturatedUser(ValueError):
+    """A user, by local index, who has interacted with every item; the message gives ``name`` if known."""
+
+    def __init__(self, user: int, n_items: int, name: str | None = None):
+        who = f"user {user} (local index)" if name is None else f"user {name}"
+        super().__init__(f"{who} has interacted with all {n_items} items, so no negative item can be drawn for it")
+        self.user, self.n_items = user, n_items
 
 
 # The RunConfig fields that fix a model's parameters and forward pass; a
@@ -115,7 +127,7 @@ def draw_negatives(
 
     Entries still rejected after ``max_tries`` rounds belong to users with
     few free items. Each takes one uniform draw from its user's free items,
-    in batch order; a user with none raises :class:`ValueError`.
+    in batch order; a user with none raises :class:`SaturatedUser`.
     """
     offsets = np.asarray(users, dtype=np.int64) * n_items
     j = rng.integers(0, n_items, size=len(offsets))
@@ -128,10 +140,7 @@ def draw_negatives(
     for e in bad:
         free = np.flatnonzero(~_has_bit(pos_bits, offsets[e] + np.arange(n_items)))
         if not len(free):
-            raise ValueError(
-                f"user {offsets[e] // n_items} (local index) has interacted with all {n_items} items, "
-                "so no negative item can be drawn for it"
-            )
+            raise SaturatedUser(int(offsets[e] // n_items), n_items)
         j[e] = free[rng.integers(len(free))]
     return j
 
@@ -366,6 +375,38 @@ def sample_views(
     return [mp.sample_view(sg, fanout, rng) for sg in side.subgraphs]
 
 
+def path_table(tape: Tape, Z: Var, a: Var, view: mp.SampledView) -> Var:
+    """One meta-path φ's node-level attention: the table of h^φ_i.
+
+    ``Z`` holds the side's projected rows, the paper's z_i = W_φ x_i with one
+    W per node type, shared by the side's paths; ``a`` is a_φ = [a_src ‖ a_dst].
+    Per view edge (i, j): e^φ_ij = LeakyReLU(a_φ^T [z_i ‖ z_j]); then
+    α^φ_ij = softmax_j(e^φ_ij) over i's sampled neighbours, and
+    h^φ_i = ELU(Σ_j α^φ_ij z_j).
+    """
+    d = Z.value.shape[1]
+    a_src, a_dst = tape.slice1d(a, 0, d), tape.slice1d(a, d, 2 * d)
+    e = tape.leaky_relu(
+        tape.add(tape.gather(tape.matvec(Z, a_src), view.src), tape.gather(tape.matvec(Z, a_dst), view.dst))
+    )
+    alpha = tape.segment_softmax(e, view.indptr, view.src)
+    return tape.elu(tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst))
+
+
+def path_score(tape: Tape, Hx: Var, W: Var, b: Var, q: Var) -> Var:
+    """HAN's meta-path importance w_φ = mean_i tanh(h^φ_i W + b) q_φ, a scalar."""
+    return tape.mean(tape.matvec(tape.tanh(tape.add_bias(tape.matmul(Hx, W), b)), q))
+
+
+def fuse(tape: Tape, tables: list[Var], scores: list[Var]) -> tuple[Var, Var]:
+    """HAN's meta-path level: β = softmax(w) over the paths, and the table Σ_φ β_φ h^φ."""
+    beta = tape.softmax(tape.stack_scalars(scores))
+    fused = tape.scale(tables[0], tape.pick(beta, 0))
+    for k in range(1, len(tables)):
+        fused = tape.add(fused, tape.scale(tables[k], tape.pick(beta, k)))
+    return fused, beta
+
+
 def _side_forward(
     tape: Tape,
     model: HRecModel,
@@ -376,42 +417,24 @@ def _side_forward(
 ) -> tuple[Var, Var]:
     """One side's fused embedding table and its meta-path weights β.
 
-    The paper's σ at each level is HAN's (Wang et al., arXiv:1903.07293):
-    LeakyReLU on node-level scores, ELU on aggregation, tanh in the
-    meta-path-level attention. ``drop_rng`` draws dropout masks; inference,
-    with no dropout, passes ``None``.
+    Each path's :func:`path_table`, then its :func:`path_score`, in path
+    order, then one :func:`fuse`. The paper's σ at each level is HAN's
+    (Wang et al., arXiv:1903.07293): LeakyReLU on node-level scores, ELU on
+    aggregation, tanh in the meta-path-level attention. ``drop_rng`` draws
+    dropout masks; inference, with no dropout, passes ``None``.
     """
-    cfg = model.cfg
-    emb = model.params[f"{tag}_emb"]
-    W = model.params[f"proj.{side.node_type}"]
-    Z = tape.matmul(emb, W)
+    cfg, params = model.cfg, model.params
+    Z = tape.matmul(params[f"{tag}_emb"], params[f"proj.{side.node_type}"])
     if drop_rng is not None and cfg.dropout > 0.0:
         keep = (drop_rng.random(Z.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         Z = tape.mul_const(Z, keep)
-
+    W, b = params[f"fuse.{tag}.W"], params[f"fuse.{tag}.b"]
     tables: list[Var] = []
-    w_scalars: list[Var] = []
+    scores: list[Var] = []
     for k, view in enumerate(views):
-        a = model.params[f"natt.{tag}.{k}"]
-        a_src = tape.slice1d(a, 0, cfg.embed_dim)
-        a_dst = tape.slice1d(a, cfg.embed_dim, 2 * cfg.embed_dim)
-        e = tape.leaky_relu(
-            tape.add(
-                tape.gather(tape.matvec(Z, a_src), view.src),
-                tape.gather(tape.matvec(Z, a_dst), view.dst),
-            )
-        )
-        alpha = tape.segment_softmax(e, view.indptr, view.src)
-        Hx = tape.elu(tape.segment_weighted_sum(Z, alpha, view.indptr, view.src, view.dst))
-        tables.append(Hx)
-        T = tape.tanh(tape.add_bias(tape.matmul(Hx, model.params[f"fuse.{tag}.W"]), model.params[f"fuse.{tag}.b"]))
-        w_scalars.append(tape.mean(tape.matvec(T, model.params[f"q.{tag}.{k}"])))
-
-    beta = tape.softmax(tape.stack_scalars(w_scalars))
-    fused = tape.scale(tables[0], tape.pick(beta, 0))
-    for k in range(1, len(tables)):
-        fused = tape.add(fused, tape.scale(tables[k], tape.pick(beta, k)))
-    return fused, beta
+        tables.append(path_table(tape, Z, params[f"natt.{tag}.{k}"], view))
+        scores.append(path_score(tape, tables[k], W, b, params[f"q.{tag}.{k}"]))
+    return fuse(tape, tables, scores)
 
 
 def forward(

@@ -259,7 +259,7 @@ def test_train_rejects_zero_epochs(dataset, tmp_path, capsys):
 
 def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys):
     """4 users x 4 movies, u0 (user 0) having watched all four: no negative can be drawn
-    for it, and the CLI reports that as an error rather than a traceback."""
+    for it, and the CLI reports that as an error naming u0, rather than a traceback."""
     (tmp_path / "schema.txt").write_text(
         "node_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: watch\n"
     )
@@ -272,8 +272,20 @@ def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys):
              "--seed", 0, "--out", tmp_path / "run")
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: user 0 (local index) has interacted with all 4 items" in err
+    assert "error: user u0 has interacted with all 4 items" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "train", "eval"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
+    """A dataset that cannot be read fails the command before any output is written."""
+    extra = {"search": (), "train": ("--sets", base_sets(tmp_path / "sets.json")),
+             "eval": ("--checkpoint", tmp_path / "model.ckpt")}[command]
+    out = tmp_path / "run"
+    assert run(command, "--dataset", tmp_path / "nonexistent", "--seed", 0, "--out", out, *extra) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

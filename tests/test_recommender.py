@@ -19,8 +19,11 @@ from hinrec.recommender import (
     build_side,
     draw_negatives,
     forward,
+    fuse,
     infer_embeddings,
     mf_pretrain,
+    path_score,
+    path_table,
     positive_bits,
     sample_views,
     train,
@@ -415,6 +418,26 @@ class TestForward:
             )
             np.testing.assert_allclose(beta.value, ref_beta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(fused.value, ref_fused, rtol=0, atol=1e-12)
+
+    def test_paths_on_their_own_tapes_fuse_to_the_side_forward(self, small_planted):
+        """Each path's table and score, each on a throwaway tape, then one ``fuse`` on a fresh
+        tape: the fused table and β have the bytes of the whole side's forward. A cache of
+        per-path tables shared between sets relies on this."""
+        model = _small_model(small_planted[0])
+        for tag, side in (("user", model.user_side), ("item", model.item_side)):
+            views = sample_views(side, model.cfg.fanout, derive_rng(5, "seam", tag))
+            assert len(views) == 2
+            want_fused, want_beta = _side_forward(Tape(), model, tag, side, views, None)
+            p = model.params
+            Z = Tape().matmul(p[f"{tag}_emb"], p[f"proj.{side.node_type}"])
+            tables, scores = [], []
+            for k, view in enumerate(views):
+                tape = Tape()
+                tables.append(path_table(tape, Z, p[f"natt.{tag}.{k}"], view))
+                scores.append(path_score(tape, tables[k], p[f"fuse.{tag}.W"], p[f"fuse.{tag}.b"], p[f"q.{tag}.{k}"]))
+            fused, beta = fuse(Tape(), tables, scores)
+            assert fused.value.tobytes() == want_fused.value.tobytes()
+            assert beta.value.tobytes() == want_beta.value.tobytes()
 
 
 class TestTraining:

@@ -7,8 +7,9 @@ Each tree runs once, in a subprocess with its own ``src`` on ``PYTHONPATH``.
 Per synth seed and run seed: ``train`` on the planted pair (5 epochs,
 patience 5) and ``eval --split test``, whose ``model.ckpt``,
 ``history.jsonl`` and ``metrics.jsonl`` are compared as written; ``search``
-rms ``--iter-limit 40``, random ``--iter-limit 16`` and default rms, whose
-``sets.json`` and ``trace.jsonl`` are compared after ``strip_volatile``.
+rms ``--iter-limit 40``, random ``--iter-limit 16``, greedy ``--iter-limit 16``
+and default rms, whose ``sets.json`` and ``trace.jsonl`` are compared after
+``strip_volatile``.
 Prints each differing file; exits 1 when any differs.
 """
 from __future__ import annotations
@@ -23,7 +24,8 @@ import tempfile
 from pathlib import Path
 
 ARTIFACTS = ("model.ckpt", "history.jsonl", "metrics.jsonl", "sets.json", "trace.jsonl")
-SEARCHES = {"rms-40": ("rms", "--iter-limit", 40), "random-16": ("random", "--iter-limit", 16), "rms": ("rms",)}
+SEARCHES = {"rms-40": ("rms", "--iter-limit", 40), "random-16": ("random", "--iter-limit", 16),
+            "greedy-16": ("greedy", "--iter-limit", 16), "rms": ("rms",)}
 
 
 def produce(out: Path, profile: str, synth_seeds: list[int], run_seeds: list[int]) -> None:
