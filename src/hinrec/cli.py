@@ -209,6 +209,7 @@ def cmd_search(args) -> int:
             "item_set": _set_payload(item_set),
             "probe_calls": probe.calls,
             "probe_evaluations": probe.evaluations,
+            "probe_path_tables": probe.path_tables,
             "elapsed_s": time.perf_counter() - t0,
         },
     )
@@ -235,7 +236,7 @@ def cmd_train(args) -> int:
 
     probe = evaluation.PerformanceProbe(graph, split, cfg)
     try:
-        model = probe.model(sets["user_set"], sets["item_set"], derive_rng(cfg.seed, "hrec-init"))
+        model = probe.model(sets["user_set"], sets["item_set"], probe.init_base)
         result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
     except rec.SaturatedUser as exc:  # name the user as the dataset does
         user_offset = graph.type_offsets[graph.schema.type_index(graph.schema.user_type)]

@@ -9,8 +9,9 @@ and caches them on the split as flat arrays; every later evaluation of that
 split reuses them and ranks all of its rows at once.
 The :class:`PerformanceProbe` scores a candidate meta-path pair by the
 validation NDCG@10 of a fresh, untrained recommender built over it at the
-MF init; results and subgraphs are cached so repeated probes of one set
-are bit-identical.
+MF init. Its draws are keyed by path, so the probe computes each path's
+node-level table once per run and each pair's value once; a pair's value
+has the bits of that model's :func:`evaluate_model`.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import metapath as mp
 from . import recommender as rec
+from .autodiff import Tape, Var
 from .hin import HinGraph, InteractionSet
 from .util import derive_rng, derive_seed
 
@@ -278,25 +280,42 @@ class PerformanceProbe:
 
     The probe owns a run's training graph, split, subgraph cache and MF
     init, and :meth:`model` is the one place that builds HRec from them,
-    for the search's reward and for ``hinrec train`` alike. :meth:`pair`
-    scores HRec at its MF init with no training step: the identity
-    projections already score in the MF space, so the pair's meta-paths
-    alone move the metric. Subgraphs are cached per meta-path, the MF init
-    is computed once, and results are cached by the pair, so one set always
-    probes to the same value. The search's sets hold only paths that
-    :meth:`subgraph` accepts, so each cache entry, and each per-pair init
-    seed, belongs to one model.
+    for the search's reward and for ``hinrec train`` alike; both pass the
+    run's ``init_base``, so the reward scores exactly the init that
+    training starts from. :meth:`pair` scores HRec at its MF init with no
+    training step: the identity projections already score in the MF space,
+    so the pair's meta-paths alone move the metric.
+
+    Every init draw is keyed by what it parameterizes
+    (:func:`~hinrec.recommender.attention_init`,
+    :func:`~hinrec.recommender.inference_view`), so a path's node-level
+    table and score at init are the same in every set that holds it. The
+    probe keeps each side's projected ``Z`` and, per (side, path), the
+    path's table and score, each computed once on a throwaway tape; an
+    evaluation is then one :func:`~hinrec.recommender.fuse` per side, the
+    score product and the ranking. Its value has the bits of
+    ``evaluate_model(probe.model(u, i, probe.init_base), ...)`` at view tag
+    ``"eval"``. Subgraphs are cached per meta-path and results by the
+    pair, so one set always probes to the same value.
     """
 
     def __init__(self, graph: HinGraph, split: SplitSet, config):
         self.graph = training_graph(graph, split, config.leak_guard)
         self.split = split
         self.config = config
+        self.init_base = derive_seed(config.seed, "hrec-init")
         self.calls = 0
         self.evaluations = 0
         self._subgraphs: dict[tuple[int, ...], mp.MetaPathSubgraph | None] = {}
         self._results: dict[tuple, float] = {}
         self._mf: tuple[np.ndarray, np.ndarray] | None = None
+        self._projected: dict[str, Var] = {}
+        self._paths: dict[tuple[str, tuple[int, ...]], tuple[Var, Var]] = {}
+
+    @property
+    def path_tables(self) -> int:
+        """How many (side, path) tables the probe has computed."""
+        return len(self._paths)
 
     def subgraph(self, path: mp.MetaPath) -> mp.MetaPathSubgraph | None:
         key = path.relation_ids
@@ -325,12 +344,10 @@ class PerformanceProbe:
             )
         return self._mf
 
-    def model(
-        self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet, rng: np.random.Generator
-    ) -> rec.HRecModel:
-        """HRec over both sets at the MF init; ``rng`` draws its attention parameters."""
+    def model(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet, base: int) -> rec.HRecModel:
+        """HRec over both sets at the MF init, with its attention parameters drawn from ``base``."""
         user_side, item_side = self.side(user_set), self.side(item_set)
-        return rec.HRecModel(self.graph, user_side, item_side, self.config, rng, self.mf_init())
+        return rec.HRecModel(self.graph, user_side, item_side, self.config, base, self.mf_init())
 
     def val_ndcg(self, model: rec.HRecModel, view_tag: str) -> float:
         """The model's validation NDCG@10 against ``n_negatives`` sampled negatives."""
@@ -339,14 +356,28 @@ class PerformanceProbe:
         )
         return metrics.ndcg[10]
 
+    def _fused(self, model: rec.HRecModel, tag: str, side: rec.SideBundle) -> np.ndarray:
+        """The side's fused table under the ``"eval"`` views, from the cached per-path stages."""
+        if tag not in self._projected:
+            self._projected[tag] = rec.project(Tape(), model, tag, side)
+        Z = self._projected[tag]
+        for k, (path, name) in enumerate(zip(side.pset, rec.path_names(side.pset))):
+            if (tag, path.relation_ids) not in self._paths:
+                view = rec.inference_view(side, k, tag, self.config.fanout, self.config.seed, "eval")
+                self._paths[tag, path.relation_ids] = rec.path_forward(Tape(), model, tag, name, Z, view)
+        stages = [self._paths[tag, path.relation_ids] for path in side.pset]
+        return rec.fuse(Tape(), [Hx for Hx, _ in stages], [w for _, w in stages])[0].value
+
     def pair(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet) -> float:
         self.calls += 1
         key = (user_set.key(), item_set.key())
         if key in self._results:
             return self._results[key]
-        probe_seed = derive_seed(self.config.seed, "probe", key)
-        model = self.model(user_set, item_set, derive_rng(probe_seed, "init"))
+        model = self.model(user_set, item_set, self.init_base)
         self.evaluations += 1
-        value = self.val_ndcg(model, "eval")
+        scorer = embedding_scorer(
+            self.graph, self._fused(model, "user", model.user_side), self._fused(model, "item", model.item_side)
+        )
+        value = evaluate(scorer, self.split, "validation", (10,), self.config.seed, self.config.n_negatives).ndcg[10]
         self._results[key] = value
         return value

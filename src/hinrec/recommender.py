@@ -6,13 +6,16 @@ runs on its own: :func:`path_table`, the node level, aggregates each node's
 sampled neighbours in the path's subgraph, and :func:`path_score` rates the
 resulting table. The meta-path level's weighting, :func:`fuse`, then runs
 once per set: a softmax over the scores weights the tables into one. Users
-and items are scored by inner product.
+and items are scored by inner product. Each init draw is keyed by what it
+parameterizes (:func:`attention_init`, :func:`inference_view`), so an
+untrained path's table is the same in every set that holds it.
 All gradients flow through the local reverse-mode tape in
 :mod:`hinrec.autodiff`; there is no framework underneath.
 """
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +48,7 @@ class SaturatedUser(ValueError):
 # checkpoint's header stores them, and :meth:`HRecModel.load` applies them.
 ARCH_FIELDS = ("embed_dim", "att_hidden", "dropout", "fanout", "density_threshold")
 # The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -222,6 +225,36 @@ def mf_pretrain(
 # ---------------------------------------------------------------------------
 
 
+def path_names(pset: mp.MetaPathSet) -> list[str]:
+    """Each path's name within its parameters' names: its label, such as ``MAM``,
+    or, where another path of the set has the same label, the label and its
+    relation ids, such as ``MAM[4,3]``."""
+    labels = pset.labels()
+    return [
+        label if labels.count(label) == 1 else f"{label}[{','.join(map(str, path.relation_ids))}]"
+        for label, path in zip(labels, pset)
+    ]
+
+
+def attention_init(base: int, tag: str, pset: mp.MetaPathSet, d: int, hid: int) -> dict[str, np.ndarray]:
+    """One side's attention parameters at init, each drawn by what it parameterizes.
+
+    ``fuse.{tag}.W`` is a Glorot draw from the stream of ``(base, tag)``, and
+    ``fuse.{tag}.b`` starts at zero. Each path's ``natt.{tag}.{name}``, a_φ,
+    then ``q.{tag}.{name}``, q_φ, are Glorot draws from the stream of
+    ``(base, tag, relation ids)``. So a path starts from the same parameters
+    in every set that holds it, whatever its position: sets that share a path
+    share its draws (common random numbers), and the probe can compute each
+    path's table once for all of them.
+    """
+    params = {f"fuse.{tag}.W": glorot(derive_rng(base, tag), d, hid), f"fuse.{tag}.b": np.zeros(hid)}
+    for path, name in zip(pset, path_names(pset)):
+        rng = derive_rng(base, tag, path.relation_ids)
+        params[f"natt.{tag}.{name}"] = glorot(rng, 2 * d)
+        params[f"q.{tag}.{name}"] = glorot(rng, hid)
+    return params
+
+
 class HRecModel:
     """All learnable state plus the side bundles it was built for.
 
@@ -229,9 +262,10 @@ class HRecModel:
     loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``. The
     type projections start at the identity, so the untrained model scores
     in the space of its embedding init, ``mf_init``: the ``(users, items)``
-    tables of :func:`mf_pretrain`, copied. Adam's two moment arrays per
-    parameter live on the model and start at zero with it; checkpoints
-    hold the parameters only.
+    tables of :func:`mf_pretrain`, copied. The attention parameters are
+    :func:`attention_init`'s draws from the integer seed ``base``. Adam's two
+    moment arrays per parameter live on the model and start at zero with it;
+    checkpoints hold the parameters only.
     """
 
     def __init__(
@@ -240,27 +274,24 @@ class HRecModel:
         user_side: SideBundle,
         item_side: SideBundle,
         cfg: RunConfig,
-        rng: np.random.Generator,
+        base: int,
         mf_init: tuple[np.ndarray, np.ndarray],
     ):
         self.cfg = cfg
         self.graph = graph
         self.user_side = user_side
         self.item_side = item_side
-        d, hid = cfg.embed_dim, cfg.att_hidden
+        d = cfg.embed_dim
         user_emb, item_emb = mf_init
         if user_emb.shape != (user_side.m, d) or item_emb.shape != (item_side.m, d):
             raise ValueError("MF init shapes do not match the graph/type sizes")
+        base = operator.index(base)  # a Generator here would seed by its repr
         params: dict[str, Var] = {"user_emb": Var(user_emb.copy()), "item_emb": Var(item_emb.copy())}
         for side in (user_side, item_side):
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
-            for k in range(len(side.pset)):
-                params[f"natt.{tag}.{k}"] = Var(glorot(rng, 2 * d))
-            params[f"fuse.{tag}.W"] = Var(glorot(rng, d, hid))
-            params[f"fuse.{tag}.b"] = Var(np.zeros(hid))
-            for k in range(len(side.pset)):
-                params[f"q.{tag}.{k}"] = Var(glorot(rng, hid))
+            for name, value in attention_init(base, tag, side.pset, d, cfg.att_hidden).items():
+                params[name] = Var(value)
         self.params = params
         self.adam_steps = 0
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -313,8 +344,7 @@ class HRecModel:
 
         The checkpoint's path sets are the density-accepted ones its sides
         were built from, so they are trusted as stored: the density filter is
-        not applied again, and each positional ``natt``/``q`` parameter stays
-        on its own path. The model's config is :class:`RunConfig`'s defaults
+        not applied again. The model's config is :class:`RunConfig`'s defaults
         with the header's architecture fields. Raises :class:`CheckpointError`,
         naming ``path``, when the header's format is not
         :data:`CHECKPOINT_FORMAT`, when it names a field outside
@@ -340,7 +370,7 @@ class HRecModel:
         # Zero tables of the graph's shapes stand in for the embeddings the
         # checkpoint overwrites, so ``check_arrays`` compares against them.
         zeros = tuple(np.zeros((side.m, cfg.embed_dim)) for side in (user_side, item_side))
-        model = cls(graph, user_side, item_side, cfg, np.random.default_rng(0), zeros)
+        model = cls(graph, user_side, item_side, cfg, 0, zeros)
         check_arrays(path, arrays, {k: v.value for k, v in model.params.items()})
         for k, arr in arrays.items():
             model.params[k].value[...] = arr
@@ -407,6 +437,18 @@ def fuse(tape: Tape, tables: list[Var], scores: list[Var]) -> tuple[Var, Var]:
     return fused, beta
 
 
+def project(tape: Tape, model: HRecModel, tag: str, side: SideBundle) -> Var:
+    """The side's projected rows ``Z``: its embeddings times its node type's projection."""
+    return tape.matmul(model.params[f"{tag}_emb"], model.params[f"proj.{side.node_type}"])
+
+
+def path_forward(tape: Tape, model: HRecModel, tag: str, name: str, Z: Var, view: mp.SampledView) -> tuple[Var, Var]:
+    """The path ``name``'s :func:`path_table` over ``Z``, then its :func:`path_score`."""
+    params = model.params
+    Hx = path_table(tape, Z, params[f"natt.{tag}.{name}"], view)
+    return Hx, path_score(tape, Hx, params[f"fuse.{tag}.W"], params[f"fuse.{tag}.b"], params[f"q.{tag}.{name}"])
+
+
 def _side_forward(
     tape: Tape,
     model: HRecModel,
@@ -417,24 +459,19 @@ def _side_forward(
 ) -> tuple[Var, Var]:
     """One side's fused embedding table and its meta-path weights β.
 
-    Each path's :func:`path_table`, then its :func:`path_score`, in path
-    order, then one :func:`fuse`. The paper's σ at each level is HAN's
+    :func:`project`, then each path's :func:`path_forward` in path order,
+    then one :func:`fuse`. The paper's σ at each level is HAN's
     (Wang et al., arXiv:1903.07293): LeakyReLU on node-level scores, ELU on
     aggregation, tanh in the meta-path-level attention. ``drop_rng`` draws
     dropout masks; inference, with no dropout, passes ``None``.
     """
-    cfg, params = model.cfg, model.params
-    Z = tape.matmul(params[f"{tag}_emb"], params[f"proj.{side.node_type}"])
+    cfg = model.cfg
+    Z = project(tape, model, tag, side)
     if drop_rng is not None and cfg.dropout > 0.0:
         keep = (drop_rng.random(Z.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         Z = tape.mul_const(Z, keep)
-    W, b = params[f"fuse.{tag}.W"], params[f"fuse.{tag}.b"]
-    tables: list[Var] = []
-    scores: list[Var] = []
-    for k, view in enumerate(views):
-        tables.append(path_table(tape, Z, params[f"natt.{tag}.{k}"], view))
-        scores.append(path_score(tape, tables[k], W, b, params[f"q.{tag}.{k}"]))
-    return fuse(tape, tables, scores)
+    stages = [path_forward(tape, model, tag, name, Z, view) for name, view in zip(path_names(side.pset), views)]
+    return fuse(tape, [Hx for Hx, _ in stages], [w for _, w in stages])
 
 
 def forward(
@@ -466,17 +503,28 @@ def bpr_loss_var(tape: Tape, ypos: Var, yneg: Var) -> Var:
     return tape.mean(tape.softplus(tape.neg(tape.sub(ypos, yneg))))
 
 
+def inference_view(
+    side: SideBundle, k: int, tag: str, fanout: int, seed: int, view_tag: str
+) -> mp.SampledView:
+    """Path ``k``'s view for inference, from the stream of ``(seed, view_tag, tag,
+    relation ids)``: the same view in every set that holds the path."""
+    path = side.pset.paths[k]
+    return mp.sample_view(side.subgraphs[k], fanout, derive_rng(seed, view_tag, tag, path.relation_ids))
+
+
 def infer_embeddings(model: HRecModel, seed: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
     """Fused user/item embedding tables with deterministic view sampling.
 
-    Runs the training forward pass without dropout on a tape that is then
-    dropped.
+    Each path's view is its :func:`inference_view` under the view tag
+    ``tag``. Runs the training forward pass without dropout on a tape that
+    is then dropped.
     """
-    uv = sample_views(model.user_side, model.cfg.fanout, derive_rng(seed, tag, "user-views"))
-    iv = sample_views(model.item_side, model.cfg.fanout, derive_rng(seed, tag, "item-views"))
-    H_user, _ = _side_forward(Tape(), model, "user", model.user_side, uv, None)
-    H_item, _ = _side_forward(Tape(), model, "item", model.item_side, iv, None)
-    return H_user.value, H_item.value
+    tables = []
+    for side_tag, side in (("user", model.user_side), ("item", model.item_side)):
+        views = [inference_view(side, k, side_tag, model.cfg.fanout, seed, tag) for k in range(len(side.pset))]
+        H, _ = _side_forward(Tape(), model, side_tag, side, views, None)
+        tables.append(H.value)
+    return tables[0], tables[1]
 
 
 # ---------------------------------------------------------------------------

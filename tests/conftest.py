@@ -276,6 +276,23 @@ def item_tables(small_planted_1):
     return get
 
 
+@pytest.fixture(scope="session")
+def planted_item_tables(tmp_path_factory):
+    """``item_table`` on the full planted-mam profile per (synth seed, run seed), each built once on first use."""
+    graphs, built = {}, {}
+
+    def get(synth_seed, run_seed):
+        if synth_seed not in graphs:
+            out = tmp_path_factory.mktemp(f"planted-mam-{synth_seed}")
+            write_dataset(out, "planted-mam", seed=synth_seed)
+            graphs[synth_seed] = load_graph(out / "nodes.tsv", out / "edges.tsv", HinSchema.from_file(out / "schema.txt"))
+        if (synth_seed, run_seed) not in built:
+            built[synth_seed, run_seed] = item_table(graphs[synth_seed], run_seed)
+        return built[synth_seed, run_seed]
+
+    return get
+
+
 def item_search(schema, probe, agent_seed):
     """``dqn.search`` of the item side over ``probe`` at the default settings, as ``hinrec search`` runs it."""
     cfg = RunConfig()

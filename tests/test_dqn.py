@@ -463,6 +463,15 @@ class TestTableBed:
         assert 1 <= out["distinct"] <= len(seeds)
         assert out["median_regret"] >= 0.0
 
+    @pytest.mark.parametrize("synth_seed, run_seed", [(1, 0), (1, 1), (2, 0)])
+    def test_planted_mam_table_is_cheap_and_its_best_is_a_hit(self, planted_item_tables, synth_seed, run_seed):
+        """The full profile's tables: 103 item sets over 44 accepted item paths,
+        so the probe's per-path cache computes at most 45 tables (with UMU)."""
+        table, probe = planted_item_tables(synth_seed, run_seed)
+        assert len(table.values) == probe.evaluations == 103
+        assert probe.path_tables <= 45
+        assert is_hit(max(table.values, key=table.values.get))
+
     def test_a_hit_holds_mam_without_mdm(self):
         mum, mam, mdm = (2, 1), (4, 3), (6, 5)
         assert is_hit((mum, mam))

@@ -64,6 +64,6 @@ def test_trained_hrec_scores_at_least_mf_only(planted_graph, seed):
         evaluation.embedding_scorer(probe.graph, *probe.mf_init()),
         probe.split, "validation", (10,), seed, probe.config.n_negatives,
     ).ndcg[10]
-    model = probe.model(*pair_sets(planted_graph, "planted"), derive_rng(seed, "hrec-init"))
+    model = probe.model(*pair_sets(planted_graph, "planted"), probe.init_base)
     result = rec.train(model, probe.split, seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
     assert result.best_val_ndcg >= mf_only, (result.best_val_ndcg, mf_only)

@@ -1,9 +1,11 @@
 """The reward probe's contract on planted-mam-small: HRec at its MF init, scored untrained."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from hinrec import evaluation, recommender as rec
+from hinrec import cli, evaluation, recommender as rec
 from hinrec.autodiff import Tape
 from hinrec.config import RunConfig
 from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC, MetaPathSet, materialize_subgraph
@@ -32,23 +34,62 @@ def planted(small_planted):
     return pair_sets(graph, [(WATCH, WATCHED), (WATCH, ACTED, ACT, WATCHED)], [(WATCHED, WATCH), (ACTED, ACT)])
 
 
-def test_pair_scores_hrec_at_its_mf_init(probe, planted):
-    user_set, item_set = planted
+def uncached_value(probe, user_set, item_set):
+    """The pair's value from a model built fresh, with the run's draws and ``"eval"`` views."""
     cfg, graph = probe.config, probe.graph
-    key = (user_set.key(), item_set.key())
     materialize = lambda path: materialize_subgraph(graph, path, cfg.density_threshold)
     model = rec.HRecModel(
         graph,
         rec.build_side(graph, user_set, materialize),
         rec.build_side(graph, item_set, materialize),
         cfg,
-        derive_rng(derive_seed(SEED, "probe", key), "init"),
+        derive_seed(cfg.seed, "hrec-init"),
         mf_init=probe.mf_init(),
     )
-    expected = evaluation.evaluate_model(
-        model, probe.split, "validation", (10,), SEED, cfg.n_negatives
-    ).ndcg[10]
-    assert probe.pair(user_set, item_set) == expected
+    return evaluation.evaluate_model(model, probe.split, "validation", (10,), cfg.seed, cfg.n_negatives, "eval").ndcg[10]
+
+
+def test_pair_scores_hrec_at_its_mf_init(probe, planted):
+    assert probe.pair(*planted) == uncached_value(probe, *planted)
+
+
+# The planted paths and the co-watch paths, in both orders on each side.
+REORDERED = [
+    ([(WATCH, WATCHED), (WATCH, ACTED, ACT, WATCHED)], [(WATCHED, WATCH), (ACTED, ACT)]),
+    ([(WATCH, ACTED, ACT, WATCHED), (WATCH, WATCHED)], [(ACTED, ACT), (WATCHED, WATCH)]),
+    ([(WATCH, WATCHED)], [(ACTED, ACT), (WATCHED, WATCH)]),
+    ([(WATCH, ACTED, ACT, WATCHED)], [(ACTED, ACT)]),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_cached_paths_score_each_set_as_a_fresh_model(small_planted, order):
+    """Sets that hold the same paths at other positions, probed in either order,
+    each have the bits of their own freshly built model's evaluation."""
+    graph, split, _ = small_planted
+    probe = evaluation.PerformanceProbe(graph, split, RunConfig(seed=SEED))
+    sets = [pair_sets(graph, *paths) for paths in REORDERED][::order]
+    values = [probe.pair(*pair) for pair in sets]
+    assert probe.path_tables == 4
+    assert values == [uncached_value(probe, *pair) for pair in sets]
+
+
+def test_a_path_draws_the_same_in_every_set(probe, small_planted):
+    """A path's a_φ, q_φ and inference view do not depend on the set that holds it or its position."""
+    graph, _, _ = small_planted
+    models = [probe.model(*pair_sets(graph, *paths), probe.init_base) for paths in REORDERED]
+    fanout, seed = probe.config.fanout, probe.config.seed
+    seen = {}
+    for model in models:
+        for tag, side in (("user", model.user_side), ("item", model.item_side)):
+            for k, path in enumerate(side.pset):
+                view = rec.inference_view(side, k, tag, fanout, seed, "eval")
+                draws = [model.params[f"{kind}.{tag}.{path.label()}"].value.tobytes() for kind in ("natt", "q")]
+                draws += [arr.tobytes() for arr in (view.indptr, view.src, view.dst)]
+                assert seen.setdefault((tag, path.relation_ids), draws) == draws
+    assert len(seen) == 4
+    W = {model.params["fuse.item.W"].value.tobytes() for model in models}
+    assert len(W) == 1
 
 
 def test_pair_never_trains(probe, planted, monkeypatch):
@@ -74,4 +115,29 @@ def test_all_paths_rejected_reaches_the_caller(probe, small_planted):
     dense_only = pair_sets(graph, [(WATCH, DIRECTED, DIRECT, WATCHED)], [(WATCHED, WATCH)])
     with pytest.raises(rec.AllPathsRejected, match="density"):
         probe.pair(*dense_only)
-    assert (probe.calls, probe.evaluations) == (1, 0)
+    assert (probe.calls, probe.evaluations, probe.path_tables) == (1, 0, 0)
+
+
+def test_reward_scores_the_init_hinrec_train_starts_from(small_planted_1, tmp_path, monkeypatch):
+    """The planted pair's reward is the validation NDCG@10, at the ``"eval"`` views,
+    of the model ``hinrec train`` builds, before its first step."""
+    directory, graph = small_planted_1
+    run_seed = 3
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({key: {"paths": [{"relations": list(path)} for path in paths]}
+                                for key, paths in zip(("user_set", "item_set"), REORDERED[0])}))
+    config = tmp_path / "train.cfg"
+    config.write_text("rec_epochs = 1\n")
+    at_start, train = [], rec.train
+
+    def watched(model, split, seed, evaluator):
+        metrics = evaluation.evaluate_model(model, split, "validation", (10,), seed, model.cfg.n_negatives, "eval")
+        at_start.append(metrics.ndcg[10])
+        return train(model, split, seed, evaluator)
+
+    monkeypatch.setattr(rec, "train", watched)
+    assert cli.main(["train", "--dataset", str(directory), "--sets", str(sets), "--config", str(config),
+                     "--seed", str(run_seed), "--out", str(tmp_path / "out")]) == 0
+    split = evaluation.split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
+    probe = evaluation.PerformanceProbe(graph, split, RunConfig(seed=run_seed))
+    assert at_start == [probe.pair(*pair_sets(graph, *REORDERED[0]))]

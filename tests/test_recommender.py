@@ -9,6 +9,7 @@ from hinrec import recommender
 from hinrec.autodiff import Tape, Var
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
 from hinrec.config import RunConfig
+from hinrec.hin import HinSchema
 from hinrec.recommender import (
     ARCH_FIELDS,
     CHECKPOINT_FORMAT,
@@ -21,7 +22,9 @@ from hinrec.recommender import (
     forward,
     fuse,
     infer_embeddings,
+    inference_view,
     mf_pretrain,
+    path_names,
     path_score,
     path_table,
     positive_bits,
@@ -30,7 +33,7 @@ from hinrec.recommender import (
 )
 from hinrec.util import derive_rng
 
-from conftest import WATCH, WATCHED, ACT, ACTED, graph_from
+from conftest import MOVIE_SCHEMA_TEXT, WATCH, WATCHED, ACT, ACTED, graph_from
 from reference_ops import bpr_loss, node_attention, path_attention, project, score
 
 
@@ -91,7 +94,7 @@ def tiny_model(movie_schema):
     user_side = build_side(graph, user_set, density_filter(graph, None))
     item_side = build_side(graph, item_set, density_filter(graph, None))
     rng = derive_rng(0, "tiny-model")
-    return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
+    return HRecModel(graph, user_side, item_side, cfg, 0, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
 
 class TestReferenceOps:
@@ -265,6 +268,15 @@ class TestMF:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def test_paths_that_share_a_label_are_named_apart():
+    """MUM through watch and through a second user-movie relation: both are labelled MUM."""
+    schema = HinSchema.parse(MOVIE_SCHEMA_TEXT + "rate: User -> Movie ~ rated\n")
+    rate, rated = schema.by_name("rate").rid, schema.by_name("rated").rid
+    pset = mp.MetaPathSet.from_relations(schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [rated, rate], [ACTED, ACT]])
+    assert pset.labels() == ["MUM", "MUM", "MAM"]
+    assert path_names(pset) == [f"MUM[{WATCHED},{WATCH}]", f"MUM[{rated},{rate}]", "MAM"]
+
+
 class TestBuildSide:
     def test_all_rejected_raises(self, movie_schema):
         g = graph_from(
@@ -386,8 +398,10 @@ class TestForward:
         """Inference tables, scored row by row, equal the tape forward on the same views."""
         model = tiny_model
         H_u, H_i = infer_embeddings(model, 7, "eval")
-        views_u = sample_views(model.user_side, model.cfg.fanout, derive_rng(7, "eval", "user-views"))
-        views_i = sample_views(model.item_side, model.cfg.fanout, derive_rng(7, "eval", "item-views"))
+        views_u, views_i = (
+            [inference_view(side, k, tag, model.cfg.fanout, 7, "eval") for k in range(len(side.pset))]
+            for tag, side in (("user", model.user_side), ("item", model.item_side))
+        )
         fp = forward(
             model, np.arange(4), np.arange(4), np.asarray([3, 2, 1, 0]),
             views_u, views_i, NO_DROPOUT,
@@ -403,16 +417,17 @@ class TestForward:
             fused, beta = _side_forward(Tape(), model, tag, side, views, None)
 
             Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
+            names = [path.label() for path in side.pset]
             tables = []
-            for k, view in enumerate(views):
-                a = model.params[f"natt.{tag}.{k}"].value
+            for name, view in zip(names, views):
+                a = model.params[f"natt.{tag}.{name}"].value
                 rows = []
                 for v in range(side.m):
                     neigh = view.dst[view.indptr[v] : view.indptr[v + 1]]
                     _, h = node_attention(a, Z[v], [(int(j), Z[j]) for j in neigh])
                     rows.append(h)
                 tables.append(np.stack(rows))
-            queries = [model.params[f"q.{tag}.{k}"].value for k in range(len(views))]
+            queries = [model.params[f"q.{tag}.{name}"].value for name in names]
             ref_beta, ref_fused = path_attention(
                 model.params[f"fuse.{tag}.W"].value, model.params[f"fuse.{tag}.b"].value, queries, tables
             )
@@ -431,10 +446,10 @@ class TestForward:
             p = model.params
             Z = Tape().matmul(p[f"{tag}_emb"], p[f"proj.{side.node_type}"])
             tables, scores = [], []
-            for k, view in enumerate(views):
-                tape = Tape()
-                tables.append(path_table(tape, Z, p[f"natt.{tag}.{k}"], view))
-                scores.append(path_score(tape, tables[k], p[f"fuse.{tag}.W"], p[f"fuse.{tag}.b"], p[f"q.{tag}.{k}"]))
+            for k, (path, view) in enumerate(zip(side.pset, views)):
+                tape, name = Tape(), path.label()
+                tables.append(path_table(tape, Z, p[f"natt.{tag}.{name}"], view))
+                scores.append(path_score(tape, tables[k], p[f"fuse.{tag}.W"], p[f"fuse.{tag}.b"], p[f"q.{tag}.{name}"]))
             fused, beta = fuse(Tape(), tables, scores)
             assert fused.value.tobytes() == want_fused.value.tobytes()
             assert beta.value.tobytes() == want_beta.value.tobytes()
@@ -568,7 +583,7 @@ def _small_model(graph, seed=0, lr=0.05, epochs=1):
     user_side = build_side(graph, user_set, density_filter(graph, 0.9))
     item_side = build_side(graph, item_set, density_filter(graph, 0.9))
     rng = derive_rng(seed, "model")
-    return HRecModel(graph, user_side, item_side, cfg, rng, glorot_init(rng, user_side, item_side, cfg.embed_dim))
+    return HRecModel(graph, user_side, item_side, cfg, seed, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
 
 class TestPersistence:
@@ -585,9 +600,9 @@ class TestPersistence:
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
-        del arrays["q.user.1"]
+        del arrays["q.user.UMAMU"]
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=r"model\.ckpt.*missing \['q\.user\.1'\]"):
+        with pytest.raises(CheckpointError, match=r"model\.ckpt.*missing \['q\.user\.UMAMU'\]"):
             HRecModel.load(str(path), tiny_model.graph)
 
     @pytest.mark.parametrize(
@@ -620,10 +635,11 @@ class TestPersistence:
         again = HRecModel.load(str(path), tiny_model.graph)
         assert all(getattr(again.cfg, name) == getattr(tiny_model.cfg, name) for name in ARCH_FIELDS)
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_load_rejects_old_format(self, tiny_model, tmp_path, old_format):
         # Format 1 named the embedding width ``d``; format 2 stored ``heads``;
-        # format 3 stored ``self_loops`` and the three activation names.
+        # format 3 stored ``self_loops`` and the three activation names;
+        # format 4 named each path's parameters by its position, ``natt.item.0``.
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
@@ -632,10 +648,15 @@ class TestPersistence:
             header["config"]["d"] = header["config"].pop("embed_dim")
         elif old_format == 2:
             header["config"]["heads"] = 1
-        else:
+        elif old_format == 3:
             header["config"].update(self_loops=True, score_act="leaky_relu", agg_act="elu", fuse_act="tanh")
+        else:
+            for tag, side in (("user", tiny_model.user_side), ("item", tiny_model.item_side)):
+                for k, label in enumerate(side.pset.labels()):
+                    for kind in ("natt", "q"):
+                        arrays[f"{kind}.{tag}.{k}"] = arrays.pop(f"{kind}.{tag}.{label}")
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 4"):
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 5"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):

@@ -378,3 +378,5 @@ class TestAcceptedWalk:
         doc = read_json(tmp_path / "sets.json")
         assert doc["probe_calls"] == len(probed)
         assert doc["probe_evaluations"] == len(set(probed))
+        paths = {(side, path) for pair in probed for side, key in enumerate(pair) for path in key}
+        assert doc["probe_path_tables"] == len(paths)
