@@ -2,13 +2,15 @@
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
 config file, then CLI flags. Unknown keys, unparsable values, an unknown
-``strategy``, and a step limit, sync period, buffer or batch size or HRec
-epoch count below 1 are rejected with :class:`ConfigError`, prefixed with
-``path:line`` when they come from a file. :class:`RunConfig` is the only
-settings table: HRec, the probe and the DQN read it directly. The config
-hash covers every field except ``seed``, ``out`` and ``dataset``, which
-name a run without changing its science, so a report can refuse to
-aggregate runs produced under different settings.
+``strategy``, a step limit, sync period, buffer or batch size, HRec epoch
+count, greedy candidate count or fanout below 1, a negative probe budget
+``iter_limit`` and a ``dropout`` outside [0, 1) are rejected with
+:class:`ConfigError`, prefixed with ``path:line`` when they come from a
+file. :class:`RunConfig` is the only settings table: HRec, the probe and
+the DQN read it directly. The config hash covers every field except
+``seed``, ``out`` and ``dataset``, which name a run without changing its
+science, so a report can refuse to aggregate runs produced under
+different settings.
 """
 from __future__ import annotations
 
@@ -108,14 +110,19 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# The least value of each integer setting that the pipeline can run.
+_AT_LEAST = {key: 1 for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs",
+                                 "greedy_candidates", "fanout")} | {"iter_limit": 0}
 
 
 def _coerce(cfg: RunConfig, key: str, value):
     out = _parse(cfg, key, value)
     if key == "strategy" and out not in STRATEGIES:
         raise ConfigError(f"config key 'strategy': unknown strategy {out!r}, expected one of {', '.join(STRATEGIES)}")
-    if key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs") and out < 1:
-        raise ConfigError(f"config key {key!r}: must be at least 1, got {out}")
+    if key in _AT_LEAST and out < _AT_LEAST[key]:
+        raise ConfigError(f"config key {key!r}: must be at least {_AT_LEAST[key]}, got {out}")
+    if key == "dropout" and not 0.0 <= out < 1.0:
+        raise ConfigError(f"config key 'dropout': must be in [0, 1), got {out}")
     return out
 
 

@@ -9,9 +9,9 @@ and caches them on the split as flat arrays; every later evaluation of that
 split reuses them and ranks all of its rows at once.
 The :class:`PerformanceProbe` scores a candidate meta-path pair by the
 validation NDCG@10 of a fresh, untrained recommender built over it at the
-MF init. Its draws are keyed by path, so the probe computes each path's
-node-level table once per run and each pair's value once; a pair's value
-has the bits of that model's :func:`evaluate_model`.
+MF init, through :func:`evaluate_model`. Its draws are keyed by path, so
+one dict of per-path stages serves the whole run: the probe computes each
+path's node-level table once per run and each pair's value once.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metapath as mp
 from . import recommender as rec
-from .autodiff import Tape, Var
+from .autodiff import Var
 from .hin import HinGraph, InteractionSet
 from .util import derive_rng, derive_seed
 
@@ -261,8 +261,9 @@ def evaluate_model(
     seed: int,
     n_negatives: int,
     view_tag: str = "eval",
+    stages: dict | None = None,
 ) -> RankingMetrics:
-    H_user, H_item = rec.infer_embeddings(model, seed, tag=view_tag)
+    H_user, H_item = rec.infer_embeddings(model, seed, view_tag, stages)
     scorer = embedding_scorer(model.graph, H_user, H_item)
     return evaluate(scorer, split, which, ks, seed, n_negatives)
 
@@ -288,15 +289,12 @@ class PerformanceProbe:
 
     Every init draw is keyed by what it parameterizes
     (:func:`~hinrec.recommender.attention_init`,
-    :func:`~hinrec.recommender.inference_view`), so a path's node-level
-    table and score at init are the same in every set that holds it. The
-    probe keeps each side's projected ``Z`` and, per (side, path), the
-    path's table and score, each computed once on a throwaway tape; an
-    evaluation is then one :func:`~hinrec.recommender.fuse` per side, the
-    score product and the ranking. Its value has the bits of
-    ``evaluate_model(probe.model(u, i, probe.init_base), ...)`` at view tag
-    ``"eval"``. Subgraphs are cached per meta-path and results by the
-    pair, so one set always probes to the same value.
+    :func:`~hinrec.recommender.inference_view`), so a path's table and score
+    at init are the same in every set that holds it, and :meth:`pair` is
+    :meth:`val_ndcg` at view tag ``"eval"`` with one ``stages`` dict for
+    the run: each (side, path) is computed the first time a set holds it.
+    Subgraphs are cached per meta-path and results by the pair, so one set
+    always probes to the same value.
     """
 
     def __init__(self, graph: HinGraph, split: SplitSet, config):
@@ -309,13 +307,12 @@ class PerformanceProbe:
         self._subgraphs: dict[tuple[int, ...], mp.MetaPathSubgraph | None] = {}
         self._results: dict[tuple, float] = {}
         self._mf: tuple[np.ndarray, np.ndarray] | None = None
-        self._projected: dict[str, Var] = {}
-        self._paths: dict[tuple[str, tuple[int, ...]], tuple[Var, Var]] = {}
+        self._stages: dict[tuple[str, tuple[int, ...]], tuple[Var, Var]] = {}
 
     @property
     def path_tables(self) -> int:
         """How many (side, path) tables the probe has computed."""
-        return len(self._paths)
+        return len(self._stages)
 
     def subgraph(self, path: mp.MetaPath) -> mp.MetaPathSubgraph | None:
         key = path.relation_ids
@@ -349,24 +346,12 @@ class PerformanceProbe:
         user_side, item_side = self.side(user_set), self.side(item_set)
         return rec.HRecModel(self.graph, user_side, item_side, self.config, base, self.mf_init())
 
-    def val_ndcg(self, model: rec.HRecModel, view_tag: str) -> float:
+    def val_ndcg(self, model: rec.HRecModel, view_tag: str, stages: dict | None = None) -> float:
         """The model's validation NDCG@10 against ``n_negatives`` sampled negatives."""
         metrics = evaluate_model(
-            model, self.split, "validation", (10,), self.config.seed, self.config.n_negatives, view_tag
+            model, self.split, "validation", (10,), self.config.seed, self.config.n_negatives, view_tag, stages
         )
         return metrics.ndcg[10]
-
-    def _fused(self, model: rec.HRecModel, tag: str, side: rec.SideBundle) -> np.ndarray:
-        """The side's fused table under the ``"eval"`` views, from the cached per-path stages."""
-        if tag not in self._projected:
-            self._projected[tag] = rec.project(Tape(), model, tag, side)
-        Z = self._projected[tag]
-        for k, (path, name) in enumerate(zip(side.pset, rec.path_names(side.pset))):
-            if (tag, path.relation_ids) not in self._paths:
-                view = rec.inference_view(side, k, tag, self.config.fanout, self.config.seed, "eval")
-                self._paths[tag, path.relation_ids] = rec.path_forward(Tape(), model, tag, name, Z, view)
-        stages = [self._paths[tag, path.relation_ids] for path in side.pset]
-        return rec.fuse(Tape(), [Hx for Hx, _ in stages], [w for _, w in stages])[0].value
 
     def pair(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet) -> float:
         self.calls += 1
@@ -375,9 +360,5 @@ class PerformanceProbe:
             return self._results[key]
         model = self.model(user_set, item_set, self.init_base)
         self.evaluations += 1
-        scorer = embedding_scorer(
-            self.graph, self._fused(model, "user", model.user_side), self._fused(model, "item", model.item_side)
-        )
-        value = evaluate(scorer, self.split, "validation", (10,), self.config.seed, self.config.n_negatives).ndcg[10]
-        self._results[key] = value
+        self._results[key] = value = self.val_ndcg(model, "eval", self._stages)
         return value

@@ -463,7 +463,7 @@ def _side_forward(
     then one :func:`fuse`. The paper's σ at each level is HAN's
     (Wang et al., arXiv:1903.07293): LeakyReLU on node-level scores, ELU on
     aggregation, tanh in the meta-path-level attention. ``drop_rng`` draws
-    dropout masks; inference, with no dropout, passes ``None``.
+    dropout masks; ``None`` runs without dropout.
     """
     cfg = model.cfg
     Z = project(tape, model, tag, side)
@@ -512,18 +512,29 @@ def inference_view(
     return mp.sample_view(side.subgraphs[k], fanout, derive_rng(seed, view_tag, tag, path.relation_ids))
 
 
-def infer_embeddings(model: HRecModel, seed: int, tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fused user/item embedding tables with deterministic view sampling.
+def infer_embeddings(
+    model: HRecModel, seed: int, tag: str, stages: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fused user/item embedding tables, without dropout, with deterministic views.
 
-    Each path's view is its :func:`inference_view` under the view tag
-    ``tag``. Runs the training forward pass without dropout on a tape that
-    is then dropped.
+    Each path's (table, score) comes from ``stages`` at (side tag, relation
+    ids), or is computed into it by :func:`inference_view` (view tag ``tag``)
+    and :func:`path_forward` over :func:`project`, each on a throwaway tape.
+    Then one :func:`fuse` per side, with the bytes of :func:`_side_forward`.
+    A shared ``stages`` must hold one view tag's stages of models that agree
+    on every path's parameters, as the probe's do.
     """
+    stages = {} if stages is None else stages
     tables = []
     for side_tag, side in (("user", model.user_side), ("item", model.item_side)):
-        views = [inference_view(side, k, side_tag, model.cfg.fanout, seed, tag) for k in range(len(side.pset))]
-        H, _ = _side_forward(Tape(), model, side_tag, side, views, None)
-        tables.append(H.value)
+        Z = None
+        for k, (path, name) in enumerate(zip(side.pset, path_names(side.pset))):
+            if (side_tag, path.relation_ids) not in stages:
+                Z = project(Tape(), model, side_tag, side) if Z is None else Z
+                view = inference_view(side, k, side_tag, model.cfg.fanout, seed, tag)
+                stages[side_tag, path.relation_ids] = path_forward(Tape(), model, side_tag, name, Z, view)
+        done = [stages[side_tag, path.relation_ids] for path in side.pset]
+        tables.append(fuse(Tape(), [Hx for Hx, _ in done], [w for _, w in done])[0].value)
     return tables[0], tables[1]
 
 

@@ -227,8 +227,9 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
 
 @pytest.mark.parametrize(
     "setting, strategy, iter_limit",
-    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("target_sync = 0", "rms", 400)],
-    ids=["strategy", "max-steps", "target-sync"],
+    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("target_sync = 0", "rms", 400),
+     ("greedy_candidates = 0", "greedy", 8), ("fanout = 0", "random", 8)],
+    ids=["strategy", "max-steps", "target-sync", "greedy-candidates", "fanout"],
 )
 def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit):
     """Reported with the file, the line and the key, before the dataset is read."""
@@ -253,6 +254,20 @@ def test_train_rejects_zero_epochs(dataset, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {config}:1: config key 'rec_epochs': must be at least 1, got 0" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_train_rejects_a_dropout_of_one(dataset, tmp_path, capsys):
+    """A dropout of 1 would keep no unit and divide by zero; the config names the fault."""
+    config = tmp_path / "run.cfg"
+    config.write_text("dropout = 1.0\n")
+    out = tmp_path / "run"
+    rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), "--dataset", dataset, "--config", config,
+             "--seed", 0, "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:1: config key 'dropout': must be in [0, 1), got 1.0" in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
 

@@ -74,7 +74,13 @@ def test_removed_settings_are_unknown_keys(tmp_path, line):
      ("dqn_buffer = 0", "config key 'dqn_buffer': must be at least 1, got 0"),
      ("dqn_batch = 0", "config key 'dqn_batch': must be at least 1, got 0"),
      ("rec_batch = 0", "config key 'rec_batch': must be at least 1, got 0"),
-     ("rec_epochs = 0", "config key 'rec_epochs': must be at least 1, got 0")],
+     ("rec_epochs = 0", "config key 'rec_epochs': must be at least 1, got 0"),
+     ("greedy_candidates = 0", "config key 'greedy_candidates': must be at least 1, got 0"),
+     ("fanout = 0", "config key 'fanout': must be at least 1, got 0"),
+     ("iter_limit = -3", "config key 'iter_limit': must be at least 0, got -3"),
+     ("dropout = 1.0", "config key 'dropout': must be in [0, 1), got 1.0"),
+     ("dropout = -0.1", "config key 'dropout': must be in [0, 1), got -0.1"),
+     ("dropout = nan", "config key 'dropout': must be in [0, 1), got nan")],
 )
 def test_values_the_search_cannot_run_name_file_line_and_key(tmp_path, line, message):
     path = write(tmp_path, f"seed = 1\n{line}\n")
@@ -91,7 +97,9 @@ def test_overrides_are_checked_like_the_file(override):
 @pytest.mark.parametrize(
     "line",
     [f"strategy = {name}" for name in STRATEGIES]
-    + [f"{key} = 1" for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs")],
+    + [f"{key} = 1" for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs",
+                                "greedy_candidates", "fanout")]
+    + ["iter_limit = 0", "dropout = 0.0", "dropout = 0.99"],
 )
 def test_values_the_search_can_run_are_accepted(tmp_path, line):
     key, value = (part.strip() for part in line.split("="))

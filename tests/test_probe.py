@@ -92,6 +92,42 @@ def test_a_path_draws_the_same_in_every_set(probe, small_planted):
     assert len(W) == 1
 
 
+def test_models_that_share_a_path_share_its_stage(probe, small_planted, monkeypatch):
+    """Two models from one base, run with one ``stages`` dict: the second computes only the
+    (side, path) it adds, projecting only that side, and both have the bytes of fresh calls."""
+    graph, _, _ = small_planted
+    item_sets = ([(WATCHED, WATCH), (ACTED, ACT)], [(WATCHED, WATCH), (ACTED, ACT), (DIRECTED, DIRECT)])
+    models = [probe.model(*pair_sets(graph, [(WATCH, WATCHED)], items), probe.init_base) for items in item_sets]
+    fresh = [rec.infer_embeddings(model, SEED, "eval") for model in models]
+    calls = []
+
+    def counted(name):
+        real = getattr(rec, name)
+
+        def call(*args):
+            calls.append((name, args[2]))  # the side tag
+            return real(*args)
+
+        return call
+
+    for name in ("project", "path_forward"):
+        monkeypatch.setattr(rec, name, counted(name))
+    stages = {}
+    added = [
+        ({("user", (WATCH, WATCHED)), ("item", (WATCHED, WATCH)), ("item", (ACTED, ACT))},
+         [("project", "user"), ("path_forward", "user"),
+          ("project", "item"), ("path_forward", "item"), ("path_forward", "item")]),
+        ({("item", (DIRECTED, DIRECT))}, [("project", "item"), ("path_forward", "item")]),
+    ]
+    for model, want, (keys, computed) in zip(models, fresh, added):
+        before = set(stages)
+        calls.clear()
+        tables = rec.infer_embeddings(model, SEED, "eval", stages)
+        assert [t.tobytes() for t in tables] == [t.tobytes() for t in want]
+        assert set(stages) - before == keys
+        assert calls == computed
+
+
 def test_pair_never_trains(probe, planted, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the probe must not train")

@@ -408,6 +408,10 @@ class TestForward:
         )
         np.testing.assert_allclose(np.sum(H_u * H_i, axis=1), fp.ypos.value, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.sum(H_u * H_i[::-1], axis=1), fp.yneg.value, rtol=0, atol=1e-12)
+        # Each side's table, built per path on throwaway tapes, has the bytes of the side's tape forward.
+        for tag, side, views, H in (("user", model.user_side, views_u, H_u), ("item", model.item_side, views_i, H_i)):
+            want, _ = _side_forward(Tape(), model, tag, side, views, None)
+            assert H.tobytes() == want.value.tobytes()
 
     def test_node_attention_reference_matches_batched(self, tiny_model):
         """Per-node reference attention, fused by reference path attention, equals the tape pass."""
