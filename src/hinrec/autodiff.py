@@ -193,7 +193,7 @@ class Tape:
         return self._emit(np.asarray([it.value for it in items]), back)
 
     def pick(self, v: Var, i) -> Var:
-        """Entries ``v[i]``: one int, or a fancy index that names no entry twice."""
+        """Entries ``v[i]``: one int, a slice, or a fancy index that names no entry twice."""
 
         def back(g):
             full = np.zeros_like(v.value)
@@ -201,14 +201,6 @@ class Tape:
             v.accumulate(full)
 
         return self._emit(v.value[i], back)
-
-    def slice1d(self, v: Var, start: int, stop: int) -> Var:
-        def back(g):
-            full = np.zeros_like(v.value)
-            full[start:stop] = g
-            v.accumulate(full)
-
-        return self._emit(v.value[start:stop], back)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -225,12 +217,6 @@ class Tape:
             b.accumulate(-g)
 
         return self._emit(a.value - b.value, back)
-
-    def neg(self, a: Var) -> Var:
-        def back(g):
-            a.accumulate(-g)
-
-        return self._emit(-a.value, back)
 
     def add_bias(self, x: Var, b: Var) -> Var:
         def back(g):

@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="search meta-path sets")
     p.add_argument("--dataset", required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--iter-limit", type=int, dest="iter_limit")
+    p.add_argument("--iter-limit", type=int, dest="iter_limit",
+                   help="search budget (default 480): each side gets half, which random and greedy spend "
+                        "in probe calls and rms in half // max_steps training episodes")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")
     p.add_argument("--dataset", required=True)
@@ -157,11 +159,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _side_budget(cfg: RunConfig) -> int:
-    """Half the run's greedy/random probe budget (200 when unset): each side searches with one half."""
-    return (cfg.iter_limit if cfg.iter_limit > 0 else 200) // 2
-
-
 def cmd_search(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
@@ -178,7 +175,7 @@ def cmd_search(args) -> int:
     # only, so once both initial sets pass the density filter no probe fails.
     for form in (mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC):
         probe.side(search_env.initial_set(form, schema))
-    episodes = max(1, cfg.iter_limit // (2 * cfg.max_steps)) if cfg.iter_limit > 0 else cfg.dqn_episodes
+    budget = cfg.iter_limit // 2  # per side
     found = {}
     for tag, form, other in (
         ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
@@ -192,11 +189,11 @@ def cmd_search(args) -> int:
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
         if cfg.strategy == "rms":
-            found[tag] = dqn.search(env, cfg, derive_seed(cfg.seed, "agent", tag), episodes)
+            found[tag] = dqn.search(env, cfg, derive_seed(cfg.seed, "agent", tag), budget)
         elif cfg.strategy == "random":
-            found[tag] = search_env.random_search(env, _side_budget(cfg), rng)
+            found[tag] = search_env.random_search(env, budget, rng)
         else:
-            found[tag] = search_env.greedy_search(env, _side_budget(cfg), cfg.greedy_candidates, rng)
+            found[tag] = search_env.greedy_search(env, budget, cfg.greedy_candidates, rng)
     user_set, item_set = found["user"], found["item"]
 
     write_json(

@@ -2,11 +2,16 @@
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
 config file, then CLI flags. Unknown keys, unparsable values, an unknown
-``strategy``, a step limit, sync period, buffer or batch size, HRec epoch
-count, greedy candidate count or fanout below 1, a negative probe budget
-``iter_limit`` and a ``dropout`` outside [0, 1) are rejected with
-:class:`ConfigError`, prefixed with ``path:line`` when they come from a
-file. :class:`RunConfig` is the only settings table: HRec, the probe and
+``strategy``, a step limit, sync period, batch size, HRec epoch count,
+greedy candidate count, fanout, embedding or attention width or negative
+count below 1, a search budget ``iter_limit`` below 2, and a ``dropout``
+or ``gamma`` outside [0, 1) are rejected with :class:`ConfigError`,
+prefixed with ``path:line`` when they come from a file.
+
+``iter_limit`` is the one search budget. Each side, user and item, gets
+``iter_limit // 2``: random and greedy search spend it in probe calls, and
+the DQN trains for ``(iter_limit // 2) // max_steps`` episodes, at least
+one. :class:`RunConfig` is the only settings table: HRec, the probe and
 the DQN read it directly. The config hash covers every field except
 ``seed``, ``out`` and ``dataset``, which name a run without changing its
 science, so a report can refuse to aggregate runs produced under
@@ -45,15 +50,13 @@ class RunConfig:
     # search
     strategy: str = "rms"
     max_steps: int = 4
-    iter_limit: int = 0
+    iter_limit: int = 480
     greedy_candidates: int = 4
 
     # DQN agent
-    dqn_episodes: int = 60
     gamma: float = 0.9
     dqn_lr: float = 0.001
     dqn_batch: int = 32
-    dqn_buffer: int = 10000
     target_sync: int = 100
     eps_start: float = 1.0
     eps_end: float = 0.1
@@ -111,8 +114,11 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # The least value of each integer setting that the pipeline can run.
-_AT_LEAST = {key: 1 for key in ("max_steps", "target_sync", "dqn_buffer", "dqn_batch", "rec_batch", "rec_epochs",
-                                 "greedy_candidates", "fanout")} | {"iter_limit": 0}
+_AT_LEAST = {key: 1 for key in ("max_steps", "target_sync", "dqn_batch", "rec_batch", "rec_epochs",
+                                 "greedy_candidates", "fanout", "embed_dim", "att_hidden", "n_negatives")}
+_AT_LEAST["iter_limit"] = 2  # one probe call per side
+# The float settings that must lie in [0, 1).
+_UNIT_INTERVAL = ("dropout", "gamma")
 
 
 def _coerce(cfg: RunConfig, key: str, value):
@@ -121,8 +127,8 @@ def _coerce(cfg: RunConfig, key: str, value):
         raise ConfigError(f"config key 'strategy': unknown strategy {out!r}, expected one of {', '.join(STRATEGIES)}")
     if key in _AT_LEAST and out < _AT_LEAST[key]:
         raise ConfigError(f"config key {key!r}: must be at least {_AT_LEAST[key]}, got {out}")
-    if key == "dropout" and not 0.0 <= out < 1.0:
-        raise ConfigError(f"config key 'dropout': must be in [0, 1), got {out}")
+    if key in _UNIT_INTERVAL and not 0.0 <= out < 1.0:
+        raise ConfigError(f"config key {key!r}: must be in [0, 1), got {out}")
     return out
 
 

@@ -9,10 +9,10 @@ target network record on a tape that is then dropped. Training
 interleaves epsilon-greedy episodes with Huber-loss TD updates against a
 periodically synced target network; inference runs one greedy episode
 and returns its final meta-path set. The agent reads ``gamma``,
-``dqn_lr``, ``dqn_batch`` (also its replay warm-up), ``dqn_buffer``,
-``target_sync``, ``eps_start``, ``eps_end`` and ``eps_fraction`` from a
-:class:`~hinrec.config.RunConfig`; the seed and the episode count are
-passed in. Per-episode and per-update RNG streams are derived from
+``dqn_lr``, ``dqn_batch`` (also its replay warm-up), ``target_sync``,
+``eps_start``, ``eps_end`` and ``eps_fraction`` from a
+:class:`~hinrec.config.RunConfig`; the seed and the side's probe budget
+are passed in. Per-episode and per-update RNG streams are derived from
 (seed, counter), so a search is reproducible from its seed.
 """
 from __future__ import annotations
@@ -100,29 +100,6 @@ class Transition:
     done: bool
 
 
-class ReplayBuffer:
-    """FIFO ring of transitions."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._items: list[Transition] = []
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, t: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(t)
-        else:
-            self._items[self._pos] = t
-        self._pos = (self._pos + 1) % self.capacity
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        idx = rng.choice(len(self._items), size=k, replace=False)
-        return [self._items[i] for i in idx]
-
-
 def td_update(
     params: dict[str, Var],
     target_params: dict[str, Var],
@@ -167,10 +144,12 @@ def td_update(
 
 
 class DqnAgent:
-    """Owns the online/target networks, the buffer, and the schedule position.
+    """Owns the online/target networks, the replay list, and the schedule position.
 
-    TD updates start once the buffer holds one batch, ``dqn_batch``
-    transitions (:attr:`min_buffer`). Epsilon decays linearly over the first
+    The replay list keeps every transition: a search's budget bounds them to
+    at most ``max(max_steps, budget)``. TD updates start once it holds one
+    batch, ``dqn_batch`` transitions (:attr:`min_buffer`), and sample that
+    many without replacement. Epsilon decays linearly over the first
     ``eps_fraction`` of ``total_steps``, the run's expected environment steps.
     """
 
@@ -181,7 +160,7 @@ class DqnAgent:
         rng = derive_rng(seed, "qnet-init")
         self.params = init_q_network(n_state, n_actions, DEFAULT_HIDDEN, rng)
         self.target = copy_params(self.params)
-        self.buffer = ReplayBuffer(cfg.dqn_buffer)
+        self.buffer: list[Transition] = []
         self.env_steps = 0
         self.updates = 0
         self.eps_horizon = max(1, int(cfg.eps_fraction * total_steps))
@@ -192,10 +171,11 @@ class DqnAgent:
         return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
     def observe(self, t: Transition) -> None:
-        self.buffer.push(t)
+        self.buffer.append(t)
         self.env_steps += 1
         if len(self.buffer) >= self.min_buffer:
-            batch = self.buffer.sample(self.cfg.dqn_batch, derive_rng(self.seed, "update", self.updates))
+            rng = derive_rng(self.seed, "update", self.updates)
+            batch = [self.buffer[i] for i in rng.choice(len(self.buffer), size=self.cfg.dqn_batch, replace=False)]
             td_update(self.params, self.target, batch, self.cfg.gamma, self.cfg.dqn_lr)
             self.updates += 1
             if self.updates % self.cfg.target_sync == 0:
@@ -220,13 +200,15 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
             return state, total_reward
 
 
-def search(env, cfg: RunConfig, seed: int, episodes: int):
-    """Train a fresh agent for ``episodes`` episodes, then run one greedy inference episode.
+def search(env, cfg: RunConfig, seed: int, budget: int):
+    """Train a fresh agent, then run one greedy inference episode.
 
-    Returns the inference episode's final meta-path set. Logs a warning
-    when training ends without a TD update, since the greedy episode then
-    follows an untrained network.
+    The side's probe budget buys ``budget // env.max_steps`` training
+    episodes, at least one. Returns the inference episode's final meta-path
+    set. Logs a warning when training ends without a TD update, since the
+    greedy episode then follows an untrained network.
     """
+    episodes = max(1, budget // env.max_steps)
     agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed, episodes * env.max_steps)
     for ep in range(episodes):
         rng = derive_rng(seed, "episode", ep)

@@ -415,7 +415,7 @@ def path_table(tape: Tape, Z: Var, a: Var, view: mp.SampledView) -> Var:
     h^φ_i = ELU(Σ_j α^φ_ij z_j).
     """
     d = Z.value.shape[1]
-    a_src, a_dst = tape.slice1d(a, 0, d), tape.slice1d(a, d, 2 * d)
+    a_src, a_dst = tape.pick(a, slice(0, d)), tape.pick(a, slice(d, 2 * d))
     e = tape.leaky_relu(
         tape.add(tape.gather(tape.matvec(Z, a_src), view.src), tape.gather(tape.matvec(Z, a_dst), view.dst))
     )
@@ -500,7 +500,7 @@ def forward(
 
 
 def bpr_loss_var(tape: Tape, ypos: Var, yneg: Var) -> Var:
-    return tape.mean(tape.softplus(tape.neg(tape.sub(ypos, yneg))))
+    return tape.mean(tape.softplus(tape.sub(yneg, ypos)))
 
 
 def inference_view(
@@ -548,7 +548,6 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_val_ndcg: float = -np.inf
-    stopped_early: bool = False
 
 
 def train(model: HRecModel, split, seed: int, evaluator) -> TrainResult:
@@ -600,7 +599,6 @@ def train(model: HRecModel, split, seed: int, evaluator) -> TrainResult:
         else:
             bad_epochs += 1
         if bad_epochs > cfg.patience:
-            result.stopped_early = True
             break
     if best_snap is not None:
         model.restore(best_snap)

@@ -69,8 +69,8 @@ class TestOps:
         idx = np.asarray([0, 2, 2, 1])
         check_op(lambda t, v: t.mean(t.gather(v[0], idx)), [(4, 3)])
 
-    def test_slice1d(self):
-        check_op(lambda t, v: t.mean(t.slice1d(v[0], 1, 4)), [(6,)])
+    def test_pick_slice(self):
+        check_op(lambda t, v: t.mean(t.pick(v[0], slice(1, 4))), [(6,)])
 
     def test_pick_and_stack(self):
         def build(t, v):
@@ -81,7 +81,8 @@ class TestOps:
 
     def test_add_sub_mul_neg(self):
         def build(t, v):
-            total = t.add(t.mul_const(t.add(v[0], v[1]), weights(3, 3)), t.neg(t.sub(v[0], v[1])))
+            # the negated difference as the swapped sub, as bpr_loss_var takes it
+            total = t.add(t.mul_const(t.add(v[0], v[1]), weights(3, 3)), t.sub(v[1], v[0]))
             return t.mean(t.mul_const(total, weights(3, 3, seed=18)))
 
         check_op(build, [(3, 3), (3, 3)])
@@ -200,8 +201,8 @@ class TestComposition:
         def build(t, v):
             Z, a, q = v
             e = t.leaky_relu(
-                t.add(t.gather(t.matvec(Z, t.slice1d(a, 0, 3)), SRC),
-                      t.gather(t.matvec(Z, t.slice1d(a, 3, 6)), DST))
+                t.add(t.gather(t.matvec(Z, t.pick(a, slice(0, 3))), SRC),
+                      t.gather(t.matvec(Z, t.pick(a, slice(3, 6))), DST))
             )
             alpha = t.segment_softmax(e, INDPTR, SRC)
             h = t.elu(t.segment_weighted_sum(Z, alpha, INDPTR, SRC, DST))
@@ -212,7 +213,7 @@ class TestComposition:
     def test_bpr_chain(self):
         def build(t, v):
             pos, neg = v
-            return t.mean(t.softplus(t.neg(t.sub(pos, neg))))
+            return t.mean(t.softplus(t.sub(neg, pos)))
 
         check_op(build, [(5,), (5,)])
 

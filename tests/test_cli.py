@@ -103,6 +103,25 @@ def test_baseline_search_traces_every_probe(dataset, tmp_path, strategy):
         assert any(l["set"] == found and l["probe_metric"] == best for l in probed)
 
 
+def budget_outputs(dataset, out, strategy, *extra):
+    """sets.json and, per agent, the distinct episode numbers of the search's trace."""
+    assert run("search", "--dataset", dataset, "--strategy", strategy, "--seed", 0, "--out", out, *extra) == 0
+    episodes = {}
+    for line in read_jsonl(out / "trace.jsonl"):
+        episodes.setdefault(line["agent"], set()).add(line.get("episode"))
+    return read_json(out / "sets.json"), episodes
+
+
+@pytest.mark.parametrize("extra, calls, episodes", [(("--iter-limit", 16), 16, 2), ((), 480, 60)],
+                         ids=["iter-limit-16", "default"])
+def test_one_budget_sizes_random_and_rms(dataset, tmp_path, extra, calls, episodes):
+    """Half the budget per side: random probes that many sets, rms trains half // max_steps episodes."""
+    doc, _ = budget_outputs(dataset, tmp_path / "random", "random", *extra)
+    assert doc["probe_calls"] == calls
+    _, seen = budget_outputs(dataset, tmp_path / "rms", "rms", *extra)
+    assert seen == {agent: set(range(episodes + 1)) for agent in ("user", "item")}  # and the inference episode
+
+
 def test_search_replaces_an_earlier_trace(dataset, tmp_path):
     assert search(dataset, tmp_path, "greedy") == 0
     assert search(dataset, tmp_path, "greedy") == 0
@@ -228,8 +247,8 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
 @pytest.mark.parametrize(
     "setting, strategy, iter_limit",
     [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("target_sync = 0", "rms", 400),
-     ("greedy_candidates = 0", "greedy", 8), ("fanout = 0", "random", 8)],
-    ids=["strategy", "max-steps", "target-sync", "greedy-candidates", "fanout"],
+     ("greedy_candidates = 0", "greedy", 8), ("fanout = 0", "random", 8), ("gamma = 1.0", "rms", 40)],
+    ids=["strategy", "max-steps", "target-sync", "greedy-candidates", "fanout", "gamma"],
 )
 def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit):
     """Reported with the file, the line and the key, before the dataset is read."""

@@ -3,12 +3,12 @@ import logging
 import numpy as np
 import pytest
 
+from hinrec import dqn
 from hinrec.autodiff import Tape, Var
 from hinrec.config import RunConfig
 from hinrec.dqn import (
     DEFAULT_HIDDEN,
     DqnAgent,
-    ReplayBuffer,
     Transition,
     copy_params,
     init_q_network,
@@ -308,20 +308,15 @@ class TestTdUpdate:
 
 
 class TestReplayBuffer:
-    def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3)
-        for k in range(5):
-            buf.push(Transition(np.asarray([float(k)]), k, 0.0, np.asarray([0.0]), False))
-        assert len(buf) == 3
-        kept = sorted(t.a for t in buf._items)
-        assert kept == [2, 3, 4]
-
-    def test_sample_without_replacement(self):
-        buf = ReplayBuffer(capacity=10)
+    def test_sample_without_replacement(self, monkeypatch):
+        """The agent's first TD update samples a whole batch from its replay list, each transition once."""
+        batches = []
+        monkeypatch.setattr(dqn, "td_update", lambda params, target, batch, gamma, lr: batches.append(batch))
+        agent = DqnAgent(1, 2, RunConfig(dqn_batch=10), seed=0, total_steps=10)
         for k in range(10):
-            buf.push(Transition(np.asarray([float(k)]), k, 0.0, np.asarray([0.0]), False))
-        batch = buf.sample(10, np.random.default_rng(0))
-        assert sorted(t.a for t in batch) == list(range(10))
+            agent.observe(Transition(np.asarray([float(k)]), k, 0.0, np.asarray([0.0]), False))
+        assert len(agent.buffer) == 10
+        assert [sorted(t.a for t in batch) for batch in batches] == [list(range(10))]
 
 
 class TestAgent:
@@ -387,23 +382,27 @@ class TestSearch:
     CFG = RunConfig(dqn_lr=0.01, dqn_batch=32, eps_fraction=0.5)
 
     def test_learns_toy_bandit(self):
-        # The greedy episode takes the good relation (3) at each of its 4 steps.
-        assert search(ToyBanditEnv(), self.CFG, 0, 60) == (0.0, 0.0, 4.0, 0.0, 0.0)
+        # 240 probe steps buy 60 episodes; the greedy episode takes the good relation (3) at each of its 4 steps.
+        assert search(ToyBanditEnv(), self.CFG, 0, 240) == (0.0, 0.0, 4.0, 0.0, 0.0)
 
-    def test_zero_episodes_still_returns_state(self):
-        env = ToyBanditEnv()
-        out = search(env, RunConfig(), 1, 0)
-        assert out is not None
+    @pytest.mark.parametrize("budget, episodes", [(0, 1), (3, 1), (4, 1), (11, 2), (240, 60)])
+    def test_budget_buys_whole_episodes_and_at_least_one(self, monkeypatch, budget, episodes):
+        trained = []
+        run = dqn.run_episode
+        monkeypatch.setattr(dqn, "run_episode", lambda env, agent, rng, greedy=False:
+                            trained.append(greedy) or run(env, agent, rng, greedy))
+        assert search(ToyBanditEnv(), RunConfig(), 1, budget) is not None
+        assert trained == [False] * episodes + [True]
 
     def test_deterministic_per_seed(self):
-        out1 = search(ToyBanditEnv(), self.CFG, 0, 60)
-        out2 = search(ToyBanditEnv(), self.CFG, 0, 60)
+        out1 = search(ToyBanditEnv(), self.CFG, 0, 240)
+        out2 = search(ToyBanditEnv(), self.CFG, 0, 240)
         assert out1 == out2
 
     def test_warns_when_training_makes_no_update(self, caplog):
-        # 2 episodes of at most 4 steps give at most 8 transitions, below the warm-up of 32.
+        # 8 probe steps buy 2 episodes of at most 4 steps: at most 8 transitions, below the warm-up of 32.
         with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
-            search(ToyBanditEnv(), self.CFG, 0, 2)
+            search(ToyBanditEnv(), self.CFG, 0, 8)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "no TD update" in warnings[0] and "2 episodes" in warnings[0]
@@ -411,7 +410,7 @@ class TestSearch:
 
     def test_no_warning_once_updates_run(self, caplog):
         with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
-            search(ToyBanditEnv(), self.CFG, 0, 60)
+            search(ToyBanditEnv(), self.CFG, 0, 240)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
