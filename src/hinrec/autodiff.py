@@ -225,14 +225,26 @@ class Tape:
 
         return self._emit(x.value + b.value, back)
 
-    def scale(self, x: Var, s: Var) -> Var:
-        """Whole-array scaling by a scalar Var."""
+    def weighted_sum(self, xs: list[Var], w: Var) -> Var:
+        """``sum_k w[k] * xs[k]`` over same-shaped arrays and a length-k ``w``.
+
+        The value is ``xs[0] * w[0]``, then ``+= xs[k] * w[k]`` in k order
+        through one scratch array, so it has the bits of the chain of
+        per-table scalings and adds, without two new arrays per table.
+        ``xs[k]``'s gradient is ``g * w[k]`` and ``w``'s the vector of
+        ``sum(g * xs[k])``.
+        """
+        out = xs[0].value * w.value[0]
+        term = np.empty_like(out)
+        for k in range(1, len(xs)):
+            out += np.multiply(xs[k].value, w.value[k], out=term)
 
         def back(g):
-            x.accumulate(g * s.value)
-            s.accumulate(np.sum(g * x.value))
+            for k, x in enumerate(xs):
+                x.accumulate(g * w.value[k])
+            w.accumulate(np.asarray([np.sum(g * x.value) for x in xs]))
 
-        return self._emit(x.value * s.value, back)
+        return self._emit(out, back)
 
     def mul_const(self, x: Var, c: np.ndarray) -> Var:
         def back(g):

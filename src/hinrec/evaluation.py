@@ -39,7 +39,10 @@ class Candidates:
 
     Rows follow user order and hold the held-out positive first, then its
     sampled negatives; ``users`` repeats each row's user per entry. All ids
-    are global, and the arrays are read-only.
+    are global, and the arrays are read-only. The rows are kept for the
+    whole run, so ``users`` and ``items`` are stored in the narrowest
+    unsigned dtype that holds the largest id among them (uint16 on
+    planted-mam); ``starts`` is int64.
     """
 
     users: np.ndarray
@@ -95,11 +98,10 @@ class SplitSet:
                 )
             starts = np.zeros(len(rows), dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
-            flat = Candidates(
-                np.repeat(np.asarray(users, dtype=np.int64), counts),
-                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-                starts,
-            )
+            held_users = np.asarray(users, dtype=np.int64)
+            items = np.concatenate(rows) if rows else _NO_ITEMS
+            ids = np.min_scalar_type(max(int(held_users.max(initial=0)), int(items.max(initial=0))))
+            flat = Candidates(np.repeat(held_users.astype(ids), counts), items.astype(ids), starts)
             for arr in (flat.users, flat.items, flat.starts):
                 arr.flags.writeable = False
             self._candidates[key] = flat
@@ -221,11 +223,15 @@ def evaluate(
     """Rank each eligible user's held-out positive among sampled negatives.
 
     ``scorer(users, items) -> scores`` scores global-id pairs elementwise;
-    it gets every entry of :meth:`SplitSet.candidates` in one call. A
-    positive's rank is the number of its row's entries scoring at least as
-    high, itself included, so ties count against it. Negatives derive from
-    (seed, split, user) alone, so a split's rows are the same for every
-    caller.
+    it gets every entry of :meth:`SplitSet.candidates` in one call, at
+    those arrays' narrow dtype. A positive's rank is the number of its
+    row's entries scoring at least as high, itself included, so a tie
+    counts against it, but only an exact tie: under BLAS, identical item
+    rows need not score equally. :func:`embedding_scorer`'s product gave
+    1,100 identical rows unequal scores at 500 users x 64 dims
+    (planted-mam's shape), and exactly equal ones at 60 x 110 x 8.
+    Negatives derive from (seed, split, user) alone, so a split's rows are
+    the same for every caller.
     """
     cand = split.candidates(which, seed, n_negatives)
     if not len(cand):
@@ -234,7 +240,7 @@ def evaluate(
     scores = np.asarray(scorer(cand.users, cand.items), dtype=np.float64)
     counts = np.diff(np.append(cand.starts, len(scores)))
     at_least = scores >= np.repeat(scores[cand.starts], counts)
-    ranks = np.add.reduceat(at_least.astype(np.int64), cand.starts)
+    ranks = np.add.reduceat(at_least, cand.starts, dtype=np.int64)
     gains = 1.0 / np.log2(ranks + 1)
     hr = {k: float(np.mean(ranks <= k)) for k in ks}
     ndcg = {k: float(np.mean(np.where(ranks <= k, gains, 0.0))) for k in ks}
@@ -242,13 +248,24 @@ def evaluate(
 
 
 def embedding_scorer(graph: HinGraph, H_user: np.ndarray, H_item: np.ndarray):
-    """Pairwise scorer over global ids, from one product of the two tables."""
+    """Pairwise scorer over global ids, from one product of the two tables.
+
+    One ``np.take`` reads the flat product at int64 positions built in
+    place; narrow unsigned ids are cast before any offset is subtracted.
+    Ids must be of the user and item types: an id of another type is not
+    rejected unless its position falls outside the product.
+    """
     u_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.user_type)])
     i_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.item_type)])
-    S = H_user @ H_item.T
+    n_items = len(H_item)
+    S = (H_user @ H_item.T).reshape(-1)
 
     def scorer(users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return S[np.asarray(users) - u_off, np.asarray(items) - i_off]
+        at = np.subtract(users, u_off, dtype=np.int64)
+        at *= n_items
+        at += items
+        at -= i_off
+        return np.take(S, at)
 
     return scorer
 

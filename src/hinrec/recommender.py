@@ -431,10 +431,7 @@ def path_score(tape: Tape, Hx: Var, W: Var, b: Var, q: Var) -> Var:
 def fuse(tape: Tape, tables: list[Var], scores: list[Var]) -> tuple[Var, Var]:
     """HAN's meta-path level: β = softmax(w) over the paths, and the table Σ_φ β_φ h^φ."""
     beta = tape.softmax(tape.stack_scalars(scores))
-    fused = tape.scale(tables[0], tape.pick(beta, 0))
-    for k in range(1, len(tables)):
-        fused = tape.add(fused, tape.scale(tables[k], tape.pick(beta, k)))
-    return fused, beta
+    return tape.weighted_sum(tables, beta), beta
 
 
 def project(tape: Tape, model: HRecModel, tag: str, side: SideBundle) -> Var:

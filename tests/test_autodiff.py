@@ -98,8 +98,12 @@ class TestOps:
             [(5, 2), (5,)],
         )
 
-    def test_scale(self):
-        check_op(lambda t, v: t.mean(t.scale(v[0], t.mean(v[1]))), [(3, 2), (2,)])
+    def test_weighted_sum(self):
+        def build(t, v):
+            w = t.softmax(t.mul_const(v[3], weights(3)))
+            return t.mean(t.mul_const(t.weighted_sum(v[:3], w), weights(3, 2)))
+
+        check_op(build, [(3, 2), (3, 2), (3, 2), (3,)])
 
     def test_mul_const(self):
         c = np.asarray([[2.0, -1.0], [0.5, 3.0]])

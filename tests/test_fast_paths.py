@@ -5,6 +5,7 @@ of ``Tape.gather``'s backward (``np.add.at`` into zeros),
 ``evaluation.evaluate`` (candidate rows redrawn on every call and ranked
 one user at a time), ``evaluation.negative_pools`` (``np.setdiff1d``),
 the node aggregation (gather, row scaling and group sum as three tape ops),
+the meta-path fusion (per path a ``pick``, a scaling and an ``add``),
 ``Var.accumulate`` (zeros, then ``+=``), ``metapath.sample_view`` (one
 ``rng.choice`` per node) and ``metapath.materialize_subgraph`` (a boolean
 sparse product over all ``num_nodes x num_nodes`` relation matrices, sliced
@@ -35,6 +36,7 @@ embedding tables, and its metrics must equal the per-user reference.
 """
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -91,6 +93,23 @@ def reference_segment_weighted_sum(self, x, w, indptr, src, dst):
         msg.accumulate(g[src])
 
     return self._emit(np.add.reduceat(msg.value, indptr[:-1], axis=0), back_sum)
+
+
+def reference_weighted_sum(self, xs, w):
+    """The meta-path fusion's earlier chain: per table, ``pick`` its weight and
+    scale the table by it (a new array), then ``add`` onto the running sum."""
+
+    def scale(x, s):
+        def back(g):
+            x.accumulate(g * s.value)
+            s.accumulate(np.sum(g * x.value))
+
+        return self._emit(x.value * s.value, back)
+
+    fused = scale(xs[0], self.pick(w, 0))
+    for k in range(1, len(xs)):
+        fused = self.add(fused, scale(xs[k], self.pick(w, k)))
+    return fused
 
 
 def reference_sample_neighbors(subgraph, v, fanout, rng):
@@ -454,6 +473,36 @@ def test_weight_gradient_blocks_end_inside_groups(monkeypatch, block):
         assert_aggregation_matches(monkeypatch, m, n, max_size, zero_share, seed=block)
 
 
+def fusion_run(tables0, c):
+    """Values and gradients of a fused table under ``recommender.fuse``, its
+    tables also read by each path's score, as in ``_side_forward``."""
+    t = Tape()
+    tables = [Var(x.copy()) for x in tables0]
+    q = Var(np.linspace(-1.0, 1.0, tables0[0].shape[1]))
+    scores = [t.mean(t.matvec(t.tanh(x), q)) for x in tables]
+    fused, beta = recommender.fuse(t, tables, scores)
+    t.backward(t.mean(t.mul_const(fused, c)))
+    return [fused.value, beta.value, q.grad, *(x.grad for x in tables)]
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 5])
+@pytest.mark.parametrize("zero_share", [0.0, 0.5])
+def test_weighted_sum_bit_identical_to_scale_and_add_chain(monkeypatch, n_paths, zero_share):
+    """``fuse``'s one weighted sum against the pick/scale/add chain it replaced: the
+    fused table, β and every gradient byte-equal, with upstream zeros of both signs."""
+    rng = derive_rng(n_paths, "fusion", zero_share)
+    tables0 = [rng.normal(size=(40, 8)) for _ in range(n_paths)]
+    c = rng.normal(size=(40, 8))
+    c[rng.random(c.shape) < zero_share] = -0.0
+    c[rng.random(c.shape) < zero_share / 2] = 0.0
+    fast = fusion_run(tables0, c)
+    monkeypatch.setattr(Tape, "weighted_sum", reference_weighted_sum)
+    ref = fusion_run(tables0, c)
+    for got, want in zip(fast, ref):
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # MF scatter
 # ---------------------------------------------------------------------------
@@ -699,9 +748,14 @@ def assert_view_contract(subgraph, fanout, seed):
 
     The view is also ``reference_ops.sample_view_rows``'s in every byte, the
     same Floyd draws with the picks held row by row, and leaves the generator
-    in the same state."""
+    in the same state. A subgraph whose ``dst`` is int64 and one whose ``dst``
+    is the narrow dtype that ``materialize_subgraph`` keeps give the same view."""
     rng = derive_rng(seed, "view")
     view = sample_view(subgraph, fanout, rng)
+    for dtype in {np.dtype(np.int64), narrow_id_dtype(subgraph.m)} - {subgraph.dst.dtype}:
+        other = sample_view(dataclasses.replace(subgraph, dst=subgraph.dst.astype(dtype)), fanout, derive_rng(seed, "view"))
+        for name in ("indptr", "src", "dst"):
+            assert getattr(other, name).tobytes() == getattr(view, name).tobytes(), (name, dtype)
     ref = reference_sample_view(subgraph, fanout, derive_rng(seed, "view"))
     rng_rows = derive_rng(seed, "view")
     rows_ref = reference_ops.sample_view_rows(subgraph.indptr, subgraph.dst, fanout, rng_rows)
@@ -817,24 +871,31 @@ def test_sample_view_draws_uniform_subsets(has_self):
 
 
 # End-type sizes around one 64-bit word of the walk's bitsets: one bit
-# short, exactly one word, one bit over, and three words.
-WORD_SIZES = [63, 64, 65, 130]
+# short, exactly one word, one bit over, and three words; then 256 and
+# 257, where the kept ``dst`` switches from uint8 to uint16.
+WORD_SIZES = [63, 64, 65, 130, 256, 257]
 # Seeds of the random and planted graphs that the subgraphs are checked on.
 SEEDS = [1, 3, 256]
 
 
+def narrow_id_dtype(m):
+    """The dtype a subgraph over ``m`` nodes keeps its ``dst`` in."""
+    return np.dtype(np.uint8 if m <= 256 else np.uint16)  # the tests' types hold at most 1,100 nodes
+
+
 def assert_same_subgraph(graph, path, threshold):
-    """Byte-equal to the reference, or None on both sides."""
+    """Byte-equal to the reference, ``dst`` once widened to int64, or None on both sides."""
     fast = metapath.materialize_subgraph(graph, path, threshold)
     ref = reference_materialize_subgraph(graph, path, threshold)
     assert (fast is None) == (ref is None), (path.label(), threshold)
     if ref is None:
         return None
     assert (fast.path, fast.node_type, fast.m) == (ref.path, ref.node_type, ref.m)
-    assert fast.indptr.dtype == fast.dst.dtype == ref.dst.dtype == np.int64
+    assert fast.indptr.dtype == ref.indptr.dtype == ref.dst.dtype == np.int64
+    assert fast.dst.dtype == narrow_id_dtype(fast.m)
     assert fast.indptr.tobytes() == ref.indptr.tobytes()
     assert type(fast.density) is float and fast.density == ref.density
-    assert fast.dst.tobytes() == ref.dst.tobytes()
+    assert fast.dst.astype(np.int64).tobytes() == ref.dst.tobytes()
     return fast
 
 
@@ -1053,6 +1114,32 @@ def test_equal_item_rows_tie_against_the_positive(fresh_split, n_negatives):
     assert got.hr == {1: 0.0, n_negatives: 0.0, whole: 1.0}
     assert got.ndcg[whole] == pytest.approx(1.0 / np.log2(whole + 1), rel=1e-15)
     assert got == reference_evaluate(reference_embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, n_negatives)
+
+
+@pytest.mark.parametrize("n_movies, n_users, ids", [(100, 40, np.uint8), (1000, 80, np.uint16)])
+def test_narrow_candidates_when_items_are_declared_first(n_movies, n_users, ids):
+    """Movies before users, so the user offset is positive and the item offset 0.
+
+    The narrow ids are unsigned, and a local user index times ``n_items``
+    overflows their dtype (39 x 100 > 255, 79 x 1,000 > 65,535), so the flat
+    position is only right when it is built in int64 before the offset is
+    subtracted; the metrics must equal the per-user reference."""
+    schema = HinSchema.parse("node_types: Movie, User\nwatch: User -> Movie ~ watched\ninteraction_relation: watch")
+    rng = np.random.default_rng(n_movies)
+    nodes = [(f"M{k}", "Movie") for k in range(n_movies)] + [(f"U{k}", "User") for k in range(n_users)]
+    edges = [(f"U{u}", "watch", f"M{m}") for u in range(n_users)
+             for m in rng.choice(n_movies, size=int(rng.integers(3, 12)), replace=False)]
+    graph = graph_from(schema, nodes, edges)
+    u_off, i_off = (int(graph.type_offsets[schema.type_index(t)]) for t in (schema.user_type, schema.item_type))
+    assert (u_off, i_off) == (n_movies, 0)
+    split = split_leave_one_out(graph.interactions(), derive_rng(2, "split"))
+    H_user, H_item = rng.normal(size=(n_users, 8)), rng.normal(size=(n_movies, 8))
+    cand = split.candidates("validation", 0, 50)
+    assert cand.users.dtype == cand.items.dtype == ids and cand.starts.dtype == np.int64
+    assert len(cand) == n_users and int(cand.users.max()) == n_movies + n_users - 1
+    ks = (1, 10, 50)
+    got = evaluation.evaluate(embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, 50)
+    assert got == reference_evaluate(reference_embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, 50)
 
 
 def test_reduced_negative_pool_warns_once_per_draw(caplog, fresh_split):

@@ -1,13 +1,23 @@
-"""``tools/same_outputs.py``: the byte-identity check between two source trees."""
+"""``tools/same_outputs.py``, the byte-identity check between two source trees, and
+``tools/bench_pairs.py``, their alternating bench runs."""
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
-same_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_outputs)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_outputs = load_tool("same_outputs")
+bench_pairs = load_tool("bench_pairs")
 
 
 def test_one_tree_against_itself_writes_the_same_artifacts(capsys):
@@ -30,3 +40,31 @@ def test_one_changed_byte_is_reported(tmp_path):
     (b / "run" / "manifest.json").write_text("not an artifact")
     (a / "run" / "trace.jsonl").write_text("{}\n")
     assert same_outputs.compare(a, b) == (3, ["run/model.ckpt", "run/trace.jsonl"])
+
+
+def test_bench_pairs_runs_one_pair_of_a_tree_against_itself(capsys):
+    rc = bench_pairs.main([str(ROOT), str(ROOT), "--pairs", "1", "--", "--workload", "search-random",
+                           "--profile", "planted-mam-small", "--seconds", "1", "--iter-limit", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].startswith("pair 1: parent {") and ", change {" in lines[0]
+    rows = {line.split()[0]: line for line in lines[2:-1]}
+    assert set(rows) == {"wall_s", "setup_s", "peak_rss_mb", "mf_val_ndcg"}
+    assert all(row.endswith("of 1") for row in rows.values())
+    assert rows["mf_val_ndcg"].endswith("0 of 1")  # the same tree never beats itself on quality
+    assert re.fullmatch(r"failed operations: parent 0 of \d+, change 0 of \d+", lines[-1])
+
+
+def test_bench_pairs_counts_wins_in_each_metrics_direction():
+    def result(wall, ndcg):
+        return {"attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": wall}, "mf_val_ndcg": {"value": ndcg}}}
+
+    runs = [{"parent": result(p_wall, p_ndcg), "change": result(c_wall, c_ndcg)}
+            for p_wall, c_wall, p_ndcg, c_ndcg in [(2.0, 1.0, 0.5, 0.6), (1.0, 2.0, 0.5, 0.5), (3.0, 1.5, 0.5, 0.4)]]
+    end_to_end = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"},
+                  {"name": "mf_val_ndcg", "better": "higher"}]
+    lines = bench_pairs.summarize(runs, end_to_end)
+    assert [line.split()[0] for line in lines[1:-1]] == ["wall_s", "mf_val_ndcg"]  # undeclared by the runs: skipped
+    assert lines[1].split()[1:] == ["2", "[1.5,", "2.5]", "1.5", "[1.25,", "1.75]", "2", "of", "3"]
+    assert lines[2].endswith("1 of 3")
+    assert lines[-1] == "failed operations: parent 0 of 9, change 0 of 9"
