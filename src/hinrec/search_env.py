@@ -1,5 +1,10 @@
 """The meta-path search MDP and the random/greedy baseline searchers.
 
+:class:`SearchEnv` owns the search space of one side: its start set, its
+action draw, the successor of a set and the trace. rms steps it as an MDP;
+:func:`random_search` and :func:`greedy_search` are loops over the same
+start set, draw and successor, and probe through :meth:`SearchEnv.score`.
+
 States are meta-path sets (encoded as normalized relation-count vectors),
 actions are relation ids plus STOP (0). A non-STOP action r is completed
 into the symmetric segment [r, comp(r)], spliced into each existing path
@@ -100,10 +105,13 @@ def apply_action(pset: mp.MetaPathSet, action: int, schema: HinSchema) -> mp.Met
 
 
 class SearchEnv:
-    """Episode driver binding a form, a probe, and optional trace output.
+    """The search space of one side, and the episode driver over it.
 
-    :meth:`step` writes one trace line per MDP step; the baseline searches
-    write one per probe instead.
+    It owns the space's rules for every strategy: the start set
+    (:attr:`start`), the uniform action draw (:meth:`random_action`), the
+    successor of a set (:meth:`extend`) and the trace. :meth:`step` writes
+    one trace line per MDP step; :meth:`score`, the baseline searches'
+    probe, writes one per probe instead.
 
     ``probe`` is the evaluation oracle, a
     :class:`~hinrec.evaluation.PerformanceProbe` or any object with its
@@ -130,6 +138,7 @@ class SearchEnv:
         self.max_steps = max_steps
         self.trace_path = trace_path
         self.trace_tag = trace_tag
+        self.start = initial_set(form, schema)
         self.episode = -1
         self._state: SearchState | None = None
         self._last_metric = 0.0
@@ -146,10 +155,25 @@ class SearchEnv:
     def action_mask(self) -> np.ndarray:
         return np.ones(self.n_actions, dtype=bool)
 
+    def random_action(self, rng: np.random.Generator) -> int:
+        """A uniform draw over the non-STOP actions."""
+        return int(rng.integers(1, self.schema.n_relations + 1))
+
     def probe(self, pset: mp.MetaPathSet) -> float:
         if self.form == mp.ITEM_SYMMETRIC:
             return self._probe.pair(self.frozen_other, pset)
         return self._probe.pair(pset, self.frozen_other)
+
+    def score(self, pset: mp.MetaPathSet) -> float:
+        """Probe ``pset`` for a baseline search and trace it.
+
+        A baseline takes no MDP step, so the line's reward is the probe
+        metric itself.
+        """
+        t0 = time.perf_counter()
+        metric = self.probe(pset)
+        self._trace(t0, pset, metric, metric)
+        return metric
 
     def extend(self, pset: mp.MetaPathSet, action: int) -> mp.MetaPathSet:
         """:func:`apply_action`, keeping only the new paths the density filter accepts.
@@ -162,11 +186,10 @@ class SearchEnv:
 
     def reset(self) -> SearchState:
         self.episode += 1
-        start = initial_set(self.form, self.schema)
         if self._base_metric is None:
-            self._base_metric = self.probe(start)
+            self._base_metric = self.probe(self.start)
         self._last_metric = self._base_metric
-        self._state = SearchState.create(self.schema, start)
+        self._state = SearchState.create(self.schema, self.start)
         return self._state
 
     def step(self, action: int) -> StepOutcome:
@@ -190,70 +213,39 @@ class SearchEnv:
                 out = StepOutcome(nxt, metric - self._last_metric, done, metric, changed=True)
                 self._last_metric = metric
         self._state = None if out.done else out.state
-        if self.trace_path:
-            append_jsonl(
-                self.trace_path,
-                {
-                    "episode": self.episode,
-                    "step": out.state.step_index,
-                    "action": int(action),
-                    "set": out.state.pset.labels(),
-                    "reward": float(out.reward),
-                    "probe_metric": out.probe_metric,
-                    "wall_ms": (time.perf_counter() - t0) * 1e3,
-                    "agent": self.trace_tag,
-                },
-            )
+        self._trace(t0, out.state.pset, out.reward, out.probe_metric,
+                    episode=self.episode, step=out.state.step_index, action=int(action))
         return out
 
-
-def _random_episode_set(
-    env: SearchEnv, length: int, rng: np.random.Generator
-) -> mp.MetaPathSet:
-    pset = initial_set(env.form, env.schema)
-    for _ in range(length):
-        pset = env.extend(pset, int(rng.integers(1, env.schema.n_relations + 1)))
-    return pset
-
-
-def _baseline_probe(env: SearchEnv, pset: mp.MetaPathSet) -> float:
-    """Probe ``pset`` for a baseline search.
-
-    Appends one line per probe to the env's trace. A baseline takes no MDP
-    step, so the line's reward is the probe metric itself.
-    """
-    t0 = time.perf_counter()
-    metric = env.probe(pset)
-    if env.trace_path:
-        append_jsonl(
-            env.trace_path,
-            {
-                "set": pset.labels(),
-                "reward": float(metric),
-                "probe_metric": metric,
-                "wall_ms": (time.perf_counter() - t0) * 1e3,
-                "agent": env.trace_tag,
-            },
-        )
-    return metric
+    def _trace(self, t0: float, pset: mp.MetaPathSet, reward: float, probe_metric: float | None, **step) -> None:
+        """Append one line to the trace, if any; ``step`` holds an MDP step's own fields."""
+        if self.trace_path:
+            line = {"set": pset.labels(), "reward": float(reward), "probe_metric": probe_metric,
+                    "wall_ms": (time.perf_counter() - t0) * 1e3, "agent": self.trace_tag}
+            append_jsonl(self.trace_path, {**step, **line})
 
 
 def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:
-    """Best-of-random-draws: sample ``budget`` action sequences, probe the final sets.
+    """Best of ``budget`` random walks from ``env.start``, by the probe of each walk's last set.
 
-    A zero budget returns the initial set; of equal probe values the
-    earliest draw wins.
+    Each walk draws its length in [1, ``max_steps``], then that many
+    actions. ``budget`` is at least 1, since ``iter_limit`` is at least 2;
+    of equal probe values the earliest walk wins.
     """
-    if budget <= 0:
-        return initial_set(env.form, env.schema)
-    draws = (_random_episode_set(env, int(rng.integers(1, env.max_steps + 1)), rng) for _ in range(budget))
-    return max(draws, key=lambda pset: _baseline_probe(env, pset))
+
+    def walk() -> mp.MetaPathSet:
+        pset = env.start
+        for _ in range(int(rng.integers(1, env.max_steps + 1))):
+            pset = env.extend(pset, env.random_action(rng))
+        return pset
+
+    return max((walk() for _ in range(budget)), key=env.score)
 
 
 def greedy_search(
     env: SearchEnv, budget: int, candidates_per_round: int, rng: np.random.Generator
 ) -> mp.MetaPathSet:
-    """Round-based hill climbing over random single-action extensions.
+    """Round-based hill climbing from ``env.start`` over random single-action extensions.
 
     ``budget`` counts drawn candidates, no-ops included; the start set's
     probe is not counted. Raises :class:`ConfigError` when
@@ -261,17 +253,17 @@ def greedy_search(
     """
     if candidates_per_round < 1:
         raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
-    current = initial_set(env.form, env.schema)
-    current_metric = _baseline_probe(env, current)
+    current = env.start
+    current_metric = env.score(current)
     remaining = budget
     while remaining > 0:
         best, best_metric = current, current_metric
         for _ in range(min(candidates_per_round, remaining)):
             remaining -= 1
-            candidate = env.extend(current, int(rng.integers(1, env.schema.n_relations + 1)))
+            candidate = env.extend(current, env.random_action(rng))
             if candidate is current:
                 continue
-            metric = _baseline_probe(env, candidate)
+            metric = env.score(candidate)
             if metric > best_metric:
                 best, best_metric = candidate, metric
         current, current_metric = best, best_metric
