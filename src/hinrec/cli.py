@@ -52,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--iter-limit", type=int, dest="iter_limit",
-                   help="search budget (default 480): each side gets half, which random and greedy spend "
-                        "in probe calls and rms in half // max_steps training episodes")
+                   help="search budget (default 480): each side gets half, which random spends in probe "
+                        "calls, greedy in drawn candidates (stopping after max_steps moves) and rms in "
+                        "half // max_steps training episodes")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")
     p.add_argument("--dataset", required=True)

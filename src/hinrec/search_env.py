@@ -247,16 +247,20 @@ def greedy_search(
 ) -> mp.MetaPathSet:
     """Round-based hill climbing from ``env.start`` over random single-action extensions.
 
-    ``budget`` counts drawn candidates, no-ops included; the start set's
-    probe is not counted. Raises :class:`ConfigError` when
-    ``candidates_per_round`` is below 1, since no round would spend budget.
+    Each round draws up to ``candidates_per_round`` actions from the current
+    set and moves to the best candidate that beats it. The search ends when
+    ``budget`` is spent or after ``max_steps`` moves, so it probes only sets
+    an rms episode or a random walk can reach. ``budget`` counts drawn
+    candidates, no-ops included; the start set's probe is not counted.
+    Raises :class:`ConfigError` when ``candidates_per_round`` is below 1,
+    since no round would spend budget.
     """
     if candidates_per_round < 1:
         raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
     current = env.start
     current_metric = env.score(current)
-    remaining = budget
-    while remaining > 0:
+    remaining, moves = budget, 0
+    while remaining > 0 and moves < env.max_steps:
         best, best_metric = current, current_metric
         for _ in range(min(candidates_per_round, remaining)):
             remaining -= 1
@@ -266,5 +270,6 @@ def greedy_search(
             metric = env.score(candidate)
             if metric > best_metric:
                 best, best_metric = candidate, metric
+        moves += best is not current
         current, current_metric = best, best_metric
     return current

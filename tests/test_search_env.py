@@ -298,6 +298,14 @@ class TestBaselines:
         for key in [*probe.calls, out.key()]:
             assert not rejected & set(key)
 
+    def test_greedy_probes_only_sets_within_max_steps(self, movie_schema):
+        """With every growth rewarded and budget to spare, greedy stops after ``max_steps`` moves."""
+        probe = FakeProbe()
+        env = self._env(movie_schema, probe)
+        greedy_search(env, 400, 3, np.random.default_rng(0))
+        reachable = {pset.key() for pset, _ in reachable_sets(USER_SYMMETRIC, movie_schema, env.max_steps, env.extend)}
+        assert set(probe.calls) <= reachable
+
     def test_greedy_single_candidate_walks(self, movie_schema):
         out = greedy_search(self._env(movie_schema), 6, 1, np.random.default_rng(11))
         assert len(out) >= 1

@@ -24,7 +24,7 @@ def test_one_tree_against_itself_writes_the_same_artifacts(capsys):
     rc = same_outputs.main([str(ROOT), str(ROOT), "--profile", "planted-mam-small", "--synth-seeds", "1",
                             "--run-seeds", "0"])
     assert rc == 0
-    assert capsys.readouterr().out.splitlines() == ["0 of 11 artifacts differ"]
+    assert capsys.readouterr().out.splitlines() == ["0 of 13 artifacts differ"]
 
 
 def test_one_changed_byte_is_reported(tmp_path):
