@@ -252,15 +252,18 @@ def embedding_scorer(graph: HinGraph, H_user: np.ndarray, H_item: np.ndarray):
 
     One ``np.take`` reads the flat product at int64 positions built in
     place; narrow unsigned ids are cast before any offset is subtracted.
-    Ids must be of the user and item types: an id of another type is not
-    rejected unless its position falls outside the product.
+    Raises :class:`IndexError` when a user or item id falls outside its
+    type's range, which the flat position alone would not catch.
     """
     u_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.user_type)])
     i_off = int(graph.type_offsets[graph.schema.type_index(graph.schema.item_type)])
-    n_items = len(H_item)
+    n_users, n_items = len(H_user), len(H_item)
     S = (H_user @ H_item.T).reshape(-1)
 
     def scorer(users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        for kind, ids, lo, n in (("user", users, u_off, n_users), ("item", items, i_off, n_items)):
+            if len(ids) and not lo <= int(ids.min()) <= int(ids.max()) < lo + n:
+                raise IndexError(f"{kind} ids {int(ids.min())}..{int(ids.max())} fall outside [{lo}, {lo + n})")
         at = np.subtract(users, u_off, dtype=np.int64)
         at *= n_items
         at += items

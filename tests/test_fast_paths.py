@@ -1142,6 +1142,16 @@ def test_narrow_candidates_when_items_are_declared_first(n_movies, n_users, ids)
     assert got == reference_evaluate(reference_embedding_scorer(graph, H_user, H_item), split, "validation", ks, 0, 50)
 
 
+def test_scorer_rejects_ids_outside_their_type(fresh_split):
+    """User 0 against the first Actor: its flat position lies inside the product, so only a range check catches it."""
+    graph, _, H_user, H_item = fresh_split
+    user, movie, actor = (int(graph.type_offsets[graph.schema.type_index(t)]) for t in ("User", "Movie", "Actor"))
+    scorer = embedding_scorer(graph, H_user, H_item)
+    assert (user * len(H_item) + actor - movie) < H_user.shape[0] * len(H_item)
+    with pytest.raises(IndexError, match=r"item ids .* outside"):
+        scorer(np.array([user, user], dtype=np.uint16), np.array([movie, actor], dtype=np.uint16))
+
+
 def test_reduced_negative_pool_warns_once_per_draw(caplog, fresh_split):
     _, split, _, _ = fresh_split
     with caplog.at_level(logging.WARNING, logger="hinrec.evaluation"):
