@@ -12,8 +12,9 @@ prefixed with ``path:line`` when they come from a file.
 ``iter_limit // 2``: random search spends it in probe calls, one per walk;
 greedy spends it in drawn candidates and also stops after ``max_steps``
 moves, as an rms episode and a random walk do; and the DQN trains for
-``(iter_limit // 2) // max_steps`` episodes, at least one. :class:`RunConfig` is the only settings table: HRec, the probe and
-the DQN read it directly. The config hash covers every field except
+``(iter_limit // 2) // max_steps`` episodes, at least one.
+:class:`RunConfig` is the only settings table: HRec, the probe and the DQN
+read it directly. The config hash covers every field except
 ``seed``, ``out`` and ``dataset``, which name a run without changing its
 science, so a report can refuse to aggregate runs produced under
 different settings.

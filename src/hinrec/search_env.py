@@ -220,9 +220,9 @@ class SearchEnv:
     def _trace(self, t0: float, pset: mp.MetaPathSet, reward: float, probe_metric: float | None, **step) -> None:
         """Append one line to the trace, if any; ``step`` holds an MDP step's own fields."""
         if self.trace_path:
-            line = {"set": pset.labels(), "reward": float(reward), "probe_metric": probe_metric,
-                    "wall_ms": (time.perf_counter() - t0) * 1e3, "agent": self.trace_tag}
-            append_jsonl(self.trace_path, {**step, **line})
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            append_jsonl(self.trace_path, {**step, "set": pset.labels(), "reward": float(reward),
+                                           "probe_metric": probe_metric, "wall_ms": wall_ms, "agent": self.trace_tag})
 
 
 def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:

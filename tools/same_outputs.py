@@ -9,8 +9,8 @@ patience 5) and ``eval --split test``, whose ``model.ckpt``,
 ``history.jsonl`` and ``metrics.jsonl`` are compared as written; ``search``
 rms ``--iter-limit 40``, random ``--iter-limit 16``, greedy ``--iter-limit 16``,
 default rms and default greedy, whose ``sets.json`` and ``trace.jsonl`` are
-compared after ``strip_volatile``. Default greedy's budget lets it reach
-``max_steps`` moves; 16 calls end it after two rounds.
+compared after ``strip_volatile``. Only default greedy's budget lets it
+reach ``max_steps`` moves; ``--iter-limit 16`` ends it after two rounds.
 Prints each differing file; exits 1 when any differs.
 """
 from __future__ import annotations
