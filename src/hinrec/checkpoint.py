@@ -57,28 +57,28 @@ def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a hinrec checkpoint (bad magic)")
     off = len(MAGIC)
-    (head_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    header = json.loads(data[off : off + head_len].decode("utf-8"))
-    off += head_len
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointError(f"{path}: truncated: {len(data)} bytes end inside {what}")
+        off += n
+        return data[off - n : off]
+
+    (head_len,) = struct.unpack("<I", take(4, "the header length"))
+    header = json.loads(take(head_len, "the header").decode("utf-8"))
+    (count,) = struct.unpack("<I", take(4, "the array count"))
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = struct.unpack_from("<BB", data, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}Q", data, off)
-        off += 8 * ndim
+    for k in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"array {k}'s name length"))
+        name = take(name_len, f"array {k}'s name").decode("utf-8")
+        code, ndim = struct.unpack("<BB", take(2, f"{name!r}'s dtype"))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name!r}'s shape"))
         dtype = _CODE_DTYPES.get(code)
         if dtype is None:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arrays[name] = np.frombuffer(data[off : off + nbytes], dtype=dtype).reshape(shape).copy()
-        off += nbytes
+        arrays[name] = np.frombuffer(take(nbytes, f"{name!r}'s data"), dtype=dtype).reshape(shape).copy()
     return header, arrays
 
 

@@ -190,11 +190,11 @@ def cmd_search(args) -> int:
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
         if cfg.strategy == "rms":
-            found[tag] = dqn.search(env, cfg, derive_seed(cfg.seed, "agent", tag), budget)
+            found[tag] = dqn.search(env, derive_seed(cfg.seed, "agent", tag), budget)
         elif cfg.strategy == "random":
             found[tag] = search_env.random_search(env, budget, rng)
         else:
-            found[tag] = search_env.greedy_search(env, budget, cfg.greedy_candidates, rng)
+            found[tag] = search_env.greedy_search(env, budget, rng)
     user_set, item_set = found["user"], found["item"]
 
     write_json(

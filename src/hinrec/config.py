@@ -2,22 +2,23 @@
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
 config file, then CLI flags. Unknown keys, unparsable values, an unknown
-``strategy``, a step limit, sync period, batch size, HRec epoch count,
-greedy candidate count, fanout, embedding or attention width or negative
-count below 1, a search budget ``iter_limit`` below 2, and a ``dropout``
-or ``gamma`` outside [0, 1) are rejected with :class:`ConfigError`,
-prefixed with ``path:line`` when they come from a file.
+``strategy``, a step limit, HRec batch size or epoch count, fanout,
+embedding or attention width or negative count below 1, a search budget
+``iter_limit`` below 2, and a ``dropout`` outside [0, 1) are rejected with
+:class:`ConfigError`, prefixed with ``path:line`` when they come from a
+file.
 
 ``iter_limit`` is the one search budget. Each side, user and item, gets
 ``iter_limit // 2``: random search spends it in probe calls, one per walk;
 greedy spends it in drawn candidates and also stops after ``max_steps``
 moves, as an rms episode and a random walk do; and the DQN trains for
 ``(iter_limit // 2) // max_steps`` episodes, at least one.
-:class:`RunConfig` is the only settings table: HRec, the probe and the DQN
-read it directly. The config hash covers every field except
-``seed``, ``out`` and ``dataset``, which name a run without changing its
-science, so a report can refuse to aggregate runs produced under
-different settings.
+:class:`RunConfig` is the only settings table, read by HRec and the probe;
+the DQN's hyperparameters and greedy's round width, which no run varies,
+are constants in :mod:`hinrec.dqn` and :mod:`hinrec.search_env`. The
+config hash covers every field except ``seed``, ``out`` and ``dataset``,
+which name a run without changing its science, so a report can refuse to
+aggregate runs produced under different settings.
 """
 from __future__ import annotations
 
@@ -53,16 +54,6 @@ class RunConfig:
     strategy: str = "rms"
     max_steps: int = 4
     iter_limit: int = 480
-    greedy_candidates: int = 4
-
-    # DQN agent
-    gamma: float = 0.9
-    dqn_lr: float = 0.001
-    dqn_batch: int = 32
-    target_sync: int = 100
-    eps_start: float = 1.0
-    eps_end: float = 0.1
-    eps_fraction: float = 0.5
 
     # recommender
     embed_dim: int = 64
@@ -116,11 +107,9 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # The least value of each integer setting that the pipeline can run.
-_AT_LEAST = {key: 1 for key in ("max_steps", "target_sync", "dqn_batch", "rec_batch", "rec_epochs",
-                                 "greedy_candidates", "fanout", "embed_dim", "att_hidden", "n_negatives")}
+_AT_LEAST = {key: 1 for key in ("max_steps", "rec_batch", "rec_epochs", "fanout", "embed_dim", "att_hidden",
+                                 "n_negatives")}
 _AT_LEAST["iter_limit"] = 2  # one probe call per side
-# The float settings that must lie in [0, 1).
-_UNIT_INTERVAL = ("dropout", "gamma")
 
 
 def _coerce(cfg: RunConfig, key: str, value):
@@ -129,7 +118,7 @@ def _coerce(cfg: RunConfig, key: str, value):
         raise ConfigError(f"config key 'strategy': unknown strategy {out!r}, expected one of {', '.join(STRATEGIES)}")
     if key in _AT_LEAST and out < _AT_LEAST[key]:
         raise ConfigError(f"config key {key!r}: must be at least {_AT_LEAST[key]}, got {out}")
-    if key in _UNIT_INTERVAL and not 0.0 <= out < 1.0:
+    if key == "dropout" and not 0.0 <= out < 1.0:  # a dropout of 1 keeps no unit
         raise ConfigError(f"config key {key!r}: must be in [0, 1), got {out}")
     return out
 

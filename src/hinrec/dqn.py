@@ -8,12 +8,10 @@ records the forward pass and the Huber loss and calls
 target network record on a tape that is then dropped. Training
 interleaves epsilon-greedy episodes with Huber-loss TD updates against a
 periodically synced target network; inference runs one greedy episode
-and returns its final meta-path set. The agent reads ``gamma``,
-``dqn_lr``, ``dqn_batch`` (also its replay warm-up), ``target_sync``,
-``eps_start``, ``eps_end`` and ``eps_fraction`` from a
-:class:`~hinrec.config.RunConfig`; the seed and the side's probe budget
-are passed in. Per-episode and per-update RNG streams are derived from
-(seed, counter), so a search is reproducible from its seed.
+and returns its final meta-path set. The agent's hyperparameters are the
+module constants below, none of them a setting; the seed and the side's
+probe budget are passed in. Per-episode and per-update RNG streams are
+derived from (seed, counter), so a search is reproducible from its seed.
 """
 from __future__ import annotations
 
@@ -23,12 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Var, glorot
-from .config import RunConfig
 from .util import derive_rng
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (32, 64, 32)
+# This reproduction's own discount and SGD step size; 0.001 is also Adam's
+# default rate (Kingma & Ba, arXiv:1412.6980).
+GAMMA = 0.9
+LR = 0.001
+# From Mnih et al. (Nature 518, 2015): a minibatch of 32, here also the
+# replay warm-up; a periodically copied target network; epsilon falling
+# linearly from 1.0 to 0.1, here over the first half of the run's steps.
+BATCH = 32
+TARGET_SYNC = 100
+EPS_START = 1.0
+EPS_END = 0.1
+EPS_FRACTION = 0.5
 
 
 def init_q_network(
@@ -114,7 +123,7 @@ def td_update(
     :meth:`~hinrec.autodiff.Tape.backward` takes every gradient at the
     pre-update weights before one SGD step applies them all. Each
     ``Q(s, a)`` receives ``(1/B) * clip(delta, -1, 1)``; at a power-of-two
-    batch size B, as ``dqn_batch`` is by default, that has the bits of
+    batch size B, as :data:`BATCH` is, that has the bits of
     ``clip(delta, -1, 1) / B``.
     """
     if not batch:
@@ -147,38 +156,35 @@ class DqnAgent:
     """Owns the online/target networks, the replay list, and the schedule position.
 
     The replay list keeps every transition: a search's budget bounds them to
-    at most ``max(max_steps, budget)``. TD updates start once it holds one
-    batch, ``dqn_batch`` transitions (:attr:`min_buffer`), and sample that
-    many without replacement. Epsilon decays linearly over the first
-    ``eps_fraction`` of ``total_steps``, the run's expected environment steps.
+    at most ``max(max_steps, budget)``. TD updates start once it holds
+    :data:`BATCH` transitions, and sample that many without replacement.
+    Epsilon decays linearly over the first :data:`EPS_FRACTION` of
+    ``total_steps``, the run's expected environment steps.
     """
 
-    def __init__(self, n_state: int, n_actions: int, cfg: RunConfig, seed: int, total_steps: int):
-        self.cfg = cfg
+    def __init__(self, n_state: int, n_actions: int, seed: int, total_steps: int):
         self.seed = seed
-        self.min_buffer = cfg.dqn_batch
         rng = derive_rng(seed, "qnet-init")
         self.params = init_q_network(n_state, n_actions, DEFAULT_HIDDEN, rng)
         self.target = copy_params(self.params)
         self.buffer: list[Transition] = []
         self.env_steps = 0
         self.updates = 0
-        self.eps_horizon = max(1, int(cfg.eps_fraction * total_steps))
+        self.eps_horizon = max(1, int(EPS_FRACTION * total_steps))
 
     def epsilon(self) -> float:
-        cfg = self.cfg
         frac = min(1.0, self.env_steps / self.eps_horizon)
-        return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
+        return EPS_START + frac * (EPS_END - EPS_START)
 
     def observe(self, t: Transition) -> None:
         self.buffer.append(t)
         self.env_steps += 1
-        if len(self.buffer) >= self.min_buffer:
+        if len(self.buffer) >= BATCH:
             rng = derive_rng(self.seed, "update", self.updates)
-            batch = [self.buffer[i] for i in rng.choice(len(self.buffer), size=self.cfg.dqn_batch, replace=False)]
-            td_update(self.params, self.target, batch, self.cfg.gamma, self.cfg.dqn_lr)
+            batch = [self.buffer[i] for i in rng.choice(len(self.buffer), size=BATCH, replace=False)]
+            td_update(self.params, self.target, batch, GAMMA, LR)
             self.updates += 1
-            if self.updates % self.cfg.target_sync == 0:
+            if self.updates % TARGET_SYNC == 0:
                 self.target = copy_params(self.params)
 
 
@@ -200,7 +206,7 @@ def run_episode(env, agent: DqnAgent, rng: np.random.Generator, greedy: bool = F
             return state, total_reward
 
 
-def search(env, cfg: RunConfig, seed: int, budget: int):
+def search(env, seed: int, budget: int):
     """Train a fresh agent, then run one greedy inference episode.
 
     The side's probe budget buys ``budget // env.max_steps`` training
@@ -209,7 +215,7 @@ def search(env, cfg: RunConfig, seed: int, budget: int):
     greedy episode then follows an untrained network.
     """
     episodes = max(1, budget // env.max_steps)
-    agent = DqnAgent(env.state_dim, env.n_actions, cfg, seed, episodes * env.max_steps)
+    agent = DqnAgent(env.state_dim, env.n_actions, seed, episodes * env.max_steps)
     for ep in range(episodes):
         rng = derive_rng(seed, "episode", ep)
         _, total = run_episode(env, agent, rng)
@@ -217,8 +223,8 @@ def search(env, cfg: RunConfig, seed: int, budget: int):
     if agent.updates == 0:
         log.warning(
             "DQN training made no TD update: %d episodes gave %d transitions, "
-            "below the warm-up threshold of %d (dqn_batch)",
-            episodes, agent.env_steps, agent.min_buffer,
+            "below the warm-up threshold of %d (BATCH)",
+            episodes, agent.env_steps, BATCH,
         )
     final_state, _ = run_episode(env, agent, derive_rng(seed, "inference"), greedy=True)
     return final_state.pset

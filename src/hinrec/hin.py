@@ -344,20 +344,25 @@ class HinGraph:
     def load(cls, path: str | Path) -> "HinGraph":
         """Read a bundle written by :meth:`save`.
 
-        Raises :class:`GraphLoadError`, naming ``path``, when the file is not
-        a hin bundle or its header's format is not :data:`BUNDLE_FORMAT`.
+        Raises :class:`GraphLoadError`, naming ``path``, when the file is not a hin
+        bundle of :data:`BUNDLE_FORMAT`, lacks an entry, or breaks endpoint types.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hin-bundle":
             raise GraphLoadError(path, 0, "not a hin bundle")
         if header.get("format") != BUNDLE_FORMAT:
             raise GraphLoadError(path, 0, f"hin bundle format {header.get('format')!r}, expected {BUNDLE_FORMAT}")
-        schema = HinSchema.parse(header["schema"], source=str(path))
-        adj = {
-            rel.rid: (arrays[f"adj.{rel.rid}.indptr"], arrays[f"adj.{rel.rid}.indices"])
-            for rel in schema.relations
-        }
-        return cls(schema, arrays["type_offsets"], tuple(header["node_names"]), adj)
+        schema = HinSchema.parse(header.get("schema", ""), source=str(path))
+        try:
+            adj = {rel.rid: (arrays[f"adj.{rel.rid}.indptr"], arrays[f"adj.{rel.rid}.indices"])
+                   for rel in schema.relations}
+            offsets, names = arrays["type_offsets"], tuple(header["node_names"])
+        except KeyError as exc:
+            raise GraphLoadError(path, 0, f"bundle lacks {exc}") from None
+        try:
+            return cls(schema, offsets, names, adj)
+        except SchemaError as exc:
+            raise GraphLoadError(path, 0, str(exc)) from None
 
 
 def _build_csr(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:

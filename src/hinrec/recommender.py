@@ -347,9 +347,9 @@ class HRecModel:
         not applied again. The model's config is :class:`RunConfig`'s defaults
         with the header's architecture fields. Raises :class:`CheckpointError`,
         naming ``path``, when the header's format is not
-        :data:`CHECKPOINT_FORMAT`, when it names a field outside
-        :data:`ARCH_FIELDS`, or when the stored arrays do not match the
-        rebuilt model's parameters in name and shape.
+        :data:`CHECKPOINT_FORMAT`, when it lacks a set or the config, when
+        it names a field outside :data:`ARCH_FIELDS`, or when the stored
+        arrays do not match the rebuilt model's parameters in name and shape.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hrec-model":
@@ -358,6 +358,9 @@ class HRecModel:
             raise CheckpointError(
                 f"{path}: checkpoint format {header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
             )
+        missing = [key for key in ("user_set", "item_set", "config") if key not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header lacks {missing}")
         unknown = sorted(set(header["config"]) - set(ARCH_FIELDS))
         if unknown:
             raise CheckpointError(f"{path}: config header names non-architecture fields {unknown}")

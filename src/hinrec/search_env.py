@@ -28,13 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metapath as mp
-from .config import ConfigError
 from .hin import STOP_ACTION, HinSchema, SchemaError
 from .recommender import AllPathsRejected
 from .util import append_jsonl
 
 # The fault's former name, kept while bench/tracing.py imports it.
 ProbeFailure = AllPathsRejected
+# Actions greedy search draws per round: this reproduction's own width, not
+# one the paper gives.
+GREEDY_CANDIDATES = 4
 
 
 @dataclass(frozen=True)
@@ -242,27 +244,21 @@ def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.M
     return max((walk() for _ in range(budget)), key=env.score)
 
 
-def greedy_search(
-    env: SearchEnv, budget: int, candidates_per_round: int, rng: np.random.Generator
-) -> mp.MetaPathSet:
+def greedy_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:
     """Round-based hill climbing from ``env.start`` over random single-action extensions.
 
-    Each round draws up to ``candidates_per_round`` actions from the current
-    set and moves to the best candidate that beats it. The search ends when
-    ``budget`` is spent or after ``max_steps`` moves, so it probes only sets
-    an rms episode or a random walk can reach. ``budget`` counts drawn
-    candidates, no-ops included; the start set's probe is not counted.
-    Raises :class:`ConfigError` when ``candidates_per_round`` is below 1,
-    since no round would spend budget.
+    Each round draws up to :data:`GREEDY_CANDIDATES` actions from the
+    current set and moves to the best candidate that beats it. The search
+    ends when ``budget`` is spent or after ``max_steps`` moves, so it probes
+    only sets an rms episode or a random walk can reach. ``budget`` counts
+    drawn candidates, no-ops included; the start set's probe is not counted.
     """
-    if candidates_per_round < 1:
-        raise ConfigError(f"greedy_candidates must be at least 1, got {candidates_per_round}")
     current = env.start
     current_metric = env.score(current)
     remaining, moves = budget, 0
     while remaining > 0 and moves < env.max_steps:
         best, best_metric = current, current_metric
-        for _ in range(min(candidates_per_round, remaining)):
+        for _ in range(min(GREEDY_CANDIDATES, remaining)):
             remaining -= 1
             candidate = env.extend(current, env.random_action(rng))
             if candidate is current:

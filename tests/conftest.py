@@ -297,7 +297,7 @@ def item_search(schema, probe, agent_seed):
     """``dqn.search`` of the item side over ``probe`` at the default settings, as ``hinrec search`` runs it."""
     cfg = RunConfig()
     env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), cfg.max_steps)
-    return dqn.search(env, cfg, agent_seed, cfg.iter_limit // 2)
+    return dqn.search(env, agent_seed, cfg.iter_limit // 2)
 
 
 def is_hit(key):

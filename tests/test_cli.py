@@ -47,6 +47,25 @@ def base_sets(path):
     return path
 
 
+@pytest.fixture(scope="module")
+def bundle(dataset, tmp_path_factory):
+    """The module's dataset ingested into a ``bundle.bin``."""
+    out = tmp_path_factory.mktemp("cli-bundle")
+    assert run("ingest", "--schema", dataset / "schema.txt", "--nodes", dataset / "nodes.tsv",
+               "--edges", dataset / "edges.tsv", "--out", out) == 0
+    return out / "bundle.bin"
+
+
+@pytest.fixture(scope="module")
+def checkpoint(dataset, tmp_path_factory):
+    """The ``model.ckpt`` of one training epoch on the module's dataset at {UMU} x {MUM}."""
+    out = tmp_path_factory.mktemp("cli-model")
+    (out / "run.cfg").write_text("rec_epochs = 1\n")
+    assert run("train", "--sets", base_sets(out / "sets.json"), "--dataset", dataset, "--config", out / "run.cfg",
+               "--seed", 0, "--out", out / "run") == 0
+    return out / "run" / "model.ckpt"
+
+
 def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
@@ -246,9 +265,9 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
 
 @pytest.mark.parametrize(
     "setting, strategy, iter_limit",
-    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("target_sync = 0", "rms", 400),
-     ("greedy_candidates = 0", "greedy", 8), ("fanout = 0", "random", 8), ("gamma = 1.0", "rms", 40)],
-    ids=["strategy", "max-steps", "target-sync", "greedy-candidates", "fanout", "gamma"],
+    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("rec_batch = 0", "rms", 400),
+     ("fanout = 0", "random", 8), ("dropout = 1.0", "rms", 40)],
+    ids=["strategy", "max-steps", "rec-batch", "fanout", "dropout"],
 )
 def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit):
     """Reported with the file, the line and the key, before the dataset is read."""
@@ -320,6 +339,80 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
     assert run(command, "--dataset", tmp_path / "nonexistent", "--seed", 0, "--out", out, *extra) == 1
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def read_command(command, dataset, checkpoint, tmp_path):
+    """The argv of a ``command`` that reads ``dataset`` and, for eval, ``checkpoint``."""
+    extra = {"search": ("--iter-limit", 8), "train": ("--sets", base_sets(tmp_path / "sets.json")),
+             "eval": ("--checkpoint", checkpoint, "--split", "test")}[command]
+    return (command, "--dataset", dataset, "--seed", 0, "--out", tmp_path / "run", *extra)
+
+
+def failure(capsys, *argv):
+    """The stderr of a command that must exit 1 without a traceback."""
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+CUTS = [10, 2000, 0.5, -1]  # byte counts; a fraction of the file; one byte short
+
+
+def cut(src, dst, at):
+    """``src``'s first bytes, written to ``dst``: ``at`` of them, or that fraction, or all but ``-at``."""
+    data = src.read_bytes()
+    n = int(len(data) * at) if isinstance(at, float) else at % len(data)
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_bytes(data[:n])
+    return dst
+
+
+@pytest.mark.parametrize("at", CUTS)
+@pytest.mark.parametrize("command", ["search", "train", "eval"])
+def test_a_truncated_bundle_is_named(bundle, checkpoint, tmp_path, capsys, command, at):
+    path = cut(bundle, tmp_path / "data" / "bundle.bin", at)
+    err = failure(capsys, *read_command(command, path.parent, checkpoint, tmp_path))
+    assert f"error: {path}: truncated: " in err
+
+
+@pytest.mark.parametrize("at", CUTS)
+def test_a_truncated_checkpoint_is_named(bundle, checkpoint, tmp_path, capsys, at):
+    path = cut(checkpoint, tmp_path / "model.ckpt", at)
+    err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
+    assert f"error: {path}: truncated: " in err
+
+
+def edited(src, dst, edit):
+    """``src``'s header and arrays after ``edit(header, arrays)``, written to ``dst``."""
+    header, arrays = load_arrays(src)
+    edit(header, arrays)
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    save_arrays(dst, header, arrays)
+    return dst
+
+
+def watch_an_actor(header, arrays):
+    """Point the first ``watch`` edge (relation 1) at the first Actor."""
+    arrays["adj.1.indices"][0] = arrays["type_offsets"][HinSchema.parse(header["schema"]).type_index("Actor")]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda header, arrays: arrays.pop("adj.3.indptr"), ":0: bundle lacks 'adj.3.indptr'"),
+     (watch_an_actor, ":0: edges under 'watch' violate endpoint types")],
+    ids=["missing-array", "watch-ends-at-an-actor"],
+)
+def test_a_bundle_the_schema_cannot_read_is_named(bundle, tmp_path, capsys, edit, message):
+    path = edited(bundle, tmp_path / "data" / "bundle.bin", edit)
+    err = failure(capsys, "search", "--dataset", path.parent, "--iter-limit", 8, "--seed", 0, "--out", tmp_path / "run")
+    assert f"error: {path}{message}" in err
+
+
+def test_a_checkpoint_without_its_config_is_named(bundle, checkpoint, tmp_path, capsys):
+    path = edited(checkpoint, tmp_path / "model.ckpt", lambda header, arrays: header.pop("config"))
+    err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
+    assert f"error: {path}: header lacks ['config']" in err
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

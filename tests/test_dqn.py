@@ -5,7 +5,6 @@ import pytest
 
 from hinrec import dqn
 from hinrec.autodiff import Tape, Var
-from hinrec.config import RunConfig
 from hinrec.dqn import (
     DEFAULT_HIDDEN,
     DqnAgent,
@@ -312,17 +311,17 @@ class TestReplayBuffer:
         """The agent's first TD update samples a whole batch from its replay list, each transition once."""
         batches = []
         monkeypatch.setattr(dqn, "td_update", lambda params, target, batch, gamma, lr: batches.append(batch))
-        agent = DqnAgent(1, 2, RunConfig(dqn_batch=10), seed=0, total_steps=10)
-        for k in range(10):
+        agent = DqnAgent(1, 2, seed=0, total_steps=dqn.BATCH)
+        for k in range(dqn.BATCH):
             agent.observe(Transition(np.asarray([float(k)]), k, 0.0, np.asarray([0.0]), False))
-        assert len(agent.buffer) == 10
-        assert [sorted(t.a for t in batch) for batch in batches] == [list(range(10))]
+        assert len(agent.buffer) == dqn.BATCH
+        assert [sorted(t.a for t in batch) for batch in batches] == [list(range(dqn.BATCH))]
 
 
 class TestAgent:
     @pytest.mark.parametrize("total_steps, horizon", [(20, 10), (1, 1), (0, 1)])
     def test_epsilon_decays_over_half_the_total_steps(self, total_steps, horizon):
-        agent = DqnAgent(3, 2, RunConfig(), seed=0, total_steps=total_steps)
+        agent = DqnAgent(3, 2, seed=0, total_steps=total_steps)
         assert agent.eps_horizon == horizon
         for steps, expected in ((0, 1.0), (horizon, 0.1), (horizon + 7, 0.1)):
             agent.env_steps = steps
@@ -379,11 +378,9 @@ class ToyBanditEnv:
 
 
 class TestSearch:
-    CFG = RunConfig(dqn_lr=0.01, dqn_batch=32, eps_fraction=0.5)
-
     def test_learns_toy_bandit(self):
         # 240 probe steps buy 60 episodes; the greedy episode takes the good relation (3) at each of its 4 steps.
-        assert search(ToyBanditEnv(), self.CFG, 0, 240) == (0.0, 0.0, 4.0, 0.0, 0.0)
+        assert search(ToyBanditEnv(), 0, 240) == (0.0, 0.0, 4.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("budget, episodes", [(0, 1), (3, 1), (4, 1), (11, 2), (240, 60)])
     def test_budget_buys_whole_episodes_and_at_least_one(self, monkeypatch, budget, episodes):
@@ -391,18 +388,18 @@ class TestSearch:
         run = dqn.run_episode
         monkeypatch.setattr(dqn, "run_episode", lambda env, agent, rng, greedy=False:
                             trained.append(greedy) or run(env, agent, rng, greedy))
-        assert search(ToyBanditEnv(), RunConfig(), 1, budget) is not None
+        assert search(ToyBanditEnv(), 1, budget) is not None
         assert trained == [False] * episodes + [True]
 
     def test_deterministic_per_seed(self):
-        out1 = search(ToyBanditEnv(), self.CFG, 0, 240)
-        out2 = search(ToyBanditEnv(), self.CFG, 0, 240)
+        out1 = search(ToyBanditEnv(), 0, 240)
+        out2 = search(ToyBanditEnv(), 0, 240)
         assert out1 == out2
 
     def test_warns_when_training_makes_no_update(self, caplog):
         # 8 probe steps buy 2 episodes of at most 4 steps: at most 8 transitions, below the warm-up of 32.
         with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
-            search(ToyBanditEnv(), self.CFG, 0, 8)
+            search(ToyBanditEnv(), 0, 8)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "no TD update" in warnings[0] and "2 episodes" in warnings[0]
@@ -410,7 +407,7 @@ class TestSearch:
 
     def test_no_warning_once_updates_run(self, caplog):
         with caplog.at_level(logging.WARNING, logger="hinrec.dqn"):
-            search(ToyBanditEnv(), self.CFG, 0, 240)
+            search(ToyBanditEnv(), 0, 240)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 

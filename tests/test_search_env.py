@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hinrec import cli, evaluation
-from hinrec.config import ConfigError, RunConfig
+from hinrec.config import RunConfig
 from hinrec.evaluation import PerformanceProbe, split_leave_one_out
 from hinrec.hin import HinSchema
 from hinrec.metapath import (
@@ -258,25 +258,19 @@ class TestBaselines:
 
     def test_greedy_keeps_current_when_no_improvement(self, movie_schema):
         env = self._env(movie_schema, FakeProbe(score=lambda pset: 0.5))
-        out = greedy_search(env, 8, 2, np.random.default_rng(2))
+        out = greedy_search(env, 8, np.random.default_rng(2))
         assert out.key() == initial_set(USER_SYMMETRIC, movie_schema).key()
 
     def test_greedy_deterministic(self, movie_schema):
-        a = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
-        b = greedy_search(self._env(movie_schema), 9, 3, np.random.default_rng(7))
+        a = greedy_search(self._env(movie_schema), 9, np.random.default_rng(7))
+        b = greedy_search(self._env(movie_schema), 9, np.random.default_rng(7))
         assert a.key() == b.key()
-
-    @pytest.mark.parametrize("candidates", [0, -1])
-    def test_greedy_rejects_rounds_without_candidates(self, movie_schema, candidates):
-        # A round with no candidates spends no budget, so the search would never end.
-        with pytest.raises(ConfigError, match="greedy_candidates"):
-            greedy_search(self._env(movie_schema), 8, candidates, np.random.default_rng(0))
 
     def test_baselines_trace_each_probe(self, movie_schema, tmp_path):
         probe = FakeProbe()
         trace = tmp_path / "trace.jsonl"
         env = user_env(movie_schema, probe, trace_path=str(trace), trace_tag="user")
-        greedy_search(env, 6, 2, np.random.default_rng(3))
+        greedy_search(env, 6, np.random.default_rng(3))
         random_search(env, 5, np.random.default_rng(3))
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert len(lines) == len(probe.calls)
@@ -293,7 +287,7 @@ class TestBaselines:
         if strategy == "random":
             out = random_search(env, 20, np.random.default_rng(4))
         else:
-            out = greedy_search(env, 20, 2, np.random.default_rng(4))
+            out = greedy_search(env, 20, np.random.default_rng(4))
         assert len(probe.calls) > 1
         for key in [*probe.calls, out.key()]:
             assert not rejected & set(key)
@@ -302,13 +296,9 @@ class TestBaselines:
         """With every growth rewarded and budget to spare, greedy stops after ``max_steps`` moves."""
         probe = FakeProbe()
         env = self._env(movie_schema, probe)
-        greedy_search(env, 400, 3, np.random.default_rng(0))
+        greedy_search(env, 400, np.random.default_rng(0))
         reachable = {pset.key() for pset, _ in reachable_sets(USER_SYMMETRIC, movie_schema, env.max_steps, env.extend)}
         assert set(probe.calls) <= reachable
-
-    def test_greedy_single_candidate_walks(self, movie_schema):
-        out = greedy_search(self._env(movie_schema), 6, 1, np.random.default_rng(11))
-        assert len(out) >= 1
 
 
 def accepted_key(probe, pset):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
+import struct
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +42,27 @@ def test_one_changed_byte_is_reported(tmp_path):
     (b / "run" / "manifest.json").write_text("not an artifact")
     (a / "run" / "trace.jsonl").write_text("{}\n")
     assert same_outputs.compare(a, b) == (3, ["run/model.ckpt", "run/trace.jsonl"])
+
+
+def test_artifacts_that_differ_only_in_config_hash_are_named(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, config_hash in ((a, "old"), (b, "new")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "sets.json").write_text(json.dumps({"config_hash": config_hash, "seed": 0}))
+        (root / "run" / "history.jsonl").write_text("".join(
+            json.dumps({"epoch": k, "config_hash": config_hash}) + "\n" for k in range(2)))
+        head = json.dumps({"config": {"embed_dim": 4}, "config_hash": config_hash}).encode()
+        (root / "run" / "model.ckpt").write_bytes(b"HINREC01" + struct.pack("<I", len(head)) + head + bytes(range(9)))
+        (root / "run" / "metrics.jsonl").write_text(json.dumps({"value": 0.5, "config_hash": config_hash}) + "\n")
+    (b / "run" / "metrics.jsonl").write_text(json.dumps({"value": 0.25, "config_hash": "new"}) + "\n")
+    total, diff = same_outputs.compare(a, b)
+    assert (total, diff) == (4, ["run/history.jsonl", "run/metrics.jsonl", "run/model.ckpt", "run/sets.json"])
+    assert [same_outputs.describe(a, b, name) for name in diff] == [
+        "differs only in config_hash: run/history.jsonl (old -> new)",
+        "differs: run/metrics.jsonl",
+        "differs only in config_hash: run/model.ckpt (old -> new)",
+        "differs only in config_hash: run/sets.json (old -> new)",
+    ]
 
 
 def test_bench_pairs_runs_one_pair_of_a_tree_against_itself(capsys):

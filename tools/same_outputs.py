@@ -11,7 +11,9 @@ rms ``--iter-limit 40``, random ``--iter-limit 16``, greedy ``--iter-limit 16``,
 default rms and default greedy, whose ``sets.json`` and ``trace.jsonl`` are
 compared after ``strip_volatile``. Only default greedy's budget lets it
 reach ``max_steps`` moves; ``--iter-limit 16`` ends it after two rounds.
-Prints each differing file; exits 1 when any differs.
+Prints each differing file, and names those that differ only in
+``config_hash`` (a JSON field, or a key of ``model.ckpt``'s header) with
+both hashes; exits 1 when any differs.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import argparse
 import filecmp
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -64,6 +67,31 @@ def compare(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(names), sorted(str(n) for n in names.difference(same))
 
 
+def split_hash(path: Path) -> tuple[str, tuple[str, bytes]] | None:
+    """An artifact's ``config_hash`` values, joined, and its content without them; None if it does not parse."""
+    data = path.read_bytes()
+    try:
+        if path.suffix == ".ckpt":  # an 8-byte magic tag, then a length-prefixed JSON header
+            (n,) = struct.unpack_from("<I", data, 8)
+            docs, rest = [json.loads(data[12 : 12 + n])], data[:8] + data[12 + n :]
+        elif path.suffix == ".jsonl":
+            docs, rest = [json.loads(line) for line in data.decode("utf-8").splitlines()], b""
+        else:
+            docs, rest = [json.loads(data)], b""
+    except (ValueError, struct.error):
+        return None
+    hashes = sorted({str(doc.pop("config_hash", None)) for doc in docs if isinstance(doc, dict)})
+    return ", ".join(hashes), (json.dumps(docs, sort_keys=True), rest)
+
+
+def describe(a: Path, b: Path, name: str) -> str:
+    """How the artifact ``name`` differs between the trees ``a`` and ``b``."""
+    old, new = (split_hash(root / name) if (root / name).exists() else None for root in (a, b))
+    if old and new and old[0] != new[0] and old[1] == new[1]:
+        return f"differs only in config_hash: {name} ({old[0]} -> {new[0]})"
+    return f"differs: {name}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("roots", nargs="*", type=Path, help="PARENT_ROOT CHANGE_ROOT")
@@ -87,8 +115,8 @@ def main(argv=None) -> int:
             if proc.returncode:
                 sys.exit(f"{root}: outputs not written\n{proc.stderr[-2000:]}")
         total, diff = compare(*outs)
-    for name in diff:
-        print(f"differs: {name}")
+        for name in diff:
+            print(describe(*outs, name))
     print(f"{len(diff)} of {total} artifacts differ")
     return 1 if diff else 0
 
