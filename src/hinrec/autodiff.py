@@ -5,7 +5,8 @@ attention levels, inner-product scoring and a pairwise ranking loss; the
 DQN's Q-network is a rectifier MLP with a mean-Huber TD loss. So instead
 of a general autodiff system each op records one backward closure on a
 tape, and :meth:`Tape.backward` is the package's only reverse pass. Both
-learners' weight matrices start from :func:`glorot`. Everything runs in
+learners' weight matrices start from :func:`glorot`; HRec's training steps
+with :class:`Adam`, the DQN's TD updates with plain SGD. Everything runs in
 float64; segment ops assume contiguous, non-empty groups (guaranteed by
 the sampled neighborhood views).
 
@@ -390,3 +391,36 @@ class Tape:
 
         return self._emit(weights @ x.value, back)
 
+
+
+class Adam:
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) over named parameters.
+
+    A parameter's two moment arrays start at zero on the first step that
+    finds it with a gradient, so they are allocated in parameter order.
+    """
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator guard
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.steps = 0
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def step(self, params: dict[str, Var]) -> None:
+        """Update every parameter that has a gradient, then clear that gradient."""
+        self.steps += 1
+        fix1 = 1.0 - self.BETA1**self.steps
+        fix2 = 1.0 - self.BETA2**self.steps
+        for name, var in params.items():
+            if var.grad is None:
+                continue
+            if name not in self._moments:
+                self._moments[name] = (np.zeros_like(var.value), np.zeros_like(var.value))
+            m, v = self._moments[name]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * var.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * np.square(var.grad)
+            var.value -= self.lr * (m / fix1) / (np.sqrt(v / fix2) + self.EPS)
+            var.grad = None

@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--iter-limit", type=int, dest="iter_limit",
                    help="search budget (default 480): each side gets half, which random spends in probe "
-                        "calls, greedy in drawn candidates (stopping after max_steps moves) and rms in "
-                        "half // max_steps training episodes")
+                        "calls, greedy in drawn candidates (stopping after search_env.MAX_STEPS moves) and "
+                        "rms in half // search_env.MAX_STEPS training episodes")
 
     p = sub.add_parser("train", parents=[common], help="train the recommender on found sets")
     p.add_argument("--dataset", required=True)
@@ -185,7 +185,7 @@ def cmd_search(args) -> int:
         env = search_env.SearchEnv(
             schema, form, probe,
             frozen_other=search_env.initial_set(other, schema),
-            max_steps=cfg.max_steps,
+            max_steps=search_env.MAX_STEPS,
             trace_path=str(trace_path), trace_tag=tag,
         )
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
@@ -235,7 +235,8 @@ def cmd_train(args) -> int:
     probe = evaluation.PerformanceProbe(graph, split, cfg)
     try:
         model = probe.model(sets["user_set"], sets["item_set"], probe.init_base)
-        result = rec.train(model, split, cfg.seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
+        result = rec.train(model, split, cfg.seed, lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"),
+                           cfg.rec_epochs, cfg.patience)
     except rec.SaturatedUser as exc:  # name the user as the dataset does
         user_offset = graph.type_offsets[graph.schema.type_index(graph.schema.user_type)]
         raise rec.SaturatedUser(exc.user, exc.n_items, graph.node_names[user_offset + exc.user]) from None

@@ -2,23 +2,23 @@
 
 Values resolve in three layers: built-in defaults, then a ``key = value``
 config file, then CLI flags. Unknown keys, unparsable values, an unknown
-``strategy``, a step limit, HRec batch size or epoch count, fanout,
-embedding or attention width or negative count below 1, a search budget
-``iter_limit`` below 2, and a ``dropout`` outside [0, 1) are rejected with
+``strategy``, an epoch count, embedding width or negative count below 1
+and a search budget ``iter_limit`` below 2 are rejected with
 :class:`ConfigError`, prefixed with ``path:line`` when they come from a
 file.
 
 ``iter_limit`` is the one search budget. Each side, user and item, gets
 ``iter_limit // 2``: random search spends it in probe calls, one per walk;
-greedy spends it in drawn candidates and also stops after ``max_steps``
+greedy spends it in drawn candidates and also stops after ``MAX_STEPS``
 moves, as an rms episode and a random walk do; and the DQN trains for
-``(iter_limit // 2) // max_steps`` episodes, at least one.
-:class:`RunConfig` is the only settings table, read by HRec and the probe;
-the DQN's hyperparameters and greedy's round width, which no run varies,
-are constants in :mod:`hinrec.dqn` and :mod:`hinrec.search_env`. The
-config hash covers every field except ``seed``, ``out`` and ``dataset``,
-which name a run without changing its science, so a report can refuse to
-aggregate runs produced under different settings.
+``(iter_limit // 2) // MAX_STEPS`` episodes, at least one.
+:class:`RunConfig` is the only settings table, read by HRec and the probe.
+Values that no run varies are constants beside their one reader, in
+:mod:`hinrec.evaluation`, :mod:`hinrec.search_env` (``MAX_STEPS``),
+:mod:`hinrec.recommender` and :mod:`hinrec.dqn`. The config hash covers
+every field except ``seed``, ``out`` and ``dataset``, which name a run
+without changing its science, so a report can refuse to aggregate runs
+produced under different settings.
 """
 from __future__ import annotations
 
@@ -46,21 +46,12 @@ class RunConfig:
     out: str = "runs"
     dataset: str = ""
 
-    # meta-path machinery
-    density_threshold: float = 0.5
-    fanout: int = 20
-
     # search
     strategy: str = "rms"
-    max_steps: int = 4
     iter_limit: int = 480
 
     # recommender
     embed_dim: int = 64
-    att_hidden: int = 32
-    dropout: float = 0.1
-    rec_lr: float = 0.01
-    rec_batch: int = 1024
     rec_epochs: int = 30
     patience: int = 3
     mf_epochs: int = 30
@@ -107,8 +98,7 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # The least value of each integer setting that the pipeline can run.
-_AT_LEAST = {key: 1 for key in ("max_steps", "rec_batch", "rec_epochs", "fanout", "embed_dim", "att_hidden",
-                                 "n_negatives")}
+_AT_LEAST = {key: 1 for key in ("rec_epochs", "embed_dim", "n_negatives")}
 _AT_LEAST["iter_limit"] = 2  # one probe call per side
 
 
@@ -118,8 +108,6 @@ def _coerce(cfg: RunConfig, key: str, value):
         raise ConfigError(f"config key 'strategy': unknown strategy {out!r}, expected one of {', '.join(STRATEGIES)}")
     if key in _AT_LEAST and out < _AT_LEAST[key]:
         raise ConfigError(f"config key {key!r}: must be at least {_AT_LEAST[key]}, got {out}")
-    if key == "dropout" and not 0.0 <= out < 1.0:  # a dropout of 1 keeps no unit
-        raise ConfigError(f"config key {key!r}: must be in [0, 1), got {out}")
     return out
 
 

@@ -30,6 +30,9 @@ from .util import derive_rng, derive_seed
 log = logging.getLogger(__name__)
 
 _NO_ITEMS = np.empty(0, dtype=np.int64)
+# The probe's subgraph density filter: a path whose subgraph links more than
+# this share of its node pairs is rejected (:func:`~hinrec.metapath.materialize_subgraph`).
+DENSITY_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,7 @@ class PerformanceProbe:
     def subgraph(self, path: mp.MetaPath) -> mp.MetaPathSubgraph | None:
         key = path.relation_ids
         if key not in self._subgraphs:
-            self._subgraphs[key] = mp.materialize_subgraph(self.graph, path, self.config.density_threshold)
+            self._subgraphs[key] = mp.materialize_subgraph(self.graph, path, DENSITY_THRESHOLD)
         return self._subgraphs[key]
 
     def side(self, pset: mp.MetaPathSet) -> rec.SideBundle:
@@ -364,7 +367,7 @@ class PerformanceProbe:
     def model(self, user_set: mp.MetaPathSet, item_set: mp.MetaPathSet, base: int) -> rec.HRecModel:
         """HRec over both sets at the MF init, with its attention parameters drawn from ``base``."""
         user_side, item_side = self.side(user_set), self.side(item_set)
-        return rec.HRecModel(self.graph, user_side, item_side, self.config, base, self.mf_init())
+        return rec.HRecModel(self.graph, user_side, item_side, base, self.mf_init())
 
     def val_ndcg(self, model: rec.HRecModel, view_tag: str, stages: dict | None = None) -> float:
         """The model's validation NDCG@10 against ``n_negatives`` sampled negatives."""

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import logging
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from . import metapath as mp
-from .autodiff import Tape, Var, glorot, scatter_rows
+from .autodiff import Adam, Tape, Var, glorot, scatter_rows
 from .checkpoint import CheckpointError, check_arrays, load_arrays, save_arrays
-from .config import RunConfig
 from .hin import HinGraph
 from .util import derive_rng
 
@@ -44,15 +43,16 @@ class SaturatedUser(ValueError):
         self.user, self.n_items = user, n_items
 
 
-# The RunConfig fields that fix a model's parameters and forward pass; a
-# checkpoint's header stores them, and :meth:`HRecModel.load` applies them.
-ARCH_FIELDS = ("embed_dim", "att_hidden", "dropout", "fanout", "density_threshold")
 # The header format :meth:`HRecModel.save` writes; :meth:`HRecModel.load` rejects any other.
-CHECKPOINT_FORMAT = 5
-# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980).
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+CHECKPOINT_FORMAT = 6
+# Neighbours sampled per node and path in a view; the meta-path level's
+# hidden width; the training dropout on projected rows; Adam's step size;
+# pairs per training batch.
+FANOUT = 20
+ATT_HIDDEN = 32
+DROPOUT = 0.1
+LR = 0.01
+BATCH = 1024
 
 
 @dataclass
@@ -256,16 +256,14 @@ def attention_init(base: int, tag: str, pset: mp.MetaPathSet, d: int, hid: int) 
 
 
 class HRecModel:
-    """All learnable state plus the side bundles it was built for.
+    """HRec's parameters plus the side bundles they were built for.
 
-    ``cfg`` supplies the architecture (:data:`ARCH_FIELDS`) and the training
-    loop's ``rec_lr``, ``rec_batch``, ``rec_epochs`` and ``patience``. The
-    type projections start at the identity, so the untrained model scores
-    in the space of its embedding init, ``mf_init``: the ``(users, items)``
-    tables of :func:`mf_pretrain`, copied. The attention parameters are
-    :func:`attention_init`'s draws from the integer seed ``base``. Adam's two
-    moment arrays per parameter live on the model and start at zero with it;
-    checkpoints hold the parameters only.
+    The embedding init ``mf_init`` is the ``(users, items)`` tables of
+    :func:`mf_pretrain`, copied; their width is the model's d. The type
+    projections start at the identity, so the untrained model scores in the
+    space of that init. The attention parameters are :func:`attention_init`'s
+    draws from the integer seed ``base``, with :data:`ATT_HIDDEN` hidden
+    units.
     """
 
     def __init__(
@@ -273,16 +271,14 @@ class HRecModel:
         graph: HinGraph,
         user_side: SideBundle,
         item_side: SideBundle,
-        cfg: RunConfig,
         base: int,
         mf_init: tuple[np.ndarray, np.ndarray],
     ):
-        self.cfg = cfg
         self.graph = graph
         self.user_side = user_side
         self.item_side = item_side
-        d = cfg.embed_dim
         user_emb, item_emb = mf_init
+        d = user_emb.shape[-1]
         if user_emb.shape != (user_side.m, d) or item_emb.shape != (item_side.m, d):
             raise ValueError("MF init shapes do not match the graph/type sizes")
         base = operator.index(base)  # a Generator here would seed by its repr
@@ -290,32 +286,9 @@ class HRecModel:
         for side in (user_side, item_side):
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
-            for name, value in attention_init(base, tag, side.pset, d, cfg.att_hidden).items():
+            for name, value in attention_init(base, tag, side.pset, d, ATT_HIDDEN).items():
                 params[name] = Var(value)
         self.params = params
-        self.adam_steps = 0
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def zero_grad(self) -> None:
-        for var in self.params.values():
-            var.grad = None
-
-    def adam_step(self, lr: float) -> None:
-        """One bias-corrected Adam update of every parameter that has a gradient."""
-        self.adam_steps += 1
-        fix1 = 1.0 - ADAM_BETA1**self.adam_steps
-        fix2 = 1.0 - ADAM_BETA2**self.adam_steps
-        for name, var in self.params.items():
-            if var.grad is None:
-                continue
-            if name not in self._moments:
-                self._moments[name] = (np.zeros_like(var.value), np.zeros_like(var.value))
-            m, v = self._moments[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * var.grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(var.grad)
-            var.value -= lr * (m / fix1) / (np.sqrt(v / fix2) + ADAM_EPS)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.value.copy() for k, v in self.params.items()}
@@ -332,7 +305,6 @@ class HRecModel:
             "format": CHECKPOINT_FORMAT,
             "user_set": [list(p.relation_ids) for p in self.user_side.pset],
             "item_set": [list(p.relation_ids) for p in self.item_side.pset],
-            "config": {name: getattr(self.cfg, name) for name in ARCH_FIELDS},
         }
         if extra_header:
             header.update(extra_header)
@@ -344,12 +316,11 @@ class HRecModel:
 
         The checkpoint's path sets are the density-accepted ones its sides
         were built from, so they are trusted as stored: the density filter is
-        not applied again. The model's config is :class:`RunConfig`'s defaults
-        with the header's architecture fields. Raises :class:`CheckpointError`,
-        naming ``path``, when the header's format is not
-        :data:`CHECKPOINT_FORMAT`, when it lacks a set or the config, when
-        it names a field outside :data:`ARCH_FIELDS`, or when the stored
-        arrays do not match the rebuilt model's parameters in name and shape.
+        not applied again. The model's width d is that of the stored
+        ``user_emb``. Raises :class:`CheckpointError`, naming ``path``, when
+        the header's format is not :data:`CHECKPOINT_FORMAT`, when it lacks a
+        set, or when the stored arrays do not match the rebuilt model's
+        parameters in name and shape.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hrec-model":
@@ -358,22 +329,20 @@ class HRecModel:
             raise CheckpointError(
                 f"{path}: checkpoint format {header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
             )
-        missing = [key for key in ("user_set", "item_set", "config") if key not in header]
+        missing = [key for key in ("user_set", "item_set") if key not in header]
         if missing:
             raise CheckpointError(f"{path}: header lacks {missing}")
-        unknown = sorted(set(header["config"]) - set(ARCH_FIELDS))
-        if unknown:
-            raise CheckpointError(f"{path}: config header names non-architecture fields {unknown}")
-        cfg = replace(RunConfig(), **header["config"])
         unfiltered = lambda p: mp.materialize_subgraph(graph, p, None)
         user_side, item_side = (
             build_side(graph, mp.MetaPathSet.from_relations(graph.schema, form, header[key]), unfiltered)
             for key, form in (("user_set", mp.USER_SYMMETRIC), ("item_set", mp.ITEM_SYMMETRIC))
         )
-        # Zero tables of the graph's shapes stand in for the embeddings the
-        # checkpoint overwrites, so ``check_arrays`` compares against them.
-        zeros = tuple(np.zeros((side.m, cfg.embed_dim)) for side in (user_side, item_side))
-        model = cls(graph, user_side, item_side, cfg, 0, zeros)
+        # Zero tables of the graph's shapes, as wide as the stored ``user_emb``, stand in for
+        # the embeddings the checkpoint overwrites, so ``check_arrays`` compares against them.
+        stored = arrays.get("user_emb", np.zeros((0, 0)))
+        d = stored.shape[-1] if stored.ndim else 0
+        zeros = tuple(np.zeros((side.m, d)) for side in (user_side, item_side))
+        model = cls(graph, user_side, item_side, 0, zeros)
         check_arrays(path, arrays, {k: v.value for k, v in model.params.items()})
         for k, arr in arrays.items():
             model.params[k].value[...] = arr
@@ -463,12 +432,11 @@ def _side_forward(
     then one :func:`fuse`. The paper's σ at each level is HAN's
     (Wang et al., arXiv:1903.07293): LeakyReLU on node-level scores, ELU on
     aggregation, tanh in the meta-path-level attention. ``drop_rng`` draws
-    dropout masks; ``None`` runs without dropout.
+    dropout masks at rate :data:`DROPOUT`; ``None`` runs without dropout.
     """
-    cfg = model.cfg
     Z = project(tape, model, tag, side)
-    if drop_rng is not None and cfg.dropout > 0.0:
-        keep = (drop_rng.random(Z.value.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+    if drop_rng is not None and DROPOUT > 0.0:
+        keep = (drop_rng.random(Z.value.shape) >= DROPOUT) / (1.0 - DROPOUT)
         Z = tape.mul_const(Z, keep)
     stages = [path_forward(tape, model, tag, name, Z, view) for name, view in zip(path_names(side.pset), views)]
     return fuse(tape, [Hx for Hx, _ in stages], [w for _, w in stages])
@@ -531,7 +499,7 @@ def infer_embeddings(
         for k, (path, name) in enumerate(zip(side.pset, path_names(side.pset))):
             if (side_tag, path.relation_ids) not in stages:
                 Z = project(Tape(), model, side_tag, side) if Z is None else Z
-                view = inference_view(side, k, side_tag, model.cfg.fanout, seed, tag)
+                view = inference_view(side, k, side_tag, FANOUT, seed, tag)
                 stages[side_tag, path.relation_ids] = path_forward(Tape(), model, side_tag, name, Z, view)
         done = [stages[side_tag, path.relation_ids] for path in side.pset]
         tables.append(fuse(Tape(), [Hx for Hx, _ in done], [w for _, w in done])[0].value)
@@ -550,42 +518,43 @@ class TrainResult:
     best_val_ndcg: float = -np.inf
 
 
-def train(model: HRecModel, split, seed: int, evaluator) -> TrainResult:
-    """``cfg.rec_epochs`` epochs of tape forward/backward and Adam steps.
+def train(model: HRecModel, split, seed: int, evaluator, epochs: int, patience: int) -> TrainResult:
+    """Up to ``epochs`` epochs of tape forward/backward, one :class:`~hinrec.autodiff.Adam`
+    step at rate :data:`LR` per batch of :data:`BATCH` pairs.
 
     ``split`` provides local-index training pairs and the per-user
     interaction profile. ``evaluator(model, epoch) -> float``, the
     validation NDCG@10, runs after every epoch; training stops early after
-    ``cfg.patience`` epochs without improvement, and the model is left at
-    its best-validation snapshot. When no epoch's value exceeds ``-inf``
-    (none runs, or each is NaN) the model keeps its last parameters.
+    ``patience`` epochs without improvement, and the model is left at its
+    best-validation snapshot. When no epoch's value exceeds ``-inf`` (none
+    runs, or each is NaN) the model keeps its last parameters. The
+    optimizer's moments live for this call only.
 
     Each batch's backward consumes its tape, and the loop drops the tape
     before the next batch's forward: at most one tape is alive at a time.
     """
-    cfg = model.cfg
     pairs = split.train_local(model.graph)
     n_items = model.item_side.m
     pos_bits = positive_bits(split.all_local(model.graph), model.user_side.m, n_items)
+    optimizer = Adam(LR)
     result = TrainResult()
     best_snap = None
     bad_epochs = 0
-    for epoch in range(cfg.rec_epochs):
+    for epoch in range(epochs):
         rng = derive_rng(seed, "rec-epoch", epoch)
-        user_views = sample_views(model.user_side, cfg.fanout, rng)
-        item_views = sample_views(model.item_side, cfg.fanout, rng)
+        user_views = sample_views(model.user_side, FANOUT, rng)
+        item_views = sample_views(model.item_side, FANOUT, rng)
         negatives = draw_negatives(pairs[:, 0], pos_bits, n_items, rng)
         perm = rng.permutation(len(pairs))
         losses = []
-        for lo in range(0, len(pairs), cfg.rec_batch):
-            sel = perm[lo : lo + cfg.rec_batch]
+        for lo in range(0, len(pairs), BATCH):
+            sel = perm[lo : lo + BATCH]
             fp = forward(model, pairs[sel, 0], pairs[sel, 1], negatives[sel], user_views, item_views, rng)
             loss = bpr_loss_var(fp.tape, fp.ypos, fp.yneg)
             if not np.isfinite(loss.value):
-                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // cfg.rec_batch}")
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {lo // BATCH}")
             fp.tape.backward(loss)
-            model.adam_step(cfg.rec_lr)
-            model.zero_grad()
+            optimizer.step(model.params)
             losses.append((float(loss.value), len(sel)))
             del fp, loss  # the next batch's forward must not run beside this tape
         epoch_loss = float(np.average([l for l, _ in losses], weights=[n for _, n in losses]))
@@ -598,7 +567,7 @@ def train(model: HRecModel, split, seed: int, evaluator) -> TrainResult:
             bad_epochs = 0
         else:
             bad_epochs += 1
-        if bad_epochs > cfg.patience:
+        if bad_epochs > patience:
             break
     if best_snap is not None:
         model.restore(best_snap)

@@ -37,6 +37,9 @@ ProbeFailure = AllPathsRejected
 # Actions greedy search draws per round: this reproduction's own width, not
 # one the paper gives.
 GREEDY_CANDIDATES = 4
+# Moves per rms episode, random walk and greedy search; ``hinrec search``
+# passes it to every :class:`SearchEnv`.
+MAX_STEPS = 4
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hinrec.config import RunConfig
 from hinrec.evaluation import PerformanceProbe, split_leave_one_out
 from hinrec.hin import HinGraph, HinSchema, load_graph
 from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC
-from hinrec.search_env import SearchEnv, initial_set
+from hinrec.search_env import MAX_STEPS, SearchEnv, initial_set
 from hinrec.synth import PLANTED_ITEM_PATH, write_dataset
 from hinrec.util import derive_rng, read_json
 
@@ -257,8 +257,8 @@ def item_table(graph, run_seed):
     """
     schema, cfg = graph.schema, RunConfig(seed=run_seed)
     probe = PerformanceProbe(graph, split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split")), cfg)
-    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), cfg.max_steps)
-    sets = reachable_sets(ITEM_SYMMETRIC, schema, cfg.max_steps, env.extend)
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), MAX_STEPS)
+    sets = reachable_sets(ITEM_SYMMETRIC, schema, MAX_STEPS, env.extend)
     return TableProbe({pset.key(): env.probe(pset) for pset, _ in sets}), probe
 
 
@@ -295,9 +295,8 @@ def planted_item_tables(tmp_path_factory):
 
 def item_search(schema, probe, agent_seed):
     """``dqn.search`` of the item side over ``probe`` at the default settings, as ``hinrec search`` runs it."""
-    cfg = RunConfig()
-    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), cfg.max_steps)
-    return dqn.search(env, agent_seed, cfg.iter_limit // 2)
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), MAX_STEPS)
+    return dqn.search(env, agent_seed, RunConfig().iter_limit // 2)
 
 
 def is_hit(key):

@@ -264,20 +264,24 @@ def test_all_paths_rejected_is_an_error_not_a_crash(dense_dataset, tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "setting, strategy, iter_limit",
-    [("strategy = bogus", None, 8), ("max_steps = 0", "random", 8), ("rec_batch = 0", "rms", 400),
-     ("fanout = 0", "random", 8), ("dropout = 1.0", "rms", 40)],
+    "setting, strategy, iter_limit, message",
+    [("strategy = bogus", None, 8, "config key 'strategy': unknown strategy 'bogus'"),
+     ("max_steps = 0", "random", 8, "unknown config key 'max_steps'"),
+     ("rec_batch = 0", "rms", 400, "unknown config key 'rec_batch'"),
+     ("fanout = 0", "random", 8, "unknown config key 'fanout'"),
+     ("dropout = 1.0", "rms", 40, "unknown config key 'dropout'")],
     ids=["strategy", "max-steps", "rec-batch", "fanout", "dropout"],
 )
-def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit):
-    """Reported with the file, the line and the key, before the dataset is read."""
+def test_search_rejects_a_config_value_it_cannot_run(dataset, tmp_path, capsys, setting, strategy, iter_limit, message):
+    """Reported with the file, the line and the key, before the dataset is read. The step
+    limit, batch size, fanout and dropout are module constants, so their keys are unknown."""
     config = tmp_path / "run.cfg"
     config.write_text(f"{setting}\n")
     out = tmp_path / "run"
     argv = ["search", "--dataset", dataset, "--config", config, "--iter-limit", iter_limit, "--seed", 0, "--out", out]
     assert run(*argv, *(("--strategy", strategy) if strategy else ())) == 1
     err = capsys.readouterr().err
-    assert f"error: {config}:1: config key '{setting.split()[0]}'" in err
+    assert f"error: {config}:1: {message}" in err
     assert "Traceback" not in err
     assert not (out / "sets.json").exists()
 
@@ -297,7 +301,8 @@ def test_train_rejects_zero_epochs(dataset, tmp_path, capsys):
 
 
 def test_train_rejects_a_dropout_of_one(dataset, tmp_path, capsys):
-    """A dropout of 1 would keep no unit and divide by zero; the config names the fault."""
+    """Dropout is the constant ``recommender.DROPOUT``, so a config that sets it, to 1 or to
+    anything else, is refused by file, line and key."""
     config = tmp_path / "run.cfg"
     config.write_text("dropout = 1.0\n")
     out = tmp_path / "run"
@@ -305,14 +310,15 @@ def test_train_rejects_a_dropout_of_one(dataset, tmp_path, capsys):
              "--seed", 0, "--out", out)
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"error: {config}:1: config key 'dropout': must be in [0, 1), got 1.0" in err
+    assert f"error: {config}:1: unknown config key 'dropout'" in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
 
-def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys):
+def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys, monkeypatch):
     """4 users x 4 movies, u0 (user 0) having watched all four: no negative can be drawn
     for it, and the CLI reports that as an error naming u0, rather than a traceback."""
+    monkeypatch.setattr(evaluation, "DENSITY_THRESHOLD", 1.0)  # keep the dense UMU and MUM
     (tmp_path / "schema.txt").write_text(
         "node_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: watch\n"
     )
@@ -320,7 +326,7 @@ def test_train_names_a_user_who_watched_every_movie(tmp_path, capsys):
     (tmp_path / "nodes.tsv").write_text("".join(f"{t}{i}\t{n}\n" for t, n in (("u", "User"), ("m", "Movie")) for i in range(4)))
     (tmp_path / "edges.tsv").write_text("".join(f"u{u}\twatch\tm{m}\n" for u, ms in watched.items() for m in ms))
     config = tmp_path / "run.cfg"
-    config.write_text("density_threshold = 1.0\nmf_epochs = 1\nrec_epochs = 1\n")  # keep the dense UMU and MUM
+    config.write_text("mf_epochs = 1\nrec_epochs = 1\n")
     rc = run("train", "--sets", base_sets(tmp_path / "sets.json"), "--dataset", tmp_path, "--config", config,
              "--seed", 0, "--out", tmp_path / "run")
     assert rc == 1
@@ -409,10 +415,10 @@ def test_a_bundle_the_schema_cannot_read_is_named(bundle, tmp_path, capsys, edit
     assert f"error: {path}{message}" in err
 
 
-def test_a_checkpoint_without_its_config_is_named(bundle, checkpoint, tmp_path, capsys):
-    path = edited(checkpoint, tmp_path / "model.ckpt", lambda header, arrays: header.pop("config"))
+def test_a_checkpoint_without_its_sets_is_named(bundle, checkpoint, tmp_path, capsys):
+    path = edited(checkpoint, tmp_path / "model.ckpt", lambda header, arrays: header.pop("user_set"))
     err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
-    assert f"error: {path}: header lacks ['config']" in err
+    assert f"error: {path}: header lacks ['user_set']" in err
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

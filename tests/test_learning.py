@@ -65,5 +65,6 @@ def test_trained_hrec_scores_at_least_mf_only(planted_graph, seed):
         probe.split, "validation", (10,), seed, probe.config.n_negatives,
     ).ndcg[10]
     model = probe.model(*pair_sets(planted_graph, "planted"), probe.init_base)
-    result = rec.train(model, probe.split, seed, evaluator=lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"))
+    result = rec.train(model, probe.split, seed, lambda m, epoch: probe.val_ndcg(m, f"val-{epoch}"),
+                       probe.config.rec_epochs, probe.config.patience)
     assert result.best_val_ndcg >= mf_only, (result.best_val_ndcg, mf_only)

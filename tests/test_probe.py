@@ -37,12 +37,11 @@ def planted(small_planted):
 def uncached_value(probe, user_set, item_set):
     """The pair's value from a model built fresh, with the run's draws and ``"eval"`` views."""
     cfg, graph = probe.config, probe.graph
-    materialize = lambda path: materialize_subgraph(graph, path, cfg.density_threshold)
+    materialize = lambda path: materialize_subgraph(graph, path, evaluation.DENSITY_THRESHOLD)
     model = rec.HRecModel(
         graph,
         rec.build_side(graph, user_set, materialize),
         rec.build_side(graph, item_set, materialize),
-        cfg,
         derive_seed(cfg.seed, "hrec-init"),
         mf_init=probe.mf_init(),
     )
@@ -78,7 +77,7 @@ def test_a_path_draws_the_same_in_every_set(probe, small_planted):
     """A path's a_φ, q_φ and inference view do not depend on the set that holds it or its position."""
     graph, _, _ = small_planted
     models = [probe.model(*pair_sets(graph, *paths), probe.init_base) for paths in REORDERED]
-    fanout, seed = probe.config.fanout, probe.config.seed
+    fanout, seed = rec.FANOUT, probe.config.seed
     seen = {}
     for model in models:
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
@@ -166,10 +165,10 @@ def test_reward_scores_the_init_hinrec_train_starts_from(small_planted_1, tmp_pa
     config.write_text("rec_epochs = 1\n")
     at_start, train = [], rec.train
 
-    def watched(model, split, seed, evaluator):
-        metrics = evaluation.evaluate_model(model, split, "validation", (10,), seed, model.cfg.n_negatives, "eval")
+    def watched(model, split, seed, evaluator, epochs, patience):
+        metrics = evaluation.evaluate_model(model, split, "validation", (10,), seed, RunConfig().n_negatives, "eval")
         at_start.append(metrics.ndcg[10])
-        return train(model, split, seed, evaluator)
+        return train(model, split, seed, evaluator, epochs, patience)
 
     monkeypatch.setattr(rec, "train", watched)
     assert cli.main(["train", "--dataset", str(directory), "--sets", str(sets), "--config", str(config),

@@ -20,7 +20,10 @@ an attribute, somewhere in ``src/hinrec`` outside ``config.py`` or in
 A setting has one home as well: no function or method in ``src/hinrec``
 gives a default to a parameter named after a ``RunConfig`` field, since
 such a default is a second copy of the setting's value that the pipeline,
-which passes the setting, never reads.
+which passes the setting, never reads. The same holds for the former
+settings that are now module constants beside their one reader
+(:data:`MOVED_SETTINGS`): a default on a parameter of that name would be a
+second copy of the constant.
 
 It matches names only, not call graphs. A dead cluster whose members name
 each other (a save method calling a helper that a load method also calls)
@@ -37,6 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hinrec"
 BENCH = ROOT / "bench"
+# Former RunConfig fields that became module constants: evaluation.DENSITY_THRESHOLD,
+# search_env.MAX_STEPS, and recommender's FANOUT, ATT_HIDDEN, DROPOUT, LR and BATCH.
+MOVED_SETTINGS = {"density_threshold", "max_steps", "fanout", "att_hidden", "dropout", "rec_lr", "rec_batch"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -113,12 +119,13 @@ def unread_settings() -> list[str]:
 
 
 def defaulted_settings() -> list[str]:
-    """``module.function(parameter)`` for each parameter named after a RunConfig field that has a default."""
+    """``module.function(parameter)`` for each parameter named after a RunConfig field or a
+    moved setting that has a default."""
     from dataclasses import fields
 
     from hinrec.config import RunConfig
 
-    settings = {f.name for f in fields(RunConfig)}
+    settings = {f.name for f in fields(RunConfig)} | MOVED_SETTINGS
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(_parse(path)):
@@ -141,6 +148,21 @@ def test_every_setting_is_read_outside_config():
 
 def test_no_signature_copies_a_settings_default():
     assert defaulted_settings() == []
+
+
+def test_moved_settings_are_constants_and_not_fields():
+    from dataclasses import fields
+
+    from hinrec import evaluation, recommender, search_env
+    from hinrec.config import RunConfig
+
+    assert not MOVED_SETTINGS & {f.name for f in fields(RunConfig)}
+    homes = {"density_threshold": evaluation.DENSITY_THRESHOLD, "max_steps": search_env.MAX_STEPS,
+             "fanout": recommender.FANOUT, "att_hidden": recommender.ATT_HIDDEN, "dropout": recommender.DROPOUT,
+             "rec_lr": recommender.LR, "rec_batch": recommender.BATCH}
+    assert homes == {"density_threshold": 0.5, "max_steps": 4, "fanout": 20, "att_hidden": 32, "dropout": 0.1,
+                     "rec_lr": 0.01, "rec_batch": 1024}  # the fields' former defaults
+    assert set(homes) == MOVED_SETTINGS
 
 
 def test_the_probe_failures_old_name_is_the_fault_it_raises():

@@ -1,17 +1,14 @@
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hinrec import metapath as mp
 from hinrec import recommender
-from hinrec.autodiff import Tape, Var
+from hinrec.autodiff import Adam, Tape, Var
 from hinrec.checkpoint import CheckpointError, load_arrays, save_arrays
-from hinrec.config import RunConfig
 from hinrec.hin import HinSchema
 from hinrec.recommender import (
-    ARCH_FIELDS,
     CHECKPOINT_FORMAT,
     AllPathsRejected,
     HRecModel,
@@ -43,9 +40,19 @@ def density_filter(graph, threshold):
 
 
 def views_and_rng(model, rng):
-    """``forward``'s last three arguments: both sides' views at the model's fanout, drawn from ``rng``,
+    """``forward``'s last three arguments: both sides' views at ``FANOUT``, drawn from ``rng``,
     then ``rng`` itself for the dropout masks."""
-    return [*(sample_views(side, model.cfg.fanout, rng) for side in (model.user_side, model.item_side)), rng]
+    return [*(sample_views(side, recommender.FANOUT, rng) for side in (model.user_side, model.item_side)), rng]
+
+
+def set_constants(monkeypatch, **values):
+    """Set ``recommender``'s module constants for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(recommender, name, value)
+
+
+# Epochs without improvement before ``train`` stops, where a test does not exercise early stopping.
+PATIENCE = 3
 
 
 # ``forward``'s dropout generator for the tiny model, whose dropout of 0 draws nothing from it.
@@ -83,18 +90,39 @@ TINY_EDGES = [
 
 
 @pytest.fixture
-def tiny_model(movie_schema):
-    """The tiny graph with two paths per side; small dims for FD checks."""
+def tiny_model(movie_schema, monkeypatch):
+    """The tiny graph with two paths per side; small dims for FD checks (d = 5, 4 hidden units), no dropout."""
     graph = graph_from(movie_schema, TINY_NODES, TINY_EDGES)
     user_set = mp.MetaPathSet.from_relations(
         movie_schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
     )
     item_set = mp.MetaPathSet.from_relations(movie_schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
-    cfg = RunConfig(embed_dim=5, att_hidden=4, dropout=0.0, fanout=16, rec_lr=0.05, rec_batch=8)
+    set_constants(monkeypatch, ATT_HIDDEN=4, DROPOUT=0.0, FANOUT=16, LR=0.05, BATCH=8)
     user_side = build_side(graph, user_set, density_filter(graph, None))
     item_side = build_side(graph, item_set, density_filter(graph, None))
     rng = derive_rng(0, "tiny-model")
-    return HRecModel(graph, user_side, item_side, cfg, 0, glorot_init(rng, user_side, item_side, cfg.embed_dim))
+    return HRecModel(graph, user_side, item_side, 0, glorot_init(rng, user_side, item_side, 5))
+
+
+@pytest.fixture
+def small_model(small_planted, monkeypatch):
+    """Models on ``small_planted``'s graph with two paths per side, by seed: d = 8, 6 hidden units,
+    fanout 10, batches of 128 at rate 0.05."""
+    set_constants(monkeypatch, ATT_HIDDEN=6, FANOUT=10, LR=0.05, BATCH=128)
+    graph = small_planted[0]
+    schema = graph.schema
+    user_set = mp.MetaPathSet.from_relations(
+        schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
+    )
+    item_set = mp.MetaPathSet.from_relations(schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
+    user_side = build_side(graph, user_set, density_filter(graph, 0.9))
+    item_side = build_side(graph, item_set, density_filter(graph, 0.9))
+
+    def make(seed=0):
+        rng = derive_rng(seed, "model")
+        return HRecModel(graph, user_side, item_side, seed, glorot_init(rng, user_side, item_side, 8))
+
+    return make
 
 
 class TestReferenceOps:
@@ -354,7 +382,8 @@ class TestForward:
                     back(var.grad)
 
         def param_grads():
-            tiny_model.zero_grad()
+            for var in tiny_model.params.values():
+                var.grad = None
             fp = forward(
                 tiny_model, np.asarray([0, 1, 2, 3]), np.asarray([1, 2, 3, 0]), np.asarray([2, 3, 0, 1]),
                 *views_and_rng(tiny_model, derive_rng(8, "fwd")),
@@ -399,7 +428,7 @@ class TestForward:
         model = tiny_model
         H_u, H_i = infer_embeddings(model, 7, "eval")
         views_u, views_i = (
-            [inference_view(side, k, tag, model.cfg.fanout, 7, "eval") for k in range(len(side.pset))]
+            [inference_view(side, k, tag, recommender.FANOUT, 7, "eval") for k in range(len(side.pset))]
             for tag, side in (("user", model.user_side), ("item", model.item_side))
         )
         fp = forward(
@@ -438,13 +467,13 @@ class TestForward:
             np.testing.assert_allclose(beta.value, ref_beta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(fused.value, ref_fused, rtol=0, atol=1e-12)
 
-    def test_paths_on_their_own_tapes_fuse_to_the_side_forward(self, small_planted):
+    def test_paths_on_their_own_tapes_fuse_to_the_side_forward(self, small_model):
         """Each path's table and score, each on a throwaway tape, then one ``fuse`` on a fresh
         tape: the fused table and β have the bytes of the whole side's forward. A cache of
         per-path tables shared between sets relies on this."""
-        model = _small_model(small_planted[0])
+        model = small_model()
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
-            views = sample_views(side, model.cfg.fanout, derive_rng(5, "seam", tag))
+            views = sample_views(side, recommender.FANOUT, derive_rng(5, "seam", tag))
             assert len(views) == 2
             want_fused, want_beta = _side_forward(Tape(), model, tag, side, views, None)
             p = model.params
@@ -461,11 +490,11 @@ class TestForward:
 
 class TestTraining:
     def test_projections_start_at_identity(self, tiny_model):
-        d = tiny_model.cfg.embed_dim
+        d = tiny_model.params["user_emb"].shape[1]
         for node_type in ("User", "Movie"):
             np.testing.assert_array_equal(tiny_model.params[f"proj.{node_type}"].value, np.eye(d))
 
-    def test_adam_first_two_steps_on_a_quadratic(self, tiny_model):
+    def test_adam_first_two_steps_on_a_quadratic(self):
         """f(x) = (x0^2 + 4 x1^2) / 2 from x = (3, -0.5) at lr 0.1, gradient (x0, 4 x1).
 
         Step 1: the bias-corrected moments are g and g^2, so each coordinate
@@ -474,53 +503,60 @@ class TestTraining:
         corrected by 1 - 0.9^2 = 0.19 and 1 - 0.999^2 = 0.001999, give
         x = (2.8001027077506, -0.3011874206234) (40-digit decimal arithmetic).
         """
-        model = tiny_model
         x = Var(np.asarray([3.0, -0.5]))
-        model.params = {"x": x}
+        adam = Adam(0.1)
         expected = [
             [2.900000000333333332222, -0.400000000499999997500],
             [2.800102707750551155627, -0.301187420623429340148],
         ]
         for want in expected:
             x.grad = np.asarray([1.0, 4.0]) * x.value
-            model.adam_step(0.1)
+            adam.step({"x": x})
             np.testing.assert_allclose(x.value, want, rtol=1e-14, atol=0)
-        assert model.adam_steps == 2
+            assert x.grad is None  # each step clears the gradient it applied
+        assert adam.steps == 2
 
-    def test_fresh_model_starts_fresh_moments(self, small_planted):
-        graph, split, _ = small_planted
-        trained = _small_model(graph)
-        train(trained, split, 0, rising)
-        assert trained.adam_steps > 0
-        again = _small_model(graph)
-        assert again.adam_steps == 0
-        train(again, split, 0, rising)
+    def test_adam_skips_parameters_without_a_gradient(self):
+        x, y = Var(np.ones(2)), Var(np.ones(3))
+        adam = Adam(0.1)
+        y.grad = np.ones(3)
+        adam.step({"x": x, "y": y})
+        np.testing.assert_array_equal(x.value, np.ones(2))
+        assert list(adam._moments) == ["y"]
+
+    def test_fresh_model_starts_fresh_moments(self, small_planted, small_model):
+        """Each ``train`` call steps its own optimizer: a second model trains to the first's bytes."""
+        _, split, _ = small_planted
+        trained, again = small_model(), small_model()
+        train(trained, split, 0, rising, 1, PATIENCE)
+        train(again, split, 0, rising, 1, PATIENCE)
         for k in trained.params:
             np.testing.assert_array_equal(trained.params[k].value, again.params[k].value)
 
-    def test_lr_zero_keeps_parameters(self, small_planted):
-        graph, split, _ = small_planted
-        model = _small_model(graph, lr=0.0)
+    def test_lr_zero_keeps_parameters(self, small_planted, small_model, monkeypatch):
+        _, split, _ = small_planted
+        monkeypatch.setattr(recommender, "LR", 0.0)
+        model = small_model()
         before = model.snapshot()
-        train(model, split, 0, rising)
+        train(model, split, 0, rising, 1, PATIENCE)
         after = model.snapshot()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
 
-    def test_loss_decreases_on_planted(self, small_planted):
-        graph, split, _ = small_planted
+    def test_loss_decreases_on_planted(self, small_planted, small_model):
+        _, split, _ = small_planted
         ok = 0
         for seed in range(3):
-            model = _small_model(graph, seed=seed, epochs=5)
-            result = train(model, split, seed, rising)
+            model = small_model(seed)
+            result = train(model, split, seed, rising, 5, PATIENCE)
             if result.history[-1]["train_loss"] < result.history[0]["train_loss"]:
                 ok += 1
         assert ok == 3
 
-    def test_holds_one_tape_at_a_time(self, small_planted, monkeypatch):
+    def test_holds_one_tape_at_a_time(self, small_planted, small_model, monkeypatch):
         """Every earlier batch's tape is freed before the next forward records one."""
         graph, split, _ = small_planted
-        model = _small_model(graph, epochs=2)
+        model = small_model()
         tapes = []
 
         def tracked_forward(*args, **kwargs):
@@ -530,16 +566,21 @@ class TestTraining:
             return fp
 
         monkeypatch.setattr(recommender, "forward", tracked_forward)
-        train(model, split, 0, rising)
-        batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
+        train(model, split, 0, rising, 2, PATIENCE)
+        batches = -(-len(split.train_local(graph)) // recommender.BATCH)
         assert len(tapes) == 2 * batches and batches > 1
 
-    def test_non_finite_loss_names_epoch_and_batch(self, small_planted, monkeypatch):
+    def test_non_finite_loss_names_epoch_and_batch(self, small_planted, small_model, monkeypatch):
         """A NaN score in epoch 1's second batch stops training before its backward pass."""
         graph, split, _ = small_planted
-        model = _small_model(graph, epochs=2)
-        batches = -(-len(split.train_local(graph)) // model.cfg.rec_batch)
-        calls = []
+        model = small_model()
+        batches = -(-len(split.train_local(graph)) // recommender.BATCH)
+        calls, optimizers = [], []
+
+        class RecordedAdam(Adam):
+            def __init__(self, lr):
+                super().__init__(lr)
+                optimizers.append(self)
 
         def poisoned_loss(tape, ypos, yneg):
             calls.append(len(calls))
@@ -548,16 +589,17 @@ class TestTraining:
             return bpr_loss_var(tape, ypos, yneg)
 
         monkeypatch.setattr(recommender, "bpr_loss_var", poisoned_loss)
+        monkeypatch.setattr(recommender, "Adam", RecordedAdam)
         with np.errstate(invalid="ignore"), pytest.raises(
             FloatingPointError, match=r"^non-finite training loss at epoch 1, batch 1$"
         ):
-            train(model, split, 0, rising)
+            train(model, split, 0, rising, 2, PATIENCE)
         assert batches > 1 and len(calls) == batches + 2
-        assert model.adam_steps == batches + 1
+        assert [opt.steps for opt in optimizers] == [batches + 1]
 
-    def test_early_stopping_restores_best(self, small_planted):
-        graph, split, _ = small_planted
-        model = _small_model(graph, epochs=8)
+    def test_early_stopping_restores_best(self, small_planted, small_model):
+        _, split, _ = small_planted
+        model = small_model()
         calls = []
 
         def evaluator(m, epoch):
@@ -566,28 +608,12 @@ class TestTraining:
             calls.append((epoch, m.snapshot()))
             return value
 
-        model.cfg = replace(model.cfg, patience=2)
-        result = train(model, split, seed=0, evaluator=evaluator)
-        assert len(result.history) == 5 < model.cfg.rec_epochs  # epochs 2-4 fall short, one more than patience
+        result = train(model, split, seed=0, evaluator=evaluator, epochs=8, patience=2)
+        assert len(result.history) == 5 < 8  # epochs 2-4 fall short, one more than patience
         assert result.best_epoch == 1
         best_snapshot = calls[1][1]
         for k, arr in best_snapshot.items():
             np.testing.assert_array_equal(arr, model.params[k].value)
-
-
-def _small_model(graph, seed=0, lr=0.05, epochs=1):
-    schema = graph.schema
-    user_set = mp.MetaPathSet.from_relations(
-        schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
-    )
-    item_set = mp.MetaPathSet.from_relations(schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
-    cfg = RunConfig(
-        embed_dim=8, att_hidden=6, dropout=0.1, fanout=10, rec_lr=lr, rec_batch=128, rec_epochs=epochs
-    )
-    user_side = build_side(graph, user_set, density_filter(graph, 0.9))
-    item_side = build_side(graph, item_set, density_filter(graph, 0.9))
-    rng = derive_rng(seed, "model")
-    return HRecModel(graph, user_side, item_side, cfg, seed, glorot_init(rng, user_side, item_side, cfg.embed_dim))
 
 
 class TestPersistence:
@@ -621,46 +647,56 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match=rf"model\.ckpt.*wrong shape \['{table}'\]"):
             HRecModel.load(str(path), graph)
 
-    def test_load_rejects_unknown_config_field(self, tiny_model, tmp_path):
+    def test_load_rejects_a_checkpoint_without_user_emb(self, tiny_model, tmp_path):
+        """The width is read from ``user_emb``; without it the load names the missing table."""
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
-        header["config"]["hidden_width"] = 8
+        del arrays["user_emb"]
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=r"model\.ckpt.*hidden_width"):
+        with pytest.raises(CheckpointError, match=r"model\.ckpt.*missing \['user_emb'\]"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_header_stores_architecture_fields(self, tiny_model, tmp_path):
+        """The architecture a header stores is its two path sets; the widths come from the arrays,
+        so a model of another width than the defaults loads at its own."""
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, _ = load_arrays(path)
-        assert header["format"] == CHECKPOINT_FORMAT
-        assert header["config"] == {name: getattr(tiny_model.cfg, name) for name in ARCH_FIELDS}
+        assert header == {
+            "kind": "hrec-model",
+            "format": CHECKPOINT_FORMAT,
+            "user_set": [list(p.relation_ids) for p in tiny_model.user_side.pset],
+            "item_set": [list(p.relation_ids) for p in tiny_model.item_side.pset],
+        }
         again = HRecModel.load(str(path), tiny_model.graph)
-        assert all(getattr(again.cfg, name) == getattr(tiny_model.cfg, name) for name in ARCH_FIELDS)
+        assert again.params["user_emb"].shape == (4, 5) and again.params["fuse.item.W"].shape == (5, 4)
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5])
     def test_load_rejects_old_format(self, tiny_model, tmp_path, old_format):
-        # Format 1 named the embedding width ``d``; format 2 stored ``heads``;
-        # format 3 stored ``self_loops`` and the three activation names;
-        # format 4 named each path's parameters by its position, ``natt.item.0``.
+        # Formats 1-5 stored a ``config`` of architecture fields: format 1 named
+        # the embedding width ``d``; format 2 stored ``heads``; format 3 stored
+        # ``self_loops`` and the three activation names; format 4 named each
+        # path's parameters by its position, ``natt.item.0``.
         path = tmp_path / "model.ckpt"
         tiny_model.save(str(path))
         header, arrays = load_arrays(path)
         header["format"] = old_format
+        config = {"embed_dim": 5, "att_hidden": 4, "dropout": 0.0, "fanout": 16, "density_threshold": 0.5}
         if old_format == 1:
-            header["config"]["d"] = header["config"].pop("embed_dim")
+            config["d"] = config.pop("embed_dim")
         elif old_format == 2:
-            header["config"]["heads"] = 1
+            config["heads"] = 1
         elif old_format == 3:
-            header["config"].update(self_loops=True, score_act="leaky_relu", agg_act="elu", fuse_act="tanh")
-        else:
+            config.update(self_loops=True, score_act="leaky_relu", agg_act="elu", fuse_act="tanh")
+        elif old_format == 4:
             for tag, side in (("user", tiny_model.user_side), ("item", tiny_model.item_side)):
                 for k, label in enumerate(side.pset.labels()):
                     for kind in ("natt", "q"):
                         arrays[f"{kind}.{tag}.{k}"] = arrays.pop(f"{kind}.{tag}.{label}")
+        header["config"] = config
         save_arrays(path, header, arrays)
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 5"):
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 6"):
             HRecModel.load(str(path), tiny_model.graph)
 
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):

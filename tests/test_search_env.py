@@ -16,6 +16,7 @@ from hinrec.metapath import (
     encode_set,
 )
 from hinrec.search_env import (
+    MAX_STEPS,
     SearchEnv,
     apply_action,
     greedy_search,
@@ -316,7 +317,7 @@ def walk_extends(graph, run_seed):
     probe = PerformanceProbe(graph, split, RunConfig(seed=run_seed))
     extends = {}
     for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
-        env = SearchEnv(schema, form, probe, initial_set(other, schema), probe.config.max_steps)
+        env = SearchEnv(schema, form, probe, initial_set(other, schema), MAX_STEPS)
         extends[form] = {"full": lambda pset, a: apply_action(pset, a, schema), "accepted": env.extend}
     return probe, extends
 
@@ -328,11 +329,10 @@ class TestAcceptedWalk:
     def test_accepted_walk_reaches_the_accepted_classes_of_the_full_walk(self, small_planted_1, run_seed):
         _, graph = small_planted_1
         probe, extends = walk_extends(graph, run_seed)
-        max_steps = RunConfig().max_steps
         sizes = {}
         for form, extend in extends.items():
-            full = [s for s, _ in reachable_sets(form, graph.schema, max_steps, extend["full"])]
-            accepted = [s for s, _ in reachable_sets(form, graph.schema, max_steps, extend["accepted"])]
+            full = [s for s, _ in reachable_sets(form, graph.schema, MAX_STEPS, extend["full"])]
+            accepted = [s for s, _ in reachable_sets(form, graph.schema, MAX_STEPS, extend["accepted"])]
             assert {s.key() for s in accepted} == {accepted_key(probe, s) for s in full}
             sizes[form] = (len(full), len(accepted))
         assert sizes == {USER_SYMMETRIC: (162, 4), ITEM_SYMMETRIC: (284, 81)}
@@ -343,14 +343,13 @@ class TestAcceptedWalk:
     def test_walk_returns_distinct_sets_that_their_actions_reach(self, small_planted_1, run_seed, walk):
         """Each set comes once, and replaying its recorded actions from the initial set reaches it again."""
         _, graph = small_planted_1
-        max_steps = RunConfig().max_steps
         _, extends = walk_extends(graph, run_seed)
         for form, extend in extends.items():
-            sets = reachable_sets(form, graph.schema, max_steps, extend[walk])
+            sets = reachable_sets(form, graph.schema, MAX_STEPS, extend[walk])
             keys = [pset.key() for pset, _ in sets]
             assert len(set(keys)) == len(keys)
             for pset, actions in sets:
-                assert len(actions) <= max_steps
+                assert len(actions) <= MAX_STEPS
                 replayed = initial_set(form, graph.schema)
                 for action in actions:
                     replayed = extend[walk](replayed, action)
