@@ -66,7 +66,12 @@ def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         return data[off - n : off]
 
     (head_len,) = struct.unpack("<I", take(4, "the header length"))
-    header = json.loads(take(head_len, "the header").decode("utf-8"))
+    try:
+        header = json.loads(take(head_len, "the header").decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: a JSON {type(header).__name__}, not an object")
     (count,) = struct.unpack("<I", take(4, "the array count"))
     arrays: dict[str, np.ndarray] = {}
     for k in range(count):

@@ -345,7 +345,9 @@ class HinGraph:
         """Read a bundle written by :meth:`save`.
 
         Raises :class:`GraphLoadError`, naming ``path``, when the file is not a hin
-        bundle of :data:`BUNDLE_FORMAT`, lacks an entry, or breaks endpoint types.
+        bundle of :data:`BUNDLE_FORMAT`, lacks an entry, holds type offsets that
+        do not rise from 0 to its node count or an adjacency that is no CSR over
+        its nodes, or breaks endpoint types.
         """
         header, arrays = load_arrays(path)
         if header.get("kind") != "hin-bundle":
@@ -359,10 +361,32 @@ class HinGraph:
             offsets, names = arrays["type_offsets"], tuple(header["node_names"])
         except KeyError as exc:
             raise GraphLoadError(path, 0, f"bundle lacks {exc}") from None
+        n_types = len(schema.node_types)
+        rising = offsets.shape == (n_types + 1,) and offsets[0] == 0 and np.all(np.diff(offsets) >= 0)
+        if not rising or offsets[-1] != len(names):
+            raise GraphLoadError(
+                path, 0, f"type_offsets of shape {offsets.shape} do not rise from 0 to the {len(names)} node names "
+                f"over {n_types} types"
+            )
+        for rel in schema.relations:
+            fault = _csr_fault(*adj[rel.rid], int(offsets[-1]))
+            if fault:
+                raise GraphLoadError(path, 0, f"adjacency of {rel.name!r}: {fault}")
         try:
             return cls(schema, offsets, names, adj)
         except SchemaError as exc:
             raise GraphLoadError(path, 0, str(exc)) from None
+
+
+def _csr_fault(indptr: np.ndarray, indices: np.ndarray, num_nodes: int) -> str | None:
+    """Why ``(indptr, indices)`` is no CSR adjacency over ``num_nodes`` nodes, or None if it is one."""
+    if indptr.shape != (num_nodes + 1,) or indices.ndim != 1:
+        return f"indptr has shape {indptr.shape} and indices {indices.shape}, expected ({num_nodes + 1},) and 1-d"
+    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+        return f"indptr does not rise from 0 to {len(indices)}"
+    if len(indices) and not 0 <= indices.min() <= indices.max() < num_nodes:
+        return f"indices fall outside [0, {num_nodes})"
+    return None
 
 
 def _build_csr(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:

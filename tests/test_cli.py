@@ -403,11 +403,27 @@ def watch_an_actor(header, arrays):
     arrays["adj.1.indices"][0] = arrays["type_offsets"][HinSchema.parse(header["schema"]).type_index("Actor")]
 
 
+def watch_past_the_last_node(header, arrays):
+    """Point the first ``watch`` edge one past the last node."""
+    arrays["adj.1.indices"][0] = arrays["type_offsets"][-1]
+
+
+def drop_the_last_indptr_entry(header, arrays):
+    arrays["adj.1.indptr"] = arrays["adj.1.indptr"][:-1]
+
+
+def drop_the_last_node_names(header, arrays):
+    header["node_names"] = header["node_names"][:-3]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [(lambda header, arrays: arrays.pop("adj.3.indptr"), ":0: bundle lacks 'adj.3.indptr'"),
-     (watch_an_actor, ":0: edges under 'watch' violate endpoint types")],
-    ids=["missing-array", "watch-ends-at-an-actor"],
+     (watch_an_actor, ":0: edges under 'watch' violate endpoint types"),
+     (watch_past_the_last_node, ":0: adjacency of 'watch': indices fall outside [0, "),
+     (drop_the_last_indptr_entry, ":0: adjacency of 'watch': indptr has shape "),
+     (drop_the_last_node_names, ":0: type_offsets of shape (5,) do not rise from 0 to the 207 node names over 4 types")],
+    ids=["missing-array", "watch-ends-at-an-actor", "index-out-of-range", "short-indptr", "short-node-names"],
 )
 def test_a_bundle_the_schema_cannot_read_is_named(bundle, tmp_path, capsys, edit, message):
     path = edited(bundle, tmp_path / "data" / "bundle.bin", edit)
@@ -419,6 +435,34 @@ def test_a_checkpoint_without_its_sets_is_named(bundle, checkpoint, tmp_path, ca
     path = edited(checkpoint, tmp_path / "model.ckpt", lambda header, arrays: header.pop("user_set"))
     err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
     assert f"error: {path}: header lacks ['user_set']" in err
+
+
+def corrupt_delimiter(data):
+    """The header's first ``:``, after its first key, made ``!``."""
+    at = data.index(b":", 12)  # past the 8-byte magic and the 4-byte header length
+    return data[:at] + b"!" + data[at + 1:]
+
+
+def corrupt_encoding(data):
+    """The header's first byte made 0xff, which no UTF-8 text starts with."""
+    return data[:12] + b"\xff" + data[13:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(corrupt_delimiter, "corrupt header: Expecting ':' delimiter"), (corrupt_encoding, "corrupt header: 'utf-8'")],
+    ids=["delimiter", "encoding"],
+)
+@pytest.mark.parametrize("command", ["search", "eval"])
+def test_a_corrupt_container_header_is_named(bundle, checkpoint, tmp_path, capsys, command, corrupt, message):
+    """search reads a corrupt ``bundle.bin``, eval a corrupt ``model.ckpt``."""
+    src = bundle if command == "search" else checkpoint
+    path = tmp_path / "data" / src.name
+    path.parent.mkdir()
+    path.write_bytes(corrupt(src.read_bytes()))
+    dataset = path.parent if command == "search" else bundle.parent
+    err = failure(capsys, *read_command(command, dataset, path, tmp_path))
+    assert f"error: {path}: {message}" in err
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

@@ -97,7 +97,7 @@ def tiny_model(movie_schema, monkeypatch):
         movie_schema, mp.USER_SYMMETRIC, [[WATCH, WATCHED], [WATCH, ACTED, ACT, WATCHED]]
     )
     item_set = mp.MetaPathSet.from_relations(movie_schema, mp.ITEM_SYMMETRIC, [[WATCHED, WATCH], [ACTED, ACT]])
-    set_constants(monkeypatch, ATT_HIDDEN=4, DROPOUT=0.0, FANOUT=16, LR=0.05, BATCH=8)
+    set_constants(monkeypatch, ATT_HIDDEN=4, DROPOUT=0.0, FANOUT=16)
     user_side = build_side(graph, user_set, density_filter(graph, None))
     item_side = build_side(graph, item_set, density_filter(graph, None))
     rng = derive_rng(0, "tiny-model")

@@ -8,6 +8,8 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -91,3 +93,23 @@ def test_bench_pairs_counts_wins_in_each_metrics_direction():
     assert lines[1].split()[1:] == ["2", "[1.5,", "2.5]", "1.5", "[1.25,", "1.75]", "2", "of", "3"]
     assert lines[2].endswith("1 of 3")
     assert lines[-1] == "failed operations: parent 0 of 9, change 0 of 9"
+
+
+def test_a_differing_checkpoint_reports_its_arrays_and_header_keys(tmp_path):
+    """Checkpoints that differ beyond ``config_hash`` are loaded: are their arrays byte-equal,
+    and which header keys differ?"""
+    from hinrec.checkpoint import save_arrays
+
+    arrays = {"user_emb": np.arange(6.0).reshape(2, 3), "q.user.UMU": np.ones(4)}
+    a, b = tmp_path / "a", tmp_path / "b"
+    save_arrays(a / "run" / "model.ckpt", {"format": 5, "config": {"fanout": 20}, "config_hash": "old", "seed": 0}, arrays)
+    save_arrays(b / "run" / "model.ckpt", {"format": 6, "config_hash": "new", "seed": 0}, arrays)
+    arrays["q.user.UMU"] = np.ones(4) * np.nextafter(1.0, 2.0)
+    save_arrays(b / "run" / "other" / "model.ckpt", {"format": 5, "config": {"fanout": 20}, "seed": 0}, arrays)
+    save_arrays(a / "run" / "other" / "model.ckpt", {"format": 5, "config": {"fanout": 20}, "seed": 0},
+                {**arrays, "q.user.UMU": np.ones(4)})
+    assert same_outputs.compare(a, b) == (2, ["run/model.ckpt", "run/other/model.ckpt"])
+    assert same_outputs.describe(a, b, "run/model.ckpt") == (
+        "differs: run/model.ckpt (arrays byte-equal; header keys differ: config, config_hash, format)")
+    assert same_outputs.describe(a, b, "run/other/model.ckpt") == (
+        "differs: run/other/model.ckpt (arrays differ; header keys differ: none)")

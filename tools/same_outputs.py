@@ -13,7 +13,9 @@ compared after ``strip_volatile``. Only default greedy's budget lets it
 reach ``max_steps`` moves; ``--iter-limit 16`` ends it after two rounds.
 Prints each differing file, and names those that differ only in
 ``config_hash`` (a JSON field, or a key of ``model.ckpt``'s header) with
-both hashes; exits 1 when any differs.
+both hashes. For any other differing ``model.ckpt`` it loads both copies
+with ``hinrec.checkpoint.load_arrays`` and says whether their arrays are
+byte-equal and which header keys differ. Exits 1 when any file differs.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("model.ckpt", "history.jsonl", "metrics.jsonl", "sets.json", "trace.jsonl")
 SEARCHES = {"rms-40": ("rms", "--iter-limit", 40), "random-16": ("random", "--iter-limit", 16),
             "greedy-16": ("greedy", "--iter-limit", 16), "rms": ("rms",), "greedy": ("greedy",)}
@@ -89,7 +92,26 @@ def describe(a: Path, b: Path, name: str) -> str:
     old, new = (split_hash(root / name) if (root / name).exists() else None for root in (a, b))
     if old and new and old[0] != new[0] and old[1] == new[1]:
         return f"differs only in config_hash: {name} ({old[0]} -> {new[0]})"
+    if Path(name).suffix == ".ckpt" and (a / name).exists() and (b / name).exists():
+        return f"differs: {name} ({checkpoint_diff(a / name, b / name)})"
     return f"differs: {name}"
+
+
+def checkpoint_diff(a: Path, b: Path) -> str:
+    """Whether two checkpoints' arrays are byte-equal, and which header keys differ."""
+    from hinrec.checkpoint import CheckpointError, load_arrays
+
+    try:
+        (head_a, arrays_a), (head_b, arrays_b) = load_arrays(a), load_arrays(b)
+    except CheckpointError as exc:
+        return f"unreadable: {exc}"
+    same = arrays_a.keys() == arrays_b.keys() and all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        for x, y in ((arrays_a[k], arrays_b[k]) for k in arrays_a)
+    )
+    absent = object()
+    keys = sorted(k for k in head_a.keys() | head_b.keys() if head_a.get(k, absent) != head_b.get(k, absent))
+    return f"arrays {'byte-equal' if same else 'differ'}; header keys differ: {', '.join(keys) or 'none'}"
 
 
 def main(argv=None) -> int:
@@ -115,6 +137,7 @@ def main(argv=None) -> int:
             if proc.returncode:
                 sys.exit(f"{root}: outputs not written\n{proc.stderr[-2000:]}")
         total, diff = compare(*outs)
+        sys.path.append(str(ROOT / "src"))  # for checkpoint_diff, unless a hinrec is already importable
         for name in diff:
             print(describe(*outs, name))
     print(f"{len(diff)} of {total} artifacts differ")
