@@ -1,9 +1,8 @@
-"""Versioned binary container for named arrays.
+"""Versioned binary container for named float64 arrays: HRec's checkpoints.
 
-One format serves model checkpoints and ingested dataset bundles: a
-magic tag, a JSON header, then shape-tagged little-endian arrays. The
-writer sorts array names so identical content produces byte-identical
-files.
+A file is a magic tag, a JSON header, then shape-tagged little-endian
+float64 arrays. The writer sorts array names so identical content
+produces byte-identical files.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import numpy as np
 
 MAGIC = b"HINREC01"
 
-_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i8"): 1, np.dtype("|u1"): 2}
+_DTYPE_CODES = {np.dtype("<f8"): 0}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
@@ -25,16 +24,14 @@ class CheckpointError(RuntimeError):
 
 def _coerce(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
-    if arr.dtype == np.bool_:
-        return arr.astype("|u1")
-    if np.issubdtype(arr.dtype, np.floating):
-        return np.ascontiguousarray(arr, dtype="<f8")
-    if np.issubdtype(arr.dtype, np.integer):
-        return np.ascontiguousarray(arr, dtype="<i8")
-    raise CheckpointError(f"unsupported array dtype {arr.dtype}")
+    if arr.dtype != np.float64:
+        raise CheckpointError(f"unsupported array dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``header`` and ``arrays`` to ``path``; a non-float64 array raises before the file is opened."""
+    arrays = {name: _coerce(arrays[name]) for name in sorted(arrays)}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -42,8 +39,7 @@ def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = _coerce(arrays[name])
+        for name, arr in arrays.items():
             enc = name.encode("utf-8")
             fh.write(struct.pack("<H", len(enc)))
             fh.write(enc)

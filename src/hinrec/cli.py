@@ -1,4 +1,8 @@
-"""Operator surface: ingest, synth, search, train, eval, report.
+"""Operator surface: synth, search, train, eval, report.
+
+A dataset is the directory ``synth`` writes: ``schema.txt``, ``nodes.tsv``
+and ``edges.tsv``, which search, train and eval read through
+:func:`hinrec.hin.load_graph`.
 
 Every command logs its fully resolved config (plus hash) into the output
 directory. Artifacts carry the config hash and seed so the report command
@@ -20,7 +24,7 @@ import numpy as np
 from . import dqn, evaluation, metapath as mp, recommender as rec, search_env, synth
 from .checkpoint import CheckpointError
 from .config import STRATEGIES, ConfigError, RunConfig
-from .hin import GraphLoadError, HinGraph, HinSchema, load_graph
+from .hin import HinGraph, HinSchema, load_graph
 from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, write_json
 
 log = logging.getLogger("hinrec")
@@ -39,11 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="hinrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common], help="validate TSVs into a dense-id bundle")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a planted-structure dataset")
     p.add_argument("--profile", default="planted-mam")
@@ -87,9 +86,6 @@ def _echo_config(cfg: RunConfig, out: Path) -> None:
 
 def _load_dataset(dataset_dir: str) -> HinGraph:
     root = Path(dataset_dir)
-    bundle = root / "bundle.bin"
-    if bundle.exists():
-        return HinGraph.load(bundle)
     schema = HinSchema.from_file(root / "schema.txt")
     return load_graph(root / "nodes.tsv", root / "edges.tsv", schema)
 
@@ -132,23 +128,6 @@ def _set_from_payload(doc: dict, key: str, source: str) -> list[list[int]]:
               "'relations' is not a non-empty list of integers")
         relations.append(rids)
     return relations
-
-
-def cmd_ingest(args) -> int:
-    cfg = _resolve_config(args)
-    out = Path(cfg.out)
-    try:
-        schema = HinSchema.from_file(args.schema)
-        graph = load_graph(args.nodes, args.edges, schema)
-    except GraphLoadError as exc:
-        print(f"ingest failed: {exc}", file=sys.stderr)
-        return 2
-    out.mkdir(parents=True, exist_ok=True)
-    graph.save(out / "bundle.bin")
-    write_json(out / "stats.json", {**graph.stats(), "config_hash": cfg.config_hash()})
-    _echo_config(cfg, out)
-    print(f"ingested {graph.num_nodes} nodes -> {out / 'bundle.bin'}")
-    return 0
 
 
 def cmd_synth(args) -> int:
@@ -327,7 +306,6 @@ def cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "ingest": cmd_ingest,
     "synth": cmd_synth,
     "search": cmd_search,
     "train": cmd_train,

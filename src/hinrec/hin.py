@@ -5,6 +5,10 @@ contiguous per-type ranges; the original string IDs are kept in a side
 table. Every relation has a complement (the same edges read backwards) and
 mirror edges are materialized automatically, so ``adjacency(comp(r))`` is
 always the transpose of ``adjacency(r)``.
+
+On disk a graph is one directory of ``schema.txt``, ``nodes.tsv`` and
+``edges.tsv``; :func:`load_graph` reads the two TSVs and reports every
+structural fault as ``path:line``.
 """
 from __future__ import annotations
 
@@ -16,14 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
-
 log = logging.getLogger(__name__)
 
 STOP_ACTION = 0  # action id 0 is reserved; relation ids start at 1
-
-# The header format :meth:`HinGraph.save` writes; :meth:`HinGraph.load` rejects any other.
-BUNDLE_FORMAT = 1
 
 
 class SchemaError(ValueError):
@@ -173,20 +172,6 @@ class HinSchema:
     def from_file(cls, path: str | Path) -> "HinSchema":
         return cls.parse(Path(path).read_text(encoding="utf-8"), source=str(path))
 
-    def to_text(self) -> str:
-        lines = ["node_types: " + ", ".join(self.node_types)]
-        seen: set[int] = set()
-        for rel in self.relations:
-            if rel.rid in seen:
-                continue
-            comp = self.relations[rel.comp - 1]
-            lines.append(f"{rel.name}: {rel.head} -> {rel.tail} ~ {comp.name}")
-            seen.add(rel.rid)
-            seen.add(comp.rid)
-        if self.interaction:
-            lines.append(f"interaction_relation: {self.relation(self.interaction).name}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class InteractionSet:
@@ -324,69 +309,6 @@ class HinGraph:
         adj[rid] = _remove_pairs(self._adj[rid], pairs, self.num_nodes)
         adj[comp] = _remove_pairs(self._adj[comp], pairs[:, ::-1], self.num_nodes)
         return HinGraph(self.schema, self.type_offsets, self.node_names, adj)
-
-    # -- serialization -----------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        header = {
-            "kind": "hin-bundle",
-            "format": BUNDLE_FORMAT,
-            "schema": self.schema.to_text(),
-            "node_names": list(self.node_names),
-        }
-        arrays: dict[str, np.ndarray] = {"type_offsets": self.type_offsets}
-        for rid, (indptr, indices) in self._adj.items():
-            arrays[f"adj.{rid}.indptr"] = indptr
-            arrays[f"adj.{rid}.indices"] = indices
-        save_arrays(path, header, arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HinGraph":
-        """Read a bundle written by :meth:`save`.
-
-        Raises :class:`GraphLoadError`, naming ``path``, when the file is not a hin
-        bundle of :data:`BUNDLE_FORMAT`, lacks an entry, holds type offsets that
-        do not rise from 0 to its node count or an adjacency that is no CSR over
-        its nodes, or breaks endpoint types.
-        """
-        header, arrays = load_arrays(path)
-        if header.get("kind") != "hin-bundle":
-            raise GraphLoadError(path, 0, "not a hin bundle")
-        if header.get("format") != BUNDLE_FORMAT:
-            raise GraphLoadError(path, 0, f"hin bundle format {header.get('format')!r}, expected {BUNDLE_FORMAT}")
-        schema = HinSchema.parse(header.get("schema", ""), source=str(path))
-        try:
-            adj = {rel.rid: (arrays[f"adj.{rel.rid}.indptr"], arrays[f"adj.{rel.rid}.indices"])
-                   for rel in schema.relations}
-            offsets, names = arrays["type_offsets"], tuple(header["node_names"])
-        except KeyError as exc:
-            raise GraphLoadError(path, 0, f"bundle lacks {exc}") from None
-        n_types = len(schema.node_types)
-        rising = offsets.shape == (n_types + 1,) and offsets[0] == 0 and np.all(np.diff(offsets) >= 0)
-        if not rising or offsets[-1] != len(names):
-            raise GraphLoadError(
-                path, 0, f"type_offsets of shape {offsets.shape} do not rise from 0 to the {len(names)} node names "
-                f"over {n_types} types"
-            )
-        for rel in schema.relations:
-            fault = _csr_fault(*adj[rel.rid], int(offsets[-1]))
-            if fault:
-                raise GraphLoadError(path, 0, f"adjacency of {rel.name!r}: {fault}")
-        try:
-            return cls(schema, offsets, names, adj)
-        except SchemaError as exc:
-            raise GraphLoadError(path, 0, str(exc)) from None
-
-
-def _csr_fault(indptr: np.ndarray, indices: np.ndarray, num_nodes: int) -> str | None:
-    """Why ``(indptr, indices)`` is no CSR adjacency over ``num_nodes`` nodes, or None if it is one."""
-    if indptr.shape != (num_nodes + 1,) or indices.ndim != 1:
-        return f"indptr has shape {indptr.shape} and indices {indices.shape}, expected ({num_nodes + 1},) and 1-d"
-    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-        return f"indptr does not rise from 0 to {len(indices)}"
-    if len(indices) and not 0 <= indices.min() <= indices.max() < num_nodes:
-        return f"indices fall outside [0, {num_nodes})"
-    return None
 
 
 def _build_csr(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -66,7 +66,7 @@ class SideBundle:
 
 
 def build_side(graph: HinGraph, pset: mp.MetaPathSet, materialize) -> SideBundle:
-    """Filter a path set by subgraph density and bundle the survivors.
+    """Filter a path set by subgraph density; the survivors form a :class:`SideBundle`.
 
     ``materialize(path)`` returns the path's subgraph, or ``None`` when the
     density filter rejects it: the probe passes its cached, filtered
@@ -256,7 +256,7 @@ def attention_init(base: int, tag: str, pset: mp.MetaPathSet, d: int, hid: int) 
 
 
 class HRecModel:
-    """HRec's parameters plus the side bundles they were built for.
+    """HRec's parameters plus the two sides they were built for.
 
     The embedding init ``mf_init`` is the ``(users, items)`` tables of
     :func:`mf_pretrain`, copied; their width is the model's d. The type

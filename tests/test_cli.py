@@ -48,15 +48,6 @@ def base_sets(path):
 
 
 @pytest.fixture(scope="module")
-def bundle(dataset, tmp_path_factory):
-    """The module's dataset ingested into a ``bundle.bin``."""
-    out = tmp_path_factory.mktemp("cli-bundle")
-    assert run("ingest", "--schema", dataset / "schema.txt", "--nodes", dataset / "nodes.tsv",
-               "--edges", dataset / "edges.tsv", "--out", out) == 0
-    return out / "bundle.bin"
-
-
-@pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
     """The ``model.ckpt`` of one training epoch on the module's dataset at {UMU} x {MUM}."""
     out = tmp_path_factory.mktemp("cli-model")
@@ -160,19 +151,6 @@ def test_search_parser_rejects_removed_settings(dataset, tmp_path, capsys, flag)
 def test_search_accepts_jobs_1(dataset, tmp_path):
     assert search(dataset, tmp_path, "random", "--jobs", 1) == 0
     assert (tmp_path / "sets.json").exists()
-
-
-def test_ingested_bundle_searches_like_the_tsvs(dataset, tmp_path):
-    """TSVs ingested into a bundle give the same random search as the TSV dataset."""
-    bundle = tmp_path / "bundle"
-    assert run("ingest", "--schema", dataset / "schema.txt", "--nodes", dataset / "nodes.tsv",
-               "--edges", dataset / "edges.tsv", "--out", bundle) == 0
-    assert (bundle / "bundle.bin").exists() and not (bundle / "nodes.tsv").exists()
-    for source, out in ((bundle, tmp_path / "from-bundle"), (dataset, tmp_path / "from-tsv")):
-        assert run("search", "--dataset", source, "--strategy", "random", "--iter-limit", 6,
-                   "--seed", 0, "--out", out) == 0
-    sets, steps = stripped_outputs(tmp_path / "from-bundle")
-    assert steps and (sets, steps) == stripped_outputs(tmp_path / "from-tsv")
 
 
 def test_train_then_eval_writes_finite_metrics(dataset, tmp_path):
@@ -347,11 +325,10 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def read_command(command, dataset, checkpoint, tmp_path):
-    """The argv of a ``command`` that reads ``dataset`` and, for eval, ``checkpoint``."""
-    extra = {"search": ("--iter-limit", 8), "train": ("--sets", base_sets(tmp_path / "sets.json")),
-             "eval": ("--checkpoint", checkpoint, "--split", "test")}[command]
-    return (command, "--dataset", dataset, "--seed", 0, "--out", tmp_path / "run", *extra)
+def eval_command(dataset, checkpoint, tmp_path):
+    """The argv of an ``eval`` of ``checkpoint`` on ``dataset``."""
+    return ("eval", "--dataset", dataset, "--checkpoint", checkpoint, "--split", "test", "--seed", 0,
+            "--out", tmp_path / "run")
 
 
 def failure(capsys, *argv):
@@ -375,17 +352,9 @@ def cut(src, dst, at):
 
 
 @pytest.mark.parametrize("at", CUTS)
-@pytest.mark.parametrize("command", ["search", "train", "eval"])
-def test_a_truncated_bundle_is_named(bundle, checkpoint, tmp_path, capsys, command, at):
-    path = cut(bundle, tmp_path / "data" / "bundle.bin", at)
-    err = failure(capsys, *read_command(command, path.parent, checkpoint, tmp_path))
-    assert f"error: {path}: truncated: " in err
-
-
-@pytest.mark.parametrize("at", CUTS)
-def test_a_truncated_checkpoint_is_named(bundle, checkpoint, tmp_path, capsys, at):
+def test_a_truncated_checkpoint_is_named(dataset, checkpoint, tmp_path, capsys, at):
     path = cut(checkpoint, tmp_path / "model.ckpt", at)
-    err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
+    err = failure(capsys, *eval_command(dataset, path, tmp_path))
     assert f"error: {path}: truncated: " in err
 
 
@@ -398,42 +367,9 @@ def edited(src, dst, edit):
     return dst
 
 
-def watch_an_actor(header, arrays):
-    """Point the first ``watch`` edge (relation 1) at the first Actor."""
-    arrays["adj.1.indices"][0] = arrays["type_offsets"][HinSchema.parse(header["schema"]).type_index("Actor")]
-
-
-def watch_past_the_last_node(header, arrays):
-    """Point the first ``watch`` edge one past the last node."""
-    arrays["adj.1.indices"][0] = arrays["type_offsets"][-1]
-
-
-def drop_the_last_indptr_entry(header, arrays):
-    arrays["adj.1.indptr"] = arrays["adj.1.indptr"][:-1]
-
-
-def drop_the_last_node_names(header, arrays):
-    header["node_names"] = header["node_names"][:-3]
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [(lambda header, arrays: arrays.pop("adj.3.indptr"), ":0: bundle lacks 'adj.3.indptr'"),
-     (watch_an_actor, ":0: edges under 'watch' violate endpoint types"),
-     (watch_past_the_last_node, ":0: adjacency of 'watch': indices fall outside [0, "),
-     (drop_the_last_indptr_entry, ":0: adjacency of 'watch': indptr has shape "),
-     (drop_the_last_node_names, ":0: type_offsets of shape (5,) do not rise from 0 to the 207 node names over 4 types")],
-    ids=["missing-array", "watch-ends-at-an-actor", "index-out-of-range", "short-indptr", "short-node-names"],
-)
-def test_a_bundle_the_schema_cannot_read_is_named(bundle, tmp_path, capsys, edit, message):
-    path = edited(bundle, tmp_path / "data" / "bundle.bin", edit)
-    err = failure(capsys, "search", "--dataset", path.parent, "--iter-limit", 8, "--seed", 0, "--out", tmp_path / "run")
-    assert f"error: {path}{message}" in err
-
-
-def test_a_checkpoint_without_its_sets_is_named(bundle, checkpoint, tmp_path, capsys):
+def test_a_checkpoint_without_its_sets_is_named(dataset, checkpoint, tmp_path, capsys):
     path = edited(checkpoint, tmp_path / "model.ckpt", lambda header, arrays: header.pop("user_set"))
-    err = failure(capsys, *read_command("eval", bundle.parent, path, tmp_path))
+    err = failure(capsys, *eval_command(dataset, path, tmp_path))
     assert f"error: {path}: header lacks ['user_set']" in err
 
 
@@ -451,17 +387,12 @@ def corrupt_encoding(data):
 @pytest.mark.parametrize(
     "corrupt, message",
     [(corrupt_delimiter, "corrupt header: Expecting ':' delimiter"), (corrupt_encoding, "corrupt header: 'utf-8'")],
-    ids=["delimiter", "encoding"],
+    ids=["eval-delimiter", "eval-encoding"],
 )
-@pytest.mark.parametrize("command", ["search", "eval"])
-def test_a_corrupt_container_header_is_named(bundle, checkpoint, tmp_path, capsys, command, corrupt, message):
-    """search reads a corrupt ``bundle.bin``, eval a corrupt ``model.ckpt``."""
-    src = bundle if command == "search" else checkpoint
-    path = tmp_path / "data" / src.name
-    path.parent.mkdir()
-    path.write_bytes(corrupt(src.read_bytes()))
-    dataset = path.parent if command == "search" else bundle.parent
-    err = failure(capsys, *read_command(command, dataset, path, tmp_path))
+def test_a_corrupt_container_header_is_named(dataset, checkpoint, tmp_path, capsys, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(corrupt(checkpoint.read_bytes()))
+    err = failure(capsys, *eval_command(dataset, path, tmp_path))
     assert f"error: {path}: {message}" in err
 
 

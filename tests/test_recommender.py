@@ -699,6 +699,13 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match=rf"model\.ckpt.*format {old_format}, expected 6"):
             HRecModel.load(str(path), tiny_model.graph)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+    def test_save_arrays_accepts_only_float64(self, tmp_path, dtype):
+        path = tmp_path / "a.ckpt"
+        with pytest.raises(CheckpointError, match=f"unsupported array dtype {np.dtype(dtype)}"):
+            save_arrays(path, {}, {"w": np.zeros(3), "x": np.zeros(3, dtype=dtype)})
+        assert not path.exists()
+
     def test_checkpoint_bytes_deterministic(self, tiny_model, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         tiny_model.save(str(p1))
