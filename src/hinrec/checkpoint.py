@@ -1,18 +1,29 @@
 """Versioned binary container for named float64 arrays: HRec's checkpoints.
 
-A file is a magic tag, a JSON header, then shape-tagged little-endian
-float64 arrays. The writer sorts array names so identical content
-produces byte-identical files.
+A file is, in order:
+
+1. the magic tag :data:`MAGIC`;
+2. a JSON header object, after its length as a little-endian uint32;
+3. the array count, then per array its UTF-8 name, dtype code, rank,
+   shape and little-endian float64 data;
+4. a little-endian uint32 CRC-32 (``zlib.crc32``) of every byte before it.
+
+The writer sorts array names so identical content produces byte-identical
+files. The reader checks the CRC once the arrays have parsed: a file cut
+short is still reported as truncated and a header that is not JSON as
+corrupt, while damage that leaves the file parseable, or bytes after the
+CRC, are a checksum mismatch.
 """
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"HINREC01"
+MAGIC = b"HINREC02"
 
 _DTYPE_CODES = {np.dtype("<f8"): 0}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
@@ -34,18 +45,26 @@ def save_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -
     arrays = {name: _coerce(arrays[name]) for name in sorted(arrays)}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(struct.pack("<I", len(arrays)))
+
+        def write(data: bytes) -> None:
+            nonlocal crc
+            crc = zlib.crc32(data, crc)
+            fh.write(data)
+
+        write(MAGIC)
+        write(struct.pack("<I", len(head)))
+        write(head)
+        write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
             enc = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes(order="C"))
+            write(struct.pack("<H", len(enc)))
+            write(enc)
+            write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+            write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            write(arr.tobytes(order="C"))
+        fh.write(struct.pack("<I", crc))
 
 
 def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -80,6 +99,9 @@ def load_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
         arrays[name] = np.frombuffer(take(nbytes, f"{name!r}'s data"), dtype=dtype).reshape(shape).copy()
+    (crc,) = struct.unpack("<I", take(4, "the checksum"))
+    if off != len(data) or crc != zlib.crc32(memoryview(data)[: off - 4]):
+        raise CheckpointError(f"{path}: checksum mismatch")
     return header, arrays
 
 

@@ -32,6 +32,9 @@ log = logging.getLogger("hinrec")
 # The cutoffs ``hinrec eval`` reports HR@k and NDCG@k at.
 EVAL_KS = (1, 3, 10, 20)
 
+# The keys ``hinrec report`` reads from each metrics record: the hash it checks, the group, the value.
+REPORT_KEYS = ("config_hash", "strategy", "split", "k", "metric", "value")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -281,7 +284,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     records = []
     for path in sorted(run_dir.glob("**/metrics.jsonl")):
-        records.extend(read_jsonl(path))
+        records.extend(read_jsonl(path, required=REPORT_KEYS))
     if not records:
         print(f"no metrics.jsonl found under {run_dir}", file=sys.stderr)
         return 1

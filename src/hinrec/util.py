@@ -60,7 +60,11 @@ def write_json(path: str | Path, obj: dict, timestamp: bool = True) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON document in ``path``; text that is not UTF-8 JSON raises a ValueError naming ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def append_jsonl(path: str | Path, record: dict) -> None:
@@ -69,12 +73,25 @@ def append_jsonl(path: str | Path, record: dict) -> None:
         fh.write(canonical_json(record) + "\n")
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[dict]:
+    """The records of a JSON-lines file, skipping blank lines.
+
+    A line that is not JSON, or not an object holding every key in
+    ``required``, raises a ValueError naming ``path`` and the line.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            lacking = [key for key in required if not isinstance(record, dict) or key not in record]
+            if lacking:
+                raise ValueError(f"{path}:{line_no}: record lacks {lacking}")
+            yield record
 
 
 def strip_volatile(obj: Any) -> Any:

@@ -396,6 +396,56 @@ def test_a_corrupt_container_header_is_named(dataset, checkpoint, tmp_path, caps
     assert f"error: {path}: {message}" in err
 
 
+def flip_a_bit(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(lambda data: data.replace(b'"config_hash"', b'"config!hash"'), "checksum mismatch"),
+     (lambda data: flip_a_bit(data, len(data) - 12), "checksum mismatch"),  # the last float's low byte
+     (lambda data: data + b"\0", "checksum mismatch"),
+     (lambda data: b"HINREC01" + data[8:-4], "not a hinrec checkpoint (bad magic)")],
+    ids=["header-key", "array-bit", "trailing-byte", "old-format"],
+)
+def test_a_damaged_checkpoint_is_named(dataset, checkpoint, tmp_path, capsys, damage, message):
+    """Damage that leaves the file parseable is caught by its CRC-32; a file without one by its magic."""
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(damage(checkpoint.read_bytes()))
+    err = failure(capsys, *eval_command(dataset, path, tmp_path))
+    assert f"error: {path}: {message}" in err
+
+
+METRICS_RECORD = {"config_hash": "h", "strategy": "rms", "split": "test", "k": 10, "metric": "ndcg", "value": 0.5}
+
+
+@pytest.mark.parametrize(
+    "case, where, message",
+    [("sets", "sets.json", "Expecting value: line 1 column 1"),
+     ("manifest", "manifest.json", "Expecting value: line 1 column 1"),
+     ("metrics-line", "runs/metrics.jsonl:2", "Expecting value: line 1 column 1"),
+     ("metrics-key", "runs/metrics.jsonl:2", "record lacks ['config_hash']")],
+    ids=["sets", "manifest", "metrics-line", "metrics-key"],
+)
+def test_a_json_input_that_cannot_be_read_is_named(dataset, checkpoint, tmp_path, capsys, case, where, message):
+    """The file, and for a JSON-lines file the line, of the first record that cannot be read."""
+    out = ("--seed", 0, "--out", tmp_path / "run")
+    if case == "sets":
+        (tmp_path / "sets.json").write_text("user_set: UMU\n")
+        argv = ("train", "--sets", tmp_path / "sets.json", "--dataset", dataset, *out)
+    elif case == "manifest":  # eval reads the manifest beside its checkpoint
+        (tmp_path / "model.ckpt").write_bytes(checkpoint.read_bytes())
+        (tmp_path / "manifest.json").write_text("")
+        argv = eval_command(dataset, tmp_path / "model.ckpt", tmp_path)
+    else:
+        second = "?" if case == "metrics-line" else json.dumps({k: v for k, v in METRICS_RECORD.items() if k != "config_hash"})
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "metrics.jsonl").write_text(json.dumps(METRICS_RECORD) + "\n" + second + "\n")
+        argv = ("report", "--run-dir", tmp_path / "runs", *out)
+    err = failure(capsys, *argv)
+    assert f"error: {tmp_path}/{where}: {message}" in err
+
+
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))

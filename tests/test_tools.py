@@ -113,3 +113,33 @@ def test_a_differing_checkpoint_reports_its_arrays_and_header_keys(tmp_path):
         "differs: run/model.ckpt (arrays byte-equal; header keys differ: config, config_hash, format)")
     assert same_outputs.describe(a, b, "run/other/model.ckpt") == (
         "differs: run/other/model.ckpt (arrays differ; header keys differ: none)")
+
+
+def test_checkpoints_that_differ_only_in_config_hash_are_named(tmp_path):
+    """The CRC-32 trailer covers the header, so it is left out with the hash."""
+    from hinrec.checkpoint import save_arrays
+
+    arrays = {"user_emb": np.arange(6.0).reshape(2, 3)}
+    for side, config_hash in (("a", "old"), ("b", "new")):
+        save_arrays(tmp_path / side / "run" / "model.ckpt", {"config_hash": config_hash, "seed": 0}, arrays)
+    assert same_outputs.compare(tmp_path / "a", tmp_path / "b") == (1, ["run/model.ckpt"])
+    assert same_outputs.describe(tmp_path / "a", tmp_path / "b", "run/model.ckpt") == (
+        "differs only in config_hash: run/model.ckpt (old -> new)")
+
+
+def test_each_checkpoint_is_read_by_its_own_trees_loader(tmp_path):
+    """Two trees whose containers differ only in their magic tag write checkpoints that compare equal."""
+    from hinrec import checkpoint
+
+    source = (ROOT / "src" / "hinrec" / "checkpoint.py").read_text()
+    other_source = source.replace(checkpoint.MAGIC.decode(), "HINREC99")
+    assert other_source != source
+    other = tmp_path / "other-tree"
+    (other / "src" / "hinrec").mkdir(parents=True)
+    (other / "src" / "hinrec" / "checkpoint.py").write_text(other_source)
+    header, arrays = {"format": 6, "seed": 0}, {"user_emb": np.arange(6.0).reshape(2, 3)}
+    checkpoint.save_arrays(tmp_path / "a" / "run" / "model.ckpt", header, arrays)
+    same_outputs.checkpoint_module(other).save_arrays(tmp_path / "b" / "run" / "model.ckpt", header, arrays)
+    assert same_outputs.compare(tmp_path / "a", tmp_path / "b") == (1, ["run/model.ckpt"])
+    assert same_outputs.describe(tmp_path / "a", tmp_path / "b", "run/model.ckpt", (ROOT, other)) == (
+        "differs: run/model.ckpt (arrays byte-equal; header keys differ: none)")

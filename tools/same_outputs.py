@@ -13,14 +13,18 @@ compared after ``strip_volatile``. Only default greedy's budget lets it
 reach ``max_steps`` moves; ``--iter-limit 16`` ends it after two rounds.
 Prints each differing file, and names those that differ only in
 ``config_hash`` (a JSON field, or a key of ``model.ckpt``'s header) with
-both hashes. For any other differing ``model.ckpt`` it loads both copies
-with ``hinrec.checkpoint.load_arrays`` and says whether their arrays are
-byte-equal and which header keys differ. Exits 1 when any file differs.
+both hashes; a checkpoint's CRC-32 trailer, which covers its header, is
+left out of that comparison. For any other differing ``model.ckpt`` it
+loads each copy with its own tree's ``hinrec.checkpoint.load_arrays`` and
+says whether their arrays are byte-equal and which header keys differ.
+Exits 1 when any file differs.
 """
 from __future__ import annotations
 
 import argparse
 import filecmp
+import functools
+import importlib.util
 import json
 import os
 import struct
@@ -71,12 +75,15 @@ def compare(a: Path, b: Path) -> tuple[int, list[str]]:
 
 
 def split_hash(path: Path) -> tuple[str, tuple[str, bytes]] | None:
-    """An artifact's ``config_hash`` values, joined, and its content without them; None if it does not parse."""
+    """An artifact's ``config_hash`` values, joined, and its content without them; None if it does not parse.
+
+    A checkpoint's content also leaves out its CRC-32 trailer, which covers the header and so its hash.
+    """
     data = path.read_bytes()
     try:
-        if path.suffix == ".ckpt":  # an 8-byte magic tag, then a length-prefixed JSON header
+        if path.suffix == ".ckpt":  # an 8-byte magic tag, a length-prefixed JSON header, ..., a 4-byte CRC
             (n,) = struct.unpack_from("<I", data, 8)
-            docs, rest = [json.loads(data[12 : 12 + n])], data[:8] + data[12 + n :]
+            docs, rest = [json.loads(data[12 : 12 + n])], data[:8] + data[12 + n : -4]
         elif path.suffix == ".jsonl":
             docs, rest = [json.loads(line) for line in data.decode("utf-8").splitlines()], b""
         else:
@@ -87,24 +94,39 @@ def split_hash(path: Path) -> tuple[str, tuple[str, bytes]] | None:
     return ", ".join(hashes), (json.dumps(docs, sort_keys=True), rest)
 
 
-def describe(a: Path, b: Path, name: str) -> str:
-    """How the artifact ``name`` differs between the trees ``a`` and ``b``."""
-    old, new = (split_hash(root / name) if (root / name).exists() else None for root in (a, b))
+def describe(a: Path, b: Path, name: str, roots: tuple[Path, Path] = (ROOT, ROOT)) -> str:
+    """How the artifact ``name`` differs between the outputs ``a`` and ``b`` of the trees ``roots``."""
+    old, new = (split_hash(out / name) if (out / name).exists() else None for out in (a, b))
     if old and new and old[0] != new[0] and old[1] == new[1]:
         return f"differs only in config_hash: {name} ({old[0]} -> {new[0]})"
     if Path(name).suffix == ".ckpt" and (a / name).exists() and (b / name).exists():
-        return f"differs: {name} ({checkpoint_diff(a / name, b / name)})"
+        return f"differs: {name} ({checkpoint_diff(a / name, b / name, roots)})"
     return f"differs: {name}"
 
 
-def checkpoint_diff(a: Path, b: Path) -> str:
-    """Whether two checkpoints' arrays are byte-equal, and which header keys differ."""
-    from hinrec.checkpoint import CheckpointError, load_arrays
+@functools.cache
+def checkpoint_module(root: Path):
+    """The tree ``root``'s ``hinrec.checkpoint``, which imports nothing else of ``hinrec``."""
+    spec = importlib.util.spec_from_file_location("checkpoint", root / "src" / "hinrec" / "checkpoint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    try:
-        (head_a, arrays_a), (head_b, arrays_b) = load_arrays(a), load_arrays(b)
-    except CheckpointError as exc:
-        return f"unreadable: {exc}"
+
+def checkpoint_diff(a: Path, b: Path, roots: tuple[Path, Path] = (ROOT, ROOT)) -> str:
+    """Whether two checkpoints' arrays are byte-equal, and which header keys differ.
+
+    Each file is read by the ``load_arrays`` of the tree in ``roots`` that wrote it,
+    so checkpoints of two container formats still compare.
+    """
+    loaded = []
+    for path, root in zip((a, b), roots):
+        module = checkpoint_module(root.resolve())
+        try:
+            loaded.append(module.load_arrays(path))
+        except module.CheckpointError as exc:
+            return f"unreadable: {exc}"
+    (head_a, arrays_a), (head_b, arrays_b) = loaded
     same = arrays_a.keys() == arrays_b.keys() and all(
         (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
         for x, y in ((arrays_a[k], arrays_b[k]) for k in arrays_a)
@@ -137,9 +159,8 @@ def main(argv=None) -> int:
             if proc.returncode:
                 sys.exit(f"{root}: outputs not written\n{proc.stderr[-2000:]}")
         total, diff = compare(*outs)
-        sys.path.append(str(ROOT / "src"))  # for checkpoint_diff, unless a hinrec is already importable
         for name in diff:
-            print(describe(*outs, name))
+            print(describe(*outs, name, args.roots))
     print(f"{len(diff)} of {total} artifacts differ")
     return 1 if diff else 0
 
