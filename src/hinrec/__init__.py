@@ -1,6 +1,6 @@
 """Meta-path search and attention-based recommendation on heterogeneous graphs."""
 
-from .hin import HinGraph, HinSchema, InteractionSet, load_graph
+from .hin import HinGraph, HinSchema, load_graph
 from .metapath import (
     MetaPath,
     MetaPathSet,
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HinGraph",
     "HinSchema",
-    "InteractionSet",
     "MetaPath",
     "MetaPathSet",
     "MetaPathSubgraph",

@@ -24,7 +24,7 @@ import numpy as np
 from . import dqn, evaluation, metapath as mp, recommender as rec, search_env, synth
 from .checkpoint import CheckpointError
 from .config import STRATEGIES, ConfigError, RunConfig
-from .hin import HinGraph, HinSchema, load_graph
+from .hin import HinGraph, HinSchema, SchemaError, load_graph
 from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, write_json
 
 log = logging.getLogger("hinrec")
@@ -90,6 +90,8 @@ def _echo_config(cfg: RunConfig, out: Path) -> None:
 def _load_dataset(dataset_dir: str) -> HinGraph:
     root = Path(dataset_dir)
     schema = HinSchema.from_file(root / "schema.txt")
+    if not schema.interaction:  # every command splits the interactions
+        raise SchemaError(f"{root / 'schema.txt'}: missing interaction_relation line")
     return load_graph(root / "nodes.tsv", root / "edges.tsv", schema)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import metapath as mp
 from . import recommender as rec
 from .autodiff import Var
-from .hin import HinGraph, InteractionSet
+from .hin import HinGraph
 from .util import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
@@ -125,14 +125,15 @@ class SplitSet:
         return self._local(graph, np.concatenate([self.train, self.validation, self.test]))
 
 
-def split_leave_one_out(interactions: InteractionSet, rng: np.random.Generator) -> SplitSet:
+def split_leave_one_out(pairs: np.ndarray, rng: np.random.Generator) -> SplitSet:
     """One random validation and one test pair per user with >= 3 interactions.
 
+    ``pairs`` is a (k, 2) int64 array of distinct (user, item) pairs sorted
+    by user, then item, as :meth:`HinGraph.interactions` returns them.
     Users are visited in id order, and each eligible one draws its two
     held-out positions with one ``rng.choice``. Training keeps every other
-    pair in the interaction set's order.
+    pair in that order.
     """
-    pairs = interactions.pairs
     if len(pairs) == 0:
         raise ValueError("cannot split an empty interaction set")
     # The pairs are sorted by (user, item), so each user's items are one

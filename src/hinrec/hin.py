@@ -7,14 +7,18 @@ mirror edges are materialized automatically, so ``adjacency(comp(r))`` is
 always the transpose of ``adjacency(r)``.
 
 On disk a graph is one directory of ``schema.txt``, ``nodes.tsv`` and
-``edges.tsv``; :func:`load_graph` reads the two TSVs and reports every
-structural fault as ``path:line``.
+``edges.tsv``. A dataset is checked once, where it is read:
+:meth:`HinSchema.parse` checks the schema and :func:`load_graph` the two
+TSVs, and each reports a fault as ``path:line``. What is built from their
+output trusts it: :meth:`HinGraph.from_edges`, the graph's queries and the
+rest of the package take the schema's types and complements as given, and
+each relation's CSR as typed, sorted by (head, tail) and duplicate-free.
 """
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -58,29 +62,6 @@ class HinSchema:
     relations: tuple[Relation, ...]
     interaction: int = 0
 
-    def __post_init__(self):
-        if len(set(self.node_types)) != len(self.node_types):
-            raise SchemaError("duplicate node type names")
-        names = [r.name for r in self.relations]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate relation names")
-        for i, rel in enumerate(self.relations, start=1):
-            if rel.rid != i:
-                raise SchemaError(f"relation ids must be dense 1..n, got {rel.rid} at slot {i}")
-            if rel.head not in self.node_types or rel.tail not in self.node_types:
-                raise SchemaError(f"relation {rel.name!r} references unknown node type")
-            if not 1 <= rel.comp <= len(self.relations):
-                raise SchemaError(f"relation {rel.name!r} has out-of-range complement {rel.comp}")
-        for rel in self.relations:
-            other = self.relations[rel.comp - 1]
-            if other.comp != rel.rid:
-                raise SchemaError(f"complement of complement of {rel.name!r} is not itself")
-            if other.head != rel.tail or other.tail != rel.head:
-                raise SchemaError(f"complement of {rel.name!r} does not reverse its endpoints")
-        if self.interaction:
-            if not 1 <= self.interaction <= len(self.relations):
-                raise SchemaError("interaction relation id out of range")
-
     @property
     def n_relations(self) -> int:
         return len(self.relations)
@@ -117,9 +98,18 @@ class HinSchema:
         Lines: ``node_types: A, B, ...``, one relation per line as
         ``name: Head -> Tail ~ complement_name``, and optionally
         ``interaction_relation: name``. '#' starts a comment.
+
+        This is the only check of a schema; the constructor makes none.
+        Each fault raises :class:`SchemaError` as ``source:line: ...``: an
+        unrecognized or malformed line, a node type declared twice, a
+        relation endpoint that is not a declared type, a relation or
+        complement name declared twice, a self-complementary relation whose
+        head and tail differ, or an undeclared interaction relation. A
+        missing ``node_types`` line is reported as ``source: ...``.
         """
         node_types: list[str] = []
-        rel_specs: list[tuple[str, str, str, str]] = []
+        rel_specs: list[tuple[int, str, str, str, str]] = []
+        types_line = interaction_line = 0
         interaction_name = ""
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -127,8 +117,10 @@ class HinSchema:
                 continue
             if line.startswith("node_types:"):
                 node_types = [t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()]
+                types_line = line_no
             elif line.startswith("interaction_relation:"):
                 interaction_name = line.split(":", 1)[1].strip()
+                interaction_line = line_no
             elif "->" in line:
                 try:
                     name, rest = (p.strip() for p in line.split(":", 1))
@@ -136,26 +128,32 @@ class HinSchema:
                     head, tail = (p.strip() for p in ends.split("->", 1))
                 except ValueError:
                     raise SchemaError(f"{source}:{line_no}: malformed relation line {raw!r}") from None
-                rel_specs.append((name, head, tail, comp_name))
+                rel_specs.append((line_no, name, head, tail, comp_name))
             else:
                 raise SchemaError(f"{source}:{line_no}: unrecognized schema line {raw!r}")
         if not node_types:
             raise SchemaError(f"{source}: missing node_types line")
+        twice = [t for k, t in enumerate(node_types) if t in node_types[:k]]
+        if twice:
+            raise SchemaError(f"{source}:{types_line}: node type {twice[0]!r} declared twice")
 
         relations: list[Relation] = []
         index: dict[str, int] = {}
-        for name, head, tail, comp_name in rel_specs:
+        for line_no, name, head, tail, comp_name in rel_specs:
+            unknown = [t for t in (head, tail) if t not in node_types]
+            if unknown:
+                raise SchemaError(f"{source}:{line_no}: relation {name!r} references unknown node type {unknown[0]!r}")
             if name in index:
-                raise SchemaError(f"{source}: relation {name!r} declared twice")
+                raise SchemaError(f"{source}:{line_no}: relation {name!r} declared twice")
             if comp_name == name:
                 if head != tail:
-                    raise SchemaError(f"{source}: self-complementary {name!r} must have head == tail")
+                    raise SchemaError(f"{source}:{line_no}: self-complementary {name!r} must have head == tail")
                 rid = len(relations) + 1
                 relations.append(Relation(rid, name, head, tail, rid))
                 index[name] = rid
             else:
                 if comp_name in index:
-                    raise SchemaError(f"{source}: complement {comp_name!r} already declared")
+                    raise SchemaError(f"{source}:{line_no}: complement {comp_name!r} already declared")
                 rid = len(relations) + 1
                 relations.append(Relation(rid, name, head, tail, rid + 1))
                 relations.append(Relation(rid + 1, comp_name, tail, head, rid))
@@ -164,34 +162,15 @@ class HinSchema:
         interaction = 0
         if interaction_name:
             if interaction_name not in index:
-                raise SchemaError(f"{source}: interaction relation {interaction_name!r} not declared")
+                raise SchemaError(
+                    f"{source}:{interaction_line}: interaction relation {interaction_name!r} not declared"
+                )
             interaction = index[interaction_name]
         return cls(tuple(node_types), tuple(relations), interaction)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HinSchema":
         return cls.parse(Path(path).read_text(encoding="utf-8"), source=str(path))
-
-
-@dataclass(frozen=True)
-class InteractionSet:
-    """Deduplicated (user, item) pairs under the designated relation."""
-
-    relation: int
-    pairs: np.ndarray = field(repr=False)  # (k, 2) global node ids, lexicographically sorted
-
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        if len(pairs):
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-            pairs = pairs[keep]
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 class HinGraph:
@@ -209,10 +188,6 @@ class HinGraph:
         self.node_names = node_names
         self._adj = adjacency  # rid -> (indptr over all nodes, sorted dst indices)
         self.num_nodes = int(self.type_offsets[-1])
-        self._type_of = np.empty(self.num_nodes, dtype=np.int64)
-        for t in range(len(schema.node_types)):
-            self._type_of[self.type_offsets[t] : self.type_offsets[t + 1]] = t
-        self._validate()
 
     # -- construction ------------------------------------------------------
 
@@ -229,6 +204,9 @@ class HinGraph:
         tuples. ``nodes`` order fixes the dense ids (grouped by type, file
         order within a type) before this is called; see :func:`load_graph`.
         Each edge is also added reversed, under its relation's complement.
+        Nothing is checked: every node type must be the schema's, and every
+        edge's relation id in 1..n with endpoints of its head and tail
+        types, as :func:`load_graph` makes sure.
         """
         sizes = np.zeros(len(schema.node_types) + 1, dtype=np.int64)
         for tname, count in Counter(tname for _, tname in nodes).items():
@@ -237,9 +215,6 @@ class HinGraph:
         names = tuple(sid for sid, _ in nodes)
 
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-        out_of_range = np.flatnonzero((arr[:, 0] < 1) | (arr[:, 0] > schema.n_relations))
-        if len(out_of_range):
-            schema.relation(int(arr[out_of_range[0], 0]))  # raises SchemaError
         comp = np.asarray([0] + [rel.comp for rel in schema.relations], dtype=np.int64)
         arr = np.concatenate([arr, np.stack([comp[arr[:, 0]], arr[:, 2], arr[:, 1]], axis=1)])
         by_rel: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -248,17 +223,6 @@ class HinGraph:
             sel = arr[arr[:, 0] == rel.rid]
             by_rel[rel.rid] = _build_csr(sel[:, 1], sel[:, 2], num_nodes)
         return cls(schema, offsets, names, by_rel)
-
-    def _validate(self) -> None:
-        for rel in self.schema.relations:
-            indptr, indices = self._adj[rel.rid]
-            head_t = self.schema.type_index(rel.head)
-            tail_t = self.schema.type_index(rel.tail)
-            src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
-            if len(src) and not (
-                np.all(self._type_of[src] == head_t) and np.all(self._type_of[indices] == tail_t)
-            ):
-                raise SchemaError(f"edges under {rel.name!r} violate endpoint types")
 
     # -- queries -----------------------------------------------------------
 
@@ -270,20 +234,14 @@ class HinGraph:
         self.schema.relation(rid)
         return self._adj[rid]
 
-    def edges(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
-        indptr, indices = self._adj[rid]
-        src = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
-        return src, indices.copy()
-
     def edge_count(self, rid: int) -> int:
         return int(len(self._adj[rid][1]))
 
-    def interactions(self) -> InteractionSet:
-        rid = self.schema.interaction
-        if not rid:
-            raise SchemaError("schema designates no interaction relation")
-        src, dst = self.edges(rid)
-        return InteractionSet(rid, np.stack([src, dst], axis=1))
+    def interactions(self) -> np.ndarray:
+        """The interaction relation's CSR as a (k, 2) int64 array of (user, item) global ids,
+        so sorted by user, then item, and duplicate-free."""
+        indptr, items = self.adjacency(self.schema.interaction)
+        return np.stack([np.repeat(np.arange(self.num_nodes), np.diff(indptr)), items], axis=1)
 
     def stats(self) -> dict:
         return {
@@ -301,8 +259,6 @@ class HinGraph:
     def without_interactions(self, pairs: np.ndarray) -> "HinGraph":
         """Copy with the given (user, item) interaction edges (and mirrors) removed."""
         rid = self.schema.interaction
-        if not rid:
-            raise SchemaError("schema designates no interaction relation")
         comp = self.schema.relation(rid).comp
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         adj = dict(self._adj)
@@ -328,14 +284,13 @@ def _build_csr(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> tuple[np.nda
 def _remove_pairs(
     csr: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the CSR without the (src, dst) ``pairs``; the edges that stay keep their sorted order."""
     indptr, indices = csr
     src = np.repeat(np.arange(num_nodes), np.diff(indptr))
-    if len(pairs) == 0 or len(src) == 0:
-        return indptr.copy(), indices.copy()
-    edge_keys = src * num_nodes + indices
-    kill_keys = pairs[:, 0] * num_nodes + pairs[:, 1]
-    keep = ~np.isin(edge_keys, kill_keys)
-    return _build_csr(src[keep], indices[keep], num_nodes)
+    keep = ~np.isin(src * num_nodes + indices, pairs[:, 0] * num_nodes + pairs[:, 1])
+    kept = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr], indices[keep]
 
 
 def _parse_tsv(path: str | Path, n_fields: int) -> tuple[np.ndarray, list[list[str]]]:
@@ -375,6 +330,9 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path, schema: HinSchema
     3. the edge file's field counts;
     4. per edge line: a known relation, then a declared source id, then a
        declared destination id, then endpoint types matching the relation.
+
+    These are the graph's only checks, and ``schema`` is trusted as
+    :meth:`HinSchema.parse` built it.
     """
     node_lines, (sids, tnames) = _parse_tsv(nodes_path, 2)
     type_of = {t: k for k, t in enumerate(schema.node_types)}

@@ -21,6 +21,28 @@ interaction_relation: watch
 
 WATCH, WATCHED, ACT, ACTED, DIRECT, DIRECTED = 1, 2, 3, 4, 5, 6
 
+# One schema text per fault `HinSchema.parse` reports, with the line it names (None for a fault of the
+# whole file) and the message after ``<path>:<line>: ``. Each text opens with a comment line, which counts.
+SCHEMA_FAULTS = [
+    pytest.param("# s\nwatch: User -> Movie ~ watched\n", None, "missing node_types line", id="no-node-types"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch User Movie\n", 3,
+                 "unrecognized schema line 'watch User Movie'", id="unrecognized-line"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie\n", 3,
+                 "malformed relation line 'watch: User -> Movie'", id="malformed-relation"),
+    pytest.param("# s\nnode_types: User, Movie, User\nwatch: User -> Movie ~ watched\n", 2,
+                 "node type 'User' declared twice", id="duplicate-node-type"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Film ~ watched\n", 3,
+                 "relation 'watch' references unknown node type 'Film'", id="unknown-endpoint-type"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\nwatch: User -> Movie ~ seen\n", 4,
+                 "relation 'watch' declared twice", id="relation-declared-twice"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\nrate: User -> Movie ~ watched\n", 4,
+                 "complement 'watched' already declared", id="complement-declared-twice"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watch\n", 3,
+                 "self-complementary 'watch' must have head == tail", id="self-complementary-head-not-tail"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: rate\n", 4,
+                 "interaction relation 'rate' not declared", id="undeclared-interaction-relation"),
+]
+
 
 @pytest.fixture(scope="session")
 def movie_schema():
@@ -92,14 +114,7 @@ def subgraph_row(subgraph, v):
 
 
 def brute_force_metapath_neighbors(graph, path, v):
-    """Oracle: enumerate every node sequence following the path, via raw edge lists."""
-    adj = {}
-    for rel in graph.schema.relations:
-        src, dst = graph.edges(rel.rid)
-        table = {}
-        for s, d in zip(src.tolist(), dst.tolist()):
-            table.setdefault(s, []).append(d)
-        adj[rel.rid] = table
+    """Oracle: enumerate every node sequence following the path, one adjacency row at a time."""
     t = graph.schema.type_index(path.start_type)
     if not graph.type_offsets[t] <= v < graph.type_offsets[t + 1]:
         return []
@@ -107,7 +122,7 @@ def brute_force_metapath_neighbors(graph, path, v):
     for rid in path.relation_ids:
         nxt = []
         for seq in sequences:
-            for w in adj[rid].get(seq[-1], []):
+            for w in adjacency_row(graph, rid, seq[-1]).tolist():
                 nxt.append(seq + [w])
         sequences = nxt
     return sorted({seq[-1] for seq in sequences})

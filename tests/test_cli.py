@@ -11,6 +11,8 @@ from hinrec.config import RunConfig
 from hinrec.hin import HinSchema
 from hinrec.util import read_json, read_jsonl, strip_volatile
 
+from conftest import SCHEMA_FAULTS
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -322,6 +324,27 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
     out = tmp_path / "run"
     assert run(command, "--dataset", tmp_path / "nonexistent", "--seed", 0, "--out", out, *extra) == 1
     assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["search", "train", "eval"])
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [*SCHEMA_FAULTS,
+     pytest.param("node_types: User, Movie\nwatch: User -> Movie ~ watched\n", None,
+                  "missing interaction_relation line", id="no-interaction-relation")],
+)
+def test_a_schema_fault_is_named_before_the_tsvs_load(tmp_path, capsys, command, text, line_no, message):
+    """Every command stops at the schema's first fault and names the file and line. The dataset
+    has no TSVs, so a command that read past the schema would report a missing file instead."""
+    schema = tmp_path / "schema.txt"
+    schema.write_text(text)
+    extra = {"search": (), "train": ("--sets", base_sets(tmp_path / "sets.json")),
+             "eval": ("--checkpoint", tmp_path / "model.ckpt")}[command]
+    out = tmp_path / "run"
+    err = failure(capsys, command, "--dataset", tmp_path, "--seed", 0, "--out", out, *extra)
+    where = schema if line_no is None else f"{schema}:{line_no}"
+    assert f"error: {where}: {message}" in err
     assert not out.exists()
 
 

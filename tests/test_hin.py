@@ -3,13 +3,12 @@ import pytest
 
 from hinrec.hin import (
     GraphLoadError,
-    HinGraph,
     HinSchema,
     SchemaError,
     load_graph,
 )
 
-from conftest import MOVIE_SCHEMA_TEXT, adjacency_row, graph_from
+from conftest import MOVIE_SCHEMA_TEXT, SCHEMA_FAULTS, adjacency_row, graph_from
 
 
 def write_dataset(tmp_path, nodes_text, edges_text, schema_text=MOVIE_SCHEMA_TEXT):
@@ -58,6 +57,15 @@ class TestSchema:
     def test_bad_complement_rejected(self):
         with pytest.raises(SchemaError):
             HinSchema.parse("node_types: A, B\nr1: A -> B ~ r1\n")
+
+    @pytest.mark.parametrize("text, line_no, message", SCHEMA_FAULTS)
+    def test_a_fault_names_the_file_and_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "schema.txt"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            HinSchema.from_file(path)
+        where = path if line_no is None else f"{path}:{line_no}"
+        assert str(err.value) == f"{where}: {message}"
 
 
 class TestLoader:
@@ -259,19 +267,21 @@ class TestGraph:
     def test_mirror_consistency_property(self, small_movie_graph):
         g = small_movie_graph
         for rel in g.schema.relations:
-            src, dst = g.edges(rel.rid)
-            for v, w in zip(src.tolist(), dst.tolist()):
-                assert v in adjacency_row(g, rel.comp, w)
+            for v in range(g.num_nodes):
+                for w in adjacency_row(g, rel.rid, v).tolist():
+                    assert v in adjacency_row(g, rel.comp, w)
 
-    def test_an_edge_between_the_wrong_types_is_rejected(self, movie_schema):
-        nodes = [("U0", "User"), ("M0", "Movie"), ("A0", "Actor")]
-        with pytest.raises(SchemaError) as err:
-            HinGraph.from_edges(movie_schema, nodes, [(movie_schema.by_name("watch").rid, 0, 2)])  # U0 -> A0
-        assert str(err.value) == "edges under 'watch' violate endpoint types"
-
-    def test_interactions(self, small_movie_graph):
-        inter = small_movie_graph.interactions()
-        assert len(inter) == 4
+    def test_interactions(self, tmp_path):
+        """The interaction relation's CSR as (user, item) pairs, sorted and duplicate-free: a repeated
+        edge line, and the same edge read backwards under the complement, give one pair."""
+        nodes, edges, schema = write_dataset(
+            tmp_path,
+            "U1\tUser\nU2\tUser\nM1\tMovie\nM2\tMovie\n",
+            "U2\twatch\tM1\nU1\twatch\tM2\nU1\twatch\tM1\nU1\twatch\tM2\nM1\twatched\tU2\n",
+        )
+        pairs = load_graph(nodes, edges, schema).interactions()
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [[0, 2], [0, 3], [1, 2]]  # U1, U2 then M1, M2
 
     def test_without_interactions(self, small_movie_graph):
         g = small_movie_graph
