@@ -25,7 +25,7 @@ from . import dqn, evaluation, metapath as mp, recommender as rec, search_env, s
 from .checkpoint import CheckpointError
 from .config import STRATEGIES, ConfigError, RunConfig
 from .hin import HinGraph, HinSchema, SchemaError, load_graph
-from .util import append_jsonl, derive_rng, derive_seed, read_json, read_jsonl, write_json
+from .util import derive_rng, derive_seed, read_json, read_jsonl, write_json, write_jsonl
 
 log = logging.getLogger("hinrec")
 
@@ -152,26 +152,15 @@ def cmd_search(args) -> int:
     schema = graph.schema
     t0 = time.perf_counter()
 
-    trace_path = out / "trace.jsonl"
-    if trace_path.exists():
-        trace_path.unlink()
     probe = evaluation.PerformanceProbe(graph, split, cfg)
     # Every set the search probes extends an initial set by accepted paths
     # only, so once both initial sets pass the density filter no probe fails.
     for form in (mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC):
         probe.side(search_env.initial_set(form, schema))
     budget = cfg.iter_limit // 2  # per side
-    found = {}
-    for tag, form, other in (
-        ("user", mp.USER_SYMMETRIC, mp.ITEM_SYMMETRIC),
-        ("item", mp.ITEM_SYMMETRIC, mp.USER_SYMMETRIC),
-    ):
-        env = search_env.SearchEnv(
-            schema, form, probe,
-            frozen_other=search_env.initial_set(other, schema),
-            max_steps=search_env.MAX_STEPS,
-            trace_path=str(trace_path), trace_tag=tag,
-        )
+    found, trace = {}, []
+    for tag, form in (("user", mp.USER_SYMMETRIC), ("item", mp.ITEM_SYMMETRIC)):
+        env = search_env.SearchEnv(schema, form, probe)
         rng = derive_rng(cfg.seed, cfg.strategy, tag)
         if cfg.strategy == "rms":
             found[tag] = dqn.search(env, derive_seed(cfg.seed, "agent", tag), budget)
@@ -179,8 +168,10 @@ def cmd_search(args) -> int:
             found[tag] = search_env.random_search(env, budget, rng)
         else:
             found[tag] = search_env.greedy_search(env, budget, rng)
+        trace.extend({**record, "agent": tag} for record in env.trace)
     user_set, item_set = found["user"], found["item"]
 
+    write_jsonl(out / "trace.jsonl", trace)
     write_json(
         out / "sets.json",
         {
@@ -204,8 +195,6 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.out)
     sets_doc = read_json(args.sets)
-    if not isinstance(sets_doc, dict):
-        raise ValueError(f"{args.sets}: expected a JSON object, not {type(sets_doc).__name__}")
     relations = {key: _set_from_payload(sets_doc, key, args.sets) for key in ("user_set", "item_set")}
     graph = _load_dataset(cfg.dataset)
     split = _split_for(graph, cfg)
@@ -224,11 +213,8 @@ def cmd_train(args) -> int:
     except rec.SaturatedUser as exc:  # name the user as the dataset does
         user_offset = graph.type_offsets[graph.schema.type_index(graph.schema.user_type)]
         raise rec.SaturatedUser(exc.user, exc.n_items, graph.node_names[user_offset + exc.user]) from None
-    history_path = out / "history.jsonl"
-    if history_path.exists():
-        history_path.unlink()
-    for record in result.history:
-        append_jsonl(history_path, {**record, "seed": cfg.seed, "config_hash": cfg.config_hash()})
+    write_jsonl(out / "history.jsonl",
+                ({**record, "seed": cfg.seed, "config_hash": cfg.config_hash()} for record in result.history))
     manifest = {
         "strategy": sets_doc.get("strategy", "manual"),
         "seed": cfg.seed,
@@ -260,10 +246,7 @@ def cmd_eval(args) -> int:
         model, split, args.split, ks=EVAL_KS, seed=cfg.seed,
         n_negatives=cfg.n_negatives,
     )
-    metrics_path = out / "metrics.jsonl"
-    if metrics_path.exists():
-        metrics_path.unlink()
-    for record in metrics.as_records(
+    write_jsonl(out / "metrics.jsonl", metrics.as_records(
         phase="eval",
         epoch=None,
         seed=cfg.seed,
@@ -273,8 +256,7 @@ def cmd_eval(args) -> int:
             "user": model.user_side.pset.labels(),
             "item": model.item_side.pset.labels(),
         },
-    ):
-        append_jsonl(metrics_path, record)
+    ))
     _echo_config(cfg, out)
     for k in sorted(metrics.ks):
         print(f"{args.split} HR@{k}={metrics.hr[k]:.4f} NDCG@{k}={metrics.ndcg[k]:.4f}")

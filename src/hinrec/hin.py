@@ -101,7 +101,8 @@ class HinSchema:
 
         This is the only check of a schema; the constructor makes none.
         Each fault raises :class:`SchemaError` as ``source:line: ...``: an
-        unrecognized or malformed line, a node type declared twice, a
+        unrecognized or malformed line, a second ``node_types`` or
+        ``interaction_relation`` line, a node type declared twice, a
         relation endpoint that is not a declared type, a relation or
         complement name declared twice, a self-complementary relation whose
         head and tail differ, or an undeclared interaction relation. A
@@ -116,9 +117,13 @@ class HinSchema:
             if not line:
                 continue
             if line.startswith("node_types:"):
+                if types_line:
+                    raise SchemaError(f"{source}:{line_no}: node_types declared twice")
                 node_types = [t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()]
                 types_line = line_no
             elif line.startswith("interaction_relation:"):
+                if interaction_line:
+                    raise SchemaError(f"{source}:{line_no}: interaction_relation declared twice")
                 interaction_name = line.split(":", 1)[1].strip()
                 interaction_line = line_no
             elif "->" in line:

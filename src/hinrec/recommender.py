@@ -236,22 +236,23 @@ def path_names(pset: mp.MetaPathSet) -> list[str]:
     ]
 
 
-def attention_init(base: int, tag: str, pset: mp.MetaPathSet, d: int, hid: int) -> dict[str, np.ndarray]:
+def attention_init(base: int, tag: str, pset: mp.MetaPathSet, d: int) -> dict[str, np.ndarray]:
     """One side's attention parameters at init, each drawn by what it parameterizes.
 
-    ``fuse.{tag}.W`` is a Glorot draw from the stream of ``(base, tag)``, and
-    ``fuse.{tag}.b`` starts at zero. Each path's ``natt.{tag}.{name}``, a_φ,
-    then ``q.{tag}.{name}``, q_φ, are Glorot draws from the stream of
-    ``(base, tag, relation ids)``. So a path starts from the same parameters
-    in every set that holds it, whatever its position: sets that share a path
-    share its draws (common random numbers), and the probe can compute each
-    path's table once for all of them.
+    ``fuse.{tag}.W``, ``d`` by :data:`ATT_HIDDEN`, is a Glorot draw from the
+    stream of ``(base, tag)``, and ``fuse.{tag}.b`` starts at zero. Each
+    path's ``natt.{tag}.{name}``, a_φ, then ``q.{tag}.{name}``, q_φ, are
+    Glorot draws from the stream of ``(base, tag, relation ids)``. So a path
+    starts from the same parameters in every set that holds it, whatever its
+    position: sets that share a path share its draws (common random
+    numbers), and the probe can compute each path's table once for all of
+    them.
     """
-    params = {f"fuse.{tag}.W": glorot(derive_rng(base, tag), d, hid), f"fuse.{tag}.b": np.zeros(hid)}
+    params = {f"fuse.{tag}.W": glorot(derive_rng(base, tag), d, ATT_HIDDEN), f"fuse.{tag}.b": np.zeros(ATT_HIDDEN)}
     for path, name in zip(pset, path_names(pset)):
         rng = derive_rng(base, tag, path.relation_ids)
         params[f"natt.{tag}.{name}"] = glorot(rng, 2 * d)
-        params[f"q.{tag}.{name}"] = glorot(rng, hid)
+        params[f"q.{tag}.{name}"] = glorot(rng, ATT_HIDDEN)
     return params
 
 
@@ -286,7 +287,7 @@ class HRecModel:
         for side in (user_side, item_side):
             params[f"proj.{side.node_type}"] = Var(np.eye(d))
         for tag, side in (("user", user_side), ("item", item_side)):
-            for name, value in attention_init(base, tag, side.pset, d, ATT_HIDDEN).items():
+            for name, value in attention_init(base, tag, side.pset, d).items():
                 params[name] = Var(value)
         self.params = params
 
@@ -371,10 +372,9 @@ class ForwardPass:
     beta_item: np.ndarray
 
 
-def sample_views(
-    side: SideBundle, fanout: int, rng: np.random.Generator
-) -> list[mp.SampledView]:
-    return [mp.sample_view(sg, fanout, rng) for sg in side.subgraphs]
+def sample_views(side: SideBundle, rng: np.random.Generator) -> list[mp.SampledView]:
+    """One training view per path of the side, at :data:`FANOUT`, drawn from ``rng``."""
+    return [mp.sample_view(sg, FANOUT, rng) for sg in side.subgraphs]
 
 
 def path_table(tape: Tape, Z: Var, a: Var, view: mp.SampledView) -> Var:
@@ -471,13 +471,11 @@ def bpr_loss_var(tape: Tape, ypos: Var, yneg: Var) -> Var:
     return tape.mean(tape.softplus(tape.sub(yneg, ypos)))
 
 
-def inference_view(
-    side: SideBundle, k: int, tag: str, fanout: int, seed: int, view_tag: str
-) -> mp.SampledView:
-    """Path ``k``'s view for inference, from the stream of ``(seed, view_tag, tag,
-    relation ids)``: the same view in every set that holds the path."""
+def inference_view(side: SideBundle, k: int, tag: str, seed: int, view_tag: str) -> mp.SampledView:
+    """Path ``k``'s view for inference, at :data:`FANOUT`, from the stream of ``(seed,
+    view_tag, tag, relation ids)``: the same view in every set that holds the path."""
     path = side.pset.paths[k]
-    return mp.sample_view(side.subgraphs[k], fanout, derive_rng(seed, view_tag, tag, path.relation_ids))
+    return mp.sample_view(side.subgraphs[k], FANOUT, derive_rng(seed, view_tag, tag, path.relation_ids))
 
 
 def infer_embeddings(
@@ -499,7 +497,7 @@ def infer_embeddings(
         for k, (path, name) in enumerate(zip(side.pset, path_names(side.pset))):
             if (side_tag, path.relation_ids) not in stages:
                 Z = project(Tape(), model, side_tag, side) if Z is None else Z
-                view = inference_view(side, k, side_tag, FANOUT, seed, tag)
+                view = inference_view(side, k, side_tag, seed, tag)
                 stages[side_tag, path.relation_ids] = path_forward(Tape(), model, side_tag, name, Z, view)
         done = [stages[side_tag, path.relation_ids] for path in side.pset]
         tables.append(fuse(Tape(), [Hx for Hx, _ in done], [w for _, w in done])[0].value)
@@ -542,8 +540,8 @@ def train(model: HRecModel, split, seed: int, evaluator, epochs: int, patience: 
     bad_epochs = 0
     for epoch in range(epochs):
         rng = derive_rng(seed, "rec-epoch", epoch)
-        user_views = sample_views(model.user_side, FANOUT, rng)
-        item_views = sample_views(model.item_side, FANOUT, rng)
+        user_views = sample_views(model.user_side, rng)
+        item_views = sample_views(model.item_side, rng)
         negatives = draw_negatives(pairs[:, 0], pos_bits, n_items, rng)
         perm = rng.permutation(len(pairs))
         losses = []

@@ -4,6 +4,9 @@
 action draw, the successor of a set and the trace. rms steps it as an MDP;
 :func:`random_search` and :func:`greedy_search` are loops over the same
 start set, draw and successor, and probe through :meth:`SearchEnv.score`.
+The other side is held at its form's initial set. The env does no file
+I/O: it keeps its trace as a list of records, which ``hinrec search``
+writes once both sides have run.
 
 States are meta-path sets (encoded as normalized relation-count vectors),
 actions are relation ids plus STOP (0). A non-STOP action r is completed
@@ -30,15 +33,14 @@ import numpy as np
 from . import metapath as mp
 from .hin import STOP_ACTION, HinSchema, SchemaError
 from .recommender import AllPathsRejected
-from .util import append_jsonl
 
 # The fault's former name, kept while bench/tracing.py imports it.
 ProbeFailure = AllPathsRejected
 # Actions greedy search draws per round: this reproduction's own width, not
 # one the paper gives.
 GREEDY_CANDIDATES = 4
-# Moves per rms episode, random walk and greedy search; ``hinrec search``
-# passes it to every :class:`SearchEnv`.
+# Moves per rms episode, random walk and greedy search: every
+# :class:`SearchEnv`'s ``max_steps``.
 MAX_STEPS = 4
 
 
@@ -114,36 +116,28 @@ class SearchEnv:
 
     It owns the space's rules for every strategy: the start set
     (:attr:`start`), the uniform action draw (:meth:`random_action`), the
-    successor of a set (:meth:`extend`) and the trace. :meth:`step` writes
-    one trace line per MDP step; :meth:`score`, the baseline searches'
-    probe, writes one per probe instead.
+    successor of a set (:meth:`extend`) and the trace. :meth:`step` appends
+    one record to :attr:`trace` per MDP step; :meth:`score`, the baseline
+    searches' probe, appends one per probe instead. An episode ends after
+    :data:`MAX_STEPS` moves (:attr:`max_steps`).
 
     ``probe`` is the evaluation oracle, a
     :class:`~hinrec.evaluation.PerformanceProbe` or any object with its
     ``pair(user_set, item_set)`` and ``subgraph(path)``; ``subgraph``
     returns ``None`` for a path the density filter rejects. The env holds
-    the opposite form's set frozen and probes only its own side's
-    candidates.
+    the opposite form's side frozen at that form's initial set
+    (:attr:`frozen_other`) and probes only its own side's candidates.
     """
 
-    def __init__(
-        self,
-        schema: HinSchema,
-        form: str,
-        probe,
-        frozen_other: mp.MetaPathSet,
-        max_steps: int,
-        trace_path: str | None = None,
-        trace_tag: str = "",
-    ):
+    def __init__(self, schema: HinSchema, form: str, probe):
         self.schema = schema
         self.form = form
         self._probe = probe
-        self.frozen_other = frozen_other
-        self.max_steps = max_steps
-        self.trace_path = trace_path
-        self.trace_tag = trace_tag
         self.start = initial_set(form, schema)
+        other = mp.ITEM_SYMMETRIC if form == mp.USER_SYMMETRIC else mp.USER_SYMMETRIC
+        self.frozen_other = initial_set(other, schema)
+        self.max_steps = MAX_STEPS
+        self.trace: list[dict] = []
         self.episode = -1
         self._state: SearchState | None = None
         self._last_metric = 0.0
@@ -223,11 +217,10 @@ class SearchEnv:
         return out
 
     def _trace(self, t0: float, pset: mp.MetaPathSet, reward: float, probe_metric: float | None, **step) -> None:
-        """Append one line to the trace, if any; ``step`` holds an MDP step's own fields."""
-        if self.trace_path:
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            append_jsonl(self.trace_path, {**step, "set": pset.labels(), "reward": float(reward),
-                                           "probe_metric": probe_metric, "wall_ms": wall_ms, "agent": self.trace_tag})
+        """Append one record to :attr:`trace`; ``step`` holds an MDP step's own fields."""
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        self.trace.append({**step, "set": pset.labels(), "reward": float(reward),
+                           "probe_metric": probe_metric, "wall_ms": wall_ms})
 
 
 def random_search(env: SearchEnv, budget: int, rng: np.random.Generator) -> mp.MetaPathSet:

@@ -1,11 +1,15 @@
-"""Shared helpers: deterministic RNG derivation, canonical JSON, stable hashing."""
+"""Shared helpers: deterministic RNG derivation, canonical JSON, stable hashing.
+
+The commands write their JSON files here: :func:`write_json` for a document,
+:func:`write_jsonl`, the one JSON-lines writer, for a run's records.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -51,26 +55,36 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
 
 
-def write_json(path: str | Path, obj: dict, timestamp: bool = True) -> None:
-    record = dict(obj)
-    if timestamp:
-        record["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+def write_json(path: str | Path, obj: dict) -> None:
+    """``obj`` as one canonical JSON line, stamped with ``created_at``."""
+    record = {**obj, "created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(canonical_json(record) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON document in ``path``; text that is not UTF-8 JSON raises a ValueError naming ``path``."""
+    """The JSON object in ``path``.
+
+    Text that is not UTF-8 JSON, or JSON that is not an object, raises a
+    ValueError naming ``path``.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, not {type(doc).__name__}")
+    return doc
 
 
-def append_jsonl(path: str | Path, record: dict) -> None:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """The one JSON-lines writer: ``records`` as canonical JSON, one per line.
+
+    It replaces any earlier file at ``path``, so a rerun into the same
+    directory leaves one run's records.
+    """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(canonical_json(record) + "\n")
+    Path(path).write_text("".join(canonical_json(record) + "\n" for record in records), encoding="utf-8")
 
 
 def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[dict]:

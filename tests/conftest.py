@@ -5,7 +5,7 @@ from hinrec import dqn
 from hinrec.config import RunConfig
 from hinrec.evaluation import PerformanceProbe, split_leave_one_out
 from hinrec.hin import HinGraph, HinSchema, load_graph
-from hinrec.metapath import ITEM_SYMMETRIC, USER_SYMMETRIC
+from hinrec.metapath import ITEM_SYMMETRIC
 from hinrec.search_env import MAX_STEPS, SearchEnv, initial_set
 from hinrec.synth import PLANTED_ITEM_PATH, write_dataset
 from hinrec.util import derive_rng, read_json
@@ -41,6 +41,11 @@ SCHEMA_FAULTS = [
                  "self-complementary 'watch' must have head == tail", id="self-complementary-head-not-tail"),
     pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: rate\n", 4,
                  "interaction relation 'rate' not declared", id="undeclared-interaction-relation"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\nnode_types: User, Movie, Actor\n", 4,
+                 "node_types declared twice", id="node-types-declared-twice"),
+    pytest.param("# s\nnode_types: User, Movie\nwatch: User -> Movie ~ watched\ninteraction_relation: watch\n"
+                 "interaction_relation: watched\n", 5,
+                 "interaction_relation declared twice", id="interaction-relation-declared-twice"),
 ]
 
 
@@ -210,8 +215,6 @@ def reachable_sets(form, schema, max_steps, extend):
     ``(pset, actions)`` pairs, ``actions`` being the sequence that first
     reached ``pset`` from the initial set.
     """
-    from hinrec.search_env import initial_set
-
     start = initial_set(form, schema)
     seen = {start.key(): (start, ())}
     frontier = [(start, ())]
@@ -272,7 +275,7 @@ def item_table(graph, run_seed):
     """
     schema, cfg = graph.schema, RunConfig(seed=run_seed)
     probe = PerformanceProbe(graph, split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split")), cfg)
-    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), MAX_STEPS)
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe)
     sets = reachable_sets(ITEM_SYMMETRIC, schema, MAX_STEPS, env.extend)
     return TableProbe({pset.key(): env.probe(pset) for pset, _ in sets}), probe
 
@@ -310,7 +313,7 @@ def planted_item_tables(tmp_path_factory):
 
 def item_search(schema, probe, agent_seed):
     """``dqn.search`` of the item side over ``probe`` at the default settings, as ``hinrec search`` runs it."""
-    env = SearchEnv(schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, schema), MAX_STEPS)
+    env = SearchEnv(schema, ITEM_SYMMETRIC, probe)
     return dqn.search(env, agent_seed, RunConfig().iter_limit // 2)
 
 

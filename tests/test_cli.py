@@ -134,11 +134,32 @@ def test_one_budget_sizes_random_and_rms(dataset, tmp_path, extra, calls, episod
     assert seen == {agent: set(range(episodes + 1)) for agent in ("user", "item")}  # and the inference episode
 
 
-def test_search_replaces_an_earlier_trace(dataset, tmp_path):
-    assert search(dataset, tmp_path, "greedy") == 0
-    assert search(dataset, tmp_path, "greedy") == 0
-    lines = list(read_jsonl(tmp_path / "trace.jsonl"))
-    assert len(lines) == read_json(tmp_path / "sets.json")["probe_calls"]
+def rerun_search(dataset, checkpoint, out):
+    """``hinrec search`` into ``out``; its trace holds one record per probe call."""
+    assert search(dataset, out, "greedy") == 0
+    return read_json(out / "sets.json")["probe_calls"]
+
+
+def rerun_train(dataset, checkpoint, out):
+    """Two epochs of ``hinrec train`` into ``out``; its history holds one record per epoch."""
+    (out / "run.cfg").write_text("rec_epochs = 2\n")
+    assert run("train", "--sets", base_sets(out / "sets.json"), "--dataset", dataset, "--config", out / "run.cfg",
+               "--seed", 0, "--out", out) == 0
+    return 2
+
+
+def rerun_eval(dataset, checkpoint, out):
+    """``hinrec eval`` into ``out``; its metrics hold HR and NDCG at each of ``EVAL_KS``."""
+    assert run("eval", "--dataset", dataset, "--checkpoint", checkpoint, "--seed", 0, "--out", out) == 0
+    return 2 * len(cli.EVAL_KS)
+
+
+@pytest.mark.parametrize("command, name", [(rerun_search, "trace.jsonl"), (rerun_train, "history.jsonl"),
+                                           (rerun_eval, "metrics.jsonl")], ids=["search", "train", "eval"])
+def test_a_rerun_replaces_an_earlier_jsonl_file(dataset, checkpoint, tmp_path, command, name):
+    """Two runs into one ``--out`` leave exactly the second run's records."""
+    command(dataset, checkpoint, tmp_path)
+    assert len(list(read_jsonl(tmp_path / name))) == command(dataset, checkpoint, tmp_path)
 
 
 @pytest.mark.parametrize("flag", [("--time-limit", 5), ("--jobs", 2)], ids=["time-limit", "jobs-2"])
@@ -467,6 +488,14 @@ def test_a_json_input_that_cannot_be_read_is_named(dataset, checkpoint, tmp_path
         argv = ("report", "--run-dir", tmp_path / "runs", *out)
     err = failure(capsys, *argv)
     assert f"error: {tmp_path}/{where}: {message}" in err
+
+
+def test_eval_names_a_manifest_that_is_not_an_object(dataset, checkpoint, tmp_path, capsys):
+    """The manifest beside the checkpoint is checked as ``train`` checks its sets file."""
+    (tmp_path / "model.ckpt").write_bytes(checkpoint.read_bytes())
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    err = failure(capsys, *eval_command(dataset, tmp_path / "model.ckpt", tmp_path))
+    assert f"error: {tmp_path}/manifest.json: expected a JSON object, not list" in err
 
 
 def test_main_sets_the_allocator_policy(tmp_path, monkeypatch):

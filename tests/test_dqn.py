@@ -419,7 +419,7 @@ class TestTableBed:
     table costs 81 probe evaluations, and a search over it no MF, subgraph
     or ranking work, so the DQN can be swept over many agent seeds in
     tier-1 time. These tests pin that the table stands in for the real
-    probe. The sweep's numbers are recorded in ROADMAP item 15, not
+    probe. The sweep's numbers are recorded in ROADMAP item 17, not
     bounded, until the DQN moves them.
     """
 

@@ -77,12 +77,12 @@ def test_a_path_draws_the_same_in_every_set(probe, small_planted):
     """A path's a_φ, q_φ and inference view do not depend on the set that holds it or its position."""
     graph, _, _ = small_planted
     models = [probe.model(*pair_sets(graph, *paths), probe.init_base) for paths in REORDERED]
-    fanout, seed = rec.FANOUT, probe.config.seed
+    seed = probe.config.seed
     seen = {}
     for model in models:
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
             for k, path in enumerate(side.pset):
-                view = rec.inference_view(side, k, tag, fanout, seed, "eval")
+                view = rec.inference_view(side, k, tag, seed, "eval")
                 draws = [model.params[f"{kind}.{tag}.{path.label()}"].value.tobytes() for kind in ("natt", "q")]
                 draws += [arr.tobytes() for arr in (view.indptr, view.src, view.dst)]
                 assert seen.setdefault((tag, path.relation_ids), draws) == draws

@@ -42,7 +42,7 @@ def density_filter(graph, threshold):
 def views_and_rng(model, rng):
     """``forward``'s last three arguments: both sides' views at ``FANOUT``, drawn from ``rng``,
     then ``rng`` itself for the dropout masks."""
-    return [*(sample_views(side, recommender.FANOUT, rng) for side in (model.user_side, model.item_side)), rng]
+    return [*(sample_views(side, rng) for side in (model.user_side, model.item_side)), rng]
 
 
 def set_constants(monkeypatch, **values):
@@ -338,8 +338,8 @@ class TestBuildSide:
 class TestForward:
     def test_gradients_match_finite_differences(self, tiny_model):
         model = tiny_model
-        views_u = sample_views(model.user_side, 16, derive_rng(0, "vu"))
-        views_i = sample_views(model.item_side, 16, derive_rng(0, "vi"))
+        views_u = sample_views(model.user_side, derive_rng(0, "vu"))
+        views_i = sample_views(model.item_side, derive_rng(0, "vi"))
         bu = np.asarray([0, 1, 2])
         bi = np.asarray([0, 1, 2])
         bj = np.asarray([3, 2, 0])
@@ -428,7 +428,7 @@ class TestForward:
         model = tiny_model
         H_u, H_i = infer_embeddings(model, 7, "eval")
         views_u, views_i = (
-            [inference_view(side, k, tag, recommender.FANOUT, 7, "eval") for k in range(len(side.pset))]
+            [inference_view(side, k, tag, 7, "eval") for k in range(len(side.pset))]
             for tag, side in (("user", model.user_side), ("item", model.item_side))
         )
         fp = forward(
@@ -446,7 +446,7 @@ class TestForward:
         """Per-node reference attention, fused by reference path attention, equals the tape pass."""
         model = tiny_model
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
-            views = sample_views(side, 16, derive_rng(3, "v", tag))
+            views = sample_views(side, derive_rng(3, "v", tag))
             fused, beta = _side_forward(Tape(), model, tag, side, views, None)
 
             Z = model.params[f"{tag}_emb"].value @ model.params[f"proj.{side.node_type}"].value
@@ -473,7 +473,7 @@ class TestForward:
         per-path tables shared between sets relies on this."""
         model = small_model()
         for tag, side in (("user", model.user_side), ("item", model.item_side)):
-            views = sample_views(side, recommender.FANOUT, derive_rng(5, "seam", tag))
+            views = sample_views(side, derive_rng(5, "seam", tag))
             assert len(views) == 2
             want_fused, want_beta = _side_forward(Tape(), model, tag, side, views, None)
             p = model.params

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -143,17 +141,14 @@ class FakeProbe:
         return None if path.relation_ids in self.rejected else path
 
 
-def user_env(schema, probe, **kw):
-    """A user-side env with the item side frozen at its initial set (``max_steps`` 4)."""
-    return SearchEnv(schema, USER_SYMMETRIC, probe, initial_set(ITEM_SYMMETRIC, schema), max_steps=4, **kw)
+def user_env(schema, probe):
+    """A user-side env, the item side frozen at its initial set."""
+    return SearchEnv(schema, USER_SYMMETRIC, probe)
 
 
 class TestExtend:
     def test_keeps_only_accepted_new_paths(self, movie_schema):
-        env = SearchEnv(
-            movie_schema, ITEM_SYMMETRIC, FakeProbe(rejected={(ACTED, ACT, WATCHED, WATCH)}),
-            initial_set(USER_SYMMETRIC, movie_schema), max_steps=4,
-        )
+        env = SearchEnv(movie_schema, ITEM_SYMMETRIC, FakeProbe(rejected={(ACTED, ACT, WATCHED, WATCH)}))
         start = initial_set(ITEM_SYMMETRIC, movie_schema)
         assert apply_action(start, ACTED, movie_schema).labels() == ["MUM", "MAMUM", "MAM"]
         assert env.extend(start, ACTED).labels() == ["MUM", "MAM"]
@@ -179,7 +174,7 @@ class TestStep:
 
     def test_no_change_action_rewards_minus_one(self, movie_schema):
         probe = FakeProbe()
-        env = SearchEnv(movie_schema, ITEM_SYMMETRIC, probe, initial_set(USER_SYMMETRIC, movie_schema), max_steps=4)
+        env = SearchEnv(movie_schema, ITEM_SYMMETRIC, probe)
         env.reset()
         out = env.step(ACT)
         assert out.reward == -1.0
@@ -221,19 +216,17 @@ class TestStep:
 
 
 class TestEnv:
-    def test_episode_flow_and_trace(self, movie_schema, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        env = user_env(movie_schema, FakeProbe(), trace_path=str(trace))
+    def test_episode_flow_and_trace(self, movie_schema):
+        env = user_env(movie_schema, FakeProbe())
         env.reset()
         done = False
         steps = 0
         while not done:
             done = env.step(ACTED if steps == 0 else 0).done
             steps += 1
-        lines = trace.read_text().strip().splitlines()
-        assert len(lines) == steps
-        for line in lines:
-            assert set(json.loads(line)) == {"episode", "step", "action", "set", "reward", "probe_metric", "wall_ms", "agent"}
+        assert len(env.trace) == steps
+        for record in env.trace:
+            assert set(record) == {"episode", "step", "action", "set", "reward", "probe_metric", "wall_ms"}
 
     def test_encoding_matches_encode_set(self, movie_schema):
         env = user_env(movie_schema, FakeProbe())
@@ -267,18 +260,15 @@ class TestBaselines:
         b = greedy_search(self._env(movie_schema), 9, np.random.default_rng(7))
         assert a.key() == b.key()
 
-    def test_baselines_trace_each_probe(self, movie_schema, tmp_path):
+    def test_baselines_trace_each_probe(self, movie_schema):
         probe = FakeProbe()
-        trace = tmp_path / "trace.jsonl"
-        env = user_env(movie_schema, probe, trace_path=str(trace), trace_tag="user")
+        env = user_env(movie_schema, probe)
         greedy_search(env, 6, np.random.default_rng(3))
         random_search(env, 5, np.random.default_rng(3))
-        lines = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert len(lines) == len(probe.calls)
-        for line in lines:
-            assert set(line) == {"set", "reward", "probe_metric", "wall_ms", "agent"}
-            assert line["reward"] == line["probe_metric"] == pytest.approx(0.1 * len(line["set"]))
-        assert {line["agent"] for line in lines} == {"user"}
+        assert len(env.trace) == len(probe.calls)
+        for record in env.trace:
+            assert set(record) == {"set", "reward", "probe_metric", "wall_ms"}
+            assert record["reward"] == record["probe_metric"] == pytest.approx(0.1 * len(record["set"]))
 
     @pytest.mark.parametrize("strategy", ["random", "greedy"])
     def test_baselines_probe_only_accepted_paths(self, movie_schema, strategy):
@@ -316,8 +306,8 @@ def walk_extends(graph, run_seed):
     split = split_leave_one_out(graph.interactions(), derive_rng(run_seed, "split"))
     probe = PerformanceProbe(graph, split, RunConfig(seed=run_seed))
     extends = {}
-    for form, other in ((USER_SYMMETRIC, ITEM_SYMMETRIC), (ITEM_SYMMETRIC, USER_SYMMETRIC)):
-        env = SearchEnv(schema, form, probe, initial_set(other, schema), MAX_STEPS)
+    for form in (USER_SYMMETRIC, ITEM_SYMMETRIC):
+        env = SearchEnv(schema, form, probe)
         extends[form] = {"full": lambda pset, a: apply_action(pset, a, schema), "accepted": env.extend}
     return probe, extends
 
